@@ -24,7 +24,6 @@ from vancast.mobility import (
     VehicleState,
     advance,
     assign_trips,
-    initial_state,
     position_of,
 )
 from vancast.roadnet import RoadGraph, generate_manhattan_grid, load_road_graph
@@ -66,7 +65,6 @@ class Contact:
 
     a: int
     b: int
-    distance: float
 
 
 def detect_contacts(
@@ -90,10 +88,8 @@ def detect_contacts(
     def try_pair(u: int, v: int):
         ux, uy = positions[u]
         vx, vy = positions[v]
-        d = math.hypot(ux - vx, uy - vy)
-        if d <= comm_range:
-            a, b = (u, v) if u < v else (v, u)
-            out.append(Contact(a, b, d))
+        if math.hypot(ux - vx, uy - vy) <= comm_range:
+            out.append(Contact(u, v) if u < v else Contact(v, u))
 
     # Visit each unordered cell pair once: same cell, plus a fixed
     # half of the eight neighbors.
@@ -260,7 +256,8 @@ def _new_day(state: SimState):
 
     Vehicles start the new day wherever they rest: their parked node,
     or the destination of a route still being driven.  Trips of the old
-    day that never departed are dropped.
+    day that never departed are dropped.  Day 0 starts with every
+    vehicle parked at home.
     """
     cfg = state.cfg
     starts = []
@@ -307,29 +304,14 @@ def init_sim(cfg: ExperimentConfig, graph: RoadGraph | None = None) -> SimState:
         cfg=cfg,
         graph=g,
         rng=rng,
-        states=[],
+        states=[VehicleState(vid, Phase.PARKED, homes[vid]) for vid in range(n)],
         schedules=[],
         stores=stores,
         seeds=seeds,
         metrics=Metrics(cfg.sample_interval),
         completed_count=len(seeds),
     )
-    state.schedules = assign_trips(
-        g,
-        n,
-        cfg.mean_trips,
-        cfg.max_trip_dist,
-        rng,
-        policy=cfg.routing_policy,
-        main_road_fraction=cfg.main_road_fraction,
-        start_nodes=homes,
-    )
-    state.states = [initial_state(state.schedules[vid], homes[vid]) for vid in range(n)]
-    for vid in range(n):
-        if state.schedules[vid].trips:
-            heapq.heappush(
-                state.depart_heap, (state.schedules[vid].trips[0].depart_time, vid)
-            )
+    _new_day(state)
     state.metrics.record(0.0, state.completed_count)
     state.next_sample = cfg.sample_interval
     return state
@@ -385,8 +367,7 @@ def step(state: SimState, dt: float):
 
     contacts = detect_contacts(positions, cfg.comm_range)
 
-    wire_bytes = 4 + cfg.symbol_size()
-    chunks_per_s = cfg.transfer_rate / (8.0 * wire_bytes)
+    chunks_per_s = cfg.transfer_rate / (8.0 * cfg.wire_bytes())
     degree: dict[int, int] = {}
     if cfg.share_bandwidth:
         for c in contacts:

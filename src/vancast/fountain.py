@@ -33,7 +33,7 @@ DEFAULT_K = 300
 DEFAULT_N = 450
 
 
-def _build_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _build_tables() -> tuple[np.ndarray, np.ndarray]:
     """Build exp/log tables, then dense mul/inv lookup tables.
 
     The generator is 3: under the 0x11B polynomial, 2 only generates a
@@ -57,10 +57,10 @@ def _build_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     mul[:, 0] = 0
     inv = np.zeros(256, dtype=np.uint8)
     inv[1:] = exp[(255 - log[1:]) % 255]
-    return mul, inv, exp.astype(np.uint8)
+    return mul, inv
 
 
-GF_MUL, GF_INV, _GF_EXP = _build_tables()
+GF_MUL, GF_INV = _build_tables()
 
 
 def gf256_add(a: int, b: int) -> int:

@@ -59,13 +59,6 @@ class TripSchedule:
                     f"previous trip ended"
                 )
 
-    @property
-    def final_node(self) -> int | None:
-        """Where the vehicle rests after its last trip (None if no trips)."""
-        if not self.trips:
-            return None
-        return self.trips[-1].route.dst
-
 
 @dataclass
 class VehicleState:
@@ -78,7 +71,6 @@ class VehicleState:
     distance: float = 0.0  # meters travelled along the current route
     seg: int = 0  # index of the current route segment
     next_trip: int = 0  # index into the schedule's trip tuple
-    is_seed: bool = False
 
 
 def _pick_destination(
@@ -157,10 +149,6 @@ def assign_trips(
             origin = dst
         schedules.append(TripSchedule(vid, tuple(trips)))
     return schedules
-
-
-def initial_state(schedule: TripSchedule, home: int) -> VehicleState:
-    return VehicleState(schedule.vehicle_id, Phase.PARKED, home)
 
 
 def advance(

@@ -31,13 +31,6 @@ class Edge:
     length: float
     main: bool = False
 
-    def other(self, node: int) -> int:
-        if node == self.a:
-            return self.b
-        if node == self.b:
-            return self.a
-        raise ValueError(f"node {node} is not an endpoint of edge {self.edge_id}")
-
 
 class RoadGraph:
     """Immutable-by-convention road network with cached routing tables."""
@@ -65,6 +58,11 @@ class RoadGraph:
             self.adjacency[e.b].append((e.a, e.edge_id))
         for nbrs in self.adjacency:
             nbrs.sort()
+        self.lengths = [e.length for e in self.edges]
+        # Main-only routing: non-main edges weigh inf, so no search
+        # relaxes them and no route walk takes them.
+        self.main_weights = [e.length if e.main else np.inf for e in self.edges]
+        self.main_nodes = sorted({v for e in self.edges if e.main for v in (e.a, e.b)})
         self._dist_cache: dict[int, np.ndarray] = {}
 
     @property
@@ -81,12 +79,14 @@ class RoadGraph:
     def dijkstra(self, src: int, weights: list[float] | None = None) -> np.ndarray:
         """Distances from src to every node.  Unreachable nodes get inf.
 
-        With default weights the result is memoized on the graph; custom
-        weight vectors (used for perturbed routing) are never cached.
+        With default weights (``lengths``) the result is memoized on the
+        graph.  Custom weight vectors are never cached: the per-trip
+        inflated weights of :func:`random_route`, and ``main_weights``,
+        whose inf entries confine the search to main roads.
         """
         if weights is None and src in self._dist_cache:
             return self._dist_cache[src]
-        w = [e.length for e in self.edges] if weights is None else weights
+        w = self.lengths if weights is None else weights
         dist = np.full(self.n_nodes, np.inf)
         dist[src] = 0.0
         heap = [(0.0, src)]
@@ -175,8 +175,7 @@ def shortest_path(g: RoadGraph, src: int, dst: int) -> Route:
     _check_endpoints(g, src, dst)
     if src == dst:
         return Route((src,), (), (0.0,))
-    weights = [e.length for e in g.edges]
-    return _walk_route(g, src, dst, g.dijkstra(dst), weights)
+    return _walk_route(g, src, dst, g.dijkstra(dst), g.lengths)
 
 
 def random_route(
@@ -200,25 +199,9 @@ def random_route(
     if src == dst:
         return Route((src,), (), (0.0,))
     factors = rng.uniform(1.0, max_factor, size=g.n_edges)
-    weights = [e.length * f for e, f in zip(g.edges, factors)]
+    weights = [length * f for length, f in zip(g.lengths, factors)]
     dist = g.dijkstra(dst, weights)
     return _walk_route(g, src, dst, dist, weights)
-
-
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a: int, b: int):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
 
 
 def main_road_route(g: RoadGraph, src: int, dst: int) -> Route:
@@ -231,34 +214,30 @@ def main_road_route(g: RoadGraph, src: int, dst: int) -> Route:
     falls back to the plain shortest path (logged once per call).
     """
     _check_endpoints(g, src, dst)
-    main_edges = [e for e in g.edges if e.main]
-    if not main_edges:
+    if not g.main_nodes:
         log.warning("graph has no main roads; falling back to shortest path")
         return shortest_path(g, src, dst)
     if src == dst:
         return Route((src,), (), (0.0,))
 
-    uf = _UnionFind(g.n_nodes)
-    for e in main_edges:
-        uf.union(e.a, e.b)
-    main_nodes = sorted({e.a for e in main_edges} | {e.b for e in main_edges})
-
     # Nearest main component to src: compare by entry distance, break
-    # ties toward the smaller node id.
+    # ties toward the smaller node id.  The component is every main node
+    # a main-only search from the entry reaches.
     dist_src = g.dijkstra(src)
-    entry = min(main_nodes, key=lambda v: (dist_src[v], v))
+    entry = min(g.main_nodes, key=lambda v: (dist_src[v], v))
     if not np.isfinite(dist_src[entry]):
         log.warning("main roads unreachable from node %d; using shortest path", src)
         return shortest_path(g, src, dst)
-    comp = uf.find(entry)
-    comp_nodes = [v for v in main_nodes if uf.find(v) == comp]
+    dist_main = g.dijkstra(entry, g.main_weights)
+    comp_nodes = [v for v in g.main_nodes if np.isfinite(dist_main[v])]
 
     dist_dst = g.dijkstra(dst)
     exit_ = min(comp_nodes, key=lambda v: (dist_dst[v], v))
 
     legs = [shortest_path(g, src, entry)]
     if entry != exit_:
-        legs.append(_main_only_path(g, entry, exit_))
+        dist_exit = g.dijkstra(exit_, g.main_weights)
+        legs.append(_walk_route(g, entry, exit_, dist_exit, g.main_weights))
     legs.append(shortest_path(g, exit_, dst))
 
     nodes: list[int] = [src]
@@ -269,45 +248,6 @@ def main_road_route(g: RoadGraph, src: int, dst: int) -> Route:
             nodes.append(leg.nodes[i + 1])
             edge_ids.append(eid)
             cum.append(cum[-1] + g.edges[eid].length)
-    return Route(tuple(nodes), tuple(edge_ids), tuple(cum))
-
-
-def _main_only_path(g: RoadGraph, src: int, dst: int) -> Route:
-    """Shortest path using main edges only (endpoints must share a
-    main component)."""
-    big = float("inf")
-    weights = [e.length if e.main else big for e in g.edges]
-    dist = np.full(g.n_nodes, np.inf)
-    dist[dst] = 0.0
-    heap = [(0.0, dst)]
-    while heap:
-        d, u = heapq.heappop(heap)
-        if d > dist[u]:
-            continue
-        for v, eid in g.adjacency[u]:
-            if not g.edges[eid].main:
-                continue
-            nd = d + weights[eid]
-            if nd < dist[v]:
-                dist[v] = nd
-                heapq.heappush(heap, (nd, v))
-    if not np.isfinite(dist[src]):
-        raise RuntimeError(f"nodes {src} and {dst} share no main-road component")
-    # Reuse the deterministic walk, but only along main edges.
-    nodes = [src]
-    edge_ids: list[int] = []
-    cum = [0.0]
-    u = src
-    while u != dst:
-        for v, eid in g.adjacency[u]:
-            if g.edges[eid].main and dist[u] == weights[eid] + dist[v]:
-                nodes.append(v)
-                edge_ids.append(eid)
-                cum.append(cum[-1] + g.edges[eid].length)
-                u = v
-                break
-        else:
-            raise RuntimeError(f"main-road distance field inconsistent at {u}")
     return Route(tuple(nodes), tuple(edge_ids), tuple(cum))
 
 

@@ -12,7 +12,6 @@ from vancast.mobility import (
     VehicleState,
     advance,
     assign_trips,
-    initial_state,
     position_of,
 )
 from vancast.roadnet import (
@@ -158,7 +157,7 @@ def test_single_trip_timeline():
     g = make_grid(3, 3, 100.0)
     route = shortest_path(g, 0, 2)  # 200 m straight east
     sched = TripSchedule(0, (Trip(5.0, route),))
-    state = initial_state(sched, 0)
+    state = VehicleState(0, Phase.PARKED, 0)
     speed, dt = 10.0, 1.0
 
     # before departure: parked, invisible
@@ -188,7 +187,7 @@ def test_single_trip_timeline():
 def test_departure_and_arrival_never_share_a_step():
     g = make_grid(3, 3, 100.0)
     sched = TripSchedule(0, (Trip(0.0, shortest_path(g, 0, 1)),))
-    state = initial_state(sched, 0)
+    state = VehicleState(0, Phase.PARKED, 0)
     advance(state, sched, 0.0, 1.0, 1_000.0)  # fast enough to cross instantly
     assert state.phase is Phase.EN_ROUTE  # still on board this step
     advance(state, sched, 1.0, 1.0, 1_000.0)
@@ -199,7 +198,7 @@ def test_departure_and_arrival_never_share_a_step():
 def test_late_departure_fires_immediately():
     g = make_grid(3, 3, 100.0)
     sched = TripSchedule(0, (Trip(3.0, shortest_path(g, 0, 1)),))
-    state = initial_state(sched, 0)
+    state = VehicleState(0, Phase.PARKED, 0)
     advance(state, sched, 100.0, 1.0, 10.0)
     assert state.phase is Phase.EN_ROUTE
 
@@ -213,7 +212,7 @@ def test_two_trip_chain_timeline():
             Trip(30.0, shortest_path(g, 1, 2)),
         ),
     )
-    state = initial_state(sched, 0)
+    state = VehicleState(0, Phase.PARKED, 0)
     trace = []
     drive_until(state, sched, 60.0, 1.0, 10.0, g, trace)
     phases = [p for _, p, _ in trace]
@@ -239,7 +238,8 @@ def test_distance_never_exceeds_route_length():
     rng = np.random.default_rng(1)
     schedules = assign_trips(g, 30, 3.0, 1_000.0, rng)
     for sched in schedules:
-        state = initial_state(sched, sched.trips[0].route.src if sched.trips else 0)
+        home = sched.trips[0].route.src if sched.trips else 0
+        state = VehicleState(sched.vehicle_id, Phase.PARKED, home)
         now = 0.0
         for _ in range(2_000):
             advance(state, sched, now, 7.0, 13.9)
@@ -252,7 +252,7 @@ def test_distance_never_exceeds_route_length():
 def test_vehicles_with_no_trips_stay_parked():
     g = make_grid()
     sched = TripSchedule(3, ())
-    state = initial_state(sched, 17)
+    state = VehicleState(3, Phase.PARKED, 17)
     for now in range(100):
         advance(state, sched, float(now), 1.0, 10.0)
     assert state.phase is Phase.PARKED
@@ -269,7 +269,8 @@ def test_daily_share_of_time_on_the_road():
     n = 400
     schedules = assign_trips(g, n, 3.0, 10_000.0, rng)
     states = [
-        initial_state(s, s.trips[0].route.src if s.trips else 0) for s in schedules
+        VehicleState(s.vehicle_id, Phase.PARKED, s.trips[0].route.src if s.trips else 0)
+        for s in schedules
     ]
     dt, speed = 60.0, 13.9
     samples = 0

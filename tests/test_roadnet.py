@@ -336,6 +336,24 @@ def test_main_road_route_endpoints_on_main():
     assert route.total_length == pytest.approx(500.0)
 
 
+def test_main_road_route_stays_in_entry_component_and_breaks_ties():
+    # Main component A is a diamond 1-{2,3}-4 whose two main-only paths
+    # from 1 to 4 tie at 20 m; a non-main shortcut 1-4 must not be
+    # taken on the middle leg.  Main component B (5-6) holds the main
+    # node nearest dst 7, but src 0 enters A at node 1, so the exit is
+    # A's node nearest dst (4), not B's.
+    main = [(1, 2), (1, 3), (2, 4), (3, 4), (5, 6)]
+    plain = [(0, 1, 5.0), (4, 7, 50.0), (6, 7, 5.0), (0, 5, 100.0), (1, 4, 5.0)]
+    edges = [Edge(i, a, b, 10.0, main=True) for i, (a, b) in enumerate(main)]
+    edges += [Edge(len(edges) + i, a, b, w) for i, (a, b, w) in enumerate(plain)]
+    g = RoadGraph([float(i) for i in range(8)], [0.0] * 8, edges)
+    route = main_road_route(g, 0, 7)
+    check_route_wellformed(g, route, 0, 7)
+    assert route.nodes == (0, 1, 2, 4, 7)
+    assert route.edge_ids == (5, 0, 2, 6)
+    assert route.cum_length == (0.0, 5.0, 15.0, 25.0, 75.0)
+
+
 # --- misc graph queries --------------------------------------------------------
 
 
