@@ -19,7 +19,6 @@ from vancast.config import ExperimentConfig
 from vancast.mobility import (
     DAY_LEN,
     Phase,
-    Trip,
     TripSchedule,
     VehicleState,
     advance,
@@ -178,7 +177,6 @@ def provision_seeds(
 class Metrics:
     """Completion counts sampled on a fixed time grid."""
 
-    sample_interval: float
     samples: list[tuple[float, int]] = field(default_factory=list)
 
     def record(self, t: float, completed: int):
@@ -242,13 +240,12 @@ def build_graph(cfg: ExperimentConfig) -> RoadGraph:
     return generate_manhattan_grid(cfg.rows, cfg.cols, cfg.block_len, cfg.main_cols)
 
 
-def _shift_schedule(schedule: TripSchedule, offset: float) -> TripSchedule:
-    if offset == 0.0:
-        return schedule
-    return TripSchedule(
-        schedule.vehicle_id,
-        tuple(Trip(t.depart_time + offset, t.route) for t in schedule.trips),
-    )
+def _queue_next_trip(state: SimState, vid: int):
+    """Queue a parked vehicle's next departure, if it has one left today."""
+    trips = state.schedules[vid].trips
+    nxt = state.states[vid].next_trip
+    if nxt < len(trips):
+        heapq.heappush(state.depart_heap, (trips[nxt].depart_time, vid))
 
 
 def _new_day(state: SimState):
@@ -267,26 +264,22 @@ def _new_day(state: SimState):
             starts.append(vs.route.dst)
         else:
             starts.append(vs.node)
-    day_start = state.day * DAY_LEN
-    fresh = assign_trips(
+    state.schedules = assign_trips(
         state.graph,
         cfg.n_vehicles,
         cfg.mean_trips,
         cfg.max_trip_dist,
         state.rng,
+        day_start=state.day * DAY_LEN,
         policy=cfg.routing_policy,
         main_road_fraction=cfg.main_road_fraction,
         start_nodes=starts,
     )
-    state.schedules = [_shift_schedule(s, day_start) for s in fresh]
     state.depart_heap = []
     for vs in state.states:
         vs.next_trip = 0
-        if vs.phase is Phase.PARKED and state.schedules[vs.vehicle_id].trips:
-            heapq.heappush(
-                state.depart_heap,
-                (state.schedules[vs.vehicle_id].trips[0].depart_time, vs.vehicle_id),
-            )
+        if vs.phase is Phase.PARKED:
+            _queue_next_trip(state, vs.vehicle_id)
 
 
 def init_sim(cfg: ExperimentConfig, graph: RoadGraph | None = None) -> SimState:
@@ -308,7 +301,7 @@ def init_sim(cfg: ExperimentConfig, graph: RoadGraph | None = None) -> SimState:
         schedules=[],
         stores=stores,
         seeds=seeds,
-        metrics=Metrics(cfg.sample_interval),
+        metrics=Metrics(),
         completed_count=len(seeds),
     )
     _new_day(state)
@@ -318,51 +311,40 @@ def init_sim(cfg: ExperimentConfig, graph: RoadGraph | None = None) -> SimState:
 
 
 def step(state: SimState, dt: float):
-    """Advance the simulation by one time step of dt seconds."""
+    """Advance the simulation by one time step of dt seconds.
+
+    The order is: move every vehicle on the road, depart the vehicles
+    due by the end of the step, re-queue the next trip of each arrival,
+    find radio contacts, exchange chunks over them, flag completions,
+    and sample the completion count.  A departing vehicle stands at its
+    origin for this step but already takes part in contacts; a vehicle
+    that arrives departs again on the next step at the earliest.
+    """
     cfg = state.cfg
     now = state.clock
     horizon = now + dt
 
-    # Departures due this step.  A vehicle departing now stands at its
-    # origin until the next step but already takes part in contacts.
-    departed_now: set[int] = set()
-    while state.depart_heap and state.depart_heap[0][0] <= horizon:
-        _, vid = heapq.heappop(state.depart_heap)
-        vs = state.states[vid]
-        if vs.phase is not Phase.PARKED:
-            continue
-        advance(vs, state.schedules[vid], now, dt, cfg.speed)
-        if vs.phase is Phase.EN_ROUTE:
-            state.enroute.add(vid)
-            departed_now.add(vid)
-
-    # Motion for everyone already on the road.
+    positions: dict[int, tuple[float, float]] = {}
     arrived: list[int] = []
-    for vid in sorted(state.enroute):
-        if vid in departed_now:
-            continue
+    for vid in state.enroute:
         vs = state.states[vid]
         advance(vs, state.schedules[vid], now, dt, cfg.speed)
         if vs.phase is Phase.PARKED:
             arrived.append(vid)
-    for vid in arrived:
-        state.enroute.discard(vid)
-        sched = state.schedules[vid]
+        else:
+            positions[vid] = position_of(vs, state.graph)
+    while state.depart_heap and state.depart_heap[0][0] <= horizon:
+        _, vid = heapq.heappop(state.depart_heap)
         vs = state.states[vid]
-        if vs.next_trip < len(sched.trips):
-            heapq.heappush(
-                state.depart_heap, (sched.trips[vs.next_trip].depart_time, vid)
-            )
+        advance(vs, state.schedules[vid], now, dt, cfg.speed)
+        positions[vid] = position_of(vs, state.graph)
+    state.enroute = set(positions)
+    for vid in arrived:
+        _queue_next_trip(state, vid)
 
-    # Radio layer.
-    positions: dict[int, tuple[float, float]] = {}
-    for vid in sorted(state.enroute):
-        pos = position_of(state.states[vid], state.graph)
-        if pos is not None:
-            positions[vid] = pos
     if cfg.parked_exchange:
         for vs in state.states:
-            if vs.phase is Phase.PARKED and vs.vehicle_id not in positions:
+            if vs.phase is Phase.PARKED:
                 positions[vs.vehicle_id] = state.graph.node_pos(vs.node)
 
     contacts = detect_contacts(positions, cfg.comm_range)
@@ -401,7 +383,7 @@ def step(state: SimState, dt: float):
                 touched.add(c.a)
     state.accum = new_accum
 
-    for vid in sorted(touched):
+    for vid in touched:
         store = state.stores[vid]
         if store.completed_at is None and store.count >= cfg.decode_threshold:
             store.completed_at = horizon
@@ -421,17 +403,12 @@ def run(cfg: ExperimentConfig, graph: RoadGraph | None = None) -> SimState:
     sample at sim_duration.
     """
     state = init_sim(cfg, graph)
-    dt = cfg.dt
     eps = 1e-9
     while state.clock < cfg.sim_duration - eps:
-        while (
-            state.clock >= (state.day + 1) * DAY_LEN - eps
-            and state.clock < cfg.sim_duration - eps
-        ):
+        while state.clock >= (state.day + 1) * DAY_LEN - eps:
             state.day += 1
             _new_day(state)
-        step_dt = min(dt, cfg.sim_duration - state.clock)
-        step(state, step_dt)
-    if not state.metrics.samples or state.metrics.samples[-1][0] < state.clock - eps:
+        step(state, min(cfg.dt, cfg.sim_duration - state.clock))
+    if state.metrics.samples[-1][0] < state.clock - eps:
         state.metrics.record(state.clock, state.completed_count)
     return state

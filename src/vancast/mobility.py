@@ -36,7 +36,7 @@ class Phase(Enum):
 
 @dataclass(frozen=True)
 class Trip:
-    depart_time: float  # seconds from schedule start
+    depart_time: float  # seconds on the simulation clock
     route: Route
 
 
@@ -103,7 +103,7 @@ def assign_trips(
     mean_trips: float,
     max_trip_dist: float,
     rng: np.random.Generator,
-    day_len: float = DAY_LEN,
+    day_start: float = 0.0,
     policy: str = "random",
     main_road_fraction: float = 0.0,
     start_nodes: list[int] | None = None,
@@ -111,8 +111,9 @@ def assign_trips(
     """Draw one day of trips for every vehicle.
 
     Trip counts are Poisson(mean_trips); departures are uniform over
-    [0, day_len) and sorted; each trip's destination is a uniform pick
-    from the nodes within road distance max_trip_dist of its origin.
+    [0, DAY_LEN), sorted, and put on the simulation clock by adding
+    day_start; each trip's destination is a uniform pick from the
+    nodes within road distance max_trip_dist of its origin.
     With main_road_fraction > 0, that share of vehicles (a Bernoulli
     draw per vehicle) routes every trip over the main roads; the rest
     use ``policy``.  Home nodes come from ``start_nodes`` when given
@@ -138,14 +139,14 @@ def assign_trips(
         else:
             origin = start_nodes[vid]
         n_trips = int(rng.poisson(mean_trips))
-        departs = np.sort(rng.uniform(0.0, day_len, size=n_trips))
+        departs = np.sort(rng.uniform(0.0, DAY_LEN, size=n_trips))
         on_main = main_road_fraction > 0 and rng.random() < main_road_fraction
         trip_policy = "main_road" if on_main else policy
         trips = []
         for depart in departs:
             dst = _pick_destination(g, origin, max_trip_dist, rng)
             route = _route_for_policy(g, origin, dst, trip_policy, rng)
-            trips.append(Trip(float(depart), route))
+            trips.append(Trip(float(depart) + day_start, route))
             origin = dst
         schedules.append(TripSchedule(vid, tuple(trips)))
     return schedules

@@ -47,7 +47,9 @@ class RoadGraph:
         self.edges = list(edges)
         n = len(xs)
         self.adjacency: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for e in self.edges:
+        for pos, e in enumerate(self.edges):
+            if e.edge_id != pos:
+                raise ValueError(f"edge {e.edge_id} sits at position {pos}")
             if not (0 <= e.a < n and 0 <= e.b < n):
                 raise ValueError(f"edge {e.edge_id} references missing node")
             if e.a == e.b:

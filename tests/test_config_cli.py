@@ -256,7 +256,7 @@ def test_run_sweep_rerun_is_byte_identical(tmp_path):
 
 
 def test_milestone_hours_shape():
-    m = Metrics(60.0, samples=[(0.0, 0), (3600.0, 50), (7200.0, 100)])
+    m = Metrics(samples=[(0.0, 0), (3600.0, 50), (7200.0, 100)])
     hours = milestone_hours(m, 100)
     assert hours[0.3] == pytest.approx(0.6)
     assert hours[0.99] == pytest.approx(1.98)

@@ -218,7 +218,7 @@ def test_seeds_get_every_chunk():
 
 
 def test_time_to_fraction_interpolates():
-    m = Metrics(60.0, samples=[(0.0, 0), (60.0, 0), (120.0, 30), (180.0, 90)])
+    m = Metrics(samples=[(0.0, 0), (60.0, 0), (120.0, 30), (180.0, 90)])
     assert time_to_fraction(m, 0.3, 100) == pytest.approx(120.0)
     assert time_to_fraction(m, 0.5, 100) == pytest.approx(140.0)
     assert time_to_fraction(m, 0.9, 100) == pytest.approx(180.0)
@@ -226,12 +226,12 @@ def test_time_to_fraction_interpolates():
 
 
 def test_time_to_fraction_at_time_zero():
-    m = Metrics(60.0, samples=[(0.0, 10), (60.0, 12)])
+    m = Metrics(samples=[(0.0, 10), (60.0, 12)])
     assert time_to_fraction(m, 0.05, 100) == 0.0
 
 
 def test_time_to_fraction_validation():
-    m = Metrics(60.0, samples=[(0.0, 0)])
+    m = Metrics(samples=[(0.0, 0)])
     with pytest.raises(ValueError):
         time_to_fraction(m, 0.0, 100)
     with pytest.raises(ValueError):
@@ -239,7 +239,7 @@ def test_time_to_fraction_validation():
 
 
 def test_metrics_record_replaces_same_timestamp():
-    m = Metrics(60.0)
+    m = Metrics()
     m.record(0.0, 1)
     m.record(0.0, 2)
     m.record(60.0, 3)
@@ -318,7 +318,7 @@ def seed_between_two_listeners(share_bandwidth):
         schedules=[TripSchedule(v, ()) for v in range(3)],
         stores=stores,
         seeds=[1],
-        metrics=Metrics(cfg.sample_interval),
+        metrics=Metrics(),
         completed_count=1,
     )
     step(state, 1.0)
@@ -336,6 +336,96 @@ def test_dedicated_bandwidth_serves_each_link_fully():
     state = seed_between_two_listeners(share_bandwidth=False)
     assert state.stores[0].count == 74
     assert state.stores[2].count == 74
+
+
+def hand_scheduled_state(monkeypatch, trips_by_vehicle, **overrides):
+    """init_sim on a 1x3 grid (nodes 50 m apart, 60 m radio range) with no
+    drawn trips, then the given trips queued as each vehicle's schedule.
+    Returns the state and the list of positions handed to contact
+    detection, one dict per step."""
+    import heapq
+
+    import vancast.engine as engine
+    from vancast.mobility import TripSchedule
+
+    cfg = two_parked_vehicles_config(
+        cols=3, comm_range=60.0, parked_exchange=False, speed=10.0, **overrides
+    )
+    state = init_sim(cfg)
+    state.schedules = [TripSchedule(v, tuple(t)) for v, t in enumerate(trips_by_vehicle)]
+    for v, trips in enumerate(trips_by_vehicle):
+        heapq.heappush(state.depart_heap, (trips[0].depart_time, v))
+    seen = []
+    real = engine.detect_contacts
+
+    def spy(positions, comm_range):
+        seen.append(dict(positions))
+        return real(positions, comm_range)
+
+    monkeypatch.setattr(engine, "detect_contacts", spy)
+    return state, seen
+
+
+def test_departing_vehicle_stands_at_origin_and_is_in_contact(monkeypatch):
+    from vancast.engine import step
+    from vancast.mobility import Phase, Trip
+    from vancast.roadnet import generate_manhattan_grid, shortest_path
+
+    g = generate_manhattan_grid(1, 3, 50.0, [])
+    state, seen = hand_scheduled_state(monkeypatch, [
+        [Trip(0.5, shortest_path(g, 0, 2))],
+        [Trip(0.2, shortest_path(g, 1, 2))],
+    ])
+    seed = state.seeds[0]
+    step(state, 1.0)
+    # both left inside (0, 1] and stand at their origins, 50 m apart
+    assert seen == [{0: (0.0, 0.0), 1: (50.0, 0.0)}]
+    for vs in state.states:
+        assert vs.phase is Phase.EN_ROUTE and vs.distance == 0.0
+    assert state.stores[1 - seed].count == 74  # one second of the 800 kb/s link
+
+
+def test_arrival_with_a_due_trip_departs_on_the_next_step(monkeypatch):
+    from vancast.engine import step
+    from vancast.mobility import Phase, Trip
+    from vancast.roadnet import generate_manhattan_grid, shortest_path
+
+    g = generate_manhattan_grid(1, 3, 50.0, [])
+    first, second = shortest_path(g, 0, 1), shortest_path(g, 1, 2)
+    state, seen = hand_scheduled_state(
+        monkeypatch,
+        [[Trip(0.0, first), Trip(3.0, second)], [Trip(90.0, shortest_path(g, 2, 1))]],
+    )
+    vs = state.states[0]
+    for _ in range(6):  # depart at 1 s, then 50 m at 10 m/s
+        step(state, 1.0)
+    # arrived at 6 s; the second trip has been due since 3 s but waits
+    assert vs.phase is Phase.PARKED and vs.node == 1 and vs.next_trip == 1
+    assert 0 not in seen[-1]
+    step(state, 1.0)
+    assert vs.phase is Phase.EN_ROUTE and vs.route == second
+    assert vs.distance == 0.0 and vs.next_trip == 2
+    assert seen[-1] == {0: (50.0, 0.0)}
+
+
+def test_new_day_schedules_lie_inside_their_day():
+    from vancast.mobility import DAY_LEN
+
+    def check(state):
+        for sched in state.schedules:
+            departs = [t.depart_time for t in sched.trips]
+            assert departs == sorted(departs)
+            for d in departs:
+                assert state.day * DAY_LEN <= d < (state.day + 1) * DAY_LEN
+        assert sum(len(s.trips) for s in state.schedules) > 0
+
+    cfg = small_traffic_config(
+        n_vehicles=20, mean_trips=3.0, dt=10.0, sim_duration=DAY_LEN + 600.0
+    )
+    check(init_sim(cfg))
+    state = run(cfg)
+    assert state.day == 1
+    check(state)
 
 
 def test_zero_duration_run_samples_once():

@@ -114,6 +114,16 @@ def test_graph_validation():
         RoadGraph([0.0, 1.0], [0.0, 0.0], [Edge(0, 0, 1, -2.0)])
 
 
+def test_graph_rejects_edge_ids_that_are_not_list_positions():
+    """Adjacency and weight tables index by edge id, so the ids must
+    number the edge list; a gap or a repeat is refused at construction."""
+    xs, ys = [0.0, 1.0, 2.0], [0.0, 0.0, 0.0]
+    with pytest.raises(ValueError, match="edge 5 sits at position 0"):
+        RoadGraph(xs, ys, [Edge(5, 0, 1, 1.0)])
+    with pytest.raises(ValueError, match="edge 0 sits at position 1"):
+        RoadGraph(xs, ys, [Edge(0, 0, 1, 1.0), Edge(0, 1, 2, 1.0)])
+
+
 # --- file format -------------------------------------------------------------
 
 
