@@ -17,7 +17,6 @@ The package splits into five layers:
 from vancast.config import ExperimentConfig, SweepSpec, parse_config
 from vancast.engine import (
     ChunkStore,
-    Contact,
     Metrics,
     SimState,
     detect_contacts,
@@ -64,7 +63,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ChunkStore",
     "CodedChunk",
-    "Contact",
     "DecoderState",
     "Edge",
     "ExperimentConfig",

@@ -10,6 +10,8 @@ import hashlib
 import math
 from dataclasses import dataclass, field, fields, replace
 
+from vancast.mobility import DAY_LEN
+
 ROUTING_POLICIES = ("random", "shortest", "main_road")
 
 
@@ -62,9 +64,19 @@ class ExperimentConfig:
         """On-air bytes per chunk: 4-byte id plus the payload."""
         return 4 + self.symbol_size()
 
+    def steps(self, seconds: float, key: str) -> int:
+        """``seconds`` in whole dt steps; ValueError naming ``key`` if not whole
+        (to a relative 1e-12, since a dt like 0.1 has no exact binary form)."""
+        n = round(seconds / self.dt, 0)  # a float, so a tiny dt's inf fails the match
+        if not math.isclose(n * self.dt, seconds, rel_tol=1e-12):
+            raise ValueError(f"{key} = {seconds:g} s is not a multiple of dt")
+        return int(n)
+
     def validate(self):
         def positive(name: str, allow_zero: bool = False):
             v = getattr(self, name)
+            if not math.isfinite(v):
+                raise ValueError(f"{name} must be finite, got {v}")
             if allow_zero and v < 0:
                 raise ValueError(f"{name} must be >= 0, got {v}")
             if not allow_zero and v <= 0:
@@ -95,6 +107,9 @@ class ExperimentConfig:
             for c in self.main_cols:
                 if not (0 <= c < self.cols):
                     raise ValueError(f"main column {c} outside 0..{self.cols - 1}")
+        self.steps(DAY_LEN, "one day")
+        self.steps(self.sim_duration, "sim_duration")
+        self.steps(self.sample_interval, "sample_interval")
 
 
 def _parse_bool(raw: str) -> bool:

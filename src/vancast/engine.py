@@ -1,10 +1,11 @@
 """Discrete-time simulation core: contacts, chunk exchange, main loop.
 
-Each step advances vehicle motion, finds radio contacts with a uniform
-spatial hash, moves coded chunks across every contact within the link
-budget, flags newly completed vehicles, and samples the completion
-count.  All randomness flows through one generator, so a (config,
-seed) pair reproduces a run bit for bit.
+Time runs in whole steps: the clock is ``tick * cfg.dt``, never a
+running sum.  Each ``step(state)`` advances vehicle motion, finds radio
+contacts with a uniform spatial hash, moves coded chunks across every
+contact within the link budget, and flags newly completed vehicles;
+``run`` samples the completion count.  All randomness flows through one
+generator, so a (config, seed) pair reproduces a run bit for bit.
 """
 
 from __future__ import annotations
@@ -58,18 +59,10 @@ class ChunkStore:
         return [int(i) for i in np.flatnonzero(self.mask)]
 
 
-@dataclass(frozen=True)
-class Contact:
-    """An unordered vehicle pair within radio range (a < b)."""
-
-    a: int
-    b: int
-
-
 def detect_contacts(
     positions: dict[int, tuple[float, float]], comm_range: float
-) -> list[Contact]:
-    """All pairs at Euclidean distance <= comm_range, sorted by (a, b).
+) -> list[tuple[int, int]]:
+    """All pairs (a, b), a < b, at Euclidean distance <= comm_range, sorted.
 
     Bins positions into a grid of comm_range-sized cells; candidate
     pairs then only come from the same or adjacent cells, so cost stays
@@ -82,13 +75,13 @@ def detect_contacts(
         key = (math.floor(x / comm_range), math.floor(y / comm_range))
         cells.setdefault(key, []).append(vid)
 
-    out: list[Contact] = []
+    out: list[tuple[int, int]] = []
 
     def try_pair(u: int, v: int):
         ux, uy = positions[u]
         vx, vy = positions[v]
         if math.hypot(ux - vx, uy - vy) <= comm_range:
-            out.append(Contact(u, v) if u < v else Contact(v, u))
+            out.append((u, v) if u < v else (v, u))
 
     # Visit each unordered cell pair once: same cell, plus a fixed
     # half of the eight neighbors.
@@ -103,7 +96,7 @@ def detect_contacts(
                 for u in vids:
                     for v in other:
                         try_pair(u, v)
-    out.sort(key=lambda c: (c.a, c.b))
+    out.sort()
     return out
 
 
@@ -179,12 +172,6 @@ class Metrics:
 
     samples: list[tuple[float, int]] = field(default_factory=list)
 
-    def record(self, t: float, completed: int):
-        if self.samples and abs(self.samples[-1][0] - t) < 1e-9:
-            self.samples[-1] = (t, completed)
-        else:
-            self.samples.append((t, completed))
-
 
 def time_to_fraction(metrics: Metrics, frac: float, n_vehicles: int) -> float | None:
     """First time the completed fraction reaches frac, or None.
@@ -210,7 +197,7 @@ def write_metrics_csv(metrics: Metrics, n_vehicles: int, path: str):
     with open(path, "w", newline="") as fh:
         fh.write("time_s,completed_count,completed_fraction\n")
         for t, c in metrics.samples:
-            fh.write(f"{t:g},{c},{c / n_vehicles:.6f}\n")
+            fh.write(f"{t:.15g},{c},{c / n_vehicles:.6f}\n")
 
 
 @dataclass
@@ -225,13 +212,17 @@ class SimState:
     stores: list[ChunkStore]
     seeds: list[int]
     metrics: Metrics
-    clock: float = 0.0
+    tick: int = 0  # whole steps taken
     completed_count: int = 0
     day: int = 0
     enroute: set[int] = field(default_factory=set)
     depart_heap: list[tuple[float, int]] = field(default_factory=list)
     accum: dict[tuple[int, int], list[float]] = field(default_factory=dict)
-    next_sample: float = 0.0
+
+    @property
+    def clock(self) -> float:
+        """Simulated seconds: tick * cfg.dt, computed afresh, never summed."""
+        return self.tick * self.cfg.dt
 
 
 def build_graph(cfg: ExperimentConfig) -> RoadGraph:
@@ -301,34 +292,32 @@ def init_sim(cfg: ExperimentConfig, graph: RoadGraph | None = None) -> SimState:
         schedules=[],
         stores=stores,
         seeds=seeds,
-        metrics=Metrics(),
+        metrics=Metrics([(0.0, len(seeds))]),
         completed_count=len(seeds),
     )
     _new_day(state)
-    state.metrics.record(0.0, state.completed_count)
-    state.next_sample = cfg.sample_interval
     return state
 
 
-def step(state: SimState, dt: float):
-    """Advance the simulation by one time step of dt seconds.
+def step(state: SimState):
+    """Advance the simulation by one step of cfg.dt seconds (one tick).
 
     The order is: move every vehicle on the road, depart the vehicles
     due by the end of the step, re-queue the next trip of each arrival,
-    find radio contacts, exchange chunks over them, flag completions,
-    and sample the completion count.  A departing vehicle stands at its
-    origin for this step but already takes part in contacts; a vehicle
-    that arrives departs again on the next step at the earliest.
+    find radio contacts, exchange chunks over them, and flag completions
+    at the step's end.  A departing vehicle stands at its origin for this
+    step but already takes part in contacts; a vehicle that arrives
+    departs again on the next step at the earliest.
     """
     cfg = state.cfg
     now = state.clock
-    horizon = now + dt
+    horizon = now + cfg.dt  # the departure bound advance() tests
 
     positions: dict[int, tuple[float, float]] = {}
     arrived: list[int] = []
     for vid in state.enroute:
         vs = state.states[vid]
-        advance(vs, state.schedules[vid], now, dt, cfg.speed)
+        advance(vs, state.schedules[vid], now, cfg.dt, cfg.speed)
         if vs.phase is Phase.PARKED:
             arrived.append(vid)
         else:
@@ -336,7 +325,7 @@ def step(state: SimState, dt: float):
     while state.depart_heap and state.depart_heap[0][0] <= horizon:
         _, vid = heapq.heappop(state.depart_heap)
         vs = state.states[vid]
-        advance(vs, state.schedules[vid], now, dt, cfg.speed)
+        advance(vs, state.schedules[vid], now, cfg.dt, cfg.speed)
         positions[vid] = position_of(vs, state.graph)
     state.enroute = set(positions)
     for vid in arrived:
@@ -349,22 +338,20 @@ def step(state: SimState, dt: float):
 
     contacts = detect_contacts(positions, cfg.comm_range)
 
-    chunks_per_s = cfg.transfer_rate / (8.0 * cfg.wire_bytes())
+    gain = cfg.transfer_rate / (8.0 * cfg.wire_bytes()) * cfg.dt  # chunks a step
     degree: dict[int, int] = {}
     if cfg.share_bandwidth:
-        for c in contacts:
-            degree[c.a] = degree.get(c.a, 0) + 1
-            degree[c.b] = degree.get(c.b, 0) + 1
+        for a, b in contacts:
+            degree[a] = degree.get(a, 0) + 1
+            degree[b] = degree.get(b, 0) + 1
 
     new_accum: dict[tuple[int, int], list[float]] = {}
     touched: set[int] = set()
-    for c in contacts:
-        key = (c.a, c.b)
-        acc = state.accum.get(key, [0.0, 0.0])
-        gain = chunks_per_s * dt
+    for a, b in contacts:
+        acc = state.accum.get((a, b), [0.0, 0.0])
         if cfg.share_bandwidth:
-            acc[0] += gain / degree[c.a]
-            acc[1] += gain / degree[c.b]
+            acc[0] += gain / degree[a]
+            acc[1] += gain / degree[b]
         else:
             acc[0] += gain
             acc[1] += gain
@@ -372,43 +359,41 @@ def step(state: SimState, dt: float):
         n_ba = int(acc[1])
         acc[0] -= n_ab
         acc[1] -= n_ba
-        new_accum[key] = acc
+        new_accum[(a, b)] = acc
         if n_ab or n_ba:
             sent_ab, sent_ba = exchange(
-                state.stores[c.a], state.stores[c.b], n_ab, n_ba, state.rng
+                state.stores[a], state.stores[b], n_ab, n_ba, state.rng
             )
             if sent_ab:
-                touched.add(c.b)
+                touched.add(b)
             if sent_ba:
-                touched.add(c.a)
+                touched.add(a)
     state.accum = new_accum
 
+    state.tick += 1
     for vid in touched:
         store = state.stores[vid]
         if store.completed_at is None and store.count >= cfg.decode_threshold:
-            store.completed_at = horizon
+            store.completed_at = state.clock
             state.completed_count += 1
-
-    state.clock = horizon
-    while state.next_sample <= state.clock + 1e-9:
-        state.metrics.record(state.next_sample, state.completed_count)
-        state.next_sample += cfg.sample_interval
 
 
 def run(cfg: ExperimentConfig, graph: RoadGraph | None = None) -> SimState:
-    """Run a full simulation and return the final state.
+    """Run sim_duration / dt steps and return the final state.
 
-    The day boundary re-rolls every trip schedule (vehicles keep their
-    location across days), and the metrics always include a final
-    sample at sim_duration.
+    Every DAY_LEN / dt steps the day boundary re-rolls every trip schedule
+    (vehicles keep their location across days).  The completion count is
+    sampled every sample_interval / dt steps and after the last step.
     """
     state = init_sim(cfg, graph)
-    eps = 1e-9
-    while state.clock < cfg.sim_duration - eps:
-        while state.clock >= (state.day + 1) * DAY_LEN - eps:
+    n_steps = cfg.steps(cfg.sim_duration, "sim_duration")
+    per_sample = cfg.steps(cfg.sample_interval, "sample_interval")
+    per_day = cfg.steps(DAY_LEN, "one day")
+    for tick in range(n_steps):
+        if tick and tick % per_day == 0:
             state.day += 1
             _new_day(state)
-        step(state, min(cfg.dt, cfg.sim_duration - state.clock))
-    if state.metrics.samples[-1][0] < state.clock - eps:
-        state.metrics.record(state.clock, state.completed_count)
+        step(state)
+        if state.tick % per_sample == 0 or state.tick == n_steps:
+            state.metrics.samples.append((state.clock, state.completed_count))
     return state

@@ -42,6 +42,9 @@ class RoadGraph:
             raise ValueError("graph needs at least one node")
         if len(edges) == 0:
             raise ValueError("graph needs at least one edge")
+        for i, (x, y) in enumerate(zip(xs, ys)):
+            if not (np.isfinite(x) and np.isfinite(y)):
+                raise ValueError(f"node {i} has non-finite coordinates ({x}, {y})")
         self.node_x = list(xs)
         self.node_y = list(ys)
         self.edges = list(edges)
@@ -54,8 +57,8 @@ class RoadGraph:
                 raise ValueError(f"edge {e.edge_id} references missing node")
             if e.a == e.b:
                 raise ValueError(f"edge {e.edge_id} is a self-loop")
-            if e.length <= 0:
-                raise ValueError(f"edge {e.edge_id} has non-positive length")
+            if not 0 < e.length < np.inf:
+                raise ValueError(f"edge {e.edge_id} length {e.length} is not positive")
             self.adjacency[e.a].append((e.b, e.edge_id))
             self.adjacency[e.b].append((e.a, e.edge_id))
         for nbrs in self.adjacency:
@@ -384,8 +387,6 @@ def load_road_graph(path: str) -> RoadGraph:
             bad(lineno, f"edge ids must be sequential; expected {idx}, got {eid}")
         if not (0 <= a < n_nodes and 0 <= b < n_nodes):
             bad(lineno, f"edge endpoints {a},{b} outside 0..{n_nodes - 1}")
-        if length <= 0:
-            bad(lineno, f"edge length must be positive, got {length}")
         if main not in (0, 1):
             bad(lineno, f"main flag must be 0 or 1, got {main}")
         edges.append(Edge(eid, a, b, length, bool(main)))

@@ -156,8 +156,7 @@ def test_contact_detection_equals_brute_force():
             for j in range(i + 1, n):
                 if math.hypot(pts[i, 0] - pts[j, 0], pts[i, 1] - pts[j, 1]) <= 100.0:
                     expect.append((i, j))
-        got = [(c.a, c.b) for c in detect_contacts(positions, 100.0)]
-        assert got == expect
+        assert detect_contacts(positions, 100.0) == expect
         checked += len(expect)
     print(f"contacts: 100 instances, {checked} pairs, spatial hash == brute force: PASS")
 
@@ -376,8 +375,7 @@ def test_invariant_suites():
         assert (len(forward) == 1) == (d <= comm)
         assert len(forward) == len(swapped)
         if forward:
-            assert (forward[0].a, forward[0].b) == (1, 2)
-            assert (swapped[0].a, swapped[0].b) == (1, 2)
+            assert forward == swapped == [(1, 2)]
 
     # Trip-chain continuity across >10^4 generated trips.
     g = generate_manhattan_grid(10, 10, 200.0)

@@ -1,6 +1,7 @@
 """Configuration parsing, sweep bookkeeping, and CLI entry points."""
 
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -92,6 +93,31 @@ def test_validate_rejects_bad_values(field, value):
     setattr(cfg, field, value)
     with pytest.raises(ValueError):
         cfg.validate()
+
+
+FLOAT_FIELDS = [f.name for f in fields(ExperimentConfig) if f.type == "float"]
+
+
+@pytest.mark.parametrize("field", FLOAT_FIELDS)
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+def test_parse_config_rejects_non_finite_floats(field, raw):
+    """Every float key, so a float key added later must be checked too."""
+    with pytest.raises(ValueError, match=f"^{field} must (be finite|lie in)"):
+        parse_config(f"{field} = {raw}")
+
+
+def test_spans_must_be_whole_numbers_of_steps():
+    with pytest.raises(ValueError, match="one day = 86400 s is not a multiple of dt"):
+        parse_config("dt = 7")
+    with pytest.raises(ValueError, match="sim_duration = 3600.5 s is not a multiple"):
+        parse_config("dt = 1\nsim_duration = 3600.5")
+    with pytest.raises(ValueError, match="sample_interval"):
+        parse_config("dt = 2\nsample_interval = 45")
+    with pytest.raises(ValueError, match="one day"):  # 86400 / dt overflows to inf
+        parse_config("dt = 1e-320")
+    cfg = parse_config("dt = 0.1\nsim_duration = 3600")
+    assert cfg.steps(cfg.sim_duration, "sim_duration") == 36_000
+    assert cfg.steps(86_400.0, "one day") == 864_000
 
 
 def test_zero_duration_is_allowed():

@@ -44,22 +44,21 @@ def test_contacts_match_brute_force_on_random_instances():
             int(vid): (float(x), float(y))
             for vid, (x, y) in enumerate(rng.uniform(-span, span, size=(n, 2)))
         }
-        got = [(c.a, c.b) for c in detect_contacts(positions, comm)]
-        assert got == brute_force_pairs(positions, comm)
+        assert detect_contacts(positions, comm) == brute_force_pairs(positions, comm)
 
 
 def test_contacts_sorted_and_ordered_pairs():
     positions = {9: (0.0, 0.0), 2: (10.0, 0.0), 5: (5.0, 5.0)}
     contacts = detect_contacts(positions, 50.0)
-    assert [(c.a, c.b) for c in contacts] == [(2, 5), (2, 9), (5, 9)]
-    for c in contacts:
-        assert c.a < c.b
+    assert contacts == [(2, 5), (2, 9), (5, 9)]
+    for a, b in contacts:
+        assert a < b
 
 
 def test_contact_boundary_is_inclusive():
     positions = {0: (0.0, 0.0), 1: (100.0, 0.0), 2: (200.1, 0.0)}
     contacts = detect_contacts(positions, 100.0)
-    assert [(c.a, c.b) for c in contacts] == [(0, 1)]
+    assert contacts == [(0, 1)]
 
 
 def test_contacts_insertion_order_invariance():
@@ -238,14 +237,6 @@ def test_time_to_fraction_validation():
         time_to_fraction(m, 1.1, 100)
 
 
-def test_metrics_record_replaces_same_timestamp():
-    m = Metrics()
-    m.record(0.0, 1)
-    m.record(0.0, 2)
-    m.record(60.0, 3)
-    assert m.samples == [(0.0, 2), (60.0, 3)]
-
-
 # --- wired-together runs ------------------------------------------------------------
 
 
@@ -321,7 +312,7 @@ def seed_between_two_listeners(share_bandwidth):
         metrics=Metrics(),
         completed_count=1,
     )
-    step(state, 1.0)
+    step(state)
     return state
 
 
@@ -377,7 +368,7 @@ def test_departing_vehicle_stands_at_origin_and_is_in_contact(monkeypatch):
         [Trip(0.2, shortest_path(g, 1, 2))],
     ])
     seed = state.seeds[0]
-    step(state, 1.0)
+    step(state)
     # both left inside (0, 1] and stand at their origins, 50 m apart
     assert seen == [{0: (0.0, 0.0), 1: (50.0, 0.0)}]
     for vs in state.states:
@@ -398,11 +389,11 @@ def test_arrival_with_a_due_trip_departs_on_the_next_step(monkeypatch):
     )
     vs = state.states[0]
     for _ in range(6):  # depart at 1 s, then 50 m at 10 m/s
-        step(state, 1.0)
+        step(state)
     # arrived at 6 s; the second trip has been due since 3 s but waits
     assert vs.phase is Phase.PARKED and vs.node == 1 and vs.next_trip == 1
     assert 0 not in seen[-1]
-    step(state, 1.0)
+    step(state)
     assert vs.phase is Phase.EN_ROUTE and vs.route == second
     assert vs.distance == 0.0 and vs.next_trip == 2
     assert seen[-1] == {0: (50.0, 0.0)}
@@ -433,6 +424,51 @@ def test_zero_duration_run_samples_once():
     state = run(cfg)
     assert state.clock == 0.0
     assert state.metrics.samples == [(0.0, 1)]
+
+
+def test_run_at_fractional_dt_takes_exactly_duration_over_dt_steps(monkeypatch):
+    import vancast.engine as engine
+
+    calls = []
+    real = engine.step
+
+    def counting(state, *args):
+        calls.append(args)
+        real(state, *args)
+
+    monkeypatch.setattr(engine, "step", counting)
+    state = run(
+        two_parked_vehicles_config(dt=0.1, sim_duration=3_600.0, sample_interval=60.0)
+    )
+    assert len(calls) == 36_000
+    assert state.clock == 3_600.0
+    times = [t for t, _ in state.metrics.samples]
+    assert times == [60.0 * k for k in range(61)]
+
+
+def test_day_rolls_over_exactly_at_one_day_of_fractional_steps(monkeypatch):
+    import vancast.engine as engine
+    from vancast.mobility import DAY_LEN
+
+    day_starts = []
+    real = engine._new_day
+
+    def spy(state):
+        day_starts.append(state.clock)
+        real(state)
+
+    monkeypatch.setattr(engine, "_new_day", spy)
+    state = run(two_parked_vehicles_config(dt=0.1, sim_duration=DAY_LEN + 600.0))
+    assert state.day == 1
+    assert day_starts == [0.0, 86_400.0]
+
+
+def test_metrics_csv_writes_times_exactly(tmp_path):
+    path = tmp_path / "m.csv"
+    m = Metrics(samples=[(0.0, 0), (100_000.5, 1), (100_001.0, 2), (1_000_015.0, 3)])
+    write_metrics_csv(m, 4, str(path))
+    rows = path.read_text().splitlines()[1:]
+    assert [r.split(",")[0] for r in rows] == ["0", "100000.5", "100001", "1000015"]
 
 
 def test_full_seed_rate_completes_instantly():

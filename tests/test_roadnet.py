@@ -124,6 +124,16 @@ def test_graph_rejects_edge_ids_that_are_not_list_positions():
         RoadGraph(xs, ys, [Edge(0, 0, 1, 1.0), Edge(0, 1, 2, 1.0)])
 
 
+def test_graph_rejects_non_finite_coordinates_and_lengths():
+    with pytest.raises(ValueError, match="node 1 has non-finite"):
+        RoadGraph([0.0, math.inf], [0.0, 0.0], [Edge(0, 0, 1, 5.0)])
+    with pytest.raises(ValueError, match="node 0 has non-finite"):
+        RoadGraph([0.0, 1.0], [math.nan, 0.0], [Edge(0, 0, 1, 5.0)])
+    for length in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"edge 0 length {length} is not positive"):
+            RoadGraph([0.0, 1.0], [0.0, 0.0], [Edge(0, 0, 1, length)])
+
+
 # --- file format -------------------------------------------------------------
 
 
@@ -167,6 +177,9 @@ def test_load_accepts_comments_and_blank_lines(tmp_path):
         ("nodes 2 edges 1\nnode 0 0 0\nnode 1 1 1\nedge 0 0 1 10 7\n", "main flag"),
         ("nodes 2 edges 1\nnode 0 0 0\nnode 1 1 1\nedge 0 0 9 10 0\n", "outside"),
         ("nodes 2 edges 2\nnode 0 0 0\nnode 1 1 1\nedge 0 0 1 10 0\n", "record lines"),
+        ("nodes 2 edges 1\nnode 0 0 0\nnode 1 nan 0\nedge 0 0 1 10 0\n", "node 1 has non-finite"),
+        ("nodes 2 edges 1\nnode 0 0 0\nnode 1 1 inf\nedge 0 0 1 10 0\n", "node 1 has non-finite"),
+        ("nodes 2 edges 1\nnode 0 0 0\nnode 1 1 1\nedge 0 0 1 nan 0\n", "edge 0 length"),
         ("", "empty"),
     ],
 )
