@@ -192,6 +192,13 @@ def apply_overrides(cfg: ExperimentConfig, pairs: list[str]) -> ExperimentConfig
     return out
 
 
+def float_text(v: float) -> str:
+    """Short text for a float that reads back as the same float:
+    ``:g`` where that is exact, else ``repr``."""
+    short = f"{v:g}"
+    return short if float(short) == v else repr(v)
+
+
 def config_lines(cfg: ExperimentConfig) -> list[str]:
     """Render a config as key = value lines in declaration order."""
     out = []
@@ -204,7 +211,7 @@ def config_lines(cfg: ExperimentConfig) -> list[str]:
         elif isinstance(v, bool):
             v = "true" if v else "false"
         elif isinstance(v, float):
-            v = f"{v:g}"
+            v = float_text(v)
         out.append(f"{f.name} = {v}")
     return out
 
@@ -231,7 +238,7 @@ class SweepSpec:
 def value_key(value) -> str:
     """Canonical short string for a swept value (used in file names)."""
     if isinstance(value, float):
-        return f"{value:g}"
+        return float_text(value)
     return str(value)
 
 

@@ -1,15 +1,20 @@
 """Discrete-time simulation core: contacts, chunk exchange, main loop.
 
-Time runs in whole steps: the clock is ``tick * cfg.dt``, never a
-running sum.  Each ``step(state)`` advances vehicle motion, finds radio
-contacts with a uniform spatial hash, moves coded chunks across every
-contact within the link budget, and flags newly completed vehicles;
-``run`` samples the completion count.  All randomness flows through one
-generator, so a (config, seed) pair reproduces a run bit for bit.
+Time runs in whole steps (ticks): the clock is ``tick * cfg.dt``, never
+a running sum.  ``step(state, n)`` simulates n ticks in one pass: it lays
+out every drive of the span as arrays of positions, finds all radio
+contacts of the span in one cell-sorted search, and then runs the
+chunk exchange, in order, only at ticks that have contacts.  Motion
+never depends on chunks, so this gives the same results, draw for
+draw, as moving, detecting and exchanging one tick at a time.  ``run``
+re-draws the day's trips at day boundaries and samples the completion
+count.  All randomness flows through one generator, so a (config,
+seed) pair reproduces a run bit for bit.
 """
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import math
 from dataclasses import dataclass, field
@@ -22,11 +27,17 @@ from vancast.mobility import (
     Phase,
     TripSchedule,
     VehicleState,
-    advance,
     assign_trips,
-    position_of,
+    departure_tick,
+    odometer,
+    trace_legs,
 )
-from vancast.roadnet import RoadGraph, generate_manhattan_grid, load_road_graph
+from vancast.roadnet import RoadGraph, Route, generate_manhattan_grid, load_road_graph
+
+# Longest span of ticks that run() hands to one step() call.  Longer
+# spans cost less per tick; the span's arrays grow with it (rows =
+# ticks x vehicles on the radio).
+SPAN_TICKS = 150
 
 
 class ChunkStore:
@@ -59,45 +70,66 @@ class ChunkStore:
         return [int(i) for i in np.flatnonzero(self.mask)]
 
 
-def detect_contacts(
-    positions: dict[int, tuple[float, float]], comm_range: float
-) -> list[tuple[int, int]]:
-    """All pairs (a, b), a < b, at Euclidean distance <= comm_range, sorted.
+def detect_contacts(rows: np.ndarray, comm_range: float) -> np.ndarray:
+    """Every radio contact among rows of (tick, vehicle, x, y), a float
+    array of shape (n, 4) with at most one row per vehicle and tick.
 
-    Bins positions into a grid of comm_range-sized cells; candidate
-    pairs then only come from the same or adjacent cells, so cost stays
-    near-linear in vehicle count at typical densities.
+    Returns an int array of (tick, a, b) rows, one for each pair a < b at
+    the same tick within Euclidean distance comm_range (inclusive),
+    sorted.  Rows are binned into comm_range-sized cells per tick, so
+    candidate pairs only come from the same or adjacent cells and the
+    cost stays near-linear in rows at typical densities.  Membership is
+    exactly ``math.hypot(dx, dy) <= comm_range``.
     """
     if comm_range <= 0:
         raise ValueError(f"comm_range must be positive, got {comm_range}")
-    cells: dict[tuple[int, int], list[int]] = {}
-    for vid, (x, y) in positions.items():
-        key = (math.floor(x / comm_range), math.floor(y / comm_range))
-        cells.setdefault(key, []).append(vid)
+    rows = np.asarray(rows, dtype=float).reshape(-1, 4)
+    if not len(rows):
+        return np.zeros((0, 3), dtype=np.int64)
+    t_min = int(rows[:, 0].min())
+    # Cells shifted to start at 1, so a neighbor offset of -1 stays >= 0.
+    cx = np.floor(rows[:, 2] / comm_range).astype(np.int64)
+    cy = np.floor(rows[:, 3] / comm_range).astype(np.int64)
+    cx -= cx.min() - 1
+    cy -= cy.min() - 1
+    nx, ny = int(cx.max()) + 2, int(cy.max()) + 2
+    if (int(rows[:, 0].max()) - t_min + 1) * nx * ny >= 2**62:
+        raise ValueError("positions span too many radio cells to index")
+    key = ((rows[:, 0].astype(np.int64) - t_min) * nx + cx) * ny + cy
+    # A span has tens of thousands of rows, so per-row temporaries are
+    # dropped as soon as they are used: they set the run's peak memory.
+    del cx, cy
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    x, y, vid = rows[order, 2], rows[order, 3], rows[order, 1].astype(np.int64)
+    del order
+    row = np.arange(len(key))
 
-    out: list[tuple[int, int]] = []
-
-    def try_pair(u: int, v: int):
-        ux, uy = positions[u]
-        vx, vy = positions[v]
-        if math.hypot(ux - vx, uy - vy) <= comm_range:
-            out.append((u, v) if u < v else (v, u))
-
-    # Visit each unordered cell pair once: same cell, plus a fixed
-    # half of the eight neighbors.
-    half = ((1, 0), (1, 1), (0, 1), (-1, 1))
-    for (cx, cy), vids in cells.items():
-        for i in range(len(vids)):
-            for j in range(i + 1, len(vids)):
-                try_pair(vids[i], vids[j])
-        for dx, dy in half:
-            other = cells.get((cx + dx, cy + dy))
-            if other:
-                for u in vids:
-                    for v in other:
-                        try_pair(u, v)
-    out.sort()
-    return out
+    # Visit each unordered cell pair once: the same cell (later rows
+    # only), plus a fixed half of the eight neighbors.
+    found_i, found_j = [], []
+    for dx, dy in ((0, 0), (1, 0), (1, 1), (0, 1), (-1, 1)):
+        other = key + (dx * ny + dy)
+        lo = row + 1 if dx == dy == 0 else np.searchsorted(key, other, side="left")
+        n = np.searchsorted(key, other, side="right") - lo
+        del other
+        i = np.repeat(row, n)
+        j = np.repeat(lo - (np.cumsum(n) - n), n) + np.arange(len(i))
+        del lo, n
+        d = np.hypot(x[i] - x[j], y[i] - y[j])
+        near = d <= comm_range
+        # np.hypot and math.hypot may differ in the last bit: decide the
+        # pairs at the boundary with math.hypot.
+        for k in np.flatnonzero(np.abs(d - comm_range) <= 1e-9 * comm_range).tolist():
+            near[k] = math.hypot(x[i[k]] - x[j[k]], y[i[k]] - y[j[k]]) <= comm_range
+        found_i.append(i[near])
+        found_j.append(j[near])
+    i, j = np.concatenate(found_i), np.concatenate(found_j)
+    t = key[i] // (nx * ny) + t_min
+    a = np.minimum(vid[i], vid[j])
+    b = np.maximum(vid[i], vid[j])
+    out = np.stack((t, a, b), axis=1)
+    return out[np.lexsort((b, a, t))]
 
 
 def exchange(
@@ -215,8 +247,9 @@ class SimState:
     tick: int = 0  # whole steps taken
     completed_count: int = 0
     day: int = 0
-    enroute: set[int] = field(default_factory=set)
+    enroute: dict[int, int] = field(default_factory=dict)  # vehicle -> departure tick
     depart_heap: list[tuple[float, int]] = field(default_factory=list)
+    # Link budget carried by each pair in contact at the last tick.
     accum: dict[tuple[int, int], list[float]] = field(default_factory=dict)
 
     @property
@@ -299,83 +332,175 @@ def init_sim(cfg: ExperimentConfig, graph: RoadGraph | None = None) -> SimState:
     return state
 
 
-def step(state: SimState):
-    """Advance the simulation by one step of cfg.dt seconds (one tick).
+def _move(state: SimState, t1: int) -> np.ndarray:
+    """Drive every vehicle from tick state.tick up to t1; return the radio rows.
 
-    The order is: move every vehicle on the road, depart the vehicles
-    due by the end of the step, re-queue the next trip of each arrival,
-    find radio contacts, exchange chunks over them, and flag completions
-    at the step's end.  A departing vehicle stands at its origin for this
-    step but already takes part in contacts; a vehicle that arrives
-    departs again on the next step at the earliest.
+    Rows are (tick, vehicle, x, y): one per driving vehicle per tick, and
+    with ``parked_exchange`` one per parked vehicle per tick at its node.
+    Leaves each vehicle's state, ``enroute`` and ``depart_heap`` as t1 -
+    state.tick single steps would.
     """
-    cfg = state.cfg
-    now = state.clock
-    horizon = now + cfg.dt  # the departure bound advance() tests
+    cfg, g, dt = state.cfg, state.graph, state.cfg.dt
+    t0 = state.tick
+    odo = odometer(cfg.speed * dt, t1 - min(state.enroute.values(), default=t0))
+    odo_list = odo.tolist()
+    legs: list[tuple[int, Route, int, int, int]] = []  # vid, route, departure, lo, hi
+    parked: list[tuple[int, int, int, int]] = []  # vid, node, lo, hi
+    enroute: dict[int, int] = {}
+    requeue: list[tuple[float, int]] = []
 
-    positions: dict[int, tuple[float, float]] = {}
-    arrived: list[int] = []
-    for vid in state.enroute:
+    def drive(vs: VehicleState, route: Route, dep: int):
+        """Follow one vehicle from a departure at tick dep until t1: this
+        trip, then each next one that departs before t1."""
+        vid = vs.vehicle_id
+        trips = state.schedules[vid].trips
+        while True:
+            arrive = dep + bisect.bisect_left(odo_list, route.total_length)
+            legs.append((vid, route, dep, max(dep, t0), min(arrive, t1)))
+            if arrive >= t1:
+                enroute[vid] = dep
+                vs.phase, vs.route, vs.node = Phase.EN_ROUTE, route, route.src
+                vs.distance = odo_list[t1 - 1 - dep]
+                vs.seg = bisect.bisect_left(route.cum_length, vs.distance, 1) - 1
+                return
+            vs.phase, vs.route, vs.node = Phase.PARKED, None, route.dst
+            vs.distance, vs.seg = 0.0, 0
+            trip = trips[vs.next_trip] if vs.next_trip < len(trips) else None
+            dep = t1 if trip is None else departure_tick(trip.depart_time, dt, arrive + 1)
+            if cfg.parked_exchange:
+                parked.append((vid, vs.node, arrive, min(dep, t1)))
+            if dep >= t1:
+                if trip is not None:
+                    requeue.append((trip.depart_time, vid))
+                return
+            route = trip.route
+            vs.next_trip += 1
+
+    for vid, dep in list(state.enroute.items()):
         vs = state.states[vid]
-        advance(vs, state.schedules[vid], now, cfg.dt, cfg.speed)
-        if vs.phase is Phase.PARKED:
-            arrived.append(vid)
-        else:
-            positions[vid] = position_of(vs, state.graph)
+        drive(vs, vs.route, dep)
+    departed = set()
+    horizon = (t1 - 1) * dt + dt  # the departure bound of the span's last tick
     while state.depart_heap and state.depart_heap[0][0] <= horizon:
-        _, vid = heapq.heappop(state.depart_heap)
+        depart_time, vid = heapq.heappop(state.depart_heap)
         vs = state.states[vid]
-        advance(vs, state.schedules[vid], now, cfg.dt, cfg.speed)
-        positions[vid] = position_of(vs, state.graph)
-    state.enroute = set(positions)
-    for vid in arrived:
-        _queue_next_trip(state, vid)
-
+        dep = departure_tick(depart_time, dt, t0)
+        if cfg.parked_exchange:
+            parked.append((vid, vs.node, t0, dep))
+        departed.add(vid)
+        trip = state.schedules[vid].trips[vs.next_trip]
+        vs.next_trip += 1
+        drive(vs, trip.route, dep)
     if cfg.parked_exchange:
-        for vs in state.states:
-            if vs.phase is Phase.PARKED:
-                positions[vs.vehicle_id] = state.graph.node_pos(vs.node)
+        parked += [(vid, vs.node, t0, t1) for vid, vs in enumerate(state.states)
+                   if vid not in state.enroute and vid not in departed]
+    state.enroute = enroute
+    for item in requeue:
+        heapq.heappush(state.depart_heap, item)
 
-    contacts = detect_contacts(positions, cfg.comm_range)
+    drives = np.array([leg[4] - leg[3] for leg in legs], dtype=np.int64)
+    stays = np.array([p[3] - p[2] for p in parked], dtype=np.int64)
+    n_drive = int(drives.sum())
+    rows = np.empty((n_drive + int(stays.sum()), 4))
+    if legs:
+        vids, routes, departs, lo, hi = zip(*legs)
+        rows[:n_drive, 0], rows[:n_drive, 2], rows[:n_drive, 3] = trace_legs(
+            g, list(routes), np.array(departs), np.array(lo), np.array(hi), odo)
+        rows[:n_drive, 1] = np.repeat(vids, drives)
+    if parked:
+        vids, nodes, lo, _ = (np.array(c) for c in zip(*parked))
+        at = np.repeat(nodes, stays)
+        rows[n_drive:, 0] = np.repeat(lo - (np.cumsum(stays) - stays), stays) + np.arange(
+            len(at))
+        rows[n_drive:, 1] = np.repeat(vids, stays)
+        rows[n_drive:, 2] = np.asarray(g.node_x)[at]
+        rows[n_drive:, 3] = np.asarray(g.node_y)[at]
+    return rows
+
+
+def step(state: SimState, n_ticks: int = 1) -> list[int]:
+    """Advance the simulation by n_ticks steps of cfg.dt seconds.
+
+    Per tick, in order: every vehicle on the road moves, vehicles due by
+    the end of the step depart, arrivals queue their next trip, radio
+    contacts form, chunks cross every contact within its link budget,
+    and completions are flagged at the step's end.  A departing vehicle
+    stands at its origin on its departure tick but already takes part in
+    contacts; an arrival departs again on the next tick at the earliest.
+
+    The span is simulated in one pass with the same floats and draws as
+    n_ticks single steps: distances are the sequential adds of
+    :func:`vancast.mobility.odometer`, positions come from
+    :func:`vancast.mobility.trace_legs`, contacts from one
+    :func:`detect_contacts` call, and :func:`exchange` then runs in
+    (tick, a, b) order.  A contact whose two stores both hold every chunk
+    can move nothing and draws nothing, so it is skipped; it still counts
+    toward ``share_bandwidth`` degrees.  A pair's link budget carries over
+    only to the next tick.  Like single steps, a span never re-draws the
+    day's trips; ``run`` ends spans at day boundaries to do so.
+
+    Returns the tick count at the end of each completion, in order.
+    """
+    if n_ticks < 1:
+        raise ValueError(f"n_ticks must be >= 1, got {n_ticks}")
+    cfg = state.cfg
+    t0, t1 = state.tick, state.tick + n_ticks
+    rows = _move(state, t1)
+    contacts = detect_contacts(rows, cfg.comm_range)
+    state.tick = t1
 
     gain = cfg.transfer_rate / (8.0 * cfg.wire_bytes()) * cfg.dt  # chunks a step
-    degree: dict[int, int] = {}
+    done: list[int] = []
+    if not len(contacts):
+        state.accum = {}
+        return done
+    tick, a, b = contacts.T
+    gain_a = gain_b = np.full(len(tick), gain)
     if cfg.share_bandwidth:
-        for a, b in contacts:
-            degree[a] = degree.get(a, 0) + 1
-            degree[b] = degree.get(b, 0) + 1
+        ends = np.concatenate(((tick - t0) * cfg.n_vehicles + a,
+                               (tick - t0) * cfg.n_vehicles + b))
+        _, where, degree = np.unique(ends, return_inverse=True, return_counts=True)
+        gain_a, gain_b = gain / degree[where].reshape(2, -1)
+    stores = state.stores
+    full = np.array([s.count for s in stores]) == cfg.n_chunks
+    live = ~(full[a] & full[b])
 
-    new_accum: dict[tuple[int, int], list[float]] = {}
+    def complete(t: int, touched: set[int]):
+        for vid in touched:
+            store = stores[vid]
+            if store.completed_at is None and store.count >= cfg.decode_threshold:
+                store.completed_at = (t + 1) * cfg.dt
+                state.completed_count += 1
+                done.append(t + 1)
+
+    now, new_accum = t0 - 1, state.accum  # the last tick and its pairs' budgets
     touched: set[int] = set()
-    for a, b in contacts:
-        acc = state.accum.get((a, b), [0.0, 0.0])
-        if cfg.share_bandwidth:
-            acc[0] += gain / degree[a]
-            acc[1] += gain / degree[b]
-        else:
-            acc[0] += gain
-            acc[1] += gain
+    for t, va, vb, g_a, g_b in zip(tick[live].tolist(), a[live].tolist(), b[live].tolist(),
+                                   gain_a[live].tolist(), gain_b[live].tolist()):
+        if t != now:
+            complete(now, touched)
+            accum = new_accum if t == now + 1 else {}
+            new_accum, touched, now = {}, set(), t
+        sa, sb = stores[va], stores[vb]
+        if sa.count == sb.count == cfg.n_chunks:
+            continue
+        acc = accum.get((va, vb), [0.0, 0.0])
+        acc[0] += g_a
+        acc[1] += g_b
         n_ab = int(acc[0])
         n_ba = int(acc[1])
         acc[0] -= n_ab
         acc[1] -= n_ba
-        new_accum[(a, b)] = acc
+        new_accum[(va, vb)] = acc
         if n_ab or n_ba:
-            sent_ab, sent_ba = exchange(
-                state.stores[a], state.stores[b], n_ab, n_ba, state.rng
-            )
+            sent_ab, sent_ba = exchange(sa, sb, n_ab, n_ba, state.rng)
             if sent_ab:
-                touched.add(b)
+                touched.add(vb)
             if sent_ba:
-                touched.add(a)
-    state.accum = new_accum
-
-    state.tick += 1
-    for vid in touched:
-        store = state.stores[vid]
-        if store.completed_at is None and store.count >= cfg.decode_threshold:
-            store.completed_at = state.clock
-            state.completed_count += 1
+                touched.add(va)
+    complete(now, touched)
+    state.accum = new_accum if now == t1 - 1 else {}
+    return done
 
 
 def run(cfg: ExperimentConfig, graph: RoadGraph | None = None) -> SimState:
@@ -384,16 +509,26 @@ def run(cfg: ExperimentConfig, graph: RoadGraph | None = None) -> SimState:
     Every DAY_LEN / dt steps the day boundary re-rolls every trip schedule
     (vehicles keep their location across days).  The completion count is
     sampled every sample_interval / dt steps and after the last step.
+    Steps are taken in spans of up to SPAN_TICKS that end at every day
+    boundary and at the end of the run; the RNG order is that of single
+    steps: a day's trips at its first tick, then exchange draws in
+    (tick, a, b) order.
     """
     state = init_sim(cfg, graph)
     n_steps = cfg.steps(cfg.sim_duration, "sim_duration")
     per_sample = cfg.steps(cfg.sample_interval, "sample_interval")
     per_day = cfg.steps(DAY_LEN, "one day")
-    for tick in range(n_steps):
-        if tick and tick % per_day == 0:
+    while state.tick < n_steps:
+        t0 = state.tick
+        if t0 and t0 % per_day == 0:
             state.day += 1
             _new_day(state)
-        step(state)
-        if state.tick % per_sample == 0 or state.tick == n_steps:
-            state.metrics.samples.append((state.clock, state.completed_count))
+        t1 = min(t0 + SPAN_TICKS, (t0 // per_day + 1) * per_day, n_steps)
+        done = step(state, t1 - t0)
+        before = state.completed_count - len(done)
+        sample_ticks = list(range((t0 // per_sample + 1) * per_sample, t1 + 1, per_sample))
+        if t1 == n_steps and n_steps % per_sample:
+            sample_ticks.append(n_steps)
+        for t in sample_ticks:
+            state.metrics.samples.append((t * cfg.dt, before + bisect.bisect_right(done, t)))
     return state

@@ -5,10 +5,16 @@ trips at uniformly random times, chained so every trip starts where
 the previous one ended.  Between trips the vehicle is parked and (by
 default) invisible to the radio layer.  Motion along a route is
 piecewise linear at a single constant speed.
+
+:func:`advance` and :func:`position_of` move and place one vehicle for
+one step.  The engine instead lays out whole drives at once with
+:func:`departure_tick`, :func:`odometer` and :func:`trace_legs`, which
+make the same float operations, so both give the same positions.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -209,3 +215,80 @@ def position_of(state: VehicleState, g: RoadGraph) -> tuple[float, float] | None
     ax, ay = g.node_x[a], g.node_y[a]
     bx, by = g.node_x[b], g.node_y[b]
     return ax + (bx - ax) * t, ay + (by - ay) * t
+
+
+def departure_tick(depart_time: float, dt: float, earliest: int) -> int:
+    """First tick k >= earliest whose step departs a trip due at depart_time.
+
+    The step at tick k departs every trip with depart_time <= k * dt + dt,
+    the bound :func:`advance` tests; the bound is computed the same way and
+    grows with k, so the search is exact.
+    """
+    k = max(earliest, math.ceil(depart_time / dt) - 1)
+    while k > earliest and depart_time <= (k - 1) * dt + dt:
+        k -= 1
+    while depart_time > k * dt + dt:
+        k += 1
+    return k
+
+
+def odometer(step_len: float, n: int) -> np.ndarray:
+    """Distance driven 0, 1, ..., n - 1 steps after a departure.
+
+    Entry j is the j-fold sequential sum ``distance += step_len`` that
+    :func:`advance` makes, so every trip, starting at 0, reads its
+    distances from this one table.
+    """
+    steps = np.full(n, step_len)
+    steps[0] = 0.0
+    return np.cumsum(steps)  # a running sum: left to right, one add each
+
+
+def trace_legs(
+    g: RoadGraph,
+    routes: list[Route],
+    departs: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    odo: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Ticks and planar positions of many drives, one row per tick.
+
+    Leg i drives ``routes[i]`` from a departure at tick ``departs[i]``; its
+    rows cover ticks ``lo[i]`` to ``hi[i] - 1``, all before its arrival, at
+    distance ``odo[tick - departs[i]]`` (see :func:`odometer`).  The segment
+    is the first with ``cum_length[seg + 1] >= distance``, as in
+    :func:`advance`, and the point is :func:`position_of`'s interpolation.
+    """
+    counts = hi - lo
+    leg = np.repeat(np.arange(len(routes)), counts)
+    ticks = np.repeat(lo - (np.cumsum(counts) - counts), counts) + np.arange(len(leg))
+    steps = ticks - departs[leg]
+
+    sizes = np.fromiter((len(r.nodes) for r in routes), np.int64, len(routes))
+    nodes = np.fromiter((v for r in routes for v in r.nodes), np.int64, int(sizes.sum()))
+    cum = np.fromiter((c for r in routes for c in r.cum_length), float, len(nodes))
+    start = np.cumsum(sizes) - sizes
+    # Step count from which a leg is past each of its route's nodes
+    # (odo > cum_length); a route's first node counts from step 0.
+    passed = np.searchsorted(odo, cum, side="right")
+    passed[start] = 0
+    # One sorted integer key per (leg, node) and per (leg, row): the
+    # number of keys at or below a row's key, less one, indexes the
+    # row's segment start in the flat route arrays.
+    width = len(odo) + 1
+    keys = np.repeat(np.arange(len(routes)), sizes) * width + passed
+    # Per-row arrays are reused or dropped early to keep peak memory low.
+    leg *= width
+    leg += steps
+    base = np.searchsorted(keys, leg, side="right") - 1
+    del leg
+
+    t = (odo[steps] - cum[base]) / (cum[base + 1] - cum[base])
+    del steps
+    a, b = nodes[base], nodes[base + 1]
+    del base
+    xs = np.asarray(g.node_x)
+    ys = np.asarray(g.node_y)
+    ax, ay = xs[a], ys[a]
+    return ticks, ax + (xs[b] - ax) * t, ay + (ys[b] - ay) * t

@@ -81,13 +81,20 @@ class RoadGraph:
     def node_pos(self, node: int) -> tuple[float, float]:
         return self.node_x[node], self.node_y[node]
 
-    def dijkstra(self, src: int, weights: list[float] | None = None) -> np.ndarray:
+    def dijkstra(
+        self, src: int, weights: list[float] | None = None, target: int | None = None
+    ) -> np.ndarray:
         """Distances from src to every node.  Unreachable nodes get inf.
 
         With default weights (``lengths``) the result is memoized on the
         graph.  Custom weight vectors are never cached: the per-trip
         inflated weights of :func:`random_route`, and ``main_weights``,
         whose inf entries confine the search to main roads.
+
+        With ``target`` the search stops once target is settled: every
+        node nearer src than target holds its final distance, others may
+        hold an upper bound.  That is all a route walk from target needs,
+        since it only steps to strictly nearer nodes.
         """
         if weights is None and src in self._dist_cache:
             return self._dist_cache[src]
@@ -99,12 +106,14 @@ class RoadGraph:
             d, u = heapq.heappop(heap)
             if d > dist[u]:
                 continue
+            if u == target:
+                break
             for v, eid in self.adjacency[u]:
                 nd = d + w[eid]
                 if nd < dist[v]:
                     dist[v] = nd
                     heapq.heappush(heap, (nd, v))
-        if weights is None:
+        if weights is None and target is None:
             self._dist_cache[src] = dist
         return dist
 
@@ -205,7 +214,7 @@ def random_route(
         return Route((src,), (), (0.0,))
     factors = rng.uniform(1.0, max_factor, size=g.n_edges)
     weights = [length * f for length, f in zip(g.lengths, factors)]
-    dist = g.dijkstra(dst, weights)
+    dist = g.dijkstra(dst, weights, target=src)
     return _walk_route(g, src, dst, dist, weights)
 
 
@@ -241,7 +250,7 @@ def main_road_route(g: RoadGraph, src: int, dst: int) -> Route:
 
     legs = [shortest_path(g, src, entry)]
     if entry != exit_:
-        dist_exit = g.dijkstra(exit_, g.main_weights)
+        dist_exit = g.dijkstra(exit_, g.main_weights, target=entry)
         legs.append(_walk_route(g, entry, exit_, dist_exit, g.main_weights))
     legs.append(shortest_path(g, exit_, dst))
 

@@ -150,13 +150,13 @@ def test_contact_detection_equals_brute_force():
         n = int(rng.integers(2, 501))
         span = float(rng.uniform(100.0, 2_500.0))
         pts = rng.uniform(0.0, span, size=(n, 2))
-        positions = {i: (float(x), float(y)) for i, (x, y) in enumerate(pts)}
+        rows = np.column_stack((np.zeros(n), np.arange(n), pts))  # tick, vehicle, x, y
         expect = []
         for i in range(n):
             for j in range(i + 1, n):
                 if math.hypot(pts[i, 0] - pts[j, 0], pts[i, 1] - pts[j, 1]) <= 100.0:
                     expect.append((i, j))
-        assert detect_contacts(positions, 100.0) == expect
+        assert [(a, b) for _, a, b in detect_contacts(rows, 100.0).tolist()] == expect
         checked += len(expect)
     print(f"contacts: 100 instances, {checked} pairs, spatial hash == brute force: PASS")
 
@@ -370,12 +370,12 @@ def test_invariant_suites():
         p = (float(rng.uniform(-500, 500)), float(rng.uniform(-500, 500)))
         q = (float(rng.uniform(-500, 500)), float(rng.uniform(-500, 500)))
         d = math.hypot(p[0] - q[0], p[1] - q[1])
-        forward = detect_contacts({1: p, 2: q}, comm)
-        swapped = detect_contacts({2: p, 1: q}, comm)
+        forward = detect_contacts(np.array([(0, 1, *p), (0, 2, *q)]), comm).tolist()
+        swapped = detect_contacts(np.array([(0, 2, *p), (0, 1, *q)]), comm).tolist()
         assert (len(forward) == 1) == (d <= comm)
         assert len(forward) == len(swapped)
         if forward:
-            assert forward == swapped == [(1, 2)]
+            assert forward == swapped == [[0, 1, 2]]
 
     # Trip-chain continuity across >10^4 generated trips.
     g = generate_manhattan_grid(10, 10, 200.0)

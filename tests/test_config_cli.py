@@ -180,6 +180,13 @@ def test_config_lines_roundtrip():
     assert back == cfg
 
 
+def test_config_lines_roundtrip_floats_that_g_would_round():
+    cfg = ExperimentConfig(sim_duration=1_000_015.0, seed_rate=0.1234561, speed=13.9)
+    lines = config_lines(cfg)
+    assert "sim_duration = 1000015.0" in lines and "speed = 13.9" in lines
+    assert parse_config("\n".join(lines)) == cfg
+
+
 def test_apply_overrides():
     cfg = ExperimentConfig()
     out = apply_overrides(cfg, ["n_vehicles=50", "seed_rate=0.1"])
@@ -221,6 +228,12 @@ def test_value_key_formats():
     assert value_key(2.0) == "2"
     assert value_key(800_000.0) == "800000"
     assert value_key(1500) == "1500"
+    # values that six significant digits would merge keep every digit
+    assert value_key(0.1234561) == "0.1234561"
+    assert value_key(0.1234562) == "0.1234562"
+    assert replicate_seed(7, "seed_rate", 0.1234561, 0) != replicate_seed(
+        7, "seed_rate", 0.1234562, 0
+    )
 
 
 def test_replicate_seed_properties():

@@ -31,6 +31,15 @@ def brute_force_pairs(positions, comm_range):
     return out
 
 
+def rows_at(positions, tick=0):
+    """Radio rows (tick, vehicle, x, y) of one tick's positions."""
+    return np.array([(tick, v, x, y) for v, (x, y) in positions.items()]).reshape(-1, 4)
+
+
+def pairs(contacts):
+    return [(a, b) for _, a, b in contacts.tolist()]
+
+
 # --- contact detection --------------------------------------------------------
 
 
@@ -44,12 +53,30 @@ def test_contacts_match_brute_force_on_random_instances():
             int(vid): (float(x), float(y))
             for vid, (x, y) in enumerate(rng.uniform(-span, span, size=(n, 2)))
         }
-        assert detect_contacts(positions, comm) == brute_force_pairs(positions, comm)
+        contacts = detect_contacts(rows_at(positions), comm)
+        assert pairs(contacts) == brute_force_pairs(positions, comm)
+
+
+def test_contacts_of_many_ticks_match_brute_force_per_tick():
+    rng = np.random.default_rng(61)
+    for case in range(20):
+        comm = float(rng.uniform(10, 400))
+        per_tick = {}
+        for tick in sorted(set(rng.integers(0, 50, size=8).tolist())):
+            n = int(rng.integers(0, 60))
+            vids = rng.choice(200, size=n, replace=False)
+            per_tick[tick] = {int(v): (float(x), float(y)) for v, (x, y) in
+                              zip(vids, rng.uniform(-1_000, 1_000, size=(n, 2)))}
+        rows = np.concatenate([rows_at(p, t) for t, p in per_tick.items()])
+        rng.shuffle(rows)
+        expect = [(t, a, b) for t, p in per_tick.items()
+                  for a, b in brute_force_pairs(p, comm)]
+        assert detect_contacts(rows, comm).tolist() == [list(c) for c in expect]
 
 
 def test_contacts_sorted_and_ordered_pairs():
     positions = {9: (0.0, 0.0), 2: (10.0, 0.0), 5: (5.0, 5.0)}
-    contacts = detect_contacts(positions, 50.0)
+    contacts = pairs(detect_contacts(rows_at(positions), 50.0))
     assert contacts == [(2, 5), (2, 9), (5, 9)]
     for a, b in contacts:
         assert a < b
@@ -57,8 +84,21 @@ def test_contacts_sorted_and_ordered_pairs():
 
 def test_contact_boundary_is_inclusive():
     positions = {0: (0.0, 0.0), 1: (100.0, 0.0), 2: (200.1, 0.0)}
-    contacts = detect_contacts(positions, 100.0)
-    assert contacts == [(0, 1)]
+    contacts = detect_contacts(rows_at(positions), 100.0)
+    assert pairs(contacts) == [(0, 1)]
+
+
+def test_contact_boundary_agrees_with_math_hypot():
+    # Points at hypot distance within an ulp or two of the range, where a
+    # vectorised hypot may round the other way.
+    rng = np.random.default_rng(62)
+    for _ in range(2_000):
+        comm = float(rng.uniform(1.0, 300.0))
+        angle = float(rng.uniform(0.0, 2 * math.pi))
+        p = (float(rng.uniform(-500, 500)), float(rng.uniform(-500, 500)))
+        q = (p[0] + comm * math.cos(angle), p[1] + comm * math.sin(angle))
+        expect = math.hypot(p[0] - q[0], p[1] - q[1]) <= comm
+        assert len(detect_contacts(rows_at({0: p, 1: q}), comm)) == int(expect)
 
 
 def test_contacts_insertion_order_invariance():
@@ -68,13 +108,14 @@ def test_contacts_insertion_order_invariance():
     shuffled_keys = list(pts)
     rng.shuffle(shuffled_keys)
     reordered = {k: pts[k] for k in shuffled_keys}
-    assert detect_contacts(pts, 120.0) == detect_contacts(reordered, 120.0)
+    assert np.array_equal(detect_contacts(rows_at(pts), 120.0),
+                          detect_contacts(rows_at(reordered), 120.0))
 
 
 def test_contacts_empty_and_validation():
-    assert detect_contacts({}, 100.0) == []
+    assert detect_contacts(rows_at({}), 100.0).shape == (0, 3)
     with pytest.raises(ValueError):
-        detect_contacts({0: (0.0, 0.0)}, 0.0)
+        detect_contacts(rows_at({0: (0.0, 0.0)}), 0.0)
 
 
 # --- chunk stores and exchange --------------------------------------------------
@@ -329,11 +370,11 @@ def test_dedicated_bandwidth_serves_each_link_fully():
     assert state.stores[2].count == 74
 
 
-def hand_scheduled_state(monkeypatch, trips_by_vehicle, **overrides):
+def hand_scheduled_state(monkeypatch, trips_by_vehicle, n_ticks=1, **overrides):
     """init_sim on a 1x3 grid (nodes 50 m apart, 60 m radio range) with no
     drawn trips, then the given trips queued as each vehicle's schedule.
     Returns the state and the list of positions handed to contact
-    detection, one dict per step."""
+    detection, one dict per tick, for steps of n_ticks ticks."""
     import heapq
 
     import vancast.engine as engine
@@ -349,9 +390,11 @@ def hand_scheduled_state(monkeypatch, trips_by_vehicle, **overrides):
     seen = []
     real = engine.detect_contacts
 
-    def spy(positions, comm_range):
-        seen.append(dict(positions))
-        return real(positions, comm_range)
+    def spy(rows, comm_range):
+        # one dict of positions per tick of the span
+        for tick in range(state.tick, state.tick + n_ticks):
+            seen.append({int(v): (x, y) for t, v, x, y in rows.tolist() if t == tick})
+        return real(rows, comm_range)
 
     monkeypatch.setattr(engine, "detect_contacts", spy)
     return state, seen
@@ -376,9 +419,8 @@ def test_departing_vehicle_stands_at_origin_and_is_in_contact(monkeypatch):
     assert state.stores[1 - seed].count == 74  # one second of the 800 kb/s link
 
 
-def test_arrival_with_a_due_trip_departs_on_the_next_step(monkeypatch):
-    from vancast.engine import step
-    from vancast.mobility import Phase, Trip
+def arrival_with_a_due_trip(monkeypatch, n_ticks):
+    from vancast.mobility import Trip
     from vancast.roadnet import generate_manhattan_grid, shortest_path
 
     g = generate_manhattan_grid(1, 3, 50.0, [])
@@ -386,7 +428,16 @@ def test_arrival_with_a_due_trip_departs_on_the_next_step(monkeypatch):
     state, seen = hand_scheduled_state(
         monkeypatch,
         [[Trip(0.0, first), Trip(3.0, second)], [Trip(90.0, shortest_path(g, 2, 1))]],
+        n_ticks=n_ticks,
     )
+    return state, seen, second
+
+
+def test_arrival_with_a_due_trip_departs_on_the_next_step(monkeypatch):
+    from vancast.engine import step
+    from vancast.mobility import Phase
+
+    state, seen, second = arrival_with_a_due_trip(monkeypatch, 1)
     vs = state.states[0]
     for _ in range(6):  # depart at 1 s, then 50 m at 10 m/s
         step(state)
@@ -396,6 +447,20 @@ def test_arrival_with_a_due_trip_departs_on_the_next_step(monkeypatch):
     step(state)
     assert vs.phase is Phase.EN_ROUTE and vs.route == second
     assert vs.distance == 0.0 and vs.next_trip == 2
+    assert seen[-1] == {0: (50.0, 0.0)}
+
+
+def test_arrival_with_a_due_trip_departs_on_the_next_tick_of_a_span(monkeypatch):
+    from vancast.engine import step
+    from vancast.mobility import Phase
+
+    state, seen, second = arrival_with_a_due_trip(monkeypatch, 7)
+    vs = state.states[0]
+    step(state, 7)  # the seven ticks above in one span
+    assert vs.phase is Phase.EN_ROUTE and vs.route == second
+    assert vs.distance == 0.0 and vs.next_trip == 2
+    # on the road for ticks 0-4, parked on its arrival tick, off again on tick 6
+    assert [sorted(p) for p in seen] == [[0]] * 5 + [[], [0]]
     assert seen[-1] == {0: (50.0, 0.0)}
 
 
@@ -432,15 +497,16 @@ def test_run_at_fractional_dt_takes_exactly_duration_over_dt_steps(monkeypatch):
     calls = []
     real = engine.step
 
-    def counting(state, *args):
-        calls.append(args)
-        real(state, *args)
+    def counting(state, n_ticks=1):
+        calls.append(n_ticks)
+        return real(state, n_ticks)
 
     monkeypatch.setattr(engine, "step", counting)
     state = run(
         two_parked_vehicles_config(dt=0.1, sim_duration=3_600.0, sample_interval=60.0)
     )
-    assert len(calls) == 36_000
+    assert sum(calls) == 36_000
+    assert max(calls) == engine.SPAN_TICKS
     assert state.clock == 3_600.0
     times = [t for t, _ in state.metrics.samples]
     assert times == [60.0 * k for k in range(61)]
@@ -583,3 +649,203 @@ def test_init_sim_respects_validation():
         init_sim(small_traffic_config(decode_threshold=500, n_chunks=450))
     with pytest.raises(ValueError):
         init_sim(small_traffic_config(dt=0.0))
+
+
+# --- the span pass against a per-tick reference --------------------------------
+
+
+def reference_step(state, ref):
+    """One tick the way single steps work: advance() and position_of() per
+    vehicle, brute-force contacts, exchange() per contact.  ``ref`` holds the
+    reference's own motion and link bookkeeping; returns the tick's
+    positions and contacts."""
+    import heapq
+
+    from vancast.engine import exchange
+    from vancast.mobility import Phase, advance, position_of
+
+    cfg = state.cfg
+    now = state.clock
+    positions, arrived = {}, []
+    for vid in sorted(ref["enroute"]):
+        vs = state.states[vid]
+        advance(vs, state.schedules[vid], now, cfg.dt, cfg.speed)
+        if vs.phase is Phase.PARKED:
+            arrived.append(vid)
+        else:
+            positions[vid] = position_of(vs, state.graph)
+    while state.depart_heap and state.depart_heap[0][0] <= now + cfg.dt:
+        depart_time, vid = heapq.heappop(state.depart_heap)
+        vs = state.states[vid]
+        ref["late"] += depart_time <= now
+        advance(vs, state.schedules[vid], now, cfg.dt, cfg.speed)
+        positions[vid] = position_of(vs, state.graph)
+    ref["enroute"] = set(positions)
+    for vid in arrived:
+        trips = state.schedules[vid].trips
+        nxt = state.states[vid].next_trip
+        if nxt < len(trips):
+            heapq.heappush(state.depart_heap, (trips[nxt].depart_time, vid))
+            ref["due_on_arrival"] += trips[nxt].depart_time <= now + cfg.dt
+    if cfg.parked_exchange:
+        for vs in state.states:
+            if vs.phase is Phase.PARKED:
+                positions[vs.vehicle_id] = state.graph.node_pos(vs.node)
+    contacts = brute_force_pairs(positions, cfg.comm_range)
+
+    gain = cfg.transfer_rate / (8.0 * cfg.wire_bytes()) * cfg.dt
+    degree = {}
+    for a, b in contacts:
+        degree[a] = degree.get(a, 0) + 1
+        degree[b] = degree.get(b, 0) + 1
+    accum, touched = {}, set()
+    for a, b in contacts:
+        acc = ref["accum"].get((a, b), [0.0, 0.0])
+        acc[0] += gain / degree[a] if cfg.share_bandwidth else gain
+        acc[1] += gain / degree[b] if cfg.share_bandwidth else gain
+        n_ab, n_ba = int(acc[0]), int(acc[1])
+        acc[0] -= n_ab
+        acc[1] -= n_ba
+        accum[(a, b)] = acc
+        if n_ab or n_ba:
+            sent_ab, sent_ba = exchange(state.stores[a], state.stores[b], n_ab, n_ba,
+                                        state.rng)
+            if sent_ab:
+                touched.add(b)
+            if sent_ba:
+                touched.add(a)
+    ref["accum"] = accum
+    state.tick += 1
+    for vid in touched:
+        store = state.stores[vid]
+        if store.completed_at is None and store.count >= cfg.decode_threshold:
+            store.completed_at = state.clock
+            state.completed_count += 1
+    return positions, contacts
+
+
+def motion_snapshot(state):
+    return (
+        [(vs.phase, vs.node, vs.route, vs.distance, vs.seg, vs.next_trip)
+         for vs in state.states],
+        sorted(state.depart_heap),
+        [(s.mask.tolist(), s.count, s.completed_at) for s in state.stores],
+        state.completed_count,
+        state.tick,
+        state.rng.bit_generator.state,
+    )
+
+
+def drive_in_spans(monkeypatch, state, n_steps, span_len, seen):
+    """Step state in spans of up to span_len ticks, rolling days as run()
+    does; every span's rows and contacts are appended to seen."""
+    import vancast.engine as engine
+    from vancast.mobility import DAY_LEN
+
+    real = engine.detect_contacts
+
+    def spy(rows, comm_range):
+        contacts = real(rows, comm_range)
+        seen.append((rows, contacts))
+        return contacts
+
+    monkeypatch.setattr(engine, "detect_contacts", spy)
+    per_day = state.cfg.steps(DAY_LEN, "one day")
+    while state.tick < n_steps:
+        t0 = state.tick
+        if t0 and t0 % per_day == 0:
+            state.day += 1
+            engine._new_day(state)
+        engine.step(state, min(t0 + span_len, (t0 // per_day + 1) * per_day, n_steps) - t0)
+    monkeypatch.undo()
+
+
+ORACLE_CASES = {
+    # late departures: trips outlast the gaps between departures
+    "late": dict(n_vehicles=25, mean_trips=300.0, speed=3.0, sim_duration=2_400.0),
+    "parked": dict(n_vehicles=15, mean_trips=300.0, speed=3.0, parked_exchange=True,
+                   transfer_rate=20_000.0, sim_duration=1_800.0),
+    "shared": dict(n_vehicles=30, mean_trips=200.0, share_bandwidth=True,
+                   sim_duration=1_800.0),
+    "dt_tenth": dict(n_vehicles=20, mean_trips=150.0, dt=0.1, sim_duration=600.0),
+    # a day crossing with vehicles on the road at the boundary
+    "day": dict(n_vehicles=30, mean_trips=60.0, speed=0.5, dt=20.0,
+                sim_duration=86_400.0 + 14_400.0, main_road_fraction=0.5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_span_pass_matches_per_tick_reference(monkeypatch, case):
+    import copy
+
+    import vancast.engine as engine
+    from vancast.mobility import DAY_LEN, Phase
+
+    cfg = small_traffic_config(master_seed=sorted(ORACLE_CASES).index(case), **ORACLE_CASES[case])
+    n_steps = cfg.steps(cfg.sim_duration, "sim_duration")
+    per_day = cfg.steps(DAY_LEN, "one day")
+    spans = init_sim(cfg)
+    single = copy.deepcopy(spans)
+
+    ref = {"enroute": set(), "accum": {}, "late": 0, "due_on_arrival": 0}
+    expect_rows, expect_contacts = [], []
+    on_road_at_midnight = None
+    while single.tick < n_steps:
+        if single.tick and single.tick % per_day == 0:
+            on_road_at_midnight = sum(vs.phase is Phase.EN_ROUTE for vs in single.states)
+            single.day += 1
+            engine._new_day(single)
+        tick = single.tick
+        positions, contacts = reference_step(single, ref)
+        expect_rows += [(tick, v, x, y) for v, (x, y) in positions.items()]
+        expect_contacts += [(tick, a, b) for a, b in contacts]
+
+    seen = []
+    span_len = int(np.random.default_rng(len(case)).integers(50, 400))
+    drive_in_spans(monkeypatch, spans, n_steps, span_len, seen)
+    rows = sorted(tuple(r) for part, _ in seen for r in part.tolist())
+    assert rows == sorted(expect_rows)
+    assert [tuple(c) for _, part in seen for c in part.tolist()] == expect_contacts
+    assert motion_snapshot(spans) == motion_snapshot(single)
+    assert spans.accum == {k: v for k, v in ref["accum"].items()
+                           if not (spans.stores[k[0]].count == spans.stores[k[1]].count
+                                   == cfg.n_chunks)}
+    assert expect_contacts and spans.completed_count > len(spans.seeds)
+    assert ref["late"] > 0 and ref["due_on_arrival"] > 0
+    if case == "day":
+        assert spans.day == 1 and on_road_at_midnight > 0
+
+
+@pytest.mark.parametrize("share_bandwidth", [False, True])
+def test_one_span_equals_single_steps(share_bandwidth):
+    import copy
+
+    from vancast.engine import step
+
+    cfg = small_traffic_config(n_vehicles=30, mean_trips=200.0,
+                               share_bandwidth=share_bandwidth, sim_duration=7_200.0)
+    a = init_sim(cfg)
+    b = copy.deepcopy(a)
+    done = []
+    for n in (1, 2, 300, 1, 900, 37):
+        done += step(a, n)
+        for _ in range(n):
+            step(b, 1)
+        assert motion_snapshot(a) == motion_snapshot(b)
+        assert a.enroute == b.enroute and a.accum == b.accum
+    assert done and a.completed_count > len(a.seeds)
+
+
+def test_span_skips_exchanges_between_two_full_stores(monkeypatch):
+    import vancast.engine as engine
+
+    calls = []
+    real = engine.exchange
+
+    def spy(sa, sb, n_ab, n_ba, rng):
+        calls.append(sa.count == sb.count == sa.n_chunks)
+        return real(sa, sb, n_ab, n_ba, rng)
+
+    monkeypatch.setattr(engine, "exchange", spy)
+    run(small_traffic_config(n_vehicles=30, mean_trips=100.0, seed_rate=0.5))
+    assert calls and not any(calls)

@@ -12,7 +12,10 @@ from vancast.mobility import (
     VehicleState,
     advance,
     assign_trips,
+    departure_tick,
+    odometer,
     position_of,
+    trace_legs,
 )
 from vancast.roadnet import (
     generate_manhattan_grid,
@@ -284,3 +287,61 @@ def test_daily_share_of_time_on_the_road():
         now += dt
     occupancy = driving / samples
     assert 0.01 <= occupancy <= 0.08
+
+
+# --- whole drives at once -------------------------------------------------------
+
+
+@pytest.mark.parametrize("dt", [1.0, 0.1, 0.3, 7.0, 60.0])
+def test_departure_tick_is_the_first_step_that_departs(dt):
+    rng = np.random.default_rng(int(dt * 10))
+    times = np.concatenate([rng.uniform(0, 200 * dt, 300),
+                            dt * rng.integers(0, 200, 100)])  # on the grid, too
+    for depart_time in times.tolist():
+        earliest = int(rng.integers(0, 150))
+        k = earliest
+        while depart_time > k * dt + dt:
+            k += 1
+        assert departure_tick(depart_time, dt, earliest) == k
+
+
+def test_odometer_is_the_running_sum_advance_makes():
+    for step_len in (13.9, 0.1 * 13.9, 1.3, 7.0 * 0.3):
+        table = odometer(step_len, 5_000)
+        d = 0.0
+        for j in range(5_000):
+            assert table[j] == d
+            d += step_len
+
+
+def test_trace_legs_match_advance_and_position_of():
+    from vancast.roadnet import random_route
+
+    g = make_grid(6, 6, 130.0)
+    rng = np.random.default_rng(77)
+    for dt, speed in ((1.0, 13.9), (0.1, 13.9), (3.0, 2.5)):
+        odo = odometer(speed * dt, 3_000)
+        routes, departs, lo, hi, expect = [], [], [], [], []
+        for _ in range(40):
+            src, dst = (int(v) for v in rng.choice(g.n_nodes, size=2, replace=False))
+            route = random_route(g, src, dst, rng)
+            dep = int(rng.integers(0, 500))
+            sched = TripSchedule(0, (Trip(dep * dt, route),))
+            state = VehicleState(0, Phase.PARKED, src)
+            tick, rows = dep, []
+            while True:  # the tick before the departing step's bound ends
+                advance(state, sched, tick * dt, dt, speed)
+                if state.phase is Phase.PARKED:
+                    break
+                rows.append((tick, *position_of(state, g)))
+                tick += 1
+            a = int(rng.integers(dep, tick))  # a random window of the drive
+            b = int(rng.integers(a, tick + 1))
+            routes.append(route)
+            departs.append(dep)
+            lo.append(a)
+            hi.append(b)
+            expect += rows[a - dep:b - dep]
+        ticks, xs, ys = trace_legs(g, routes, np.array(departs), np.array(lo),
+                                   np.array(hi), odo)
+        assert list(zip(ticks.tolist(), xs.tolist(), ys.tolist())) == expect

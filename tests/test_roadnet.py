@@ -398,6 +398,50 @@ def test_dijkstra_cache_does_not_leak_into_custom_weights():
     assert g.dijkstra(0)[15] == pytest.approx(600.0)
 
 
+def random_connected_graph(rng, n):
+    """Random tree plus extra edges, integer lengths 1-3 (to force ties),
+    about a third of the edges main."""
+    xs = rng.uniform(0, 1_000, n).tolist()
+    ys = rng.uniform(0, 1_000, n).tolist()
+    pairs = {(int(rng.integers(v)), v) for v in range(1, n)}
+    while len(pairs) < min(2 * n, n * (n - 1) // 2):
+        a, b = sorted(int(v) for v in rng.choice(n, size=2, replace=False))
+        pairs.add((a, b))
+    edges = [Edge(i, a, b, float(rng.integers(1, 4)), bool(rng.random() < 0.35))
+             for i, (a, b) in enumerate(sorted(pairs))]
+    return RoadGraph(xs, ys, edges)
+
+
+def test_dijkstra_stopped_at_the_target_walks_the_same_routes():
+    from vancast.roadnet import _walk_route
+
+    rng = np.random.default_rng(404)
+    checked = 0
+    for _ in range(40):
+        g = random_connected_graph(rng, int(rng.integers(3, 30)))
+        for weights in (g.lengths, [w * f for w, f in
+                                    zip(g.lengths, rng.uniform(1, 3, g.n_edges))],
+                        g.main_weights):
+            for dst in range(g.n_nodes):
+                full = g.dijkstra(dst, weights)
+                for src in range(g.n_nodes):
+                    if src == dst or not np.isfinite(full[src]):
+                        continue
+                    stopped = g.dijkstra(dst, weights, target=src)
+                    assert stopped[src] == full[src]
+                    assert (_walk_route(g, src, dst, stopped, weights)
+                            == _walk_route(g, src, dst, full, weights))
+                    checked += 1
+    assert checked > 10_000
+
+
+def test_dijkstra_with_a_target_is_not_cached():
+    g = generate_manhattan_grid(4, 4, 100.0)
+    part = g.dijkstra(0, target=1)
+    assert part[1] == 100.0 and not np.isfinite(part).all()
+    assert np.isfinite(g.dijkstra(0)).all()
+
+
 def test_route_shape_validation():
     with pytest.raises(ValueError):
         Route((0, 1), (), (0.0, 1.0))
