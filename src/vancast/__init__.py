@@ -34,9 +34,6 @@ from vancast.fountain import (
     decode,
     derive_coefficients,
     encode,
-    gf256_add,
-    gf256_inv,
-    gf256_mul,
 )
 from vancast.mobility import (
     Trip,
@@ -84,9 +81,6 @@ __all__ = [
     "encode",
     "exchange",
     "generate_manhattan_grid",
-    "gf256_add",
-    "gf256_inv",
-    "gf256_mul",
     "load_road_graph",
     "main_road_route",
     "parse_config",

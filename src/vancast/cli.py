@@ -67,27 +67,26 @@ def run_sweep(
 
     Each replicate gets its own seed derived from (master_seed, param,
     value, replicate), so cells are statistically independent yet the
-    whole sweep is reproducible from one number.  Returns the per-run
-    records in execution order.
+    whole sweep is reproducible from one number.  Every cell's config is
+    validated before the first run, so a bad value fails the sweep before
+    it writes anything.  Returns the per-run records in execution order.
     """
     out = out_dir if out_dir is not None else cfg.out_dir
-    os.makedirs(out, exist_ok=True)
-    runs: list[SweepRun] = []
+    cells = []
     for value in spec.values:
         for rep in range(cfg.replicates):
             seed = replicate_seed(cfg.master_seed, spec.param, value, rep)
             cell = replace(cfg, **{spec.param: value}, master_seed=seed)
-            log.info(
-                "sweep %s=%s rep %d (seed %d)", spec.param, value_key(value), rep, seed
-            )
-            state = run(cell)
-            name = f"{spec.param}={value_key(value)}_rep{rep}.csv"
-            write_metrics_csv(state.metrics, cell.n_vehicles, os.path.join(out, name))
-            runs.append(
-                SweepRun(
-                    spec.param, value, rep, seed, cell.n_vehicles, state.metrics, name
-                )
-            )
+            cell.validate()
+            cells.append((value, rep, seed, cell))
+    os.makedirs(out, exist_ok=True)
+    runs: list[SweepRun] = []
+    for value, rep, seed, cell in cells:
+        log.info("sweep %s=%s rep %d (seed %d)", spec.param, value_key(value), rep, seed)
+        state = run(cell)
+        name = f"{spec.param}={value_key(value)}_rep{rep}.csv"
+        write_metrics_csv(state.metrics, cell.n_vehicles, os.path.join(out, name))
+        runs.append(SweepRun(spec.param, value, rep, seed, cell.n_vehicles, state.metrics, name))
     write_sweep_summary(cfg, spec, runs, os.path.join(out, "summary.csv"))
     return runs
 

@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass, field, fields, replace
 
 from vancast.mobility import DAY_LEN
+from vancast.roadnet import float_text
 
 ROUTING_POLICIES = ("random", "shortest", "main_road")
 
@@ -192,13 +193,6 @@ def apply_overrides(cfg: ExperimentConfig, pairs: list[str]) -> ExperimentConfig
     return out
 
 
-def float_text(v: float) -> str:
-    """Short text for a float that reads back as the same float:
-    ``:g`` where that is exact, else ``repr``."""
-    short = f"{v:g}"
-    return short if float(short) == v else repr(v)
-
-
 def config_lines(cfg: ExperimentConfig) -> list[str]:
     """Render a config as key = value lines in declaration order."""
     out = []
@@ -227,6 +221,9 @@ class SweepSpec:
         names = {f.name for f in fields(ExperimentConfig)}
         if self.param not in names:
             raise ValueError(f"cannot sweep unknown parameter {self.param!r}")
+        if self.param == "master_seed":
+            raise ValueError("cannot sweep master_seed: each replicate's seed is derived "
+                             "from it; set it with --seed")
         if not self.values:
             raise ValueError("sweep needs at least one value")
 

@@ -1,13 +1,22 @@
-"""Discrete-time simulation core: contacts, chunk exchange, main loop.
+"""Discrete-time simulation core: timetable, contacts, chunk exchange, main loop.
 
 Time runs in whole steps (ticks): the clock is ``tick * cfg.dt``, never
-a running sum.  ``step(state, n)`` simulates n ticks in one pass: it lays
-out every drive of the span as arrays of positions, finds all radio
-contacts of the span in one cell-sorted search, and then runs the
-chunk exchange, in order, only at ticks that have contacts.  Motion
-never depends on chunks, so this gives the same results, draw for
-draw, as moving, detecting and exchanging one tick at a time.  ``run``
-re-draws the day's trips at day boundaries and samples the completion
+a running sum.  Vehicles drive their trips whatever chunks they carry,
+so a day's motion is fixed once its trips are drawn.  At each day's
+first tick day0 the engine lays it out once as a timetable: drives of
+(vehicle, departure tick, arrival tick) and stays of (vehicle, node,
+first tick, end tick).  A trip departs at the first tick at or after
+``max(day0, prev_arrive + 1)`` whose step its departure time is due
+by; a drive still on the road at day0 is carried over from the previous
+day; trips that would leave at or after the timetable's end (the next
+day's first tick, or the run's end if sooner) are dropped.
+
+``step(state, n)`` simulates n ticks in one pass: it reads the span's
+positions off the timetable, finds all radio contacts of the span in
+one cell-sorted search, and then runs the chunk exchange, in order,
+only at ticks that have contacts.  This gives the same results, draw
+for draw, as moving, detecting and exchanging one tick at a time.
+``run`` lays out each day at its boundary and samples the completion
 count.  All randomness flows through one generator, so a (config,
 seed) pair reproduces a run bit for bit.
 """
@@ -15,7 +24,6 @@ seed) pair reproduces a run bit for bit.
 from __future__ import annotations
 
 import bisect
-import heapq
 import math
 from dataclasses import dataclass, field
 
@@ -24,9 +32,7 @@ import numpy as np
 from vancast.config import ExperimentConfig
 from vancast.mobility import (
     DAY_LEN,
-    Phase,
     TripSchedule,
-    VehicleState,
     assign_trips,
     departure_tick,
     odometer,
@@ -239,7 +245,7 @@ class SimState:
     cfg: ExperimentConfig
     graph: RoadGraph
     rng: np.random.Generator
-    states: list[VehicleState]
+    nodes: list[int]  # where each vehicle rests after its last laid-out drive
     schedules: list[TripSchedule]
     stores: list[ChunkStore]
     seeds: list[int]
@@ -247,8 +253,15 @@ class SimState:
     tick: int = 0  # whole steps taken
     completed_count: int = 0
     day: int = 0
-    enroute: dict[int, int] = field(default_factory=dict)  # vehicle -> departure tick
-    depart_heap: list[tuple[float, int]] = field(default_factory=list)
+    # The day's timetable (see _lay_out_day): (vehicle, departure tick,
+    # arrival tick) drives with their routes, (vehicle, node, first tick,
+    # end tick) stays, the distance driven each tick after a departure,
+    # and the tick the timetable ends at.
+    drives: np.ndarray = field(default_factory=lambda: np.zeros((0, 3), dtype=np.int64))
+    routes: list[Route] = field(default_factory=list)
+    stays: np.ndarray = field(default_factory=lambda: np.zeros((0, 4), dtype=np.int64))
+    odo: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    end: int = 0
     # Link budget carried by each pair in contact at the last tick.
     accum: dict[tuple[int, int], list[float]] = field(default_factory=dict)
 
@@ -264,30 +277,17 @@ def build_graph(cfg: ExperimentConfig) -> RoadGraph:
     return generate_manhattan_grid(cfg.rows, cfg.cols, cfg.block_len, cfg.main_cols)
 
 
-def _queue_next_trip(state: SimState, vid: int):
-    """Queue a parked vehicle's next departure, if it has one left today."""
-    trips = state.schedules[vid].trips
-    nxt = state.states[vid].next_trip
-    if nxt < len(trips):
-        heapq.heappush(state.depart_heap, (trips[nxt].depart_time, vid))
-
-
 def _new_day(state: SimState):
-    """Replace every schedule with a fresh day of trips.
+    """Draw the day's trips, then lay them out as its timetable.
 
-    Vehicles start the new day wherever they rest: their parked node,
-    or the destination of a route still being driven.  Trips of the old
-    day that never departed are dropped.  Day 0 starts with every
-    vehicle parked at home.
+    Every vehicle starts the day where ``state.nodes`` says it rests: its
+    parked node, or the destination of a drive still on the road at the
+    day's first tick, which carries over into the new timetable.  Day 0
+    starts with every vehicle parked at home.  :func:`_lay_out_day` states
+    the timetable's rules: the departure bound, carried drives, dropped
+    trips and where the timetable ends.
     """
     cfg = state.cfg
-    starts = []
-    for vs in state.states:
-        if vs.phase is Phase.EN_ROUTE:
-            assert vs.route is not None
-            starts.append(vs.route.dst)
-        else:
-            starts.append(vs.node)
     state.schedules = assign_trips(
         state.graph,
         cfg.n_vehicles,
@@ -297,13 +297,59 @@ def _new_day(state: SimState):
         day_start=state.day * DAY_LEN,
         policy=cfg.routing_policy,
         main_road_fraction=cfg.main_road_fraction,
-        start_nodes=starts,
+        start_nodes=state.nodes,
     )
-    state.depart_heap = []
-    for vs in state.states:
-        vs.next_trip = 0
-        if vs.phase is Phase.PARKED:
-            _queue_next_trip(state, vs.vehicle_id)
+    _lay_out_day(state)
+
+
+def _lay_out_day(state: SimState):
+    """Turn the day's schedules into its timetable of drives and stays.
+
+    With day0 the day's first tick, each vehicle's trips chain from its
+    last arrival, prev_arrive (day0 - 1 for a vehicle parked at day0): a
+    trip departs at ``departure_tick(depart_time, dt, max(day0,
+    prev_arrive + 1))`` and arrives ``bisect_left(odo, total_length)``
+    ticks later.  A drive of the previous table that arrives at day0 or
+    later is still on the road, so it is carried over and the vehicle's
+    trips wait for its arrival.  The timetable ends at the next day's
+    first tick or at the run's end, whichever comes first; trips that
+    would leave at or after it are dropped.  ``state.nodes`` ends as
+    where each vehicle rests after its last drive: the next day's start.
+    """
+    cfg, dt = state.cfg, state.cfg.dt
+    per_day = cfg.steps(DAY_LEN, "one day")
+    day0 = state.day * per_day
+    end = min(day0 + per_day, cfg.steps(cfg.sim_duration, "sim_duration"))
+    carried = np.flatnonzero(state.drives[:, 2] >= day0)
+    routes = [state.routes[i] for i in carried.tolist()]
+    drives = state.drives[carried].ravel().tolist()
+    arrived = dict(zip(drives[::3], drives[2::3]))  # vehicle -> carried arrival tick
+
+    step_len = cfg.speed * dt
+    longest = max([r.total_length for r in routes]
+                  + [t.route.total_length for s in state.schedules for t in s.trips], default=0.0)
+    odo = odometer(step_len, int(longest / step_len) + 2)
+    while odo[-1] < longest:  # a running sum may fall short of the product
+        odo = odometer(step_len, 2 * len(odo))
+    odo_list = odo.tolist()
+
+    stays: list[int] = []
+    for vid, sched in enumerate(state.schedules):
+        arrive = arrived.get(vid, day0 - 1)
+        for trip in sched.trips:
+            dep = departure_tick(trip.depart_time, dt, max(day0, arrive + 1))
+            if dep >= end:
+                break
+            stays += (vid, state.nodes[vid], max(day0, arrive), dep)
+            arrive = dep + bisect.bisect_left(odo_list, trip.route.total_length)
+            drives += (vid, dep, arrive)
+            routes.append(trip.route)
+            state.nodes[vid] = trip.route.dst
+        stays += (vid, state.nodes[vid], max(day0, arrive), end)
+    stay_rows = np.array(stays, dtype=np.int64).reshape(-1, 4)
+    state.stays = stay_rows[stay_rows[:, 3] > stay_rows[:, 2]]
+    state.drives = np.array(drives, dtype=np.int64).reshape(-1, 3)
+    state.routes, state.odo, state.end = routes, odo, end
 
 
 def init_sim(cfg: ExperimentConfig, graph: RoadGraph | None = None) -> SimState:
@@ -321,7 +367,7 @@ def init_sim(cfg: ExperimentConfig, graph: RoadGraph | None = None) -> SimState:
         cfg=cfg,
         graph=g,
         rng=rng,
-        states=[VehicleState(vid, Phase.PARKED, homes[vid]) for vid in range(n)],
+        nodes=homes,
         schedules=[],
         stores=stores,
         seeds=seeds,
@@ -333,88 +379,33 @@ def init_sim(cfg: ExperimentConfig, graph: RoadGraph | None = None) -> SimState:
 
 
 def _move(state: SimState, t1: int) -> np.ndarray:
-    """Drive every vehicle from tick state.tick up to t1; return the radio rows.
+    """The radio rows of ticks state.tick to t1 - 1, read off the timetable.
 
-    Rows are (tick, vehicle, x, y): one per driving vehicle per tick, and
-    with ``parked_exchange`` one per parked vehicle per tick at its node.
-    Leaves each vehicle's state, ``enroute`` and ``depart_heap`` as t1 -
-    state.tick single steps would.
+    Rows are (tick, vehicle, x, y): one per driving vehicle per tick, from
+    its departure tick up to the tick before its arrival, and with
+    ``parked_exchange`` one per parked vehicle per tick at its node.
     """
-    cfg, g, dt = state.cfg, state.graph, state.cfg.dt
-    t0 = state.tick
-    odo = odometer(cfg.speed * dt, t1 - min(state.enroute.values(), default=t0))
-    odo_list = odo.tolist()
-    legs: list[tuple[int, Route, int, int, int]] = []  # vid, route, departure, lo, hi
-    parked: list[tuple[int, int, int, int]] = []  # vid, node, lo, hi
-    enroute: dict[int, int] = {}
-    requeue: list[tuple[float, int]] = []
-
-    def drive(vs: VehicleState, route: Route, dep: int):
-        """Follow one vehicle from a departure at tick dep until t1: this
-        trip, then each next one that departs before t1."""
-        vid = vs.vehicle_id
-        trips = state.schedules[vid].trips
-        while True:
-            arrive = dep + bisect.bisect_left(odo_list, route.total_length)
-            legs.append((vid, route, dep, max(dep, t0), min(arrive, t1)))
-            if arrive >= t1:
-                enroute[vid] = dep
-                vs.phase, vs.route, vs.node = Phase.EN_ROUTE, route, route.src
-                vs.distance = odo_list[t1 - 1 - dep]
-                vs.seg = bisect.bisect_left(route.cum_length, vs.distance, 1) - 1
-                return
-            vs.phase, vs.route, vs.node = Phase.PARKED, None, route.dst
-            vs.distance, vs.seg = 0.0, 0
-            trip = trips[vs.next_trip] if vs.next_trip < len(trips) else None
-            dep = t1 if trip is None else departure_tick(trip.depart_time, dt, arrive + 1)
-            if cfg.parked_exchange:
-                parked.append((vid, vs.node, arrive, min(dep, t1)))
-            if dep >= t1:
-                if trip is not None:
-                    requeue.append((trip.depart_time, vid))
-                return
-            route = trip.route
-            vs.next_trip += 1
-
-    for vid, dep in list(state.enroute.items()):
-        vs = state.states[vid]
-        drive(vs, vs.route, dep)
-    departed = set()
-    horizon = (t1 - 1) * dt + dt  # the departure bound of the span's last tick
-    while state.depart_heap and state.depart_heap[0][0] <= horizon:
-        depart_time, vid = heapq.heappop(state.depart_heap)
-        vs = state.states[vid]
-        dep = departure_tick(depart_time, dt, t0)
-        if cfg.parked_exchange:
-            parked.append((vid, vs.node, t0, dep))
-        departed.add(vid)
-        trip = state.schedules[vid].trips[vs.next_trip]
-        vs.next_trip += 1
-        drive(vs, trip.route, dep)
-    if cfg.parked_exchange:
-        parked += [(vid, vs.node, t0, t1) for vid, vs in enumerate(state.states)
-                   if vid not in state.enroute and vid not in departed]
-    state.enroute = enroute
-    for item in requeue:
-        heapq.heappush(state.depart_heap, item)
-
-    drives = np.array([leg[4] - leg[3] for leg in legs], dtype=np.int64)
-    stays = np.array([p[3] - p[2] for p in parked], dtype=np.int64)
+    g, t0 = state.graph, state.tick
+    vids, dep, arrive = state.drives.T
+    on = (dep < t1) & (arrive > t0)
+    dep = dep[on]
+    lo, hi = np.maximum(dep, t0), np.minimum(arrive[on], t1)
+    drives = hi - lo
     n_drive = int(drives.sum())
-    rows = np.empty((n_drive + int(stays.sum()), 4))
-    if legs:
-        vids, routes, departs, lo, hi = zip(*legs)
-        rows[:n_drive, 0], rows[:n_drive, 2], rows[:n_drive, 3] = trace_legs(
-            g, list(routes), np.array(departs), np.array(lo), np.array(hi), odo)
-        rows[:n_drive, 1] = np.repeat(vids, drives)
-    if parked:
-        vids, nodes, lo, _ = (np.array(c) for c in zip(*parked))
-        at = np.repeat(nodes, stays)
-        rows[n_drive:, 0] = np.repeat(lo - (np.cumsum(stays) - stays), stays) + np.arange(
-            len(at))
-        rows[n_drive:, 1] = np.repeat(vids, stays)
-        rows[n_drive:, 2] = np.asarray(g.node_x)[at]
-        rows[n_drive:, 3] = np.asarray(g.node_y)[at]
+    stays = state.stays if state.cfg.parked_exchange else state.stays[:0]
+    stay_vids, nodes, first, last = stays.T
+    first, last = np.maximum(first, t0), np.minimum(last, t1)
+    counts = np.maximum(last - first, 0)
+    rows = np.empty((n_drive + int(counts.sum()), 4))
+    rows[:n_drive, 0], rows[:n_drive, 2], rows[:n_drive, 3] = trace_legs(
+        g, [state.routes[i] for i in np.flatnonzero(on).tolist()], dep, lo, hi, state.odo)
+    rows[:n_drive, 1] = np.repeat(vids[on], drives)
+    at = np.repeat(nodes, counts)
+    rows[n_drive:, 0] = np.repeat(first - (np.cumsum(counts) - counts), counts) + np.arange(
+        len(at))
+    rows[n_drive:, 1] = np.repeat(stay_vids, counts)
+    rows[n_drive:, 2] = np.asarray(g.node_x)[at]
+    rows[n_drive:, 3] = np.asarray(g.node_y)[at]
     return rows
 
 
@@ -422,22 +413,25 @@ def step(state: SimState, n_ticks: int = 1) -> list[int]:
     """Advance the simulation by n_ticks steps of cfg.dt seconds.
 
     Per tick, in order: every vehicle on the road moves, vehicles due by
-    the end of the step depart, arrivals queue their next trip, radio
-    contacts form, chunks cross every contact within its link budget,
-    and completions are flagged at the step's end.  A departing vehicle
-    stands at its origin on its departure tick but already takes part in
-    contacts; an arrival departs again on the next tick at the earliest.
+    the end of the step depart, radio contacts form, chunks cross every
+    contact within its link budget, and completions are flagged at the
+    step's end.  A departing vehicle stands at its origin on its
+    departure tick but already takes part in contacts; an arrival departs
+    again on the next tick at the earliest.
 
-    The span is simulated in one pass with the same floats and draws as
-    n_ticks single steps: distances are the sequential adds of
-    :func:`vancast.mobility.odometer`, positions come from
-    :func:`vancast.mobility.trace_legs`, contacts from one
+    Motion never depends on chunks, so it is read off the day's timetable
+    (see :func:`_lay_out_day`): the drives and, with ``parked_exchange``,
+    the stays that overlap the span, clipped to it.  Positions come from
+    :func:`vancast.mobility.trace_legs` with the sequential adds of
+    :func:`vancast.mobility.odometer`, contacts from one
     :func:`detect_contacts` call, and :func:`exchange` then runs in
-    (tick, a, b) order.  A contact whose two stores both hold every chunk
-    can move nothing and draws nothing, so it is skipped; it still counts
-    toward ``share_bandwidth`` degrees.  A pair's link budget carries over
-    only to the next tick.  Like single steps, a span never re-draws the
-    day's trips; ``run`` ends spans at day boundaries to do so.
+    (tick, a, b) order, with the same floats and draws as n_ticks single
+    steps.  A contact whose two stores both hold every chunk can move
+    nothing and draws nothing, so it is skipped; it still counts toward
+    ``share_bandwidth`` degrees.  A pair's link budget carries over only
+    to the next tick.  A span must end by the timetable's end, the next
+    day's first tick or the run's end: ValueError otherwise.  ``run``
+    ends spans there and lays out each new day.
 
     Returns the tick count at the end of each completion, in order.
     """
@@ -445,6 +439,9 @@ def step(state: SimState, n_ticks: int = 1) -> list[int]:
         raise ValueError(f"n_ticks must be >= 1, got {n_ticks}")
     cfg = state.cfg
     t0, t1 = state.tick, state.tick + n_ticks
+    if t1 > state.end:
+        raise ValueError(f"ticks {t0} to {t1 - 1} run past the timetable's end at tick "
+                         f"{state.end}")
     rows = _move(state, t1)
     contacts = detect_contacts(rows, cfg.comm_range)
     state.tick = t1
@@ -506,8 +503,10 @@ def step(state: SimState, n_ticks: int = 1) -> list[int]:
 def run(cfg: ExperimentConfig, graph: RoadGraph | None = None) -> SimState:
     """Run sim_duration / dt steps and return the final state.
 
-    Every DAY_LEN / dt steps the day boundary re-rolls every trip schedule
-    (vehicles keep their location across days).  The completion count is
+    Every DAY_LEN / dt steps the day boundary draws every vehicle's trips
+    afresh and lays out the new day's timetable (vehicles keep their
+    location across days, and drives on the road at midnight carry on
+    into the new timetable).  The completion count is
     sampled every sample_interval / dt steps and after the last step.
     Steps are taken in spans of up to SPAN_TICKS that end at every day
     boundary and at the end of the run; the RNG order is that of single

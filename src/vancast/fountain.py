@@ -9,8 +9,9 @@ chunks whose derived coefficient matrix reaches rank ``k`` decodes the
 file exactly.
 
 Field arithmetic uses the AES polynomial x^8 + x^4 + x^3 + x + 1
-(0x11B) with full multiplication and inverse lookup tables built at
-import time.
+(0x11B): addition is XOR, and products and inverses are read from the
+dense tables ``GF_MUL[a, b]`` and ``GF_INV[a]`` built at import time
+(``GF_INV[0]`` is 0, as zero has no inverse).
 """
 
 from __future__ import annotations
@@ -61,22 +62,6 @@ def _build_tables() -> tuple[np.ndarray, np.ndarray]:
 
 
 GF_MUL, GF_INV = _build_tables()
-
-
-def gf256_add(a: int, b: int) -> int:
-    """Field addition (same as subtraction): bytewise XOR."""
-    return a ^ b
-
-
-def gf256_mul(a: int, b: int) -> int:
-    return int(GF_MUL[a, b])
-
-
-def gf256_inv(a: int) -> int:
-    """Multiplicative inverse.  Raises ZeroDivisionError for 0."""
-    if a == 0:
-        raise ZeroDivisionError("0 has no multiplicative inverse in GF(256)")
-    return int(GF_INV[a])
 
 
 def derive_coefficients(chunk_id: int, k: int) -> np.ndarray:

@@ -6,10 +6,12 @@ the previous one ended.  Between trips the vehicle is parked and (by
 default) invisible to the radio layer.  Motion along a route is
 piecewise linear at a single constant speed.
 
-:func:`advance` and :func:`position_of` move and place one vehicle for
-one step.  The engine instead lays out whole drives at once with
-:func:`departure_tick`, :func:`odometer` and :func:`trace_legs`, which
-make the same float operations, so both give the same positions.
+The engine lays out each day's drives once, as a timetable of tick
+numbers, with :func:`departure_tick` and :func:`odometer`, and places
+vehicles on them with :func:`trace_legs`.  :func:`advance` and
+:func:`position_of`, which move and place one :class:`VehicleState`
+for one step, are the per-tick reference those functions match float
+for float; the engine itself never calls them.
 """
 
 from __future__ import annotations

@@ -313,21 +313,27 @@ def generate_manhattan_grid(
     return RoadGraph(xs, ys, edges)
 
 
+def float_text(v: float) -> str:
+    """Short text for a float that reads back as the same float:
+    ``:g`` where that is exact, else ``repr``."""
+    short = f"{v:g}"
+    return short if float(short) == v else repr(float(v))
+
+
 def save_road_graph(g: RoadGraph, path: str):
     """Write the line-oriented road graph format.
 
     Layout: a ``nodes N edges E`` header, one ``node id x y`` line per
     node, one ``edge id a b length main`` line per edge (main is 0/1).
-    Lines starting with ``#`` are comments.
+    Lines starting with ``#`` are comments.  Floats are written with
+    :func:`float_text`, so the graph loads back exactly.
     """
     with open(path, "w") as fh:
         fh.write(f"nodes {g.n_nodes} edges {g.n_edges}\n")
         for i in range(g.n_nodes):
-            fh.write(f"node {i} {g.node_x[i]:g} {g.node_y[i]:g}\n")
+            fh.write(f"node {i} {float_text(g.node_x[i])} {float_text(g.node_y[i])}\n")
         for e in g.edges:
-            fh.write(
-                f"edge {e.edge_id} {e.a} {e.b} {e.length:g} {1 if e.main else 0}\n"
-            )
+            fh.write(f"edge {e.edge_id} {e.a} {e.b} {float_text(e.length)} {int(e.main)}\n")
 
 
 def load_road_graph(path: str) -> RoadGraph:

@@ -294,6 +294,14 @@ def test_run_sweep_rerun_is_byte_identical(tmp_path):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
 
+def test_run_sweep_validates_every_cell_before_the_first_run(tmp_path):
+    # dt = 0.7 s divides neither the 5 s run nor the 1 s sample interval
+    spec = SweepSpec.from_strings("dt", ["1", "0.7"])
+    with pytest.raises(ValueError, match="multiple of dt"):
+        run_sweep(tiny_cfg(replicates=2), spec, str(tmp_path / "sw"))
+    assert not (tmp_path / "sw").exists()
+
+
 def test_milestone_hours_shape():
     m = Metrics(samples=[(0.0, 0), (3600.0, 50), (7200.0, 100)])
     hours = milestone_hours(m, 100)
@@ -362,6 +370,16 @@ def test_cli_sweep(tmp_path, capsys):
     assert (out / "summary.csv").exists()
     assert (out / "seed_rate=0.5_rep0.csv").exists()
     assert "2 runs" in capsys.readouterr().out
+
+
+def test_cli_sweep_over_master_seed_is_an_error(tmp_path, capsys):
+    out = tmp_path / "sw"
+    code = main(["sweep", *tiny_args(), "--param", "master_seed", "--values", "1,2",
+                 "--out", str(out), "--quiet"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot sweep master_seed") and "--seed" in err
+    assert not out.exists()
 
 
 def test_cli_codec_selftest(capsys):

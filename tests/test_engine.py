@@ -328,8 +328,9 @@ def test_parked_vehicles_silent_by_default():
 def seed_between_two_listeners(share_bandwidth):
     """Hand-built state: a seeded vehicle parked between two listeners
     that cannot hear each other (comm range covers one 50 m hop only)."""
+    import vancast.engine as engine
     from vancast.engine import Metrics, SimState, step
-    from vancast.mobility import Phase, TripSchedule, VehicleState
+    from vancast.mobility import TripSchedule
     from vancast.roadnet import generate_manhattan_grid
 
     cfg = two_parked_vehicles_config(
@@ -346,13 +347,14 @@ def seed_between_two_listeners(share_bandwidth):
         cfg=cfg,
         graph=g,
         rng=np.random.default_rng(0),
-        states=[VehicleState(v, Phase.PARKED, v) for v in range(3)],
+        nodes=[0, 1, 2],
         schedules=[TripSchedule(v, ()) for v in range(3)],
         stores=stores,
         seeds=[1],
         metrics=Metrics(),
         completed_count=1,
     )
+    engine._lay_out_day(state)
     step(state)
     return state
 
@@ -371,22 +373,21 @@ def test_dedicated_bandwidth_serves_each_link_fully():
 
 
 def hand_scheduled_state(monkeypatch, trips_by_vehicle, n_ticks=1, **overrides):
-    """init_sim on a 1x3 grid (nodes 50 m apart, 60 m radio range) with no
-    drawn trips, then the given trips queued as each vehicle's schedule.
-    Returns the state and the list of positions handed to contact
-    detection, one dict per tick, for steps of n_ticks ticks."""
-    import heapq
-
+    """init_sim of a 60 s run on a 1x3 grid (nodes 50 m apart, 60 m radio
+    range) with no drawn trips, then the given trips laid out as each
+    vehicle's day.  Returns the state and the list of positions handed to
+    contact detection, one dict per tick, for steps of n_ticks ticks."""
     import vancast.engine as engine
     from vancast.mobility import TripSchedule
 
     cfg = two_parked_vehicles_config(
-        cols=3, comm_range=60.0, parked_exchange=False, speed=10.0, **overrides
+        cols=3, comm_range=60.0, parked_exchange=False, speed=10.0, sim_duration=60.0,
+        **overrides
     )
     state = init_sim(cfg)
     state.schedules = [TripSchedule(v, tuple(t)) for v, t in enumerate(trips_by_vehicle)]
-    for v, trips in enumerate(trips_by_vehicle):
-        heapq.heappush(state.depart_heap, (trips[0].depart_time, v))
+    state.nodes = [trips[0].route.src for trips in trips_by_vehicle]
+    engine._lay_out_day(state)
     seen = []
     real = engine.detect_contacts
 
@@ -402,7 +403,7 @@ def hand_scheduled_state(monkeypatch, trips_by_vehicle, n_ticks=1, **overrides):
 
 def test_departing_vehicle_stands_at_origin_and_is_in_contact(monkeypatch):
     from vancast.engine import step
-    from vancast.mobility import Phase, Trip
+    from vancast.mobility import Trip
     from vancast.roadnet import generate_manhattan_grid, shortest_path
 
     g = generate_manhattan_grid(1, 3, 50.0, [])
@@ -412,10 +413,9 @@ def test_departing_vehicle_stands_at_origin_and_is_in_contact(monkeypatch):
     ])
     seed = state.seeds[0]
     step(state)
-    # both left inside (0, 1] and stand at their origins, 50 m apart
+    # both left inside (0, 1], on tick 0, and stand at their origins, 50 m apart
     assert seen == [{0: (0.0, 0.0), 1: (50.0, 0.0)}]
-    for vs in state.states:
-        assert vs.phase is Phase.EN_ROUTE and vs.distance == 0.0
+    assert state.drives.tolist() == [[0, 0, 10], [1, 0, 5]]  # 100 m and 50 m at 10 m/s
     assert state.stores[1 - seed].count == 74  # one second of the 800 kb/s link
 
 
@@ -430,38 +430,53 @@ def arrival_with_a_due_trip(monkeypatch, n_ticks):
         [[Trip(0.0, first), Trip(3.0, second)], [Trip(90.0, shortest_path(g, 2, 1))]],
         n_ticks=n_ticks,
     )
-    return state, seen, second
+    # The second trip has been due since 3 s, but waits for the arrival on
+    # tick 5 (6 s) and leaves on tick 6; vehicle 1's trip at 90 s would
+    # leave after the 60 s run and is dropped.
+    assert state.drives.tolist() == [[0, 0, 5], [0, 6, 11]]
+    assert state.routes == [first, second]
+    assert state.stays.tolist() == [[0, 1, 5, 6], [0, 2, 11, 60], [1, 2, 0, 60]]
+    assert state.nodes == [2, 2]
+    return state, seen
 
 
 def test_arrival_with_a_due_trip_departs_on_the_next_step(monkeypatch):
     from vancast.engine import step
-    from vancast.mobility import Phase
 
-    state, seen, second = arrival_with_a_due_trip(monkeypatch, 1)
-    vs = state.states[0]
-    for _ in range(6):  # depart at 1 s, then 50 m at 10 m/s
+    state, seen = arrival_with_a_due_trip(monkeypatch, 1)
+    for _ in range(6):  # depart on tick 0, then 50 m at 10 m/s
         step(state)
-    # arrived at 6 s; the second trip has been due since 3 s but waits
-    assert vs.phase is Phase.PARKED and vs.node == 1 and vs.next_trip == 1
-    assert 0 not in seen[-1]
+    assert [sorted(p) for p in seen] == [[0]] * 5 + [[]]  # parked on its arrival tick
     step(state)
-    assert vs.phase is Phase.EN_ROUTE and vs.route == second
-    assert vs.distance == 0.0 and vs.next_trip == 2
-    assert seen[-1] == {0: (50.0, 0.0)}
+    assert seen[-1] == {0: (50.0, 0.0)}  # off again, standing at node 1
 
 
 def test_arrival_with_a_due_trip_departs_on_the_next_tick_of_a_span(monkeypatch):
     from vancast.engine import step
-    from vancast.mobility import Phase
 
-    state, seen, second = arrival_with_a_due_trip(monkeypatch, 7)
-    vs = state.states[0]
+    state, seen = arrival_with_a_due_trip(monkeypatch, 7)
     step(state, 7)  # the seven ticks above in one span
-    assert vs.phase is Phase.EN_ROUTE and vs.route == second
-    assert vs.distance == 0.0 and vs.next_trip == 2
     # on the road for ticks 0-4, parked on its arrival tick, off again on tick 6
     assert [sorted(p) for p in seen] == [[0]] * 5 + [[], [0]]
     assert seen[-1] == {0: (50.0, 0.0)}
+
+
+def test_step_past_the_timetable_end_raises():
+    from vancast.engine import step
+
+    state = init_sim(two_parked_vehicles_config())  # a 5 s run
+    with pytest.raises(ValueError, match="timetable"):
+        step(state, 6)
+    assert state.tick == 0
+    step(state, 5)
+    with pytest.raises(ValueError, match="timetable"):
+        step(state)
+    # a timetable holds one day; run() lays out the next at its first tick
+    state = init_sim(two_parked_vehicles_config(dt=10.0, sim_duration=2 * 86_400.0,
+                                                sample_interval=60.0))
+    assert state.end == 8_640
+    with pytest.raises(ValueError, match="timetable"):
+        step(state, 8_641)
 
 
 def test_new_day_schedules_lie_inside_their_day():
@@ -654,11 +669,42 @@ def test_init_sim_respects_validation():
 # --- the span pass against a per-tick reference --------------------------------
 
 
+def queue_next_trip(state, ref, vid):
+    """Queue a parked vehicle's next departure, if it has one left today."""
+    import heapq
+
+    trips = state.schedules[vid].trips
+    nxt = ref["states"][vid].next_trip
+    if nxt < len(trips):
+        heapq.heappush(ref["heap"], (trips[nxt].depart_time, vid))
+
+
+def resting_nodes(ref):
+    """Where each reference vehicle rests: its node, or its route's end."""
+    from vancast.mobility import Phase
+
+    return [vs.route.dst if vs.phase is Phase.EN_ROUTE else vs.node for vs in ref["states"]]
+
+
+def reference_new_day(state, ref, starts):
+    """The reference's day start: the day was drawn from ``starts``, which
+    must be where its vehicles rest; trip indices restart, and parked
+    vehicles queue their first trip.  Drives on the road carry on."""
+    from vancast.mobility import Phase
+
+    assert starts == resting_nodes(ref)
+    ref["heap"] = []
+    for vs in ref["states"]:
+        vs.next_trip = 0
+        if vs.phase is Phase.PARKED:
+            queue_next_trip(state, ref, vs.vehicle_id)
+
+
 def reference_step(state, ref):
     """One tick the way single steps work: advance() and position_of() per
     vehicle, brute-force contacts, exchange() per contact.  ``ref`` holds the
-    reference's own motion and link bookkeeping; returns the tick's
-    positions and contacts."""
+    reference's own vehicle states, departure heap and link bookkeeping;
+    returns the tick's positions and contacts."""
     import heapq
 
     from vancast.engine import exchange
@@ -666,29 +712,28 @@ def reference_step(state, ref):
 
     cfg = state.cfg
     now = state.clock
+    states = ref["states"]
     positions, arrived = {}, []
     for vid in sorted(ref["enroute"]):
-        vs = state.states[vid]
+        vs = states[vid]
         advance(vs, state.schedules[vid], now, cfg.dt, cfg.speed)
         if vs.phase is Phase.PARKED:
             arrived.append(vid)
         else:
             positions[vid] = position_of(vs, state.graph)
-    while state.depart_heap and state.depart_heap[0][0] <= now + cfg.dt:
-        depart_time, vid = heapq.heappop(state.depart_heap)
-        vs = state.states[vid]
+    while ref["heap"] and ref["heap"][0][0] <= now + cfg.dt:
+        depart_time, vid = heapq.heappop(ref["heap"])
+        vs = states[vid]
         ref["late"] += depart_time <= now
         advance(vs, state.schedules[vid], now, cfg.dt, cfg.speed)
         positions[vid] = position_of(vs, state.graph)
     ref["enroute"] = set(positions)
     for vid in arrived:
-        trips = state.schedules[vid].trips
-        nxt = state.states[vid].next_trip
-        if nxt < len(trips):
-            heapq.heappush(state.depart_heap, (trips[nxt].depart_time, vid))
-            ref["due_on_arrival"] += trips[nxt].depart_time <= now + cfg.dt
+        queue_next_trip(state, ref, vid)
+        trips, nxt = state.schedules[vid].trips, states[vid].next_trip
+        ref["due_on_arrival"] += nxt < len(trips) and trips[nxt].depart_time <= now + cfg.dt
     if cfg.parked_exchange:
-        for vs in state.states:
+        for vs in states:
             if vs.phase is Phase.PARKED:
                 positions[vs.vehicle_id] = state.graph.node_pos(vs.node)
     contacts = brute_force_pairs(positions, cfg.comm_range)
@@ -724,11 +769,8 @@ def reference_step(state, ref):
     return positions, contacts
 
 
-def motion_snapshot(state):
+def outcome(state):
     return (
-        [(vs.phase, vs.node, vs.route, vs.distance, vs.seg, vs.next_trip)
-         for vs in state.states],
-        sorted(state.depart_heap),
         [(s.mask.tolist(), s.count, s.completed_at) for s in state.stores],
         state.completed_count,
         state.tick,
@@ -736,11 +778,9 @@ def motion_snapshot(state):
     )
 
 
-def drive_in_spans(monkeypatch, state, n_steps, span_len, seen):
-    """Step state in spans of up to span_len ticks, rolling days as run()
-    does; every span's rows and contacts are appended to seen."""
+def spy_on_contacts(monkeypatch, seen):
+    """Append every detect_contacts call's (rows, contacts) to seen."""
     import vancast.engine as engine
-    from vancast.mobility import DAY_LEN
 
     real = engine.detect_contacts
 
@@ -750,6 +790,21 @@ def drive_in_spans(monkeypatch, state, n_steps, span_len, seen):
         return contacts
 
     monkeypatch.setattr(engine, "detect_contacts", spy)
+
+
+def radio(seen):
+    """The sorted rows and the contacts, in order, of the recorded calls."""
+    return (sorted(tuple(r) for rows, _ in seen for r in rows.tolist()),
+            [tuple(c) for _, contacts in seen for c in contacts.tolist()])
+
+
+def drive_in_spans(monkeypatch, state, n_steps, span_len, seen):
+    """Step state in spans of up to span_len ticks, rolling days as run()
+    does; every span's rows and contacts are appended to seen."""
+    import vancast.engine as engine
+    from vancast.mobility import DAY_LEN
+
+    spy_on_contacts(monkeypatch, seen)
     per_day = state.cfg.steps(DAY_LEN, "one day")
     while state.tick < n_steps:
         t0 = state.tick
@@ -779,22 +834,33 @@ def test_span_pass_matches_per_tick_reference(monkeypatch, case):
     import copy
 
     import vancast.engine as engine
-    from vancast.mobility import DAY_LEN, Phase
+    from vancast.mobility import DAY_LEN, Phase, VehicleState
 
+    drawn = []  # the start nodes handed to each day's draw
+    real_assign = engine.assign_trips
+
+    def assign(*args, start_nodes, **kwargs):
+        drawn.append(list(start_nodes))
+        return real_assign(*args, start_nodes=start_nodes, **kwargs)
+
+    monkeypatch.setattr(engine, "assign_trips", assign)
     cfg = small_traffic_config(master_seed=sorted(ORACLE_CASES).index(case), **ORACLE_CASES[case])
     n_steps = cfg.steps(cfg.sim_duration, "sim_duration")
     per_day = cfg.steps(DAY_LEN, "one day")
     spans = init_sim(cfg)
     single = copy.deepcopy(spans)
 
-    ref = {"enroute": set(), "accum": {}, "late": 0, "due_on_arrival": 0}
+    ref = {"states": [VehicleState(v, Phase.PARKED, home) for v, home in enumerate(drawn[0])],
+           "enroute": set(), "accum": {}, "late": 0, "due_on_arrival": 0}
+    reference_new_day(single, ref, drawn[0])
     expect_rows, expect_contacts = [], []
     on_road_at_midnight = None
     while single.tick < n_steps:
         if single.tick and single.tick % per_day == 0:
-            on_road_at_midnight = sum(vs.phase is Phase.EN_ROUTE for vs in single.states)
+            on_road_at_midnight = len(ref["enroute"])
             single.day += 1
             engine._new_day(single)
+            reference_new_day(single, ref, drawn[-1])
         tick = single.tick
         positions, contacts = reference_step(single, ref)
         expect_rows += [(tick, v, x, y) for v, (x, y) in positions.items()]
@@ -803,10 +869,9 @@ def test_span_pass_matches_per_tick_reference(monkeypatch, case):
     seen = []
     span_len = int(np.random.default_rng(len(case)).integers(50, 400))
     drive_in_spans(monkeypatch, spans, n_steps, span_len, seen)
-    rows = sorted(tuple(r) for part, _ in seen for r in part.tolist())
-    assert rows == sorted(expect_rows)
-    assert [tuple(c) for _, part in seen for c in part.tolist()] == expect_contacts
-    assert motion_snapshot(spans) == motion_snapshot(single)
+    assert radio(seen) == (sorted(expect_rows), expect_contacts)
+    assert outcome(spans) == outcome(single)
+    assert spans.nodes == resting_nodes(ref)
     assert spans.accum == {k: v for k, v in ref["accum"].items()
                            if not (spans.stores[k[0]].count == spans.stores[k[1]].count
                                    == cfg.n_chunks)}
@@ -814,10 +879,11 @@ def test_span_pass_matches_per_tick_reference(monkeypatch, case):
     assert ref["late"] > 0 and ref["due_on_arrival"] > 0
     if case == "day":
         assert spans.day == 1 and on_road_at_midnight > 0
+        assert len(drawn) == 3  # day 0, then day 1 for each run
 
 
 @pytest.mark.parametrize("share_bandwidth", [False, True])
-def test_one_span_equals_single_steps(share_bandwidth):
+def test_one_span_equals_single_steps(monkeypatch, share_bandwidth):
     import copy
 
     from vancast.engine import step
@@ -826,13 +892,18 @@ def test_one_span_equals_single_steps(share_bandwidth):
                                share_bandwidth=share_bandwidth, sim_duration=7_200.0)
     a = init_sim(cfg)
     b = copy.deepcopy(a)
+    seen = []
+    spy_on_contacts(monkeypatch, seen)
     done = []
     for n in (1, 2, 300, 1, 900, 37):
         done += step(a, n)
+        span = radio(seen)
+        seen.clear()
         for _ in range(n):
             step(b, 1)
-        assert motion_snapshot(a) == motion_snapshot(b)
-        assert a.enroute == b.enroute and a.accum == b.accum
+        assert span == radio(seen)
+        seen.clear()
+        assert outcome(a) == outcome(b) and a.accum == b.accum
     assert done and a.completed_count > len(a.seeds)
 
 

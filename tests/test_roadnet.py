@@ -149,6 +149,20 @@ def test_save_load_roundtrip(tmp_path):
     assert h.edges == g.edges
 
 
+def test_save_load_roundtrip_keeps_floats_that_g_would_round(tmp_path):
+    # :g keeps six significant digits: these would reload as 1000020,
+    # 0.123457, 1e+06 and 0.333333.
+    g = RoadGraph(
+        [0.0, 1000015.0, 1000001.0], [0.1234567, 0.0, -1 / 3],
+        [Edge(0, 0, 1, 1000015.0), Edge(1, 1, 2, 1 / 3, True), Edge(2, 0, 2, 0.1234567)],
+    )
+    path = tmp_path / "g.txt"
+    save_road_graph(g, str(path))
+    h = load_road_graph(str(path))
+    assert (h.node_x, h.node_y, h.edges) == (g.node_x, g.node_y, g.edges)
+    assert "node 0 0 0.1234567\n" in path.read_text()  # exact values stay short
+
+
 def test_load_accepts_comments_and_blank_lines(tmp_path):
     path = tmp_path / "g.txt"
     path.write_text(
