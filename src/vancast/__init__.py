@@ -35,14 +35,7 @@ from vancast.fountain import (
     derive_coefficients,
     encode,
 )
-from vancast.mobility import (
-    Trip,
-    TripSchedule,
-    VehicleState,
-    advance,
-    assign_trips,
-    position_of,
-)
+from vancast.mobility import Trip, TripSchedule, assign_trips
 from vancast.roadnet import (
     Edge,
     RoadGraph,
@@ -72,8 +65,6 @@ __all__ = [
     "SweepSpec",
     "Trip",
     "TripSchedule",
-    "VehicleState",
-    "advance",
     "assign_trips",
     "decode",
     "derive_coefficients",
@@ -84,7 +75,6 @@ __all__ = [
     "load_road_graph",
     "main_road_route",
     "parse_config",
-    "position_of",
     "provision_seeds",
     "random_route",
     "run",

@@ -221,9 +221,12 @@ class SweepSpec:
         names = {f.name for f in fields(ExperimentConfig)}
         if self.param not in names:
             raise ValueError(f"cannot sweep unknown parameter {self.param!r}")
-        if self.param == "master_seed":
-            raise ValueError("cannot sweep master_seed: each replicate's seed is derived "
-                             "from it; set it with --seed")
+        # Keys that set how the whole sweep runs, not what one cell simulates.
+        why = {"master_seed": "each replicate's seed is derived from it; set it with --seed",
+               "replicates": "it sets the runs per value; set it with --replicates",
+               "out_dir": "every cell writes into one directory; set it with --out"}
+        if self.param in why:
+            raise ValueError(f"cannot sweep {self.param}: {why[self.param]}")
         if not self.values:
             raise ValueError("sweep needs at least one value")
 

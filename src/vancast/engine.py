@@ -16,9 +16,10 @@ positions off the timetable, finds all radio contacts of the span in
 one cell-sorted search, and then runs the chunk exchange, in order,
 only at ticks that have contacts.  This gives the same results, draw
 for draw, as moving, detecting and exchanging one tick at a time.
-``run`` lays out each day at its boundary and samples the completion
-count.  All randomness flows through one generator, so a (config,
-seed) pair reproduces a run bit for bit.
+``run`` steps in spans up to the timetable's end, lays out the next day
+when the timetable is used up, and builds the completion samples once,
+from the ticks the completions fell on.  All randomness flows through
+one generator, so a (config, seed) pair reproduces a run bit for bit.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ import numpy as np
 from vancast.config import ExperimentConfig
 from vancast.mobility import (
     DAY_LEN,
+    ScheduleError,
     TripSchedule,
     assign_trips,
     departure_tick,
@@ -240,7 +242,8 @@ def write_metrics_csv(metrics: Metrics, n_vehicles: int, path: str):
 
 @dataclass
 class SimState:
-    """Everything a running simulation owns."""
+    """Everything a running simulation owns; the day is ``tick // (DAY_LEN / dt)``,
+    and ``metrics`` stays empty until :func:`run` samples the finished run."""
 
     cfg: ExperimentConfig
     graph: RoadGraph
@@ -252,7 +255,6 @@ class SimState:
     metrics: Metrics
     tick: int = 0  # whole steps taken
     completed_count: int = 0
-    day: int = 0
     # The day's timetable (see _lay_out_day): (vehicle, departure tick,
     # arrival tick) drives with their routes, (vehicle, node, first tick,
     # end tick) stays, the distance driven each tick after a departure,
@@ -294,7 +296,7 @@ def _new_day(state: SimState):
         cfg.mean_trips,
         cfg.max_trip_dist,
         state.rng,
-        day_start=state.day * DAY_LEN,
+        day_start=(state.tick // cfg.steps(DAY_LEN, "one day")) * DAY_LEN,
         policy=cfg.routing_policy,
         main_road_fraction=cfg.main_road_fraction,
         start_nodes=state.nodes,
@@ -305,21 +307,22 @@ def _new_day(state: SimState):
 def _lay_out_day(state: SimState):
     """Turn the day's schedules into its timetable of drives and stays.
 
-    With day0 the day's first tick, each vehicle's trips chain from its
-    last arrival, prev_arrive (day0 - 1 for a vehicle parked at day0): a
-    trip departs at ``departure_tick(depart_time, dt, max(day0,
-    prev_arrive + 1))`` and arrives ``bisect_left(odo, total_length)``
-    ticks later.  A drive of the previous table that arrives at day0 or
-    later is still on the road, so it is carried over and the vehicle's
-    trips wait for its arrival.  The timetable ends at the next day's
-    first tick or at the run's end, whichever comes first; trips that
-    would leave at or after it are dropped.  ``state.nodes`` ends as
-    where each vehicle rests after its last drive: the next day's start.
+    With day0 = ``state.tick``, the day's first tick, each vehicle's
+    trips chain from its last arrival, prev_arrive (day0 - 1 for a
+    vehicle parked at day0): a trip departs at ``departure_tick(
+    depart_time, dt, max(day0, prev_arrive + 1))`` and arrives
+    ``bisect_left(odo, total_length)`` ticks later.  A drive of the
+    previous table that arrives at day0 or later is still on the road, so
+    it is carried over and the vehicle's trips wait for its arrival.  The
+    timetable ends, as ``state.end``, at the next day's first tick or at
+    the run's end, whichever comes first; trips that would leave at or
+    after it are dropped.  ``state.nodes`` ends as where each vehicle
+    rests after its last drive: the next day's start.
     """
     cfg, dt = state.cfg, state.cfg.dt
-    per_day = cfg.steps(DAY_LEN, "one day")
-    day0 = state.day * per_day
-    end = min(day0 + per_day, cfg.steps(cfg.sim_duration, "sim_duration"))
+    day0 = state.tick
+    end = min(day0 + cfg.steps(DAY_LEN, "one day"),
+              cfg.steps(cfg.sim_duration, "sim_duration"))
     carried = np.flatnonzero(state.drives[:, 2] >= day0)
     routes = [state.routes[i] for i in carried.tolist()]
     drives = state.drives[carried].ravel().tolist()
@@ -353,7 +356,12 @@ def _lay_out_day(state: SimState):
 
 
 def init_sim(cfg: ExperimentConfig, graph: RoadGraph | None = None) -> SimState:
-    """Build the initial simulation state for a configuration."""
+    """Build the initial simulation state for a configuration, day 0 laid out.
+
+    Raises ScheduleError, before any trip is drawn, if a home has no
+    destination within max_trip_dist.  No later origin can lack one: the
+    graph is undirected, so the last trip's origin is within reach.
+    """
     cfg.validate()
     g = graph if graph is not None else build_graph(cfg)
     rng = np.random.default_rng(cfg.master_seed)
@@ -363,6 +371,11 @@ def init_sim(cfg: ExperimentConfig, graph: RoadGraph | None = None) -> SimState:
     seeds = provision_seeds(stores, cfg.seed_rate, rng)
 
     homes = [int(v) for v in rng.integers(g.n_nodes, size=n)]
+    if cfg.mean_trips > 0 and cfg.sim_duration > 0:
+        for home in sorted(set(homes)):
+            if not g.nodes_within(home, cfg.max_trip_dist):
+                raise ScheduleError(
+                    f"no destination within {cfg.max_trip_dist:g} m of node {home}")
     state = SimState(
         cfg=cfg,
         graph=g,
@@ -371,7 +384,7 @@ def init_sim(cfg: ExperimentConfig, graph: RoadGraph | None = None) -> SimState:
         schedules=[],
         stores=stores,
         seeds=seeds,
-        metrics=Metrics([(0.0, len(seeds))]),
+        metrics=Metrics(),
         completed_count=len(seeds),
     )
     _new_day(state)
@@ -429,9 +442,9 @@ def step(state: SimState, n_ticks: int = 1) -> list[int]:
     steps.  A contact whose two stores both hold every chunk can move
     nothing and draws nothing, so it is skipped; it still counts toward
     ``share_bandwidth`` degrees.  A pair's link budget carries over only
-    to the next tick.  A span must end by the timetable's end, the next
-    day's first tick or the run's end: ValueError otherwise.  ``run``
-    ends spans there and lays out each new day.
+    to the next tick.  A span must end by the timetable's end,
+    ``state.end``: ValueError otherwise.  ``run`` lays out the next day
+    when a span reaches it.
 
     Returns the tick count at the end of each completion, in order.
     """
@@ -503,31 +516,24 @@ def step(state: SimState, n_ticks: int = 1) -> list[int]:
 def run(cfg: ExperimentConfig, graph: RoadGraph | None = None) -> SimState:
     """Run sim_duration / dt steps and return the final state.
 
-    Every DAY_LEN / dt steps the day boundary draws every vehicle's trips
-    afresh and lays out the new day's timetable (vehicles keep their
-    location across days, and drives on the road at midnight carry on
-    into the new timetable).  The completion count is
-    sampled every sample_interval / dt steps and after the last step.
-    Steps are taken in spans of up to SPAN_TICKS that end at every day
-    boundary and at the end of the run; the RNG order is that of single
-    steps: a day's trips at its first tick, then exchange draws in
-    (tick, a, b) order.
+    Steps are taken in spans of up to SPAN_TICKS that end where the
+    timetable ends (see :func:`_lay_out_day`).  When a span reaches it
+    before the run's end, the next day's trips are drawn afresh and laid
+    out (vehicles keep their location across days, and drives on the road
+    at midnight carry on into the new timetable).  The RNG order is that
+    of single steps: a day's trips at its first tick, then exchange draws
+    in (tick, a, b) order.  The completion count is sampled every
+    sample_interval / dt steps from tick 0 and after the last step, all at
+    once from the ticks the completions fell on.
     """
     state = init_sim(cfg, graph)
     n_steps = cfg.steps(cfg.sim_duration, "sim_duration")
     per_sample = cfg.steps(cfg.sample_interval, "sample_interval")
-    per_day = cfg.steps(DAY_LEN, "one day")
+    done: list[int] = []
     while state.tick < n_steps:
-        t0 = state.tick
-        if t0 and t0 % per_day == 0:
-            state.day += 1
+        if state.tick == state.end:
             _new_day(state)
-        t1 = min(t0 + SPAN_TICKS, (t0 // per_day + 1) * per_day, n_steps)
-        done = step(state, t1 - t0)
-        before = state.completed_count - len(done)
-        sample_ticks = list(range((t0 // per_sample + 1) * per_sample, t1 + 1, per_sample))
-        if t1 == n_steps and n_steps % per_sample:
-            sample_ticks.append(n_steps)
-        for t in sample_ticks:
-            state.metrics.samples.append((t * cfg.dt, before + bisect.bisect_right(done, t)))
+        done += step(state, min(SPAN_TICKS, state.end - state.tick))
+    state.metrics.samples = [(t * cfg.dt, len(state.seeds) + bisect.bisect_right(done, t))
+                             for t in [*range(0, n_steps, per_sample), n_steps]]
     return state

@@ -78,9 +78,6 @@ class RoadGraph:
     def n_edges(self) -> int:
         return len(self.edges)
 
-    def node_pos(self, node: int) -> tuple[float, float]:
-        return self.node_x[node], self.node_y[node]
-
     def dijkstra(
         self, src: int, weights: list[float] | None = None, target: int | None = None
     ) -> np.ndarray:

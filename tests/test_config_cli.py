@@ -382,6 +382,19 @@ def test_cli_sweep_over_master_seed_is_an_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("param, values, flag", [("replicates", "1,3", "--replicates"),
+                                                 ("out_dir", "a,b", "--out")])
+def test_cli_sweep_over_a_per_sweep_setting_is_an_error(tmp_path, capsys, param, values,
+                                                         flag):
+    out = tmp_path / "sw"
+    code = main(["sweep", *tiny_args(), "--param", param, "--values", values,
+                 "--out", str(out), "--quiet"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot sweep {param}") and flag in err
+    assert not out.exists()
+
+
 def test_cli_codec_selftest(capsys):
     code = main(["codec-selftest", "--trials", "3", "--seed", "1"])
     assert code == 0

@@ -482,21 +482,21 @@ def test_step_past_the_timetable_end_raises():
 def test_new_day_schedules_lie_inside_their_day():
     from vancast.mobility import DAY_LEN
 
-    def check(state):
+    def check(state, day):
         for sched in state.schedules:
             departs = [t.depart_time for t in sched.trips]
             assert departs == sorted(departs)
             for d in departs:
-                assert state.day * DAY_LEN <= d < (state.day + 1) * DAY_LEN
+                assert day * DAY_LEN <= d < (day + 1) * DAY_LEN
         assert sum(len(s.trips) for s in state.schedules) > 0
 
     cfg = small_traffic_config(
         n_vehicles=20, mean_trips=3.0, dt=10.0, sim_duration=DAY_LEN + 600.0
     )
-    check(init_sim(cfg))
+    check(init_sim(cfg), 0)
     state = run(cfg)
-    assert state.day == 1
-    check(state)
+    assert state.tick // cfg.steps(DAY_LEN, "one day") == 1
+    check(state, 1)
 
 
 def test_zero_duration_run_samples_once():
@@ -539,8 +539,9 @@ def test_day_rolls_over_exactly_at_one_day_of_fractional_steps(monkeypatch):
         real(state)
 
     monkeypatch.setattr(engine, "_new_day", spy)
-    state = run(two_parked_vehicles_config(dt=0.1, sim_duration=DAY_LEN + 600.0))
-    assert state.day == 1
+    cfg = two_parked_vehicles_config(dt=0.1, sim_duration=DAY_LEN + 600.0)
+    state = run(cfg)
+    assert state.tick // cfg.steps(DAY_LEN, "one day") == 1
     assert day_starts == [0.0, 86_400.0]
 
 
@@ -639,7 +640,8 @@ def test_multi_day_run_keeps_moving():
         transfer_rate=8_000_000.0,
     )
     state = run(cfg)
-    assert state.day == 1
+    assert state.tick // cfg.steps(86_400.0, "one day") == 2
+    assert all(t.depart_time >= 86_400.0 for s in state.schedules for t in s.trips)
     day1 = [c for t, c in state.metrics.samples if t <= 86_400.0][-1]
     day2 = state.completed_count
     assert day2 >= day1
@@ -664,6 +666,32 @@ def test_init_sim_respects_validation():
         init_sim(small_traffic_config(decode_threshold=500, n_chunks=450))
     with pytest.raises(ValueError):
         init_sim(small_traffic_config(dt=0.0))
+
+
+def test_init_sim_refuses_a_home_with_no_destination(tmp_path, monkeypatch):
+    from dataclasses import replace
+
+    import vancast.engine as engine
+    from vancast.mobility import ScheduleError
+    from vancast.roadnet import Edge, RoadGraph, save_road_graph
+
+    # node 3 lies 4.8 km off a 200 m road and has no edge
+    path = tmp_path / "net.txt"
+    save_road_graph(RoadGraph([0.0, 100.0, 200.0, 5_000.0], [0.0] * 4,
+                              [Edge(0, 0, 1, 100.0, False), Edge(1, 1, 2, 100.0, False)]),
+                    str(path))
+    cfg = ExperimentConfig(graph_file=str(path), n_vehicles=4, seed_rate=0.25,
+                           mean_trips=0.3, max_trip_dist=1_000.0, dt=60.0,
+                           sim_duration=3 * 86_400.0, master_seed=5)
+    drawn, real = [], engine.assign_trips
+    monkeypatch.setattr(engine, "assign_trips", lambda *a, **k: drawn.append(1) or real(*a, **k))
+    with pytest.raises(ScheduleError, match="no destination within 1000 m of node 3"):
+        init_sim(cfg)
+    assert drawn == []  # refused before day 0's draw
+    monkeypatch.undo()
+    # with no trips to draw, or no time to drive them, the home is never left
+    assert init_sim(replace(cfg, mean_trips=0.0)).tick == 0
+    assert run(replace(cfg, sim_duration=0.0)).tick == 0
 
 
 # --- the span pass against a per-tick reference --------------------------------
@@ -735,7 +763,8 @@ def reference_step(state, ref):
     if cfg.parked_exchange:
         for vs in states:
             if vs.phase is Phase.PARKED:
-                positions[vs.vehicle_id] = state.graph.node_pos(vs.node)
+                positions[vs.vehicle_id] = (state.graph.node_x[vs.node],
+                                            state.graph.node_y[vs.node])
     contacts = brute_force_pairs(positions, cfg.comm_range)
 
     gain = cfg.transfer_rate / (8.0 * cfg.wire_bytes()) * cfg.dt
@@ -799,19 +828,15 @@ def radio(seen):
 
 
 def drive_in_spans(monkeypatch, state, n_steps, span_len, seen):
-    """Step state in spans of up to span_len ticks, rolling days as run()
+    """Step state in spans of up to span_len ticks, laying out days as run()
     does; every span's rows and contacts are appended to seen."""
     import vancast.engine as engine
-    from vancast.mobility import DAY_LEN
 
     spy_on_contacts(monkeypatch, seen)
-    per_day = state.cfg.steps(DAY_LEN, "one day")
     while state.tick < n_steps:
-        t0 = state.tick
-        if t0 and t0 % per_day == 0:
-            state.day += 1
+        if state.tick == state.end:
             engine._new_day(state)
-        engine.step(state, min(t0 + span_len, (t0 // per_day + 1) * per_day, n_steps) - t0)
+        engine.step(state, min(span_len, state.end - state.tick))
     monkeypatch.undo()
 
 
@@ -856,9 +881,8 @@ def test_span_pass_matches_per_tick_reference(monkeypatch, case):
     expect_rows, expect_contacts = [], []
     on_road_at_midnight = None
     while single.tick < n_steps:
-        if single.tick and single.tick % per_day == 0:
+        if single.tick == single.end:
             on_road_at_midnight = len(ref["enroute"])
-            single.day += 1
             engine._new_day(single)
             reference_new_day(single, ref, drawn[-1])
         tick = single.tick
@@ -878,7 +902,7 @@ def test_span_pass_matches_per_tick_reference(monkeypatch, case):
     assert expect_contacts and spans.completed_count > len(spans.seeds)
     assert ref["late"] > 0 and ref["due_on_arrival"] > 0
     if case == "day":
-        assert spans.day == 1 and on_road_at_midnight > 0
+        assert spans.tick // per_day == 1 and on_road_at_midnight > 0
         assert len(drawn) == 3  # day 0, then day 1 for each run
 
 

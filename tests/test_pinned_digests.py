@@ -1,8 +1,9 @@
 """Byte-exact outputs: sha256 of run.csv for small pinned configurations.
 
 The digests were recorded with the one-tick-at-a-time engine, before
-steps were simulated in spans; any change to them is a change in the
-simulated results and must be documented as one.
+steps were simulated in spans, except ``off_grid_end``'s, recorded
+before ``run`` built its samples in one pass; any change to them is a
+change in the simulated results and must be documented as one.
 """
 
 import hashlib
@@ -39,6 +40,10 @@ CASES = {
         dict(master_seed=17, n_vehicles=30, mean_trips=400.0, speed=4.0,
              transfer_rate=1_000.0),
         "b0fe3220dc9e0acb545a0db71f62dc74f0c93f38662805a6f377bf82e59dfb55"),
+    # the run ends 30 s past the last 60 s sample, and a vehicle completes
+    # in those 30 s: the final sample is off the grid and counts it
+    "off_grid_end": (dict(master_seed=28, sim_duration=7_230.0),
+                     "09e6aa5d3ba23e3e7c469fd40f0ae07bf3e880a7391a7fd41ea231a619e1a404"),
 }
 
 

@@ -1,0 +1,74 @@
+"""Property tests: text formats read back exactly what was written."""
+
+import os
+import tempfile
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from vancast.config import ROUTING_POLICIES, ExperimentConfig, config_lines, parse_config
+from vancast.roadnet import Edge, RoadGraph, load_road_graph, save_road_graph
+
+positive = st.floats(min_value=0.0, exclude_min=True, allow_nan=False, allow_infinity=False)
+finite = st.floats(allow_nan=False, allow_infinity=False)
+unit = st.floats(min_value=0.0, max_value=1.0)
+count = st.integers(min_value=1, max_value=10**9)
+# free text for a value: no comment mark, line break or edge whitespace
+text = st.text(st.characters(exclude_characters="#", exclude_categories=("Cc", "Zl", "Zp")),
+               max_size=20).map(str.strip)
+
+
+@st.composite
+def configs(draw):
+    cols = draw(st.integers(1, 30))
+    n_chunks = draw(count)
+    # dt divides one day; spans are whole numbers of steps
+    dt = draw(st.sampled_from([0.1, 0.25, 0.5, 1.0, 2.7, 5.0, 60.0, 86_400.0]))
+    # "" and "none" read back as no graph file
+    graph_file = draw(st.none() | text.filter(lambda s: s and s.lower() != "none"))
+    return ExperimentConfig(
+        rows=draw(st.integers(1, 30)), cols=cols, block_len=draw(positive),
+        main_cols=sorted(draw(st.sets(st.integers(0, cols - 1)))), graph_file=graph_file,
+        n_vehicles=draw(count), seed_rate=draw(unit), n_chunks=n_chunks,
+        decode_threshold=draw(st.integers(1, n_chunks)), file_size=draw(count),
+        transfer_rate=draw(positive), comm_range=draw(positive),
+        parked_exchange=draw(st.booleans()), share_bandwidth=draw(st.booleans()),
+        mean_trips=draw(st.just(0.0) | positive), max_trip_dist=draw(positive),
+        speed=draw(positive), routing_policy=draw(st.sampled_from(ROUTING_POLICIES)),
+        main_road_fraction=draw(unit), dt=dt,
+        sim_duration=draw(st.integers(0, 10**7)) * dt,
+        sample_interval=draw(st.integers(1, 10**7)) * dt,
+        master_seed=draw(st.integers(-(2**63), 2**63)), replicates=draw(count),
+        out_dir=draw(text),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(configs())
+def test_config_lines_parse_back_to_the_same_config(cfg):
+    cfg.validate()
+    assert parse_config("\n".join(config_lines(cfg))) == cfg
+
+
+@st.composite
+def road_graphs(draw):
+    n = draw(st.integers(2, 12))
+    xs = draw(st.lists(finite, min_size=n, max_size=n))
+    ys = draw(st.lists(finite, min_size=n, max_size=n))
+    ends = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                         .filter(lambda e: e[0] != e[1]), min_size=1, max_size=30))
+    edges = [Edge(i, a, b, draw(positive), draw(st.booleans())) for i, (a, b) in enumerate(ends)]
+    return RoadGraph(xs, ys, edges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(road_graphs())
+def test_saved_road_graph_loads_back_exactly(g):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "g.txt")
+        save_road_graph(g, path)
+        h = load_road_graph(path)
+    assert (h.node_x, h.node_y, h.edges) == (g.node_x, g.node_y, g.edges)

@@ -80,8 +80,8 @@ def test_grid_counts_closed_form(rows, cols):
 def test_grid_coordinates_and_ids():
     g = generate_manhattan_grid(3, 4, 50.0)
     # row-major ids: node (row 2, col 3) is 2*4+3
-    assert g.node_pos(11) == (150.0, 100.0)
-    assert g.node_pos(0) == (0.0, 0.0)
+    assert (g.node_x[11], g.node_y[11]) == (150.0, 100.0)
+    assert (g.node_x[0], g.node_y[0]) == (0.0, 0.0)
 
 
 def test_grid_main_flags_only_on_vertical_edges():
