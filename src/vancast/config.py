@@ -108,6 +108,8 @@ class ExperimentConfig:
             for c in self.main_cols:
                 if not (0 <= c < self.cols):
                     raise ValueError(f"main column {c} outside 0..{self.cols - 1}")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
         self.steps(DAY_LEN, "one day")
         self.steps(self.sim_duration, "sim_duration")
         self.steps(self.sample_interval, "sample_interval")

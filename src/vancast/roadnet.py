@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import heapq
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,7 +69,10 @@ class RoadGraph:
         # relaxes them and no route walk takes them.
         self.main_weights = [e.length if e.main else np.inf for e in self.edges]
         self.main_nodes = sorted({v for e in self.edges if e.main for v in (e.a, e.b)})
+        self._length_array = np.array(self.lengths)
         self._dist_cache: dict[int, np.ndarray] = {}
+        self._dist_lists: dict[int, list[float]] = {}
+        self._within: dict[tuple[int, float], tuple[int, ...]] = {}
 
     @property
     def n_nodes(self) -> int:
@@ -88,37 +92,65 @@ class RoadGraph:
         inflated weights of :func:`random_route`, and ``main_weights``,
         whose inf entries confine the search to main roads.
 
-        With ``target`` the search stops once target is settled: every
-        node nearer src than target holds its final distance, others may
-        hold an upper bound.  That is all a route walk from target needs,
-        since it only steps to strictly nearer nodes.
+        With ``target`` the search is A* (Hart, Nilsson & Raphael, 1968)
+        toward target.  Its heuristic is the cached true-length field
+        ``self.dijkstra(target)``.  That heuristic is consistent, because
+        every weight vector searched is edgewise at least ``lengths``:
+        the lengths themselves, their per-trip inflations, and
+        ``main_weights``.  So a node is settled with its exact distance,
+        in order of distance plus heuristic.  Once target settles, the
+        search keeps settling until that order passes target's key: then
+        every node on any shortest path to target is settled, including
+        the ones tied with target.  That is all a route walk from target
+        needs, since it only steps to strictly nearer nodes; farther
+        nodes may hold an upper bound or inf.
         """
         if weights is None and src in self._dist_cache:
             return self._dist_cache[src]
         w = self.lengths if weights is None else weights
-        dist = np.full(self.n_nodes, np.inf)
+        n = self.n_nodes
+        if target is None:
+            h = [0.0] * n
+        else:
+            h = self._dist_lists.get(target)
+            if h is None:
+                h = self._dist_lists[target] = self.dijkstra(target).tolist()
+        adjacency = self.adjacency
+        dist = [np.inf] * n
+        settled = [False] * n
         dist[src] = 0.0
-        heap = [(0.0, src)]
+        heap = [(h[src], src)]
+        last_key = np.inf
         while heap:
-            d, u = heapq.heappop(heap)
-            if d > dist[u]:
-                continue
-            if u == target:
+            key, u = heapq.heappop(heap)
+            if key > last_key:
                 break
-            for v, eid in self.adjacency[u]:
+            if settled[u]:
+                continue
+            settled[u] = True
+            if u == target:
+                last_key = key
+                continue
+            d = dist[u]
+            for v, eid in adjacency[u]:
                 nd = d + w[eid]
                 if nd < dist[v]:
                     dist[v] = nd
-                    heapq.heappush(heap, (nd, v))
+                    heapq.heappush(heap, (nd + h[v], v))
+        out = np.array(dist)
         if weights is None and target is None:
-            self._dist_cache[src] = dist
-        return dist
+            self._dist_cache[src] = out
+        return out
 
-    def nodes_within(self, src: int, max_dist: float) -> list[int]:
-        """Nodes at positive road distance <= max_dist from src, sorted."""
-        dist = self.dijkstra(src)
-        out = np.flatnonzero((dist > 0) & (dist <= max_dist))
-        return [int(v) for v in out]
+    def nodes_within(self, src: int, max_dist: float) -> tuple[int, ...]:
+        """Nodes at positive road distance <= max_dist from src, sorted.
+        Cached per ``(src, max_dist)``."""
+        near = self._within.get((src, max_dist))
+        if near is None:
+            dist = self.dijkstra(src)
+            near = tuple(int(v) for v in np.flatnonzero((dist > 0) & (dist <= max_dist)))
+            self._within[(src, max_dist)] = near
+        return near
 
 
 @dataclass(frozen=True)
@@ -157,7 +189,8 @@ def _walk_route(
     path (dist[u] == weight + dist[v]); neighbors are scanned in node
     id order so ties resolve identically on every run.
     """
-    if not np.isfinite(dist_from_dst[src]):
+    dist = dist_from_dst.tolist()
+    if not math.isfinite(dist[src]):
         raise ValueError(f"no path from {src} to {dst}")
     nodes = [src]
     edge_ids: list[int] = []
@@ -166,11 +199,10 @@ def _walk_route(
     guard = g.n_nodes + 1
     while u != dst:
         for v, eid in g.adjacency[u]:
-            if dist_from_dst[u] == weights[eid] + dist_from_dst[v]:
-                true_len = g.edges[eid].length
+            if dist[u] == weights[eid] + dist[v]:
                 nodes.append(v)
                 edge_ids.append(eid)
-                cum.append(cum[-1] + true_len)
+                cum.append(cum[-1] + g.lengths[eid])
                 u = v
                 break
         else:
@@ -210,7 +242,7 @@ def random_route(
     if src == dst:
         return Route((src,), (), (0.0,))
     factors = rng.uniform(1.0, max_factor, size=g.n_edges)
-    weights = [length * f for length, f in zip(g.lengths, factors)]
+    weights = (g._length_array * factors).tolist()
     dist = g.dijkstra(dst, weights, target=src)
     return _walk_route(g, src, dst, dist, weights)
 
@@ -258,7 +290,7 @@ def main_road_route(g: RoadGraph, src: int, dst: int) -> Route:
         for i, eid in enumerate(leg.edge_ids):
             nodes.append(leg.nodes[i + 1])
             edge_ids.append(eid)
-            cum.append(cum[-1] + g.edges[eid].length)
+            cum.append(cum[-1] + g.lengths[eid])
     return Route(tuple(nodes), tuple(edge_ids), tuple(cum))
 
 

@@ -167,6 +167,12 @@ def test_parse_config_validates_result():
         parse_config("seed_rate = 7")
 
 
+def test_parse_config_refuses_a_negative_master_seed():
+    with pytest.raises(ValueError, match="^master_seed must be >= 0, got -3$"):
+        parse_config("master_seed = -3")
+    assert parse_config("master_seed = 0").master_seed == 0
+
+
 def test_config_lines_roundtrip():
     cfg = ExperimentConfig(
         n_vehicles=77,
@@ -347,6 +353,16 @@ def test_cli_seed_flag_changes_run(tmp_path):
     # different seed may pick the other vehicle as the seed; the run
     # itself still exists and parses
     assert (out3 / "run.csv").read_text().startswith("time_s,")
+
+
+@pytest.mark.parametrize("command", [["run"], ["sweep", "--param", "seed_rate",
+                                                 "--values", "0.5"]])
+def test_cli_refuses_a_negative_seed_before_running(tmp_path, capsys, command):
+    out = tmp_path / "o"
+    code = main([*command, *tiny_args(), "--seed", "-3", "--out", str(out), "--quiet"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: master_seed must be >= 0, got -3")
+    assert not out.exists()
 
 
 def test_cli_sweep(tmp_path, capsys):

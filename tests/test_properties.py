@@ -1,8 +1,10 @@
-"""Property tests: text formats read back exactly what was written."""
+"""Property tests: text formats read back exactly what was written, and a
+search stopped at its target walks the same routes as a full one."""
 
 import os
 import tempfile
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -10,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vancast.config import ROUTING_POLICIES, ExperimentConfig, config_lines, parse_config
-from vancast.roadnet import Edge, RoadGraph, load_road_graph, save_road_graph
+from vancast.roadnet import Edge, RoadGraph, _walk_route, load_road_graph, save_road_graph
 
 positive = st.floats(min_value=0.0, exclude_min=True, allow_nan=False, allow_infinity=False)
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -41,7 +43,7 @@ def configs(draw):
         main_road_fraction=draw(unit), dt=dt,
         sim_duration=draw(st.integers(0, 10**7)) * dt,
         sample_interval=draw(st.integers(1, 10**7)) * dt,
-        master_seed=draw(st.integers(-(2**63), 2**63)), replicates=draw(count),
+        master_seed=draw(st.integers(0, 2**63)), replicates=draw(count),
         out_dir=draw(text),
     )
 
@@ -72,3 +74,36 @@ def test_saved_road_graph_loads_back_exactly(g):
         save_road_graph(g, path)
         h = load_road_graph(path)
     assert (h.node_x, h.node_y, h.edges) == (g.node_x, g.node_y, g.edges)
+
+
+@st.composite
+def tied_graphs(draw):
+    """Connected graphs with integer lengths 1-3, so shortest paths tie,
+    plus one inflation factor in [1, 3] per edge."""
+    n = draw(st.integers(2, 14))
+    ends = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}  # a spanning tree
+    for a, b in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                              max_size=2 * n)):
+        if a != b:
+            ends.add((min(a, b), max(a, b)))
+    edges = [Edge(i, a, b, float(draw(st.integers(1, 3))), draw(st.booleans()))
+             for i, (a, b) in enumerate(sorted(ends))]
+    factors = draw(st.lists(st.floats(1.0, 3.0), min_size=len(edges), max_size=len(edges)))
+    return RoadGraph([float(v) for v in range(n)], [0.0] * n, edges), factors
+
+
+@settings(max_examples=200, deadline=None)
+@given(tied_graphs())
+def test_targeted_search_walks_the_same_routes_as_a_full_search(case):
+    g, factors = case
+    inflated = [length * f for length, f in zip(g.lengths, factors)]
+    for weights in (g.lengths, inflated, g.main_weights):
+        for dst in range(g.n_nodes):
+            full = g.dijkstra(dst, weights)
+            for src in range(g.n_nodes):
+                if src == dst or not np.isfinite(full[src]):
+                    continue
+                stopped = g.dijkstra(dst, weights, target=src)
+                assert stopped[src] == full[src]
+                assert (_walk_route(g, src, dst, stopped, weights)
+                        == _walk_route(g, src, dst, full, weights))

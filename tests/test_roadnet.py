@@ -397,10 +397,26 @@ def test_main_road_route_stays_in_entry_component_and_breaks_ties():
 def test_nodes_within_excludes_self_and_sorts():
     g = generate_manhattan_grid(5, 5, 100.0)
     near = g.nodes_within(12, 100.0)
-    assert near == [7, 11, 13, 17]
-    assert g.nodes_within(12, 50.0) == []
+    assert near == (7, 11, 13, 17)
+    assert g.nodes_within(12, 50.0) == ()
     everywhere = g.nodes_within(12, 10_000.0)
     assert len(everywhere) == 24
+
+
+def test_nodes_within_caches_one_tuple_per_origin_and_radius():
+    g = generate_manhattan_grid(6, 7, 100.0, main_cols=[3])
+    for src in range(g.n_nodes):
+        for max_dist in (0.0, 100.0, 250.0, 450.0, 10_000.0):
+            near = g.nodes_within(src, max_dist)
+            assert isinstance(near, tuple)
+            assert near is g.nodes_within(src, max_dist)
+            dist = g.dijkstra(src)
+            # every node at a distance in (0, max_dist], in id order
+            assert list(near) == [v for v in range(g.n_nodes) if 0 < dist[v] <= max_dist]
+    # keyed on both: same origin at another radius, another origin at this one
+    assert g.nodes_within(0, 100.0) == (1, 7)
+    assert g.nodes_within(0, 200.0) == (1, 2, 7, 8, 14)
+    assert g.nodes_within(8, 100.0) == (1, 7, 9, 15)
 
 
 def test_dijkstra_cache_does_not_leak_into_custom_weights():
@@ -447,6 +463,30 @@ def test_dijkstra_stopped_at_the_target_walks_the_same_routes():
                             == _walk_route(g, src, dst, full, weights))
                     checked += 1
     assert checked > 10_000
+
+
+def test_random_route_walks_the_untargeted_search_on_the_default_grid():
+    """A* toward the origin walks what a full search on the same draw walks."""
+    from vancast.config import ExperimentConfig
+    from vancast.engine import build_graph
+    from vancast.roadnet import _walk_route
+
+    g = build_graph(ExperimentConfig())
+    assert (g.n_nodes, len(g.main_nodes)) == (100, 30)
+    rng = np.random.default_rng(2979)
+    checked = 0
+    while checked < 3_000:
+        src, dst = (int(v) for v in rng.integers(g.n_nodes, size=2))
+        if src == dst:
+            continue
+        draw = np.random.default_rng()
+        draw.bit_generator.state = rng.bit_generator.state
+        factors = draw.uniform(1.0, 3.0, size=g.n_edges)
+        weights = [length * f for length, f in zip(g.lengths, factors)]
+        reference = _walk_route(g, src, dst, g.dijkstra(dst, weights), weights)
+        assert random_route(g, src, dst, rng) == reference
+        assert rng.bit_generator.state == draw.bit_generator.state
+        checked += 1
 
 
 def test_dijkstra_with_a_target_is_not_cached():
