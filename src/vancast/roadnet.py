@@ -15,7 +15,9 @@ from __future__ import annotations
 import heapq
 import logging
 import math
+import sys
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -71,8 +73,10 @@ class RoadGraph:
         self.main_nodes = sorted({v for e in self.edges if e.main for v in (e.a, e.b)})
         self._length_array = np.array(self.lengths)
         self._dist_cache: dict[int, np.ndarray] = {}
-        self._dist_lists: dict[int, list[float]] = {}
         self._within: dict[tuple[int, float], tuple[int, ...]] = {}
+        # One int object per node id, shared by every cached tuple, so a
+        # tuple costs a pointer per node rather than an int each.
+        self._node_ids = list(range(n))
 
     @property
     def n_nodes(self) -> int:
@@ -93,17 +97,22 @@ class RoadGraph:
         whose inf entries confine the search to main roads.
 
         With ``target`` the search is A* (Hart, Nilsson & Raphael, 1968)
-        toward target.  Its heuristic is the cached true-length field
-        ``self.dijkstra(target)``.  That heuristic is consistent, because
-        every weight vector searched is edgewise at least ``lengths``:
-        the lengths themselves, their per-trip inflations, and
-        ``main_weights``.  So a node is settled with its exact distance,
-        in order of distance plus heuristic.  Once target settles, the
-        search keeps settling until that order passes target's key: then
-        every node on any shortest path to target is settled, including
-        the ones tied with target.  That is all a route walk from target
-        needs, since it only steps to strictly nearer nodes; farther
-        nodes may hold an upper bound or inf.
+        toward target.  Only the nodes a route walk from target needs are
+        sure to hold the full search's distance; others may hold an upper
+        bound or inf.  The heuristic is the cached true-length field of
+        target.  It is consistent because every weight vector searched is
+        edgewise at least ``lengths`` (the lengths, their per-trip
+        inflations, ``main_weights``), so in exact arithmetic every node
+        on a shortest path to target has a key (distance plus heuristic)
+        of at most target's distance.  Rounding can put such a key a few
+        ulps above target's, and can expand a node before its last
+        improvement.  So a node whose distance drops after it was
+        expanded is expanded again, and once target is expanded at
+        distance d the search drains every key up to ``d * (1 + 4 n
+        eps)`` for n nodes: rounded sums over at most n - 1 edges stray
+        from the exact ones by less than that factor.  Then every node
+        on a shortest path to target holds the full search's distance,
+        since no search assigns a node less than the full search does.
         """
         if weights is None and src in self._dist_cache:
             return self._dist_cache[src]
@@ -112,26 +121,25 @@ class RoadGraph:
         if target is None:
             h = [0.0] * n
         else:
-            h = self._dist_lists.get(target)
-            if h is None:
-                h = self._dist_lists[target] = self.dijkstra(target).tolist()
+            field = self._dist_cache.get(target)
+            h = (self.dijkstra(target) if field is None else field).tolist()
+        slack = 1.0 + 4 * n * sys.float_info.epsilon
         adjacency = self.adjacency
-        dist = [np.inf] * n
-        settled = [False] * n
+        dist = [math.inf] * n
+        expanded = [math.inf] * n  # the distance each node was last expanded at
         dist[src] = 0.0
         heap = [(h[src], src)]
-        last_key = np.inf
+        bound = math.inf
         while heap:
             key, u = heapq.heappop(heap)
-            if key > last_key:
+            if key > bound:
                 break
-            if settled[u]:
-                continue
-            settled[u] = True
-            if u == target:
-                last_key = key
-                continue
             d = dist[u]
+            if expanded[u] <= d:
+                continue
+            expanded[u] = d
+            if u == target:
+                bound = d * slack
             for v, eid in adjacency[u]:
                 nd = d + w[eid]
                 if nd < dist[v]:
@@ -148,7 +156,7 @@ class RoadGraph:
         near = self._within.get((src, max_dist))
         if near is None:
             dist = self.dijkstra(src)
-            near = tuple(int(v) for v in np.flatnonzero((dist > 0) & (dist <= max_dist)))
+            near = tuple(compress(self._node_ids, ((dist > 0) & (dist <= max_dist)).tolist()))
             self._within[(src, max_dist)] = near
         return near
 

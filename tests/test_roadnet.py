@@ -489,6 +489,26 @@ def test_random_route_walks_the_untargeted_search_on_the_default_grid():
         checked += 1
 
 
+@pytest.mark.parametrize("lengths, src, dst, nodes", [
+    # 3-2 and 3-0-1-2 are both 0.6 long, but node 1's key in the search
+    # from 2, 0.3 + (0.1 + 0.2), rounds one ulp above 0.6: the drain must
+    # still reach node 0, which the walk from 3 tries first.
+    ([(1, 2, 0.3), (0, 1, 0.2), (0, 3, 0.1), (2, 3, 0.6)], 3, 2, (3, 0, 1, 2)),
+    # In the search from 3, node 1 is expanded at 0.6 + 0.2 = 0.8 before
+    # 0.7 + 0.1 = 0.7999999999999999 lowers it; only its second expansion
+    # puts node 4 at the full search's 1.0999999999999999, below 1.1.
+    ([(0, 1, 0.2), (0, 2, 0.6), (0, 3, 0.6), (0, 4, 0.6), (1, 2, 0.1),
+      (1, 3, 1.1), (1, 4, 0.3), (2, 3, 0.7), (2, 4, 0.7), (3, 4, 1.1)], 4, 3, (4, 1, 2, 3)),
+], ids=["key-rounds-above-target", "distance-drops-after-expansion"])
+def test_targeted_search_walks_the_full_search_route_under_rounding(lengths, src, dst, nodes):
+    n = 1 + max(max(a, b) for a, b, _ in lengths)
+    g = RoadGraph([float(v) for v in range(n)], [0.0] * n,
+                  [Edge(i, a, b, length, True) for i, (a, b, length) in enumerate(lengths)])
+    assert shortest_path(g, src, dst).nodes == nodes
+    assert random_route(g, src, dst, np.random.default_rng(0), max_factor=1.0).nodes == nodes
+    assert main_road_route(g, src, dst).nodes == nodes  # every edge is main
+
+
 def test_dijkstra_with_a_target_is_not_cached():
     g = generate_manhattan_grid(4, 4, 100.0)
     part = g.dijkstra(0, target=1)
