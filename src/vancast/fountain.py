@@ -12,6 +12,16 @@ Field arithmetic uses the AES polynomial x^8 + x^4 + x^3 + x + 1
 (0x11B): addition is XOR, and products and inverses are read from the
 dense tables ``GF_MUL[a, b]`` and ``GF_INV[a]`` built at import time
 (``GF_INV[0]`` is 0, as zero has no inverse).
+
+All payload arithmetic is one kernel, :func:`gf_matmul`, a blocked
+matrix product built from XORs of doubled rows.  Encoding is one product
+of the coded ids' coefficient rows by the symbols.  Decoding places the
+held systematic symbols by index and solves for the missing ones only:
+one Gauss-Jordan over the coded rows' coefficients on the missing
+columns picks the pivot rows and their inverse, and two products give
+the symbols.  :func:`rank` runs the same elimination without payloads,
+and :class:`DecoderState` tracks rank row by row, then hands its rows
+to the same solver.
 """
 
 from __future__ import annotations
@@ -62,6 +72,58 @@ def _build_tables() -> tuple[np.ndarray, np.ndarray]:
 
 
 GF_MUL, GF_INV = _build_tables()
+
+# Rows of X per block of gf_matmul.  At the default 1334-byte symbols a
+# block's 8 doublings take 342 kB, and the rows picked from them at most
+# as much again, so the kernel's temporaries stay under 1 MB.
+_BLOCK = 32
+_BYTE_LOW_BITS = np.uint64(0x0101010101010101)
+_BYTE_HIGH_BITS = np.uint64(0xFEFEFEFEFEFEFEFE)
+_POLY_LOW = np.uint64(GF_POLY & 0xFF)
+_BIT_SHIFTS = np.arange(8, dtype=np.uint8)
+
+
+def _double(words: np.ndarray) -> np.ndarray:
+    """2·x for every byte of a uint64 array, 8 bytes a word at a time.
+
+    Each byte shifts left; bytes whose top bit fell off are reduced by
+    the low byte of the field polynomial.
+    """
+    carry = (words >> 7) & _BYTE_LOW_BITS
+    return ((words << 1) & _BYTE_HIGH_BITS) ^ (carry * _POLY_LOW)
+
+
+def gf_matmul(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Matrix product (m×n)·(n×S) over GF(256), as a (m, S) uint8 array.
+
+    X is taken in blocks of ``_BLOCK`` rows, each row zero-padded to
+    whole uint64 words.  For a block the 8 doublings 2^t·X_j are built
+    once; output row i then gains the XOR of the doubled rows picked by
+    the set bits of A[i, j], since a·x is the XOR of 2^t·x over the set
+    bits t of a.
+    """
+    a = np.asarray(a, dtype=np.uint8)
+    x = np.asarray(x, dtype=np.uint8)
+    if a.ndim != 2 or x.ndim != 2 or a.shape[1] != x.shape[0]:
+        raise ValueError(f"cannot multiply shapes {a.shape} and {x.shape}")
+    m, n = a.shape
+    size = x.shape[1]
+    words = -(-size // 8)
+    out = np.zeros((m, words), dtype=np.uint64)
+    planes = np.zeros((min(n, _BLOCK), 8, words), dtype=np.uint64)
+    padded = planes.view(np.uint8)
+    for b0 in range(0, n, _BLOCK):
+        nb = min(_BLOCK, n - b0)
+        padded[:nb, 0, :size] = x[b0 : b0 + nb]
+        for t in range(1, 8):
+            planes[:nb, t] = _double(planes[:nb, t - 1])
+        doubled = planes[:nb].reshape(nb * 8, words)
+        bits = ((a[:, b0 : b0 + nb, None] >> _BIT_SHIFTS) & 1).astype(bool)
+        for i, pick in enumerate(bits.reshape(m, nb * 8)):
+            sel = doubled[pick]
+            if len(sel):
+                out[i] ^= np.bitwise_xor.reduce(sel, axis=0)
+    return out.view(np.uint8)[:, :size]
 
 
 def derive_coefficients(chunk_id: int, k: int) -> np.ndarray:
@@ -163,20 +225,18 @@ def encode(
     """Produce the n coded chunks (ids 0..n-1) for a file.
 
     The first k chunks are the file symbols themselves; the rest are
-    GF(256) linear combinations under :func:`derive_coefficients`.
+    GF(256) linear combinations under :func:`derive_coefficients`,
+    computed as one :func:`gf_matmul` of their coefficient rows by the
+    symbols.
     """
     if n < k:
         raise ValueError(f"need n >= k, got n={n} k={k}")
     block = SourceBlock.from_file(data, k, symbol_size)
     syms = block.symbols
-    chunks = [CodedChunk(i, syms[i].tobytes()) for i in range(k)]
-    for cid in range(k, n):
-        coeffs = derive_coefficients(cid, k)
-        nz = np.flatnonzero(coeffs)
-        terms = GF_MUL[coeffs[nz][:, None], syms[nz]]
-        payload = np.bitwise_xor.reduce(terms, axis=0)
-        chunks.append(CodedChunk(cid, payload.tobytes()))
-    return chunks
+    coded = gf_matmul(_coefficient_rows(range(k, n), k), syms)
+    return [CodedChunk(i, syms[i].tobytes()) for i in range(k)] + [
+        CodedChunk(k + j, row.tobytes()) for j, row in enumerate(coded)
+    ]
 
 
 class RankDeficientError(ValueError):
@@ -188,14 +248,122 @@ class RankDeficientError(ValueError):
         self.k = k
 
 
-class DecoderState:
-    """Incremental Gaussian elimination over GF(256).
+def _coefficient_rows(ids, k: int) -> np.ndarray:
+    """Read-only (len(ids), k) coefficient matrix of coded ids (all >= k)."""
+    raw = b"".join(_coeff_bytes(int(cid), k) for cid in ids)
+    return np.frombuffer(raw, dtype=np.uint8).reshape(-1, k)
 
-    Rows are absorbed one at a time and reduced against the pivots seen
-    so far, so the rank is known after every absorb and a decoder can
-    stop listening the moment it hits rank k.  Stored pivot rows are
-    normalized to a leading 1 but not back-eliminated; ``solve`` runs
-    the back-substitution once at the end.
+
+def _gauss_jordan(rows: np.ndarray, ncols: int) -> np.ndarray:
+    """Reduce ``rows`` in place to reduced echelon form on its first ncols columns.
+
+    Row operations run across the full width, so columns to the right
+    of ``ncols`` ride along (an identity block there ends up holding
+    the inverse).  The pivot of each column is the first row, in row
+    order, not yet used as a pivot with a nonzero entry there.  Returns
+    the pivot row of each of the ncols columns, -1 where there is none;
+    the rank is the number of pivots.
+    """
+    free = np.ones(len(rows), dtype=bool)
+    pivots = np.full(ncols, -1, dtype=np.intp)
+    for c in range(ncols):
+        col = rows[:, c]
+        cand = np.flatnonzero(free & (col != 0))
+        if cand.size == 0:
+            continue
+        p = cand[0]
+        free[p] = False
+        pivots[c] = p
+        lead = rows[p, c]
+        if lead != 1:
+            rows[p, c:] = GF_MUL[GF_INV[lead], rows[p, c:]]
+        hit = np.flatnonzero(col)
+        hit = hit[hit != p]
+        if hit.size:
+            # Columns left of c are already zero in the pivot row.
+            rows[hit, c:] ^= np.take(GF_MUL[col[hit]], rows[p, c:], axis=1)
+    return pivots
+
+
+def _solve(
+    symbols: np.ndarray, known: np.ndarray, coeffs: np.ndarray, payloads: np.ndarray
+) -> None:
+    """Fill the rows of ``symbols`` not flagged in ``known``, in place.
+
+    ``known`` flags the columns K whose symbols are already placed;
+    ``coeffs`` and ``payloads`` are the other received rows, with
+    ``coeffs · symbols = payloads``.  With M the missing columns, one
+    Gauss-Jordan over the coefficients on M (augmented with an
+    identity) picks r = |M| pivot rows and the inverse of their square
+    block B, and two matrix products finish the job:
+
+        S_M = B^-1 · (P ⊕ A_K · S_K)
+
+    over the pivot rows only.  Raises :class:`RankDeficientError` with
+    rank |K| + rank(coeffs on M) when the rows do not span.
+    """
+    miss = np.flatnonzero(~known)
+    r, c = miss.size, len(coeffs)
+    if r == 0:
+        return
+    work = np.zeros((c, r + c), dtype=np.uint8)
+    work[:, :r] = coeffs[:, miss]
+    work[:, r:] = np.eye(c, dtype=np.uint8)
+    pivots = _gauss_jordan(work, r)
+    found = int(np.count_nonzero(pivots >= 0))
+    if found < r:
+        raise RankDeficientError(len(known) - r + found, len(known))
+    # A_K · S_K as a product with all of S, the missing columns zeroed in
+    # A: no copy of the known symbols.
+    known_part = coeffs[pivots]
+    known_part[:, miss] = 0
+    rhs = payloads[pivots] ^ gf_matmul(known_part, symbols)
+    symbols[miss] = gf_matmul(work[pivots][:, r + pivots], rhs)
+
+
+def _split_ids(ids, k: int) -> tuple[np.ndarray, list[int]]:
+    """Known-column mask of the systematic ids, and the coded ids in order."""
+    known = np.zeros(k, dtype=bool)
+    coded = []
+    for cid in ids:
+        if cid < 0:
+            raise ValueError(f"chunk ids must be >= 0, got {cid}")
+        if cid < k:
+            known[cid] = True
+        else:
+            coded.append(cid)
+    coded.sort()
+    return known, coded
+
+
+def rank(ids, k: int) -> int:
+    """Rank of the coefficient rows of a set of chunk ids (duplicates ignored).
+
+    It is the number of distinct systematic ids plus the rank of the
+    coded ids' coefficients on the missing systematic columns, found by
+    the elimination :func:`decode` uses, with no payload work.  The set
+    decodes iff the rank is k.
+    """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    known, coded = _split_ids({int(cid) for cid in ids}, k)
+    miss = np.flatnonzero(~known)
+    have = k - miss.size
+    if miss.size == 0 or not coded:
+        return have
+    work = _coefficient_rows(coded, k)[:, miss]
+    return have + int(np.count_nonzero(_gauss_jordan(work, miss.size) >= 0))
+
+
+class DecoderState:
+    """Incremental rank over GF(256), then one batch solve.
+
+    Coefficient rows are absorbed one at a time and reduced against the
+    pivots seen so far, so the rank is known after every absorb and a
+    decoder can stop listening the moment it hits rank k.  Payloads take
+    no part in that elimination: each row that raised the rank is kept
+    as received, and ``solve`` hands those k rows to the solver
+    :func:`decode` uses.
     """
 
     def __init__(self, k: int, payload_size: int = 0):
@@ -206,12 +374,16 @@ class DecoderState:
         self.k = k
         self.payload_size = payload_size
         self.rank = 0
-        self._rows = np.zeros((k, k + payload_size), dtype=np.uint8)
+        # Reduced pivot rows, indexed by pivot column; each has a leading 1.
+        self._rows = np.zeros((k, k), dtype=np.uint8)
         self._filled = np.zeros(k, dtype=bool)
-        # Pivot rows whose coefficient part is exactly a unit vector can
-        # all be eliminated in one vectorized pass; with a systematic
-        # code they are the common case by far.
+        # Pivot rows that are exactly a unit vector can all be eliminated
+        # in one vectorized pass; with a systematic code they are the
+        # common case by far.
         self._unit = np.zeros(k, dtype=bool)
+        # The rows that raised the rank, as received, in arrival order.
+        self._raw = np.zeros((k, k), dtype=np.uint8)
+        self._payloads = np.zeros((k, payload_size), dtype=np.uint8)
 
     @property
     def is_complete(self) -> bool:
@@ -220,37 +392,41 @@ class DecoderState:
     def absorb(self, chunk: CodedChunk) -> bool:
         """Absorb a coded chunk.  Returns True if it raised the rank."""
         payload = np.frombuffer(chunk.payload, dtype=np.uint8)
-        if len(payload) != self.payload_size:
-            raise ValueError(
-                f"payload of {len(payload)} bytes, decoder expects "
-                f"{self.payload_size}"
-            )
         return self.absorb_row(derive_coefficients(chunk.chunk_id, self.k), payload)
 
     def absorb_row(self, coeffs: np.ndarray, payload: np.ndarray | None = None) -> bool:
-        """Absorb a raw (coefficients, payload) row.  True if rank grew."""
-        k = self.k
-        row = np.zeros(k + self.payload_size, dtype=np.uint8)
-        row[:k] = coeffs
-        if payload is not None:
-            row[k:] = payload
+        """Absorb a raw (coefficients, payload) row.  True if rank grew.
 
+        The payload may be omitted only when ``payload_size`` is 0.
+        """
+        k = self.k
+        if np.shape(coeffs) != (k,):
+            raise ValueError(
+                f"coeffs has shape {np.shape(coeffs)}, decoder expects ({k},)"
+            )
+        if payload is None:
+            if self.payload_size:
+                raise ValueError(
+                    f"payload missing, decoder expects {self.payload_size} bytes"
+                )
+        elif np.shape(payload) != (self.payload_size,):
+            raise ValueError(
+                f"payload of shape {np.shape(payload)}, decoder expects "
+                f"{self.payload_size} bytes"
+            )
         if self.is_complete:
             return False
 
+        row = np.zeros(k, dtype=np.uint8)
+        row[:] = coeffs
+        raw = row.copy()
         # Fast path: clear every unit-pivot column in one shot.
-        hit = np.flatnonzero(self._unit & (row[:k] != 0))
-        if hit.size:
-            factors = row[hit]
-            if self.payload_size:
-                terms = GF_MUL[factors[:, None], self._rows[hit, k:]]
-                row[k:] ^= np.bitwise_xor.reduce(terms, axis=0)
-            row[hit] = 0
+        row[self._unit] = 0
 
         # General elimination against the remaining pivots.
         col = 0
         while True:
-            nz = np.flatnonzero(row[col:k])
+            nz = np.flatnonzero(row[col:])
             if nz.size == 0:
                 return False
             col += int(nz[0])
@@ -263,33 +439,36 @@ class DecoderState:
             row = GF_MUL[GF_INV[lead], row]
         self._rows[col] = row
         self._filled[col] = True
-        self._unit[col] = int(np.count_nonzero(row[:k])) == 1
+        self._unit[col] = int(np.count_nonzero(row)) == 1
+        self._raw[self.rank] = raw
+        if payload is not None:
+            self._payloads[self.rank] = payload
         self.rank += 1
         return True
 
     def solve(self) -> np.ndarray:
-        """Back-substitute and return the (k, payload_size) symbol array."""
+        """Solve the absorbed rows; return the (k, payload_size) symbol array."""
         if not self.is_complete:
             raise RankDeficientError(self.rank, self.k)
-        k = self.k
-        symbols = np.zeros((k, self.payload_size), dtype=np.uint8)
-        for j in range(k - 1, -1, -1):
-            acc = self._rows[j, k:].copy()
-            nzcols = np.flatnonzero(self._rows[j, j + 1 : k])
-            if nzcols.size:
-                nzcols += j + 1
-                terms = GF_MUL[self._rows[j, nzcols][:, None], symbols[nzcols]]
-                acc ^= np.bitwise_xor.reduce(terms, axis=0)
-            symbols[j] = acc
+        raw = self._raw
+        unit = (np.count_nonzero(raw, axis=1) == 1) & (raw.max(axis=1) == 1)
+        symbols = np.zeros((self.k, self.payload_size), dtype=np.uint8)
+        known = np.zeros(self.k, dtype=bool)
+        cols = raw[unit].argmax(axis=1)
+        symbols[cols] = self._payloads[unit]
+        known[cols] = True
+        _solve(symbols, known, raw[~unit], self._payloads[~unit])
         return symbols
 
 
 def decode(chunks: list[CodedChunk], k: int, original_len: int) -> bytes:
     """Recover the original file from any rank-k set of chunks.
 
+    Systematic payloads are placed by index; the coded chunks, in id
+    order, solve for the missing symbols only (see :func:`_solve`).
     Raises :class:`RankDeficientError` (carrying the achieved rank) if
     the set does not span, and ValueError for malformed input: no
-    chunks, duplicate ids, or mismatched payload sizes.
+    chunks, duplicate or negative ids, or mismatched payload sizes.
     """
     if not chunks:
         raise ValueError("no chunks to decode")
@@ -305,15 +484,23 @@ def decode(chunks: list[CodedChunk], k: int, original_len: int) -> bytes:
             f"original_len {original_len} impossible for k={k}, "
             f"symbol_size={symbol_size}"
         )
-    state = DecoderState(k, symbol_size)
-    # Systematic ids first: they absorb without any elimination work.
-    for chunk in sorted(chunks, key=lambda c: c.chunk_id):
-        state.absorb(chunk)
-        if state.is_complete:
-            break
-    if not state.is_complete:
-        raise RankDeficientError(state.rank, k)
-    return state.solve().tobytes()[:original_len]
+    known, coded = _split_ids(ids, k)
+    by_id = {c.chunk_id: c.payload for c in chunks}
+    symbols = np.zeros((k, symbol_size), dtype=np.uint8)
+    have = np.flatnonzero(known)
+    symbols[have] = _stack([by_id[int(cid)] for cid in have], symbol_size)
+    if have.size < k:
+        _solve(
+            symbols,
+            known,
+            _coefficient_rows(coded, k),
+            _stack([by_id[cid] for cid in coded], symbol_size),
+        )
+    return symbols.tobytes()[:original_len]
+
+
+def _stack(payloads: list[bytes], size: int) -> np.ndarray:
+    return np.frombuffer(b"".join(payloads), dtype=np.uint8).reshape(-1, size)
 
 
 def chunks_to_wire(chunks: list[CodedChunk]) -> bytes:

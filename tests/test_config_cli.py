@@ -419,6 +419,14 @@ def test_cli_codec_selftest(capsys):
     assert "3/3" in text
 
 
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_cli_codec_selftest_refuses_no_trials(trials, capsys):
+    assert main(["codec-selftest", "--trials", trials]) == 2
+    captured = capsys.readouterr()
+    assert "--trials must be >= 1" in captured.err
+    assert "PASS" not in captured.out
+
+
 def test_cli_gen_graph_roundtrips(tmp_path):
     from vancast.roadnet import load_road_graph
 

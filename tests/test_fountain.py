@@ -5,6 +5,8 @@ multiplier, and decoder ranks against a from-scratch elimination that
 shares no code with the package.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,8 @@ from vancast.fountain import (
     decode,
     derive_coefficients,
     encode,
+    gf_matmul,
+    rank,
     wire_to_chunks,
 )
 
@@ -165,6 +169,25 @@ def test_encode_input_validation():
         encode(b"x" * 100, k=4, n=6, symbol_size=10)  # 100 > 4*10
 
 
+@pytest.mark.parametrize(
+    "size, k, n, digest",
+    [
+        (400_000, 300, 450, "b7e222832ea7b1e1f779e294494098cdcf7700a06894269db8a1d23802bf5a2d"),
+        (1000, 77, 131, "659741dccf5e23ac9362b884ac58236e47c7459a86147eba65d82b0845418821"),
+    ],
+)
+def test_encode_wire_bytes_pinned(size, k, n, digest):
+    """Coded payloads are part of the wire format: pin them to the byte.
+
+    The digests were recorded with the per-chunk table-lookup encoder
+    that preceded gf_matmul.  The second geometry has 13-byte symbols,
+    which do not fill whole 8-byte words.
+    """
+    data = np.random.default_rng(size).integers(0, 256, size=size, dtype=np.uint8).tobytes()
+    wire = chunks_to_wire(encode(data, k=k, n=n))
+    assert hashlib.sha256(wire).hexdigest() == digest
+
+
 def test_source_block_symbol_size_inference():
     blk = SourceBlock.from_file(b"x" * 401, k=4)
     assert blk.symbol_size == 101  # ceil(401 / 4)
@@ -200,6 +223,25 @@ def test_roundtrip_random_subset_full_geometry():
     picks = rng.choice(450, size=300, replace=False)
     subset = [chunks[int(i)] for i in picks]
     assert decode(subset, 300, 400_000) == data
+
+
+def test_decode_out_of_order_subsets():
+    """Chunk order does not matter: shuffled subsets of every size decode."""
+    rng = np.random.default_rng(8080)
+    data = rng.integers(0, 256, size=4321, dtype=np.uint8).tobytes()
+    k, n = 40, 90
+    chunks = encode(data, k=k, n=n)
+    for size in (k, k + 1, 55, n):
+        for _ in range(6):
+            picks = rng.permutation(n)[:size]
+            subset = [chunks[int(i)] for i in picks]
+            if rank(picks, k) == k:
+                assert decode(subset, k, len(data)) == data
+            else:
+                with pytest.raises(RankDeficientError):
+                    decode(subset, k, len(data))
+    # only coded chunks, in reverse id order
+    assert decode(chunks[:k - 1:-1], k, len(data)) == data
 
 
 def test_299_chunks_never_enough():
@@ -282,6 +324,89 @@ def test_payload_size_mismatch_rejected():
     state = DecoderState(5, payload_size=4)
     with pytest.raises(ValueError):
         state.absorb(CodedChunk(0, b"abc"))
+
+
+def test_absorb_row_rejects_bad_shapes():
+    state = DecoderState(3, payload_size=2)
+    with pytest.raises(ValueError, match="coeffs"):
+        state.absorb_row(np.array([1, 0], dtype=np.uint8), np.zeros(2, np.uint8))
+    with pytest.raises(ValueError, match="coeffs"):
+        state.absorb_row(np.zeros((3, 1), dtype=np.uint8), np.zeros(2, np.uint8))
+    with pytest.raises(ValueError, match="payload"):
+        state.absorb_row(derive_coefficients(0, 3), np.zeros(3, np.uint8))
+    # Unit rows with no payloads used to "solve" to all-zero symbols.
+    for cid in range(3):
+        with pytest.raises(ValueError, match="payload"):
+            state.absorb_row(derive_coefficients(cid, 3))
+    assert state.rank == 0
+    with pytest.raises(RankDeficientError):
+        state.solve()
+    # a coefficient-only decoder takes no payload bytes
+    with pytest.raises(ValueError, match="payload"):
+        DecoderState(3).absorb_row(derive_coefficients(0, 3), np.zeros(1, np.uint8))
+
+
+def test_solve_with_scaled_unit_rows():
+    """A row with one nonzero coefficient other than 1 is no systematic symbol."""
+    rng = np.random.default_rng(77)
+    k, size = 5, 9
+    symbols = rng.integers(0, 256, size=(k, size), dtype=np.uint8)
+    state = DecoderState(k, payload_size=size)
+    for j in range(k):
+        coeffs = np.zeros(k, dtype=np.uint8)
+        coeffs[j] = 1 if j % 2 else 17 + j
+        assert state.absorb_row(coeffs, gf_matmul(coeffs[None, :], symbols)[0])
+    assert np.array_equal(state.solve(), symbols)
+
+
+def _incremental_rank(ids, k):
+    state = DecoderState(k)
+    for cid in sorted(ids):
+        state.absorb_row(derive_coefficients(cid, k))
+    return state.rank
+
+
+def test_batch_rank_matches_incremental_and_oracle():
+    rng = np.random.default_rng(6060)
+    k, n = 6, 300
+    deficient = 0
+    for trial in range(1500):
+        size = int(rng.integers(1, 10)) if trial % 10 == 0 else k
+        ids = [int(i) for i in rng.choice(n, size=size, replace=False)]
+        got = rank(ids, k)
+        assert got == _incremental_rank(ids, k)
+        if got < k or trial % 50 == 0:
+            rows = [[int(v) for v in derive_coefficients(cid, k)] for cid in ids]
+            assert got == oracle_rank(rows)
+        deficient += got < min(k, size)
+    # square coded blocks are singular with probability about 1/255
+    assert deficient > 0
+
+
+def test_batch_rank_finds_deficient_300_sets():
+    rng = np.random.default_rng(2026)
+    k, n = 300, 450
+    found = 0
+    for _ in range(1000):
+        ids = rng.choice(n, size=k, replace=False)
+        got = rank(ids, k)
+        if got < k:
+            assert got == _incremental_rank([int(i) for i in ids], k)
+            found += 1
+            if found == 2:
+                break
+    assert found == 2
+    ids = list(range(k - 20)) + list(range(k, k + 10))
+    assert rank(ids, k) == _incremental_rank(ids, k) == k - 10
+    assert rank(ids + ids[:5], k) == k - 10  # duplicates ignored
+    assert rank(range(n), k) == k
+
+
+def test_rank_argument_validation():
+    with pytest.raises(ValueError):
+        rank([0, 1], 0)
+    with pytest.raises(ValueError):
+        rank([-1, 1], 4)
 
 
 def test_out_of_order_absorb_still_decodes():

@@ -1,5 +1,6 @@
-"""Property tests: text formats read back exactly what was written, and a
-search stopped at its target walks the same routes as a full one."""
+"""Property tests: text formats read back exactly what was written, a
+search stopped at its target walks the same routes as a full one, and
+the GF(256) matrix product agrees with the multiplication table."""
 
 import os
 import tempfile
@@ -10,8 +11,10 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from vancast.config import ROUTING_POLICIES, ExperimentConfig, config_lines, parse_config
+from vancast.fountain import GF_MUL, gf_matmul
 from vancast.roadnet import Edge, RoadGraph, _walk_route, load_road_graph, save_road_graph
 
 positive = st.floats(min_value=0.0, exclude_min=True, allow_nan=False, allow_infinity=False)
@@ -111,3 +114,33 @@ def test_targeted_search_walks_the_same_routes_under_rounding(case):
                 assert stopped[src] == full[src]
                 assert (_walk_route(g, src, dst, stopped, weights)
                         == _walk_route(g, src, dst, full, weights))
+
+
+@st.composite
+def gf_operands(draw):
+    """(m×n, n×S) uint8 pairs: S often not a multiple of 8, n across several
+    of the kernel's row blocks, empty dimensions, and whole zero rows and
+    columns."""
+    m = draw(st.integers(0, 4))
+    n = draw(st.integers(0, 9) | st.sampled_from([31, 32, 33, 63, 64, 65, 129, 200]))
+    size = draw(st.integers(0, 21))
+    byte = st.integers(0, 255)
+    a = draw(arrays(np.uint8, (m, n), elements=byte))
+    x = draw(arrays(np.uint8, (n, size), elements=byte))
+    if m and n and draw(st.booleans()):
+        a[draw(st.integers(0, m - 1))] = 0
+        a[:, draw(st.integers(0, n - 1))] = 0
+    return a, x
+
+
+@settings(max_examples=200, deadline=None)
+@given(gf_operands())
+def test_gf_matmul_matches_table_products(case):
+    a, x = case
+    expect = np.zeros((a.shape[0], x.shape[1]), dtype=np.uint8)
+    for i in range(a.shape[0]):
+        for j in range(a.shape[1]):
+            expect[i] ^= GF_MUL[a[i, j], x[j]]
+    got = gf_matmul(a, x)
+    assert got.dtype == np.uint8 and got.shape == expect.shape
+    assert np.array_equal(got, expect)
