@@ -30,7 +30,6 @@ from vancast.fountain import (
     CodedChunk,
     DecoderState,
     RankDeficientError,
-    SourceBlock,
     decode,
     derive_coefficients,
     encode,
@@ -61,7 +60,6 @@ __all__ = [
     "RoadGraph",
     "Route",
     "SimState",
-    "SourceBlock",
     "SweepSpec",
     "Trip",
     "TripSchedule",

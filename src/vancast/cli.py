@@ -31,7 +31,7 @@ from vancast.config import (
     value_key,
 )
 from vancast.engine import Metrics, run, time_to_fraction, write_metrics_csv
-from vancast.roadnet import generate_manhattan_grid, save_road_graph
+from vancast.roadnet import float_text, generate_manhattan_grid, save_road_graph
 
 log = logging.getLogger(__name__)
 
@@ -184,7 +184,7 @@ def _cmd_run(args) -> int:
     done = state.completed_count
     print(
         f"completed {done}/{n} vehicles ({100.0 * done / n:.1f}%) "
-        f"in {state.clock:g} s"
+        f"in {float_text(state.clock)} s"
     )
     for frac, hours in milestone_hours(state.metrics, n).items():
         pct = int(round(frac * 100))

@@ -70,7 +70,7 @@ class ExperimentConfig:
         (to a relative 1e-12, since a dt like 0.1 has no exact binary form)."""
         n = round(seconds / self.dt, 0)  # a float, so a tiny dt's inf fails the match
         if not math.isclose(n * self.dt, seconds, rel_tol=1e-12):
-            raise ValueError(f"{key} = {seconds:g} s is not a multiple of dt")
+            raise ValueError(f"{key} = {float_text(seconds)} s is not a multiple of dt")
         return int(n)
 
     def validate(self):
@@ -231,6 +231,10 @@ class SweepSpec:
             raise ValueError(f"cannot sweep {self.param}: {why[self.param]}")
         if not self.values:
             raise ValueError("sweep needs at least one value")
+        keys = [value_key(v) for v in self.values]
+        for key in keys:
+            if keys.count(key) > 1:
+                raise ValueError(f"sweep value {key} is given more than once")
 
     @classmethod
     def from_strings(cls, param: str, raw_values: list[str]) -> "SweepSpec":

@@ -40,7 +40,7 @@ from vancast.mobility import (
     odometer,
     trace_legs,
 )
-from vancast.roadnet import RoadGraph, Route, generate_manhattan_grid, load_road_graph
+from vancast.roadnet import RoadGraph, Route, float_text, generate_manhattan_grid, load_road_graph
 
 # Longest span of ticks that run() hands to one step() call.  Longer
 # spans cost less per tick; the span's arrays grow with it (rows =
@@ -375,7 +375,7 @@ def init_sim(cfg: ExperimentConfig, graph: RoadGraph | None = None) -> SimState:
         for home in sorted(set(homes)):
             if not g.nodes_within(home, cfg.max_trip_dist):
                 raise ScheduleError(
-                    f"no destination within {cfg.max_trip_dist:g} m of node {home}")
+                    f"no destination within {float_text(cfg.max_trip_dist)} m of node {home}")
     state = SimState(
         cfg=cfg,
         graph=g,
@@ -475,22 +475,12 @@ def step(state: SimState, n_ticks: int = 1) -> list[int]:
     full = np.array([s.count for s in stores]) == cfg.n_chunks
     live = ~(full[a] & full[b])
 
-    def complete(t: int, touched: set[int]):
-        for vid in touched:
-            store = stores[vid]
-            if store.completed_at is None and store.count >= cfg.decode_threshold:
-                store.completed_at = (t + 1) * cfg.dt
-                state.completed_count += 1
-                done.append(t + 1)
-
     now, new_accum = t0 - 1, state.accum  # the last tick and its pairs' budgets
-    touched: set[int] = set()
     for t, va, vb, g_a, g_b in zip(tick[live].tolist(), a[live].tolist(), b[live].tolist(),
                                    gain_a[live].tolist(), gain_b[live].tolist()):
         if t != now:
-            complete(now, touched)
             accum = new_accum if t == now + 1 else {}
-            new_accum, touched, now = {}, set(), t
+            new_accum, now = {}, t
         sa, sb = stores[va], stores[vb]
         if sa.count == sb.count == cfg.n_chunks:
             continue
@@ -504,11 +494,12 @@ def step(state: SimState, n_ticks: int = 1) -> list[int]:
         new_accum[(va, vb)] = acc
         if n_ab or n_ba:
             sent_ab, sent_ba = exchange(sa, sb, n_ab, n_ba, state.rng)
-            if sent_ab:
-                touched.add(vb)
-            if sent_ba:
-                touched.add(va)
-    complete(now, touched)
+            # Only receivers: a hand-built state may hold an unstamped store at the threshold.
+            for store, got in ((sb, sent_ab), (sa, sent_ba)):
+                if got and store.completed_at is None and store.count >= cfg.decode_threshold:
+                    store.completed_at = (t + 1) * cfg.dt
+                    state.completed_count += 1
+                    done.append(t + 1)
     state.accum = new_accum if now == t1 - 1 else {}
     return done
 

@@ -20,8 +20,8 @@ held systematic symbols by index and solves for the missing ones only:
 one Gauss-Jordan over the coded rows' coefficients on the missing
 columns picks the pivot rows and their inverse, and two products give
 the symbols.  :func:`rank` runs the same elimination without payloads,
-and :class:`DecoderState` tracks rank row by row, then hands its rows
-to the same solver.
+and :class:`DecoderState` grows a reduced basis row by row with the same
+pivot step, :func:`_pivot`, then hands its rows to the same solver.
 """
 
 from __future__ import annotations
@@ -163,37 +163,6 @@ def _coeff_bytes(chunk_id: int, k: int) -> bytes:
 
 
 @dataclass(frozen=True)
-class SourceBlock:
-    """A file padded out to k symbols of symbol_size bytes each."""
-
-    k: int
-    symbol_size: int
-    original_len: int
-    symbols: np.ndarray  # shape (k, symbol_size), dtype uint8
-
-    @classmethod
-    def from_file(
-        cls, data: bytes, k: int = DEFAULT_K, symbol_size: int | None = None
-    ) -> "SourceBlock":
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        if len(data) == 0:
-            raise ValueError("cannot encode an empty file")
-        if symbol_size is None:
-            symbol_size = math.ceil(len(data) / k)
-        if symbol_size < 1:
-            raise ValueError(f"symbol_size must be >= 1, got {symbol_size}")
-        if len(data) > k * symbol_size:
-            raise ValueError(
-                f"file of {len(data)} bytes does not fit in "
-                f"{k} symbols of {symbol_size} bytes"
-            )
-        buf = np.zeros(k * symbol_size, dtype=np.uint8)
-        buf[: len(data)] = np.frombuffer(data, dtype=np.uint8)
-        return cls(k, symbol_size, len(data), buf.reshape(k, symbol_size))
-
-
-@dataclass(frozen=True)
 class CodedChunk:
     """One transferable unit: a chunk id plus its payload bytes."""
 
@@ -224,15 +193,29 @@ def encode(
 ) -> list[CodedChunk]:
     """Produce the n coded chunks (ids 0..n-1) for a file.
 
-    The first k chunks are the file symbols themselves; the rest are
-    GF(256) linear combinations under :func:`derive_coefficients`,
-    computed as one :func:`gf_matmul` of their coefficient rows by the
-    symbols.
+    The file is zero-padded to k symbols of ``symbol_size`` bytes (by
+    default the fewest that hold it); the first k chunks are those
+    symbols and the rest are GF(256) linear combinations under
+    :func:`derive_coefficients`, computed as one :func:`gf_matmul` of
+    their coefficient rows by the symbols.
     """
     if n < k:
         raise ValueError(f"need n >= k, got n={n} k={k}")
-    block = SourceBlock.from_file(data, k, symbol_size)
-    syms = block.symbols
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if len(data) == 0:
+        raise ValueError("cannot encode an empty file")
+    if symbol_size is None:
+        symbol_size = math.ceil(len(data) / k)
+    if symbol_size < 1:
+        raise ValueError(f"symbol_size must be >= 1, got {symbol_size}")
+    if len(data) > k * symbol_size:
+        raise ValueError(
+            f"file of {len(data)} bytes does not fit in "
+            f"{k} symbols of {symbol_size} bytes"
+        )
+    syms = np.zeros((k, symbol_size), dtype=np.uint8)
+    syms.reshape(-1)[: len(data)] = np.frombuffer(data, dtype=np.uint8)
     coded = gf_matmul(_coefficient_rows(range(k, n), k), syms)
     return [CodedChunk(i, syms[i].tobytes()) for i in range(k)] + [
         CodedChunk(k + j, row.tobytes()) for j, row in enumerate(coded)
@@ -254,6 +237,20 @@ def _coefficient_rows(ids, k: int) -> np.ndarray:
     return np.frombuffer(raw, dtype=np.uint8).reshape(-1, k)
 
 
+def _pivot(rows: np.ndarray, p: int, c: int) -> None:
+    """Scale row p to a leading 1 at column c and clear column c from the
+    other rows, in place.  Row p must be zero left of c: only columns c
+    onward change."""
+    col = rows[:, c]
+    lead = rows[p, c]
+    if lead != 1:
+        rows[p, c:] = GF_MUL[GF_INV[lead], rows[p, c:]]
+    hit = np.flatnonzero(col)
+    hit = hit[hit != p]
+    if hit.size:
+        rows[hit, c:] ^= np.take(GF_MUL[col[hit]], rows[p, c:], axis=1)
+
+
 def _gauss_jordan(rows: np.ndarray, ncols: int) -> np.ndarray:
     """Reduce ``rows`` in place to reduced echelon form on its first ncols columns.
 
@@ -267,21 +264,13 @@ def _gauss_jordan(rows: np.ndarray, ncols: int) -> np.ndarray:
     free = np.ones(len(rows), dtype=bool)
     pivots = np.full(ncols, -1, dtype=np.intp)
     for c in range(ncols):
-        col = rows[:, c]
-        cand = np.flatnonzero(free & (col != 0))
+        cand = np.flatnonzero(free & (rows[:, c] != 0))
         if cand.size == 0:
             continue
         p = cand[0]
         free[p] = False
         pivots[c] = p
-        lead = rows[p, c]
-        if lead != 1:
-            rows[p, c:] = GF_MUL[GF_INV[lead], rows[p, c:]]
-        hit = np.flatnonzero(col)
-        hit = hit[hit != p]
-        if hit.size:
-            # Columns left of c are already zero in the pivot row.
-            rows[hit, c:] ^= np.take(GF_MUL[col[hit]], rows[p, c:], axis=1)
+        _pivot(rows, p, c)
     return pivots
 
 
@@ -358,12 +347,13 @@ def rank(ids, k: int) -> int:
 class DecoderState:
     """Incremental rank over GF(256), then one batch solve.
 
-    Coefficient rows are absorbed one at a time and reduced against the
-    pivots seen so far, so the rank is known after every absorb and a
-    decoder can stop listening the moment it hits rank k.  Payloads take
-    no part in that elimination: each row that raised the rank is kept
-    as received, and ``solve`` hands those k rows to the solver
-    :func:`decode` uses.
+    Rows are absorbed one at a time into a fully reduced basis, whose
+    rows each have a 1 at their pivot column and 0 at every other one.
+    A new row is reduced against all the pivots it hits at once; what is
+    left, if anything, joins the basis by :func:`_pivot`.  So the rank
+    is known after every absorb, and a decoder can stop at rank k.
+    Payloads take no part: each row that raised the rank is kept as
+    received, and ``solve`` hands those k rows to :func:`decode`'s solver.
     """
 
     def __init__(self, k: int, payload_size: int = 0):
@@ -374,13 +364,9 @@ class DecoderState:
         self.k = k
         self.payload_size = payload_size
         self.rank = 0
-        # Reduced pivot rows, indexed by pivot column; each has a leading 1.
-        self._rows = np.zeros((k, k), dtype=np.uint8)
-        self._filled = np.zeros(k, dtype=bool)
-        # Pivot rows that are exactly a unit vector can all be eliminated
-        # in one vectorized pass; with a systematic code they are the
-        # common case by far.
-        self._unit = np.zeros(k, dtype=bool)
+        # The reduced basis, and each basis row's pivot column.
+        self._basis = np.zeros((k, k), dtype=np.uint8)
+        self._pivots = np.zeros(k, dtype=np.intp)
         # The rows that raised the rank, as received, in arrival order.
         self._raw = np.zeros((k, k), dtype=np.uint8)
         self._payloads = np.zeros((k, payload_size), dtype=np.uint8)
@@ -417,32 +403,26 @@ class DecoderState:
         if self.is_complete:
             return False
 
-        row = np.zeros(k, dtype=np.uint8)
-        row[:] = coeffs
-        raw = row.copy()
-        # Fast path: clear every unit-pivot column in one shot.
-        row[self._unit] = 0
-
-        # General elimination against the remaining pivots.
-        col = 0
-        while True:
-            nz = np.flatnonzero(row[col:])
-            if nz.size == 0:
-                return False
-            col += int(nz[0])
-            if not self._filled[col]:
-                break
-            row ^= GF_MUL[row[col], self._rows[col]]
-
-        lead = int(row[col])
-        if lead != 1:
-            row = GF_MUL[GF_INV[lead], row]
-        self._rows[col] = row
-        self._filled[col] = True
-        self._unit[col] = int(np.count_nonzero(row)) == 1
-        self._raw[self.rank] = raw
+        r = self.rank
+        basis, pivots = self._basis[:r], self._pivots[:r]
+        row = np.array(coeffs, dtype=np.uint8)
+        f = row[pivots]
+        # Subtract f·basis, which leaves 0 at every pivot column.  A unit
+        # basis row changes nothing else, so only the other rows hit need
+        # the product.
+        hit = np.flatnonzero(f)
+        dense = hit[np.count_nonzero(basis[hit], axis=1) > 1]
+        row ^= np.bitwise_xor.reduce(GF_MUL[f[dense, None], basis[dense]], axis=0)
+        row[pivots] = 0
+        nz = np.flatnonzero(row)
+        if nz.size == 0:
+            return False
+        self._basis[r] = row
+        self._pivots[r] = nz[0]
+        _pivot(self._basis[: r + 1], r, nz[0])
+        self._raw[r] = coeffs
         if payload is not None:
-            self._payloads[self.rank] = payload
+            self._payloads[r] = payload
         self.rank += 1
         return True
 

@@ -25,6 +25,7 @@ import numpy as np
 from vancast.roadnet import (
     RoadGraph,
     Route,
+    float_text,
     main_road_route,
     random_route,
     shortest_path,
@@ -88,7 +89,7 @@ def _pick_destination(
     candidates = g.nodes_within(origin, max_trip_dist)
     if not candidates:
         raise ScheduleError(
-            f"no destination within {max_trip_dist:g} m of node {origin}"
+            f"no destination within {float_text(max_trip_dist)} m of node {origin}"
         )
     return candidates[int(rng.integers(len(candidates)))]
 

@@ -111,6 +111,9 @@ def test_spans_must_be_whole_numbers_of_steps():
         parse_config("dt = 7")
     with pytest.raises(ValueError, match="sim_duration = 3600.5 s is not a multiple"):
         parse_config("dt = 1\nsim_duration = 3600.5")
+    # :g would print 1.00002e+06, a value that is a multiple
+    with pytest.raises(ValueError, match=r"sim_duration = 1000015\.5 s is not a multiple"):
+        ExperimentConfig(sim_duration=1000015.5).validate()
     with pytest.raises(ValueError, match="sample_interval"):
         parse_config("dt = 2\nsample_interval = 45")
     with pytest.raises(ValueError, match="one day"):  # 86400 / dt overflows to inf
@@ -227,6 +230,9 @@ def test_sweep_spec_typing_and_validation():
         SweepSpec("bogus", (1,))
     with pytest.raises(ValueError):
         SweepSpec("seed_rate", ())
+    # two spellings of one value would run, and write, the same cells twice
+    with pytest.raises(ValueError, match="sweep value 0.05 is given more than once"):
+        SweepSpec.from_strings("seed_rate", ["0.05", "0.1", "0.050"])
 
 
 def test_value_key_formats():
@@ -409,6 +415,23 @@ def test_cli_sweep_over_a_per_sweep_setting_is_an_error(tmp_path, capsys, param,
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot sweep {param}") and flag in err
     assert not out.exists()
+
+
+def test_cli_sweep_refuses_a_repeated_value(tmp_path, capsys):
+    out = tmp_path / "sw"
+    code = main(["sweep", *tiny_args(), "--param", "seed_rate", "--values", "0.05,0.050",
+                 "--replicates", "2", "--out", str(out), "--quiet"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: sweep value 0.05 is given more than once")
+    assert not out.exists()
+
+
+def test_cli_run_prints_the_exact_clock(tmp_path, capsys):
+    args = [*tiny_args(), "--set", "dt=60", "--set", "sample_interval=3600",
+            "--set", "sim_duration=12345660"]
+    assert main(["run", *args, "--out", str(tmp_path / "r"), "--quiet"]) == 0
+    # :g would print 1.23457e+07
+    assert "completed 2/2 vehicles (100.0%) in 12345660.0 s" in capsys.readouterr().out
 
 
 def test_cli_codec_selftest(capsys):

@@ -688,6 +688,8 @@ def test_init_sim_refuses_a_home_with_no_destination(tmp_path, monkeypatch):
     with pytest.raises(ScheduleError, match="no destination within 1000 m of node 3"):
         init_sim(cfg)
     assert drawn == []  # refused before day 0's draw
+    with pytest.raises(ScheduleError, match=r"within 1000\.0000001 m of node 3"):
+        init_sim(replace(cfg, max_trip_dist=1_000.0000001))  # :g would print 1000
     monkeypatch.undo()
     # with no trips to draw, or no time to drive them, the home is never left
     assert init_sim(replace(cfg, mean_trips=0.0)).tick == 0

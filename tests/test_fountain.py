@@ -16,7 +16,6 @@ from vancast.fountain import (
     GF_INV,
     GF_MUL,
     RankDeficientError,
-    SourceBlock,
     chunks_to_wire,
     decode,
     derive_coefficients,
@@ -188,11 +187,11 @@ def test_encode_wire_bytes_pinned(size, k, n, digest):
     assert hashlib.sha256(wire).hexdigest() == digest
 
 
-def test_source_block_symbol_size_inference():
-    blk = SourceBlock.from_file(b"x" * 401, k=4)
-    assert blk.symbol_size == 101  # ceil(401 / 4)
-    assert blk.original_len == 401
-    assert blk.symbols.shape == (4, 101)
+def test_encode_infers_symbol_size():
+    data = bytes(range(256)) + bytes(range(145))
+    chunks = encode(data, k=4, n=6)
+    assert {len(c.payload) for c in chunks} == {101}  # ceil(401 / 4)
+    assert decode(chunks[2:], 4, len(data)) == data
 
 
 # --- decode round trips -----------------------------------------------------

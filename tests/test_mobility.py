@@ -116,6 +116,8 @@ def test_no_reachable_destination_is_an_error():
     with pytest.raises(ScheduleError) as err:
         assign_trips(g, 10, 3.0, 50.0, rng)  # cap below one block
     assert "node" in str(err.value)
+    with pytest.raises(ScheduleError, match=r"within 99\.9999999 m of node"):
+        assign_trips(g, 10, 3.0, 99.9999999, rng)  # :g would print 100, one block
 
 
 def test_assign_trips_argument_validation():

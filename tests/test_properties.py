@@ -1,6 +1,7 @@
 """Property tests: text formats read back exactly what was written, a
-search stopped at its target walks the same routes as a full one, and
-the GF(256) matrix product agrees with the multiplication table."""
+search stopped at its target walks the same routes as a full one, the
+GF(256) matrix product agrees with the multiplication table, and the
+incremental decoder agrees with a from-scratch rank."""
 
 import os
 import tempfile
@@ -14,7 +15,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from vancast.config import ROUTING_POLICIES, ExperimentConfig, config_lines, parse_config
-from vancast.fountain import GF_MUL, gf_matmul
+from test_fountain import oracle_rank
+from vancast.fountain import GF_MUL, DecoderState, gf_matmul
 from vancast.roadnet import Edge, RoadGraph, _walk_route, load_road_graph, save_road_graph
 
 positive = st.floats(min_value=0.0, exclude_min=True, allow_nan=False, allow_infinity=False)
@@ -144,3 +146,40 @@ def test_gf_matmul_matches_table_products(case):
     got = gf_matmul(a, x)
     assert got.dtype == np.uint8 and got.shape == expect.shape
     assert np.array_equal(got, expect)
+
+
+@st.composite
+def decoder_feeds(draw):
+    """k random symbols and a sequence of coefficient rows: random rows, unit
+    rows, scaled unit rows, and GF(256) combinations of earlier rows."""
+    k = draw(st.integers(1, 8))
+    byte = st.integers(0, 255)
+    symbols = draw(arrays(np.uint8, (k, 3), elements=byte))
+    rows = []
+    for _ in range(draw(st.integers(1, 2 * k + 2))):
+        kind = draw(st.sampled_from(["random", "unit", "scaled", "combination"]))
+        row = np.zeros(k, dtype=np.uint8)
+        if kind == "random":
+            row = draw(arrays(np.uint8, k, elements=byte))
+        elif kind == "combination":
+            for earlier in rows:
+                row ^= GF_MUL[draw(byte), earlier]
+        else:
+            row[draw(st.integers(0, k - 1))] = 1 if kind == "unit" else draw(st.integers(2, 255))
+        rows.append(row)
+    return symbols, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(decoder_feeds())
+def test_decoder_state_rank_flags_and_solve(case):
+    symbols, rows = case
+    k = len(symbols)
+    state = DecoderState(k, payload_size=symbols.shape[1])
+    for i, row in enumerate(rows):
+        before = state.rank
+        grew = state.absorb_row(row.copy(), gf_matmul(row[None, :], symbols)[0])
+        assert state.rank == oracle_rank([[int(v) for v in r] for r in rows[: i + 1]])
+        assert grew == (state.rank > before)
+    if state.is_complete:
+        assert np.array_equal(state.solve(), symbols)
