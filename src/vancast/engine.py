@@ -361,6 +361,8 @@ def init_sim(cfg: ExperimentConfig, graph: RoadGraph | None = None) -> SimState:
     Raises ScheduleError, before any trip is drawn, if a home has no
     destination within max_trip_dist.  No later origin can lack one: the
     graph is undirected, so the last trip's origin is within reach.
+    Raises ValueError, also before any draw, if trips would route over
+    main roads on a graph that has none.
     """
     cfg.validate()
     g = graph if graph is not None else build_graph(cfg)
@@ -372,6 +374,12 @@ def init_sim(cfg: ExperimentConfig, graph: RoadGraph | None = None) -> SimState:
 
     homes = [int(v) for v in rng.integers(g.n_nodes, size=n)]
     if cfg.mean_trips > 0 and cfg.sim_duration > 0:
+        if not g.main_nodes.size and (cfg.main_road_fraction > 0
+                                      or cfg.routing_policy == "main_road"):
+            key = ("routing_policy = main_road" if cfg.routing_policy == "main_road" else
+                   f"main_road_fraction = {float_text(cfg.main_road_fraction)}")
+            where = f"graph_file {cfg.graph_file}" if cfg.graph_file else "main_cols"
+            raise ValueError(f"{key} needs main roads, but {where} gives none")
         for home in sorted(set(homes)):
             if not g.nodes_within(home, cfg.max_trip_dist):
                 raise ScheduleError(

@@ -390,6 +390,10 @@ class DecoderState:
             raise ValueError(
                 f"coeffs has shape {np.shape(coeffs)}, decoder expects ({k},)"
             )
+        values = np.asarray(coeffs)
+        if values.dtype.kind not in "iu" or ((values < 0) | (values > 255)).any():
+            raise ValueError(f"coeffs must be integers in 0..255, got {values.dtype} "
+                             f"from {values.min()} to {values.max()}")
         if payload is None:
             if self.payload_size:
                 raise ValueError(

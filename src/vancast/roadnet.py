@@ -7,7 +7,9 @@ high-capacity roads; routing policies can prefer those.
 
 All route selection is deterministic for a given graph and random
 state.  Ties inside Dijkstra are broken toward the smaller node id, so
-two runs of the same experiment walk identical paths.
+two runs of the same experiment walk identical paths.  Every policy
+hands its legs, each a destination with a distance field rooted there,
+to one walk that builds the Route.
 """
 
 from __future__ import annotations
@@ -70,7 +72,8 @@ class RoadGraph:
         # Main-only routing: non-main edges weigh inf, so no search
         # relaxes them and no route walk takes them.
         self.main_weights = [e.length if e.main else np.inf for e in self.edges]
-        self.main_nodes = sorted({v for e in self.edges if e.main for v in (e.a, e.b)})
+        self.main_nodes = np.array(
+            sorted({v for e in self.edges if e.main for v in (e.a, e.b)}), dtype=np.intp)
         self._length_array = np.array(self.lengths)
         self._dist_cache: dict[int, np.ndarray] = {}
         self._within: dict[tuple[int, float], tuple[int, ...]] = {}
@@ -189,44 +192,44 @@ class Route:
 
 
 def _walk_route(
-    g: RoadGraph, src: int, dst: int, dist_from_dst: np.ndarray, weights: list[float]
+    g: RoadGraph, src: int, legs: list[tuple[int, np.ndarray, list[float]]]
 ) -> Route:
-    """Rebuild the path src->dst from a distance field rooted at dst.
+    """Walk from src through each leg ``(dst, field rooted at dst, weights)``.
 
     At each node take the neighbor that lies exactly on a shortest
     path (dist[u] == weight + dist[v]); neighbors are scanned in node
-    id order so ties resolve identically on every run.
+    id order so ties resolve identically on every run.  Each leg starts
+    where the last ended; true lengths are summed along the whole route.
     """
-    dist = dist_from_dst.tolist()
-    if not math.isfinite(dist[src]):
-        raise ValueError(f"no path from {src} to {dst}")
     nodes = [src]
     edge_ids: list[int] = []
     cum = [0.0]
     u = src
-    guard = g.n_nodes + 1
-    while u != dst:
-        for v, eid in g.adjacency[u]:
-            if dist[u] == weights[eid] + dist[v]:
-                nodes.append(v)
-                edge_ids.append(eid)
-                cum.append(cum[-1] + g.lengths[eid])
-                u = v
-                break
-        else:
-            raise RuntimeError(f"distance field inconsistent at node {u}")
-        guard -= 1
-        if guard < 0:
-            raise RuntimeError("route reconstruction did not terminate")
+    for dst, field, weights in legs:
+        dist = field.tolist()
+        if not math.isfinite(dist[u]):
+            raise ValueError(f"no path from {u} to {dst}")
+        guard = g.n_nodes + 1
+        while u != dst:
+            for v, eid in g.adjacency[u]:
+                if dist[u] == weights[eid] + dist[v]:
+                    nodes.append(v)
+                    edge_ids.append(eid)
+                    cum.append(cum[-1] + g.lengths[eid])
+                    u = v
+                    break
+            else:
+                raise RuntimeError(f"distance field inconsistent at node {u}")
+            guard -= 1
+            if guard < 0:
+                raise RuntimeError("route reconstruction did not terminate")
     return Route(tuple(nodes), tuple(edge_ids), tuple(cum))
 
 
 def shortest_path(g: RoadGraph, src: int, dst: int) -> Route:
     """Deterministic shortest route by road length."""
     _check_endpoints(g, src, dst)
-    if src == dst:
-        return Route((src,), (), (0.0,))
-    return _walk_route(g, src, dst, g.dijkstra(dst), g.lengths)
+    return _walk_route(g, src, [(dst, g.dijkstra(dst), g.lengths)])
 
 
 def random_route(
@@ -251,55 +254,40 @@ def random_route(
         return Route((src,), (), (0.0,))
     factors = rng.uniform(1.0, max_factor, size=g.n_edges)
     weights = (g._length_array * factors).tolist()
-    dist = g.dijkstra(dst, weights, target=src)
-    return _walk_route(g, src, dst, dist, weights)
+    return _walk_route(g, src, [(dst, g.dijkstra(dst, weights, target=src), weights)])
 
 
 def main_road_route(g: RoadGraph, src: int, dst: int) -> Route:
     """Route that detours over the main-road subnetwork.
 
-    Three legs: shortest path from src onto the nearest main-road
-    component, a main-roads-only traversal, then off to dst.  The exit
-    point is the component node nearest dst, so the middle leg can be
-    empty when entry and exit coincide.  A graph with no main edges
-    falls back to the plain shortest path (logged once per call).
+    Three legs, walked as one route: to the entry, the main node nearest
+    src; along main roads only to the exit, the node of the entry's main
+    component nearest dst; then on to dst.  Ties go to the smaller node
+    id; the middle leg is empty when entry and exit coincide.  Raises
+    ValueError on a graph with no main edges.
     """
     _check_endpoints(g, src, dst)
-    if not g.main_nodes:
-        log.warning("graph has no main roads; falling back to shortest path")
-        return shortest_path(g, src, dst)
+    main = g.main_nodes
+    if not main.size:
+        raise ValueError("graph has no main roads")
     if src == dst:
         return Route((src,), (), (0.0,))
 
-    # Nearest main component to src: compare by entry distance, break
-    # ties toward the smaller node id.  The component is every main node
-    # a main-only search from the entry reaches.
+    # main is sorted and argmin keeps the first minimum: the smaller id.
     dist_src = g.dijkstra(src)
-    entry = min(g.main_nodes, key=lambda v: (dist_src[v], v))
+    entry = int(main[np.argmin(dist_src[main])])
     if not np.isfinite(dist_src[entry]):
         log.warning("main roads unreachable from node %d; using shortest path", src)
         return shortest_path(g, src, dst)
-    dist_main = g.dijkstra(entry, g.main_weights)
-    comp_nodes = [v for v in g.main_nodes if np.isfinite(dist_main[v])]
-
+    comp = main[np.isfinite(g.dijkstra(entry, g.main_weights)[main])]
     dist_dst = g.dijkstra(dst)
-    exit_ = min(comp_nodes, key=lambda v: (dist_dst[v], v))
+    exit_ = int(comp[np.argmin(dist_dst[comp])])
 
-    legs = [shortest_path(g, src, entry)]
+    legs = [(entry, g.dijkstra(entry), g.lengths)]
     if entry != exit_:
-        dist_exit = g.dijkstra(exit_, g.main_weights, target=entry)
-        legs.append(_walk_route(g, entry, exit_, dist_exit, g.main_weights))
-    legs.append(shortest_path(g, exit_, dst))
-
-    nodes: list[int] = [src]
-    edge_ids: list[int] = []
-    cum: list[float] = [0.0]
-    for leg in legs:
-        for i, eid in enumerate(leg.edge_ids):
-            nodes.append(leg.nodes[i + 1])
-            edge_ids.append(eid)
-            cum.append(cum[-1] + g.lengths[eid])
-    return Route(tuple(nodes), tuple(edge_ids), tuple(cum))
+        legs.append((exit_, g.dijkstra(exit_, g.main_weights, target=entry), g.main_weights))
+    legs.append((dst, dist_dst, g.lengths))
+    return _walk_route(g, src, legs)
 
 
 def _check_endpoints(g: RoadGraph, src: int, dst: int):
@@ -376,9 +364,9 @@ def save_road_graph(g: RoadGraph, path: str):
 def load_road_graph(path: str) -> RoadGraph:
     """Parse the format written by :func:`save_road_graph`.
 
-    Raises ValueError naming the offending line number for malformed
-    input: bad header, wrong field counts, ids out of order, counts
-    that do not match the header, or non-positive edge lengths.
+    Raises ValueError naming the offending line for malformed input: a
+    bad header, field count or id order, counts that do not match the
+    header, non-finite coordinates, self-loops or non-positive lengths.
     """
     with open(path) as fh:
         lines = fh.readlines()
@@ -409,37 +397,37 @@ def load_road_graph(path: str) -> RoadGraph:
             f"but file has {len(content) - 1} record lines"
         )
 
+    def fields(lineno: int, ln: str, idx: int, form: str, types: tuple) -> list:
+        parts, kind = ln.split(), form.split()[0]
+        if len(parts) != len(types) + 2 or parts[0] != kind:
+            bad(lineno, f"expected '{form}', got {ln!r}")
+        try:
+            rid, *values = (t(p) for t, p in zip((int, *types), parts[1:]))
+        except ValueError:
+            bad(lineno, f"malformed {kind} line {ln!r}")
+        if rid != idx:
+            bad(lineno, f"{kind} ids must be sequential; expected {idx}, got {rid}")
+        return values
+
     xs = [0.0] * n_nodes
     ys = [0.0] * n_nodes
-    for idx in range(n_nodes):
-        lineno, ln = content[1 + idx]
-        parts = ln.split()
-        if len(parts) != 4 or parts[0] != "node":
-            bad(lineno, f"expected 'node id x y', got {ln!r}")
-        try:
-            nid, x, y = int(parts[1]), float(parts[2]), float(parts[3])
-        except ValueError:
-            bad(lineno, f"malformed node line {ln!r}")
-        if nid != idx:
-            bad(lineno, f"node ids must be sequential; expected {idx}, got {nid}")
-        xs[nid], ys[nid] = x, y
+    for idx, (lineno, ln) in enumerate(content[1 : 1 + n_nodes]):
+        x, y = fields(lineno, ln, idx, "node id x y", (float, float))
+        if not (math.isfinite(x) and math.isfinite(y)):
+            bad(lineno, f"node {idx} has non-finite coordinates ({x}, {y})")
+        xs[idx], ys[idx] = x, y
 
     edges: list[Edge] = []
-    for idx in range(n_edges):
-        lineno, ln = content[1 + n_nodes + idx]
-        parts = ln.split()
-        if len(parts) != 6 or parts[0] != "edge":
-            bad(lineno, f"expected 'edge id a b length main', got {ln!r}")
-        try:
-            eid, a, b = int(parts[1]), int(parts[2]), int(parts[3])
-            length, main = float(parts[4]), int(parts[5])
-        except ValueError:
-            bad(lineno, f"malformed edge line {ln!r}")
-        if eid != idx:
-            bad(lineno, f"edge ids must be sequential; expected {idx}, got {eid}")
+    for idx, (lineno, ln) in enumerate(content[1 + n_nodes :]):
+        a, b, length, main = fields(
+            lineno, ln, idx, "edge id a b length main", (int, int, float, int))
         if not (0 <= a < n_nodes and 0 <= b < n_nodes):
             bad(lineno, f"edge endpoints {a},{b} outside 0..{n_nodes - 1}")
+        if a == b:
+            bad(lineno, f"edge {idx} is a self-loop")
+        if not 0 < length < math.inf:
+            bad(lineno, f"edge {idx} length {length} is not positive")
         if main not in (0, 1):
             bad(lineno, f"main flag must be 0 or 1, got {main}")
-        edges.append(Edge(eid, a, b, length, bool(main)))
+        edges.append(Edge(idx, a, b, length, bool(main)))
     return RoadGraph(xs, ys, edges)

@@ -426,6 +426,16 @@ def test_cli_sweep_refuses_a_repeated_value(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_run_refuses_main_road_routing_without_main_roads(tmp_path, capsys):
+    out = tmp_path / "r"
+    code = main(["run", *tiny_args(), "--set", "mean_trips=3", "--set",
+                 "main_road_fraction=0.5", "--out", str(out), "--quiet"])
+    assert code == 2
+    assert capsys.readouterr().err == ("error: main_road_fraction = 0.5 needs main roads, "
+                                       "but main_cols gives none\n")
+    assert not out.exists()
+
+
 def test_cli_run_prints_the_exact_clock(tmp_path, capsys):
     args = [*tiny_args(), "--set", "dt=60", "--set", "sample_interval=3600",
             "--set", "sim_duration=12345660"]

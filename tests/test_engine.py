@@ -696,6 +696,33 @@ def test_init_sim_refuses_a_home_with_no_destination(tmp_path, monkeypatch):
     assert run(replace(cfg, sim_duration=0.0)).tick == 0
 
 
+def test_init_sim_refuses_main_road_routing_without_main_roads(tmp_path, monkeypatch):
+    from dataclasses import replace
+
+    import vancast.engine as engine
+    from vancast.roadnet import generate_manhattan_grid, save_road_graph
+
+    cfg = ExperimentConfig(rows=4, cols=4, block_len=100.0, main_cols=[], n_vehicles=6,
+                           mean_trips=2.0, max_trip_dist=1_000.0, dt=60.0,
+                           sim_duration=3600.0, main_road_fraction=0.5)
+    drawn, real = [], engine.assign_trips
+    monkeypatch.setattr(engine, "assign_trips", lambda *a, **k: drawn.append(1) or real(*a, **k))
+    with pytest.raises(ValueError, match=r"^main_road_fraction = 0\.5 needs main roads, "
+                                         r"but main_cols gives none$"):
+        init_sim(cfg)
+    path = tmp_path / "plain.txt"
+    save_road_graph(generate_manhattan_grid(4, 4, 100.0), str(path))
+    with pytest.raises(ValueError, match=r"^routing_policy = main_road needs main roads, "
+                                         f"but graph_file {path} gives none$"):
+        init_sim(replace(cfg, graph_file=str(path), routing_policy="main_road",
+                         main_road_fraction=0.0))
+    assert drawn == []  # refused before day 0's draw
+    monkeypatch.undo()
+    # no main-road trips, or no trips at all, need no main roads
+    assert init_sim(replace(cfg, main_road_fraction=0.0)).tick == 0
+    assert init_sim(replace(cfg, mean_trips=0.0)).tick == 0
+
+
 # --- the span pass against a per-tick reference --------------------------------
 
 

@@ -345,6 +345,17 @@ def test_absorb_row_rejects_bad_shapes():
         DecoderState(3).absorb_row(derive_coefficients(0, 3), np.zeros(1, np.uint8))
 
 
+@pytest.mark.parametrize("coeffs", [[256, 0], [1.7, 0], [-1, 0], [1.0, 0], [True, False]])
+def test_absorb_row_rejects_coefficients_outside_gf256(coeffs):
+    state = DecoderState(2, payload_size=1)
+    with pytest.raises(ValueError, match="coeffs must be integers in 0..255"):
+        state.absorb_row(np.array(coeffs), np.zeros(1, np.uint8))
+    assert state.rank == 0
+    # any integer dtype holding 0..255 is taken
+    assert state.absorb_row(np.array([255, 0], dtype=np.int64), np.zeros(1, np.uint8))
+    assert state.absorb_row([0, 1], np.zeros(1, np.uint8))
+
+
 def test_solve_with_scaled_unit_rows():
     """A row with one nonzero coefficient other than 1 is no systematic symbol."""
     rng = np.random.default_rng(77)

@@ -1,7 +1,8 @@
 """Property tests: text formats read back exactly what was written, a
-search stopped at its target walks the same routes as a full one, the
-GF(256) matrix product agrees with the multiplication table, and the
-incremental decoder agrees with a from-scratch rank."""
+search stopped at its target walks the same routes as a full one, a
+main-road route is its three legs joined, the GF(256) matrix product
+agrees with the multiplication table, and the incremental decoder agrees
+with a from-scratch rank."""
 
 import os
 import tempfile
@@ -10,14 +11,15 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from vancast.config import ROUTING_POLICIES, ExperimentConfig, config_lines, parse_config
 from test_fountain import oracle_rank
 from vancast.fountain import GF_MUL, DecoderState, gf_matmul
-from vancast.roadnet import Edge, RoadGraph, _walk_route, load_road_graph, save_road_graph
+from vancast.roadnet import (Edge, RoadGraph, Route, _walk_route, load_road_graph,
+                             main_road_route, save_road_graph)
 
 positive = st.floats(min_value=0.0, exclude_min=True, allow_nan=False, allow_infinity=False)
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -114,8 +116,40 @@ def test_targeted_search_walks_the_same_routes_under_rounding(case):
                     continue
                 stopped = g.dijkstra(dst, weights, target=src)
                 assert stopped[src] == full[src]
-                assert (_walk_route(g, src, dst, stopped, weights)
-                        == _walk_route(g, src, dst, full, weights))
+                assert (_walk_route(g, src, [(dst, stopped, weights)])
+                        == _walk_route(g, src, [(dst, full, weights)]))
+
+
+def joined_main_road_route(g, src, dst):
+    """A main-road route assembled leg by leg: entry and exit by min over
+    (distance, id), the entry's component from a full main-only search,
+    three single-leg walks joined with their lengths summed again."""
+    main = g.main_nodes.tolist()
+    dist_src = g.dijkstra(src)
+    entry = min(main, key=lambda v: (dist_src[v], v))
+    dist_main = g.dijkstra(entry, g.main_weights)
+    dist_dst = g.dijkstra(dst)
+    exit_ = min((v for v in main if np.isfinite(dist_main[v])), key=lambda v: (dist_dst[v], v))
+    legs = [_walk_route(g, src, [(entry, g.dijkstra(entry), g.lengths)]),
+            _walk_route(g, entry, [(exit_, g.dijkstra(exit_, g.main_weights), g.main_weights)]),
+            _walk_route(g, exit_, [(dst, dist_dst, g.lengths)])]
+    edge_ids = tuple(eid for leg in legs for eid in leg.edge_ids)
+    cum = [0.0]
+    for eid in edge_ids:
+        cum.append(cum[-1] + g.lengths[eid])
+    nodes = (src,) + tuple(v for leg in legs for v in leg.nodes[1:])
+    return Route(nodes, edge_ids, tuple(cum))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rounded_graphs())
+def test_main_road_route_is_its_legs_joined(case):
+    g, _ = case
+    assume(g.main_nodes.size)
+    for src in range(g.n_nodes):
+        for dst in range(g.n_nodes):
+            if src != dst:
+                assert main_road_route(g, src, dst) == joined_main_road_route(g, src, dst)
 
 
 @st.composite

@@ -1,6 +1,5 @@
 """Road network tests: grid construction, file format, routing."""
 
-import logging
 import math
 
 import numpy as np
@@ -194,6 +193,13 @@ def test_load_accepts_comments_and_blank_lines(tmp_path):
         ("nodes 2 edges 1\nnode 0 0 0\nnode 1 nan 0\nedge 0 0 1 10 0\n", "node 1 has non-finite"),
         ("nodes 2 edges 1\nnode 0 0 0\nnode 1 1 inf\nedge 0 0 1 10 0\n", "node 1 has non-finite"),
         ("nodes 2 edges 1\nnode 0 0 0\nnode 1 1 1\nedge 0 0 1 nan 0\n", "edge 0 length"),
+        # refused at their line, in the graph's own words
+        ("nodes 2 edges 1\nnode 0 0 0\n# x\nnode 1 nan 0\nedge 0 0 1 10 0\n",
+         "bad.txt:4: node 1 has non-finite coordinates (nan, 0.0)"),
+        ("nodes 2 edges 1\nnode 0 0 0\nnode 1 1 1\n\nedge 0 1 1 10 0\n",
+         "bad.txt:5: edge 0 is a self-loop"),
+        ("nodes 2 edges 1\nnode 0 0 0\nnode 1 1 1\nedge 0 0 1 -5 0\n",
+         "bad.txt:4: edge 0 length -5.0 is not positive"),
         ("", "empty"),
     ],
 )
@@ -357,12 +363,11 @@ def test_main_road_route_visits_a_main_node_even_on_detour():
     assert route.total_length >= shortest_path(g, 0, 30).total_length
 
 
-def test_main_road_route_without_main_edges_falls_back(caplog):
+def test_main_road_route_without_main_edges_is_an_error():
     g = generate_manhattan_grid(4, 4, 100.0, main_cols=[])
-    with caplog.at_level(logging.WARNING, logger="vancast.roadnet"):
-        route = main_road_route(g, 1, 14)
-    assert route.nodes == shortest_path(g, 1, 14).nodes
-    assert any("falling back" in rec.message for rec in caplog.records)
+    for src, dst in ((1, 14), (5, 5)):
+        with pytest.raises(ValueError, match="graph has no main roads"):
+            main_road_route(g, src, dst)
 
 
 def test_main_road_route_endpoints_on_main():
@@ -459,8 +464,8 @@ def test_dijkstra_stopped_at_the_target_walks_the_same_routes():
                         continue
                     stopped = g.dijkstra(dst, weights, target=src)
                     assert stopped[src] == full[src]
-                    assert (_walk_route(g, src, dst, stopped, weights)
-                            == _walk_route(g, src, dst, full, weights))
+                    assert (_walk_route(g, src, [(dst, stopped, weights)])
+                            == _walk_route(g, src, [(dst, full, weights)]))
                     checked += 1
     assert checked > 10_000
 
@@ -483,7 +488,7 @@ def test_random_route_walks_the_untargeted_search_on_the_default_grid():
         draw.bit_generator.state = rng.bit_generator.state
         factors = draw.uniform(1.0, 3.0, size=g.n_edges)
         weights = [length * f for length, f in zip(g.lengths, factors)]
-        reference = _walk_route(g, src, dst, g.dijkstra(dst, weights), weights)
+        reference = _walk_route(g, src, [(dst, g.dijkstra(dst, weights), weights)])
         assert random_route(g, src, dst, rng) == reference
         assert rng.bit_generator.state == draw.bit_generator.state
         checked += 1
