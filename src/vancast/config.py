@@ -10,10 +10,8 @@ import hashlib
 import math
 from dataclasses import dataclass, field, fields, replace
 
-from vancast.mobility import DAY_LEN
+from vancast.mobility import DAY_LEN, ROUTING_POLICIES
 from vancast.roadnet import float_text
-
-ROUTING_POLICIES = ("random", "shortest", "main_road")
 
 
 @dataclass

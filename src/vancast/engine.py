@@ -9,7 +9,9 @@ first tick, end tick).  A trip departs at the first tick at or after
 ``max(day0, prev_arrive + 1)`` whose step its departure time is due
 by; a drive still on the road at day0 is carried over from the previous
 day; trips that would leave at or after the timetable's end (the next
-day's first tick, or the run's end if sooner) are dropped.
+day's first tick, or the run's end if sooner) are dropped.  Those due
+after its last step are drawn, so the random stream is the same, but
+never routed.
 
 ``step(state, n)`` simulates n ticks in one pass: it reads the span's
 positions off the timetable, finds all radio contacts of the span in
@@ -279,6 +281,14 @@ def build_graph(cfg: ExperimentConfig) -> RoadGraph:
     return generate_manhattan_grid(cfg.rows, cfg.cols, cfg.block_len, cfg.main_cols)
 
 
+def _timetable_end(state: SimState) -> int:
+    """The tick a timetable laid out at ``state.tick`` ends at: the next
+    day's first tick, or the run's end if sooner."""
+    cfg = state.cfg
+    return min(state.tick + cfg.steps(DAY_LEN, "one day"),
+               cfg.steps(cfg.sim_duration, "sim_duration"))
+
+
 def _new_day(state: SimState):
     """Draw the day's trips, then lay them out as its timetable.
 
@@ -288,6 +298,12 @@ def _new_day(state: SimState):
     starts with every vehicle parked at home.  :func:`_lay_out_day` states
     the timetable's rules: the departure bound, carried drives, dropped
     trips and where the timetable ends.
+
+    Every trip of the day is drawn, but only those due by ``until =
+    (end - 1) * dt + dt`` are routed, for the timetable's end tick end:
+    the step at tick k departs trips due by ``k * dt + dt``, a bound that
+    grows with k, so a later trip could depart no sooner than end, and
+    :func:`_lay_out_day` would drop it.  The draws stay the same.
     """
     cfg = state.cfg
     state.schedules = assign_trips(
@@ -300,6 +316,7 @@ def _new_day(state: SimState):
         policy=cfg.routing_policy,
         main_road_fraction=cfg.main_road_fraction,
         start_nodes=state.nodes,
+        until=(_timetable_end(state) - 1) * cfg.dt + cfg.dt,
     )
     _lay_out_day(state)
 
@@ -315,14 +332,16 @@ def _lay_out_day(state: SimState):
     previous table that arrives at day0 or later is still on the road, so
     it is carried over and the vehicle's trips wait for its arrival.  The
     timetable ends, as ``state.end``, at the next day's first tick or at
-    the run's end, whichever comes first; trips that would leave at or
-    after it are dropped.  ``state.nodes`` ends as where each vehicle
-    rests after its last drive: the next day's start.
+    the run's end, whichever comes first (:func:`_timetable_end`); trips
+    that would leave at or after it are dropped.  Trips due after its last
+    step never reach the schedules (see :func:`_new_day`); one due sooner
+    that an earlier drive's late arrival pushes to the end is routed and
+    dropped here.  ``state.nodes`` ends as where each vehicle rests after
+    its last drive: the next day's start.
     """
     cfg, dt = state.cfg, state.cfg.dt
     day0 = state.tick
-    end = min(day0 + cfg.steps(DAY_LEN, "one day"),
-              cfg.steps(cfg.sim_duration, "sim_duration"))
+    end = _timetable_end(state)
     carried = np.flatnonzero(state.drives[:, 2] >= day0)
     routes = [state.routes[i] for i in carried.tolist()]
     drives = state.drives[carried].ravel().tolist()

@@ -28,10 +28,12 @@ from vancast.roadnet import (
     float_text,
     main_road_route,
     random_route,
+    route_factors,
     shortest_path,
 )
 
 DAY_LEN = 86_400.0
+ROUTING_POLICIES = ("random", "shortest", "main_road")
 
 
 class ScheduleError(ValueError):
@@ -101,9 +103,7 @@ def _route_for_policy(
         return shortest_path(g, src, dst)
     if policy == "random":
         return random_route(g, src, dst, rng)
-    if policy == "main_road":
-        return main_road_route(g, src, dst)
-    raise ValueError(f"unknown routing policy {policy!r}")
+    return main_road_route(g, src, dst)
 
 
 def assign_trips(
@@ -116,6 +116,7 @@ def assign_trips(
     policy: str = "random",
     main_road_fraction: float = 0.0,
     start_nodes: list[int] | None = None,
+    until: float = math.inf,
 ) -> list[TripSchedule]:
     """Draw one day of trips for every vehicle.
 
@@ -127,6 +128,13 @@ def assign_trips(
     draw per vehicle) routes every trip over the main roads; the rest
     use ``policy``.  Home nodes come from ``start_nodes`` when given
     (letting consecutive days chain), else uniformly at random.
+
+    Only trips with ``depart_time <= until`` are routed and scheduled.
+    A later trip is still drawn: it picks its destination, which is the
+    next trip's origin, and under the random policy draws the edge
+    factors its route would (:func:`route_factors`).  So the generator
+    makes the same draws, and each schedule is the prefix of the one
+    that ``until = inf`` gives.
     """
     if n_vehicles < 1:
         raise ValueError(f"need at least one vehicle, got {n_vehicles}")
@@ -136,6 +144,8 @@ def assign_trips(
         raise ValueError(
             f"main_road_fraction must lie in [0, 1], got {main_road_fraction}"
         )
+    if policy not in ROUTING_POLICIES:
+        raise ValueError(f"unknown routing policy {policy!r}")
     if start_nodes is not None and len(start_nodes) != n_vehicles:
         raise ValueError(
             f"start_nodes has {len(start_nodes)} entries for "
@@ -153,9 +163,13 @@ def assign_trips(
         trip_policy = "main_road" if on_main else policy
         trips = []
         for depart in departs:
+            depart_time = float(depart) + day_start
             dst = _pick_destination(g, origin, max_trip_dist, rng)
-            route = _route_for_policy(g, origin, dst, trip_policy, rng)
-            trips.append(Trip(float(depart) + day_start, route))
+            if depart_time <= until:
+                trips.append(Trip(depart_time, _route_for_policy(g, origin, dst, trip_policy,
+                                                                 rng)))
+            elif trip_policy == "random":
+                route_factors(g, origin, dst, rng)
             origin = dst
         schedules.append(TripSchedule(vid, tuple(trips)))
     return schedules

@@ -76,6 +76,8 @@ class RoadGraph:
             sorted({v for e in self.edges if e.main for v in (e.a, e.b)}), dtype=np.intp)
         self._length_array = np.array(self.lengths)
         self._dist_cache: dict[int, np.ndarray] = {}
+        self._main_cache: dict[int, np.ndarray] = {}
+        self._warned_off_main = False  # main_road_route warns once per graph
         self._within: dict[tuple[int, float], tuple[int, ...]] = {}
         # One int object per node id, shared by every cached tuple, so a
         # tuple costs a pointer per node rather than an int each.
@@ -95,9 +97,10 @@ class RoadGraph:
         """Distances from src to every node.  Unreachable nodes get inf.
 
         With default weights (``lengths``) the result is memoized on the
-        graph.  Custom weight vectors are never cached: the per-trip
+        graph.  Custom weight vectors are not cached here: the per-trip
         inflated weights of :func:`random_route`, and ``main_weights``,
-        whose inf entries confine the search to main roads.
+        whose inf entries confine the search to main roads (see
+        :meth:`main_field`).
 
         With ``target`` the search is A* (Hart, Nilsson & Raphael, 1968)
         toward target.  Only the nodes a route walk from target needs are
@@ -152,6 +155,15 @@ class RoadGraph:
         if weights is None and target is None:
             self._dist_cache[src] = out
         return out
+
+    def main_field(self, src: int) -> np.ndarray:
+        """Main-road-only distances from src (``main_weights``), memoized:
+        inf off src's main component.  Kept for the main nodes that
+        :func:`main_road_route` enters and leaves by."""
+        field = self._main_cache.get(src)
+        if field is None:
+            field = self._main_cache[src] = self.dijkstra(src, self.main_weights)
+        return field
 
     def nodes_within(self, src: int, max_dist: float) -> tuple[int, ...]:
         """Nodes at positive road distance <= max_dist from src, sorted.
@@ -248,13 +260,24 @@ def random_route(
     The reported route lengths always use the true edge lengths.
     """
     _check_endpoints(g, src, dst)
+    factors = route_factors(g, src, dst, rng, max_factor)
+    if factors is None:
+        return Route((src,), (), (0.0,))
+    weights = (g._length_array * factors).tolist()
+    return _walk_route(g, src, [(dst, g.dijkstra(dst, weights, target=src), weights)])
+
+
+def route_factors(
+    g: RoadGraph, src: int, dst: int, rng: np.random.Generator, max_factor: float = 3.0
+) -> np.ndarray | None:
+    """The per-edge inflation factors :func:`random_route` draws for a trip
+    from src to dst: one uniform draw from [1, max_factor] per edge, or
+    None, with no draw, when src == dst."""
     if max_factor < 1.0:
         raise ValueError(f"max_factor must be >= 1, got {max_factor}")
     if src == dst:
-        return Route((src,), (), (0.0,))
-    factors = rng.uniform(1.0, max_factor, size=g.n_edges)
-    weights = (g._length_array * factors).tolist()
-    return _walk_route(g, src, [(dst, g.dijkstra(dst, weights, target=src), weights)])
+        return None
+    return rng.uniform(1.0, max_factor, size=g.n_edges)
 
 
 def main_road_route(g: RoadGraph, src: int, dst: int) -> Route:
@@ -263,8 +286,11 @@ def main_road_route(g: RoadGraph, src: int, dst: int) -> Route:
     Three legs, walked as one route: to the entry, the main node nearest
     src; along main roads only to the exit, the node of the entry's main
     component nearest dst; then on to dst.  Ties go to the smaller node
-    id; the middle leg is empty when entry and exit coincide.  Raises
-    ValueError on a graph with no main edges.
+    id; the middle leg is empty when entry and exit coincide.  The
+    component and the middle leg come from the graph's memoized
+    main-only fields of entry and exit (:meth:`RoadGraph.main_field`).
+    A src that reaches no main road gets :func:`shortest_path`, with one
+    warning per graph.  Raises ValueError on a graph with no main edges.
     """
     _check_endpoints(g, src, dst)
     main = g.main_nodes
@@ -277,15 +303,18 @@ def main_road_route(g: RoadGraph, src: int, dst: int) -> Route:
     dist_src = g.dijkstra(src)
     entry = int(main[np.argmin(dist_src[main])])
     if not np.isfinite(dist_src[entry]):
-        log.warning("main roads unreachable from node %d; using shortest path", src)
+        if not g._warned_off_main:
+            g._warned_off_main = True
+            log.warning("main roads unreachable from node %d; using shortest path "
+                        "(not repeated for other trips on this graph)", src)
         return shortest_path(g, src, dst)
-    comp = main[np.isfinite(g.dijkstra(entry, g.main_weights)[main])]
+    comp = main[np.isfinite(g.main_field(entry)[main])]
     dist_dst = g.dijkstra(dst)
     exit_ = int(comp[np.argmin(dist_dst[comp])])
 
     legs = [(entry, g.dijkstra(entry), g.lengths)]
     if entry != exit_:
-        legs.append((exit_, g.dijkstra(exit_, g.main_weights, target=entry), g.main_weights))
+        legs.append((exit_, g.main_field(exit_), g.main_weights))
     legs.append((dst, dist_dst, g.lengths))
     return _walk_route(g, src, legs)
 

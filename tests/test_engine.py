@@ -479,6 +479,65 @@ def test_step_past_the_timetable_end_raises():
         step(state, 8_641)
 
 
+class HandDrawnTrips:
+    """A generator whose trip counts and departure times are set by hand,
+    one list of day times per vehicle; every other draw is a seeded one's."""
+
+    def __init__(self, departs):
+        self.departs = [list(d) for d in departs]
+        self._rng = np.random.default_rng(0)
+
+    def poisson(self, lam):
+        return len(self.departs[0])
+
+    def uniform(self, low, high, size):
+        return np.array(self.departs.pop(0))
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+def test_a_trip_due_after_the_last_step_is_drawn_but_not_routed(monkeypatch):
+    import vancast.engine as engine
+    import vancast.mobility as mobility
+    from vancast.mobility import departure_tick
+
+    state = init_sim(two_parked_vehicles_config(cols=3, dt=0.1, sim_duration=60.0,
+                                                routing_policy="shortest"))
+    assert state.end == 600
+    until = (state.end - 1) * 0.1 + 0.1
+    late = math.nextafter(until, math.inf)
+    assert departure_tick(until, 0.1, 0) == 599 and departure_tick(late, 0.1, 0) == 600
+    routed, real = [], mobility.shortest_path
+    monkeypatch.setattr(mobility, "shortest_path",
+                        lambda g, src, dst: routed.append(src) or real(g, src, dst))
+    state.rng = HandDrawnTrips([[until], [late]])
+    engine._new_day(state)
+    assert routed == [state.schedules[0].trips[0].route.src]
+    assert [len(s.trips) for s in state.schedules] == [1, 0]
+    assert state.schedules[0].trips[0].depart_time == until
+    drives = state.drives.tolist()
+    assert len(drives) == 1 and drives[0][:2] == [0, 599]  # on the last tick, end - 1
+
+
+@pytest.mark.parametrize("policy", ["random", "shortest"])
+def test_a_skipped_trip_raises_schedule_error_where_a_routed_one_does(policy):
+    from vancast.mobility import ScheduleError, assign_trips
+    from vancast.roadnet import Edge, RoadGraph
+
+    # node 3 has no edge, so vehicle 1, parked there, has nowhere to go
+    g = RoadGraph([0.0, 100.0, 200.0, 5_000.0], [0.0] * 4,
+                  [Edge(0, 0, 1, 100.0), Edge(1, 1, 2, 100.0)])
+    states = []
+    for until in (math.inf, 40_000.0, -math.inf):
+        rng = np.random.default_rng(11)
+        with pytest.raises(ScheduleError, match="no destination within 1000 m of node 3"):
+            assign_trips(g, 3, 5.0, 1_000.0, rng, policy=policy, start_nodes=[0, 3, 1],
+                         until=until)
+        states.append(rng.bit_generator.state)
+    assert states == [states[0]] * 3
+
+
 def test_new_day_schedules_lie_inside_their_day():
     from vancast.mobility import DAY_LEN
 

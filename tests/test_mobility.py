@@ -1,5 +1,7 @@
 """Trip schedule and motion tests."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -131,6 +133,11 @@ def test_assign_trips_argument_validation():
         assign_trips(g, 5, 3.0, 1000.0, rng, main_road_fraction=1.5)
     with pytest.raises(ValueError):
         assign_trips(g, 5, 3.0, 1000.0, rng, start_nodes=[0, 1])
+    # refused before any draw, whether or not a trip is routed
+    for until in (math.inf, -math.inf):
+        with pytest.raises(ValueError, match="unknown routing policy 'fastest'"):
+            assign_trips(g, 5, 3.0, 1000.0, rng, policy="fastest", until=until)
+    assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
 
 
 def test_schedule_validation():

@@ -1,9 +1,11 @@
 """Property tests: text formats read back exactly what was written, a
 search stopped at its target walks the same routes as a full one, a
-main-road route is its three legs joined, the GF(256) matrix product
+main-road route is its three legs joined, a departure cutoff routes a
+prefix of the day's trips from the same draws, the GF(256) matrix product
 agrees with the multiplication table, and the incremental decoder agrees
 with a from-scratch rank."""
 
+import math
 import os
 import tempfile
 
@@ -18,6 +20,7 @@ from hypothesis.extra.numpy import arrays
 from vancast.config import ROUTING_POLICIES, ExperimentConfig, config_lines, parse_config
 from test_fountain import oracle_rank
 from vancast.fountain import GF_MUL, DecoderState, gf_matmul
+from vancast.mobility import DAY_LEN, assign_trips
 from vancast.roadnet import (Edge, RoadGraph, Route, _walk_route, load_road_graph,
                              main_road_route, save_road_graph)
 
@@ -150,6 +153,37 @@ def test_main_road_route_is_its_legs_joined(case):
         for dst in range(g.n_nodes):
             if src != dst:
                 assert main_road_route(g, src, dst) == joined_main_road_route(g, src, dst)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rounded_graphs(), st.sampled_from(ROUTING_POLICIES), st.sampled_from([0.0, 0.5]),
+       st.integers(1, 5), st.sampled_from([0.0, 1.0, 4.0]), st.integers(0, 2**32),
+       st.floats(0.0, 3 * DAY_LEN) | st.sampled_from([-math.inf, math.inf]),
+       st.integers(0, 40))
+def test_departure_cutoff_routes_a_prefix_from_the_same_draws(
+        case, policy, fraction, n_vehicles, mean_trips, seed, cut, pick):
+    g, _ = case
+    assume(g.main_nodes.size)
+
+    def draw(until):
+        rng = np.random.default_rng(seed)
+        # every node has an edge of at most 1.1, so each origin has a destination
+        schedules = assign_trips(g, n_vehicles, mean_trips, 2.5, rng, day_start=DAY_LEN,
+                                 policy=policy, main_road_fraction=fraction, until=until)
+        return schedules, rng.bit_generator.state
+
+    full, stream = draw(math.inf)
+    departs = sorted(t.depart_time for s in full for t in s.trips)
+    cutoffs = [cut, -math.inf]
+    if departs:  # right at a departure, and one ulp either side of it
+        at = departs[pick % len(departs)]
+        cutoffs += [at, math.nextafter(at, -math.inf), math.nextafter(at, math.inf)]
+    for until in cutoffs:
+        schedules, after = draw(until)
+        assert after == stream
+        assert [s.vehicle_id for s in schedules] == list(range(n_vehicles))
+        assert [s.trips for s in schedules] == [
+            tuple(t for t in s.trips if t.depart_time <= until) for s in full]
 
 
 @st.composite

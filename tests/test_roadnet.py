@@ -1,5 +1,6 @@
 """Road network tests: grid construction, file format, routing."""
 
+import logging
 import math
 
 import numpy as np
@@ -394,6 +395,38 @@ def test_main_road_route_stays_in_entry_component_and_breaks_ties():
     assert route.nodes == (0, 1, 2, 4, 7)
     assert route.edge_ids == (5, 0, 2, 6)
     assert route.cum_length == (0.0, 5.0, 15.0, 25.0, 75.0)
+
+
+def test_main_road_route_searches_main_roads_once_per_main_node(monkeypatch):
+    g = generate_manhattan_grid(6, 6, 100.0, main_cols=[1, 4])
+    searches, real = [], g.dijkstra
+    monkeypatch.setattr(g, "dijkstra", lambda src, weights=None, target=None: (
+        searches.append((src, weights is g.main_weights)) or real(src, weights, target)))
+    for src in range(g.n_nodes):
+        for dst in range(g.n_nodes):
+            main_road_route(g, src, dst)
+    main_searches = [src for src, on_main in searches if on_main]
+    # one main-only field per entry or exit, never searched again
+    assert len(main_searches) == len(set(main_searches))
+    assert set(main_searches) <= set(g.main_nodes.tolist())
+
+
+def test_main_road_route_warns_once_per_graph_off_the_main_roads(caplog):
+    # main roads join 0-1-2; nodes 3-4-5 form a second component without any
+    edges = [Edge(0, 0, 1, 100.0, True), Edge(1, 1, 2, 100.0, True),
+             Edge(2, 3, 4, 100.0), Edge(3, 4, 5, 100.0)]
+    g = RoadGraph([0.0, 100.0, 200.0, 0.0, 100.0, 200.0], [0.0] * 3 + [500.0] * 3, edges)
+    with caplog.at_level(logging.WARNING, logger="vancast.roadnet"):
+        for src, dst in ((4, 3), (3, 5), (5, 4)) * 20:
+            assert main_road_route(g, src, dst) == shortest_path(g, src, dst)
+        main_road_route(g, 0, 2)  # on the main roads: nothing to warn of
+    warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert len(warnings) == 1
+    assert warnings[0].startswith("main roads unreachable from node 4; using shortest path")
+    other = RoadGraph(g.node_x, g.node_y, edges)  # a new graph warns afresh
+    with caplog.at_level(logging.WARNING, logger="vancast.roadnet"):
+        main_road_route(other, 5, 3)
+    assert len([r for r in caplog.records if r.levelno == logging.WARNING]) == 2
 
 
 # --- misc graph queries --------------------------------------------------------
