@@ -5,7 +5,7 @@ Run:  python3 demos/codec_roundtrip.py
 
 import numpy as np
 
-from vancast.fountain import DecoderState, decode, encode, wire_to_chunks
+from vancast.fountain import DecoderState, chunks_to_wire, decode, encode, wire_to_chunks
 
 rng = np.random.default_rng(0)
 data = rng.bytes(120_000)
@@ -27,17 +27,21 @@ assert recovered == data
 print(f"decoded exactly from a random {len(kept)}-chunk subset "
       f"({n - len(kept)} chunks lost)")
 
-# The decoder is incremental; feed it chunks one by one and watch the
-# rank climb to k, mixing raw and combined chunks in arrival order.
-dec = DecoderState(k, payload_size=len(chunks[0].payload))
+# A receiver tracks rank as chunks arrive, mixing raw and combined chunks
+# in arrival order, keeps those that raised it and decodes once at rank k.
+dec = DecoderState(k)
+raised = []
 for i, cid in enumerate(rng.permutation(n).tolist()):
-    dec.absorb(chunks[cid])
+    if dec.absorb(chunks[cid]):
+        raised.append(chunks[cid])
     if dec.is_complete:
         print(f"rank hit {k} after absorbing {i + 1} chunks in random order")
         break
+assert decode(raised, k, len(data)) == data
+print(f"decoded exactly from the {len(raised)} chunks that raised the rank")
 
 # Chunks survive serialization: what travels is id + payload, nothing else.
-wire = b"".join(c.to_wire() for c in (chunks[i] for i in kept))
+wire = chunks_to_wire([chunks[i] for i in kept])
 again = wire_to_chunks(wire, symbol_size=len(chunks[0].payload))
 assert decode(again, k, len(data)) == data
 print(f"round-tripped {len(wire)} wire bytes and decoded again")

@@ -148,14 +148,15 @@ def exchange(
     budget_ab: int,
     budget_ba: int,
     rng: np.random.Generator,
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Transfer up to budget chunks in each direction of one contact.
 
     Each side offers the chunk ids the other is missing; when the
     surplus exceeds the budget, the subset actually sent is a uniform
     draw without replacement.  Both directions are computed from the
     pre-exchange stores, so a chunk received this instant is not
-    immediately re-offered back.
+    immediately re-offered back.  Returns the ids sent a -> b and b -> a,
+    each as a sorted int array.
     """
     if budget_ab < 0 or budget_ba < 0:
         raise ValueError("budgets must be >= 0")
@@ -179,7 +180,7 @@ def exchange(
     if sent_ba.size:
         store_a.mask[sent_ba] = True
         store_a.count += int(sent_ba.size)
-    return tuple(int(i) for i in sent_ab), tuple(int(i) for i in sent_ba)
+    return sent_ab, sent_ba
 
 
 def provision_seeds(
@@ -523,7 +524,7 @@ def step(state: SimState, n_ticks: int = 1) -> list[int]:
             sent_ab, sent_ba = exchange(sa, sb, n_ab, n_ba, state.rng)
             # Only receivers: a hand-built state may hold an unstamped store at the threshold.
             for store, got in ((sb, sent_ab), (sa, sent_ba)):
-                if got and store.completed_at is None and store.count >= cfg.decode_threshold:
+                if got.size and store.completed_at is None and store.count >= cfg.decode_threshold:
                     store.completed_at = (t + 1) * cfg.dt
                     state.completed_count += 1
                     done.append(t + 1)

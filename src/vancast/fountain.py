@@ -19,9 +19,10 @@ of the coded ids' coefficient rows by the symbols.  Decoding places the
 held systematic symbols by index and solves for the missing ones only:
 one Gauss-Jordan over the coded rows' coefficients on the missing
 columns picks the pivot rows and their inverse, and two products give
-the symbols.  :func:`rank` runs the same elimination without payloads,
-and :class:`DecoderState` grows a reduced basis row by row with the same
-pivot step, :func:`_pivot`, then hands its rows to the same solver.
+the symbols.  :func:`decode` is the only code that turns chunks into
+file bytes.  :func:`rank` runs the same elimination without payloads,
+and :class:`DecoderState` tracks rank chunk by chunk in a reduced basis
+that grows by the same pivot step, :func:`_pivot`.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -293,8 +295,6 @@ def _solve(
     """
     miss = np.flatnonzero(~known)
     r, c = miss.size, len(coeffs)
-    if r == 0:
-        return
     work = np.zeros((c, r + c), dtype=np.uint8)
     work[:, :r] = coeffs[:, miss]
     work[:, r:] = np.eye(c, dtype=np.uint8)
@@ -310,19 +310,14 @@ def _solve(
     symbols[miss] = gf_matmul(work[pivots][:, r + pivots], rhs)
 
 
-def _split_ids(ids, k: int) -> tuple[np.ndarray, list[int]]:
-    """Known-column mask of the systematic ids, and the coded ids in order."""
+def _split_ids(ids: list[int], k: int) -> tuple[np.ndarray, int]:
+    """Known-column mask of sorted distinct ids, and where their coded suffix starts."""
+    if ids and ids[0] < 0:
+        raise ValueError(f"chunk ids must be >= 0, got {ids[0]}")
+    s = bisect_left(ids, k)
     known = np.zeros(k, dtype=bool)
-    coded = []
-    for cid in ids:
-        if cid < 0:
-            raise ValueError(f"chunk ids must be >= 0, got {cid}")
-        if cid < k:
-            known[cid] = True
-        else:
-            coded.append(cid)
-    coded.sort()
-    return known, coded
+    known[ids[:s]] = True
+    return known, s
 
 
 def rank(ids, k: int) -> int:
@@ -335,41 +330,35 @@ def rank(ids, k: int) -> int:
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    known, coded = _split_ids({int(cid) for cid in ids}, k)
+    ids = sorted({int(cid) for cid in ids})
+    known, s = _split_ids(ids, k)
     miss = np.flatnonzero(~known)
-    have = k - miss.size
-    if miss.size == 0 or not coded:
-        return have
-    work = _coefficient_rows(coded, k)[:, miss]
-    return have + int(np.count_nonzero(_gauss_jordan(work, miss.size) >= 0))
+    if miss.size == 0 or s == len(ids):
+        return s
+    work = _coefficient_rows(ids[s:], k)[:, miss]
+    return s + int(np.count_nonzero(_gauss_jordan(work, miss.size) >= 0))
 
 
 class DecoderState:
-    """Incremental rank over GF(256), then one batch solve.
+    """Incremental rank of received chunks over GF(256).
 
     Rows are absorbed one at a time into a fully reduced basis, whose
     rows each have a 1 at their pivot column and 0 at every other one.
     A new row is reduced against all the pivots it hits at once; what is
     left, if anything, joins the basis by :func:`_pivot`.  So the rank
-    is known after every absorb, and a decoder can stop at rank k.
-    Payloads take no part: each row that raised the rank is kept as
-    received, and ``solve`` hands those k rows to :func:`decode`'s solver.
+    is known after every absorb.  Payloads take no part: a receiver
+    stops at rank k and passes the chunks whose absorb returned True to
+    :func:`decode`.
     """
 
-    def __init__(self, k: int, payload_size: int = 0):
+    def __init__(self, k: int):
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        if payload_size < 0:
-            raise ValueError("payload_size must be >= 0")
         self.k = k
-        self.payload_size = payload_size
         self.rank = 0
         # The reduced basis, and each basis row's pivot column.
         self._basis = np.zeros((k, k), dtype=np.uint8)
         self._pivots = np.zeros(k, dtype=np.intp)
-        # The rows that raised the rank, as received, in arrival order.
-        self._raw = np.zeros((k, k), dtype=np.uint8)
-        self._payloads = np.zeros((k, payload_size), dtype=np.uint8)
 
     @property
     def is_complete(self) -> bool:
@@ -377,14 +366,10 @@ class DecoderState:
 
     def absorb(self, chunk: CodedChunk) -> bool:
         """Absorb a coded chunk.  Returns True if it raised the rank."""
-        payload = np.frombuffer(chunk.payload, dtype=np.uint8)
-        return self.absorb_row(derive_coefficients(chunk.chunk_id, self.k), payload)
+        return self.absorb_row(derive_coefficients(chunk.chunk_id, self.k))
 
-    def absorb_row(self, coeffs: np.ndarray, payload: np.ndarray | None = None) -> bool:
-        """Absorb a raw (coefficients, payload) row.  True if rank grew.
-
-        The payload may be omitted only when ``payload_size`` is 0.
-        """
+    def absorb_row(self, coeffs: np.ndarray) -> bool:
+        """Absorb a raw coefficient row.  Returns True if it raised the rank."""
         k = self.k
         if np.shape(coeffs) != (k,):
             raise ValueError(
@@ -394,16 +379,6 @@ class DecoderState:
         if values.dtype.kind not in "iu" or ((values < 0) | (values > 255)).any():
             raise ValueError(f"coeffs must be integers in 0..255, got {values.dtype} "
                              f"from {values.min()} to {values.max()}")
-        if payload is None:
-            if self.payload_size:
-                raise ValueError(
-                    f"payload missing, decoder expects {self.payload_size} bytes"
-                )
-        elif np.shape(payload) != (self.payload_size,):
-            raise ValueError(
-                f"payload of shape {np.shape(payload)}, decoder expects "
-                f"{self.payload_size} bytes"
-            )
         if self.is_complete:
             return False
 
@@ -424,38 +399,24 @@ class DecoderState:
         self._basis[r] = row
         self._pivots[r] = nz[0]
         _pivot(self._basis[: r + 1], r, nz[0])
-        self._raw[r] = coeffs
-        if payload is not None:
-            self._payloads[r] = payload
         self.rank += 1
         return True
-
-    def solve(self) -> np.ndarray:
-        """Solve the absorbed rows; return the (k, payload_size) symbol array."""
-        if not self.is_complete:
-            raise RankDeficientError(self.rank, self.k)
-        raw = self._raw
-        unit = (np.count_nonzero(raw, axis=1) == 1) & (raw.max(axis=1) == 1)
-        symbols = np.zeros((self.k, self.payload_size), dtype=np.uint8)
-        known = np.zeros(self.k, dtype=bool)
-        cols = raw[unit].argmax(axis=1)
-        symbols[cols] = self._payloads[unit]
-        known[cols] = True
-        _solve(symbols, known, raw[~unit], self._payloads[~unit])
-        return symbols
 
 
 def decode(chunks: list[CodedChunk], k: int, original_len: int) -> bytes:
     """Recover the original file from any rank-k set of chunks.
 
-    Systematic payloads are placed by index; the coded chunks, in id
-    order, solve for the missing symbols only (see :func:`_solve`).
-    Raises :class:`RankDeficientError` (carrying the achieved rank) if
-    the set does not span, and ValueError for malformed input: no
-    chunks, duplicate or negative ids, or mismatched payload sizes.
+    The chunks are taken in id order.  If all k systematic chunks are
+    held, their payloads are the file; otherwise they are placed by
+    index, and the coded ones solve for the missing symbols only (see
+    :func:`_solve`).  Raises :class:`RankDeficientError`
+    (carrying the achieved rank) if the set does not span, and
+    ValueError for malformed input: no chunks, duplicate or negative
+    ids, or mismatched payload sizes.
     """
     if not chunks:
         raise ValueError("no chunks to decode")
+    chunks = sorted(chunks, key=lambda c: c.chunk_id)
     ids = [c.chunk_id for c in chunks]
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate chunk ids in decode input")
@@ -468,23 +429,16 @@ def decode(chunks: list[CodedChunk], k: int, original_len: int) -> bytes:
             f"original_len {original_len} impossible for k={k}, "
             f"symbol_size={symbol_size}"
         )
-    known, coded = _split_ids(ids, k)
-    by_id = {c.chunk_id: c.payload for c in chunks}
+    known, s = _split_ids(ids, k)
+    if s == k:
+        # The systematic chunks are the file: no coded payload is read.
+        return b"".join(c.payload for c in chunks[:k])[:original_len]
+    payloads = np.frombuffer(b"".join(c.payload for c in chunks), dtype=np.uint8)
+    payloads = payloads.reshape(-1, symbol_size)
     symbols = np.zeros((k, symbol_size), dtype=np.uint8)
-    have = np.flatnonzero(known)
-    symbols[have] = _stack([by_id[int(cid)] for cid in have], symbol_size)
-    if have.size < k:
-        _solve(
-            symbols,
-            known,
-            _coefficient_rows(coded, k),
-            _stack([by_id[cid] for cid in coded], symbol_size),
-        )
-    return symbols.tobytes()[:original_len]
-
-
-def _stack(payloads: list[bytes], size: int) -> np.ndarray:
-    return np.frombuffer(b"".join(payloads), dtype=np.uint8).reshape(-1, size)
+    symbols[known] = payloads[:s]
+    _solve(symbols, known, _coefficient_rows(ids[s:], k), payloads[s:])
+    return symbols.reshape(-1)[:original_len].tobytes()
 
 
 def chunks_to_wire(chunks: list[CodedChunk]) -> bytes:
@@ -494,6 +448,8 @@ def chunks_to_wire(chunks: list[CodedChunk]) -> bytes:
 
 def wire_to_chunks(data: bytes, symbol_size: int) -> list[CodedChunk]:
     """Split a byte string into wire records of 4 + symbol_size bytes."""
+    if symbol_size < 1:
+        raise ValueError(f"symbol_size must be >= 1, got {symbol_size}")
     record = 4 + symbol_size
     if len(data) % record != 0:
         raise ValueError(

@@ -143,8 +143,10 @@ def test_exchange_moves_only_missing_chunks():
     for i in range(5, 15):
         b.add(i)
     sent_ab, sent_ba = exchange(a, b, 3, 2, rng)
-    assert len(sent_ab) == 3 and set(sent_ab) <= set(range(5))
-    assert len(sent_ba) == 2 and set(sent_ba) <= set(range(10, 15))
+    assert len(sent_ab) == 3 and set(sent_ab.tolist()) <= set(range(5))
+    assert len(sent_ba) == 2 and set(sent_ba.tolist()) <= set(range(10, 15))
+    assert sent_ab.tolist() == sorted(sent_ab.tolist())
+    assert sent_ba.tolist() == sorted(sent_ba.tolist())
     assert b.count == 13 and a.count == 12
     for cid in sent_ab:
         assert b.has(cid)
@@ -158,8 +160,8 @@ def test_exchange_is_simultaneous_not_sequential():
     a, b = ChunkStore(4), ChunkStore(4)
     a.add(0)
     sent_ab, sent_ba = exchange(a, b, 4, 4, rng)
-    assert sent_ab == (0,)
-    assert sent_ba == ()  # b had nothing of its own to give
+    assert sent_ab.tolist() == [0]
+    assert sent_ba.tolist() == []  # b had nothing of its own to give
 
 
 def test_exchange_budget_larger_than_surplus_sends_all():
@@ -168,7 +170,7 @@ def test_exchange_budget_larger_than_surplus_sends_all():
     for i in (1, 5, 7):
         a.add(i)
     sent_ab, sent_ba = exchange(a, b, 100, 100, rng)
-    assert sent_ab == (1, 5, 7)
+    assert sent_ab.tolist() == [1, 5, 7]
     assert b.count == 3
 
 
@@ -176,7 +178,7 @@ def test_exchange_zero_budget_and_errors():
     rng = np.random.default_rng(4)
     a, b = ChunkStore(5), ChunkStore(5)
     a.add_all()
-    assert exchange(a, b, 0, 0, rng) == ((), ())
+    assert [sent.tolist() for sent in exchange(a, b, 0, 0, rng)] == [[], []]
     with pytest.raises(ValueError):
         exchange(a, b, -1, 0, rng)
     with pytest.raises(ValueError):
@@ -872,9 +874,9 @@ def reference_step(state, ref):
         if n_ab or n_ba:
             sent_ab, sent_ba = exchange(state.stores[a], state.stores[b], n_ab, n_ba,
                                         state.rng)
-            if sent_ab:
+            if sent_ab.size:
                 touched.add(b)
-            if sent_ba:
+            if sent_ba.size:
                 touched.add(a)
     ref["accum"] = accum
     state.tick += 1

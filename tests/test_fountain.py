@@ -20,7 +20,6 @@ from vancast.fountain import (
     decode,
     derive_coefficients,
     encode,
-    gf_matmul,
     rank,
     wire_to_chunks,
 )
@@ -269,6 +268,8 @@ def test_decode_input_validation():
         decode([chunks[0], chunks[1], chunks[2], odd], 4, 64)
     with pytest.raises(ValueError):
         decode(chunks[:4], 4, 10_000)  # original_len too large
+    with pytest.raises(ValueError, match=">= 0"):
+        decode([CodedChunk(-1, chunks[0].payload)] + chunks[1:5], 4, 64)
 
 
 # --- incremental decoder state ----------------------------------------------
@@ -312,61 +313,26 @@ def test_dependent_row_does_not_raise_rank():
     assert state.rank == 1
 
 
-def test_solve_requires_full_rank():
-    state = DecoderState(5, payload_size=2)
-    state.absorb(CodedChunk(0, b"ab"))
-    with pytest.raises(RankDeficientError):
-        state.solve()
-
-
-def test_payload_size_mismatch_rejected():
-    state = DecoderState(5, payload_size=4)
-    with pytest.raises(ValueError):
-        state.absorb(CodedChunk(0, b"abc"))
-
-
 def test_absorb_row_rejects_bad_shapes():
-    state = DecoderState(3, payload_size=2)
+    state = DecoderState(3)
     with pytest.raises(ValueError, match="coeffs"):
-        state.absorb_row(np.array([1, 0], dtype=np.uint8), np.zeros(2, np.uint8))
+        state.absorb_row(np.array([1, 0], dtype=np.uint8))
     with pytest.raises(ValueError, match="coeffs"):
-        state.absorb_row(np.zeros((3, 1), dtype=np.uint8), np.zeros(2, np.uint8))
-    with pytest.raises(ValueError, match="payload"):
-        state.absorb_row(derive_coefficients(0, 3), np.zeros(3, np.uint8))
-    # Unit rows with no payloads used to "solve" to all-zero symbols.
-    for cid in range(3):
-        with pytest.raises(ValueError, match="payload"):
-            state.absorb_row(derive_coefficients(cid, 3))
+        state.absorb_row(np.zeros((3, 1), dtype=np.uint8))
+    with pytest.raises(ValueError, match="coeffs"):
+        state.absorb_row(np.zeros(4, dtype=np.uint8))
     assert state.rank == 0
-    with pytest.raises(RankDeficientError):
-        state.solve()
-    # a coefficient-only decoder takes no payload bytes
-    with pytest.raises(ValueError, match="payload"):
-        DecoderState(3).absorb_row(derive_coefficients(0, 3), np.zeros(1, np.uint8))
 
 
 @pytest.mark.parametrize("coeffs", [[256, 0], [1.7, 0], [-1, 0], [1.0, 0], [True, False]])
 def test_absorb_row_rejects_coefficients_outside_gf256(coeffs):
-    state = DecoderState(2, payload_size=1)
+    state = DecoderState(2)
     with pytest.raises(ValueError, match="coeffs must be integers in 0..255"):
-        state.absorb_row(np.array(coeffs), np.zeros(1, np.uint8))
+        state.absorb_row(np.array(coeffs))
     assert state.rank == 0
     # any integer dtype holding 0..255 is taken
-    assert state.absorb_row(np.array([255, 0], dtype=np.int64), np.zeros(1, np.uint8))
-    assert state.absorb_row([0, 1], np.zeros(1, np.uint8))
-
-
-def test_solve_with_scaled_unit_rows():
-    """A row with one nonzero coefficient other than 1 is no systematic symbol."""
-    rng = np.random.default_rng(77)
-    k, size = 5, 9
-    symbols = rng.integers(0, 256, size=(k, size), dtype=np.uint8)
-    state = DecoderState(k, payload_size=size)
-    for j in range(k):
-        coeffs = np.zeros(k, dtype=np.uint8)
-        coeffs[j] = 1 if j % 2 else 17 + j
-        assert state.absorb_row(coeffs, gf_matmul(coeffs[None, :], symbols)[0])
-    assert np.array_equal(state.solve(), symbols)
+    assert state.absorb_row(np.array([255, 0], dtype=np.int64))
+    assert state.absorb_row([0, 1])
 
 
 def _incremental_rank(ids, k):
@@ -426,13 +392,15 @@ def test_out_of_order_absorb_still_decodes():
     k, n = 9, 14
     chunks = encode(data, k=k, n=n)
     order = [12, 13, 0, 10, 4, 2, 11, 8, 1, 9]
-    state = DecoderState(k, payload_size=100)
+    state = DecoderState(k)
+    raised = []
     for cid in order:
-        state.absorb(chunks[cid])
+        if state.absorb(chunks[cid]):
+            raised.append(chunks[cid])
         if state.is_complete:
             break
-    assert state.is_complete
-    assert state.solve().tobytes() == data
+    assert state.is_complete and len(raised) == k
+    assert decode(raised, k, len(data)) == data
 
 
 # --- wire format ------------------------------------------------------------
@@ -458,6 +426,9 @@ def test_wire_stream_roundtrip():
 def test_wire_stream_rejects_partial_records():
     with pytest.raises(ValueError):
         wire_to_chunks(b"\x00" * 25, 20)
+    for size in (-4, -10, 0):
+        with pytest.raises(ValueError, match="symbol_size"):
+            wire_to_chunks(b"\x00" * 12, size)
     with pytest.raises(ValueError):
         CodedChunk.from_wire(b"\x00\x00")
 

@@ -3,7 +3,7 @@ search stopped at its target walks the same routes as a full one, a
 main-road route is its three legs joined, a departure cutoff routes a
 prefix of the day's trips from the same draws, the GF(256) matrix product
 agrees with the multiplication table, and the incremental decoder agrees
-with a from-scratch rank."""
+with a from-scratch rank and hands decode the chunks that rebuild the file."""
 
 import math
 import os
@@ -19,7 +19,8 @@ from hypothesis.extra.numpy import arrays
 
 from vancast.config import ROUTING_POLICIES, ExperimentConfig, config_lines, parse_config
 from test_fountain import oracle_rank
-from vancast.fountain import GF_MUL, DecoderState, gf_matmul
+from vancast.fountain import (GF_MUL, DecoderState, RankDeficientError, _solve, decode,
+                              encode, gf_matmul, rank)
 from vancast.mobility import DAY_LEN, assign_trips
 from vancast.roadnet import (Edge, RoadGraph, Route, _walk_route, load_road_graph,
                              main_road_route, save_road_graph)
@@ -243,11 +244,49 @@ def decoder_feeds(draw):
 def test_decoder_state_rank_flags_and_solve(case):
     symbols, rows = case
     k = len(symbols)
-    state = DecoderState(k, payload_size=symbols.shape[1])
+    state = DecoderState(k)
+    raised = []
     for i, row in enumerate(rows):
         before = state.rank
-        grew = state.absorb_row(row.copy(), gf_matmul(row[None, :], symbols)[0])
+        grew = state.absorb_row(row.copy())
         assert state.rank == oracle_rank([[int(v) for v in r] for r in rows[: i + 1]])
         assert grew == (state.rank > before)
+        if grew:
+            raised.append(row)
     if state.is_complete:
-        assert np.array_equal(state.solve(), symbols)
+        # The rows that raised the rank solve for every symbol, scaled
+        # unit rows included.
+        coeffs = np.array(raised)
+        got = np.zeros_like(symbols)
+        _solve(got, np.zeros(k, dtype=bool), coeffs, gf_matmul(coeffs, symbols))
+        assert np.array_equal(got, symbols)
+
+
+@st.composite
+def chunk_feeds(draw):
+    """A small random file, its code's k and n, and chunk ids in arrival
+    order: systematic and coded ids mixed, repeats allowed."""
+    k = draw(st.integers(1, 8))
+    n = draw(st.integers(k, 3 * k + 2))
+    data = draw(st.binary(min_size=1, max_size=4 * k))
+    ids = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n))
+    return data, k, n, ids
+
+
+@settings(max_examples=200, deadline=None)
+@given(chunk_feeds())
+def test_decoder_state_hands_decode_the_chunks_that_raised_the_rank(case):
+    data, k, n, ids = case
+    chunks = encode(data, k=k, n=n)
+    state = DecoderState(k)
+    raised = []
+    for i, cid in enumerate(ids):
+        if state.absorb(chunks[cid]):
+            raised.append(chunks[cid])
+        assert state.rank == rank(ids[: i + 1], k) == len(raised)
+        if state.is_complete:
+            assert decode(raised, k, len(data)) == data
+            break
+        with pytest.raises(RankDeficientError) as err:
+            decode(raised, k, len(data))
+        assert err.value.rank == state.rank
