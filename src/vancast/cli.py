@@ -100,14 +100,13 @@ def write_sweep_summary(
     gives mean/min/max hours per milestone over the replicates that
     reached it, with the reached count alongside.
     """
-    fracs = MILESTONES
     with open(path, "w", newline="") as fh:
         fh.write("# sweep summary\n")
         fh.write(f"# swept parameter: {spec.param}\n")
         for line in config_lines(cfg):
             fh.write(f"# {line}\n")
         cols = ["param", "value", "replicates"]
-        for frac in fracs:
+        for frac in MILESTONES:
             pct = int(round(frac * 100))
             cols += [
                 f"t{pct}_reached",
@@ -119,12 +118,9 @@ def write_sweep_summary(
         for value in spec.values:
             cell = [r for r in runs if r.value == value]
             row = [spec.param, value_key(value), str(len(cell))]
-            for frac in fracs:
-                hours = []
-                for r in cell:
-                    t = time_to_fraction(r.metrics, frac, r.n_vehicles)
-                    if t is not None:
-                        hours.append(t / 3600.0)
+            reached = [milestone_hours(r.metrics, r.n_vehicles) for r in cell]
+            for frac in MILESTONES:
+                hours = [h[frac] for h in reached if h[frac] is not None]
                 row.append(f"{len(hours)}/{len(cell)}")
                 if hours:
                     row += [

@@ -129,32 +129,38 @@ def _parse_int_list(raw: str) -> list[int]:
     return [int(part) for part in raw.split(",")]
 
 
+_PARSERS = {"int": (int, "an int"), "float": (float, "a float"),
+            "bool": (_parse_bool, "a boolean"), "list[int]": (_parse_int_list, "a list of ints")}
+
+
 def coerce_value(name: str, raw: str):
-    """Convert a raw config string to the type of field ``name``."""
+    """Convert a raw config string to the type of field ``name``.
+
+    A value that does not convert raises a ValueError naming the key, the
+    value and the type expected, e.g. ``n_vehicles = 'many' is not an int``.
+    """
     spec = {f.name: f for f in fields(ExperimentConfig)}.get(name)
     if spec is None:
         raise ValueError(f"unknown config key {name!r}")
     raw = raw.strip()
-    if name == "main_cols":
-        return _parse_int_list(raw)
     if name == "graph_file":
         return None if (not raw or raw.lower() == "none") else raw
-    if spec.type == "int":
-        return int(raw)
-    if spec.type == "float":
-        return float(raw)
-    if spec.type == "bool":
-        return _parse_bool(raw)
-    return raw
+    if spec.type not in _PARSERS:
+        return raw
+    parse, kind = _PARSERS[spec.type]
+    try:
+        return parse(raw)
+    except ValueError:
+        raise ValueError(f"{name} = {raw!r} is not {kind}") from None
 
 
-def parse_config(text: str, base: ExperimentConfig | None = None) -> ExperimentConfig:
-    """Parse ``key = value`` lines on top of the defaults (or ``base``).
+def parse_config(text: str) -> ExperimentConfig:
+    """Parse ``key = value`` lines on top of the defaults.
 
     Raises ValueError with the line number for unknown keys, repeated
     keys, and malformed lines or values.
     """
-    cfg = replace(base) if base is not None else ExperimentConfig()
+    cfg = ExperimentConfig()
     seen: set[str] = set()
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
@@ -176,9 +182,9 @@ def parse_config(text: str, base: ExperimentConfig | None = None) -> ExperimentC
     return cfg
 
 
-def load_config(path: str, base: ExperimentConfig | None = None) -> ExperimentConfig:
+def load_config(path: str) -> ExperimentConfig:
     with open(path) as fh:
-        return parse_config(fh.read(), base)
+        return parse_config(fh.read())
 
 
 def apply_overrides(cfg: ExperimentConfig, pairs: list[str]) -> ExperimentConfig:

@@ -18,10 +18,11 @@ positions off the timetable, finds all radio contacts of the span in
 one cell-sorted search, and then runs the chunk exchange, in order,
 only at ticks that have contacts.  This gives the same results, draw
 for draw, as moving, detecting and exchanging one tick at a time.
-``run`` steps in spans up to the timetable's end, lays out the next day
-when the timetable is used up, and builds the completion samples once,
-from the ticks the completions fell on.  All randomness flows through
-one generator, so a (config, seed) pair reproduces a run bit for bit.
+A vehicle's completion is recorded once, as its store's ``completed_at``
+stamp.  ``run`` steps in spans up to the timetable's end, lays out the
+next day when the timetable is used up, and builds the completion
+samples once, from the stamps.  All randomness flows through one
+generator, so a (config, seed) pair reproduces a run bit for bit.
 """
 
 from __future__ import annotations
@@ -61,20 +62,9 @@ class ChunkStore:
         self.count = 0
         self.completed_at: float | None = None
 
-    def add(self, chunk_id: int) -> bool:
-        """Add one chunk id; returns True if it was new."""
-        if self.mask[chunk_id]:
-            return False
-        self.mask[chunk_id] = True
-        self.count += 1
-        return True
-
     def add_all(self):
         self.mask[:] = True
         self.count = self.n_chunks
-
-    def has(self, chunk_id: int) -> bool:
-        return bool(self.mask[chunk_id])
 
     def ids(self) -> list[int]:
         return [int(i) for i in np.flatnonzero(self.mask)]
@@ -246,18 +236,17 @@ def write_metrics_csv(metrics: Metrics, n_vehicles: int, path: str):
 @dataclass
 class SimState:
     """Everything a running simulation owns; the day is ``tick // (DAY_LEN / dt)``,
-    and ``metrics`` stays empty until :func:`run` samples the finished run."""
+    and ``metrics`` stays empty until :func:`run` samples the finished run.
+    A store's ``completed_at`` is the one record of its vehicle's completion."""
 
     cfg: ExperimentConfig
     graph: RoadGraph
     rng: np.random.Generator
     nodes: list[int]  # where each vehicle rests after its last laid-out drive
-    schedules: list[TripSchedule]
     stores: list[ChunkStore]
     seeds: list[int]
     metrics: Metrics
     tick: int = 0  # whole steps taken
-    completed_count: int = 0
     # The day's timetable (see _lay_out_day): (vehicle, departure tick,
     # arrival tick) drives with their routes, (vehicle, node, first tick,
     # end tick) stays, the distance driven each tick after a departure,
@@ -274,6 +263,11 @@ class SimState:
     def clock(self) -> float:
         """Simulated seconds: tick * cfg.dt, computed afresh, never summed."""
         return self.tick * self.cfg.dt
+
+    @property
+    def completed_count(self) -> int:
+        """Vehicles whose store is stamped complete, seeds included."""
+        return sum(s.completed_at is not None for s in self.stores)
 
 
 def build_graph(cfg: ExperimentConfig) -> RoadGraph:
@@ -307,22 +301,21 @@ def _new_day(state: SimState):
     :func:`_lay_out_day` would drop it.  The draws stay the same.
     """
     cfg = state.cfg
-    state.schedules = assign_trips(
+    schedules = assign_trips(
         state.graph,
-        cfg.n_vehicles,
+        state.nodes,
         cfg.mean_trips,
         cfg.max_trip_dist,
         state.rng,
         day_start=(state.tick // cfg.steps(DAY_LEN, "one day")) * DAY_LEN,
         policy=cfg.routing_policy,
         main_road_fraction=cfg.main_road_fraction,
-        start_nodes=state.nodes,
         until=(_timetable_end(state) - 1) * cfg.dt + cfg.dt,
     )
-    _lay_out_day(state)
+    _lay_out_day(state, schedules)
 
 
-def _lay_out_day(state: SimState):
+def _lay_out_day(state: SimState, schedules: list[TripSchedule]):
     """Turn the day's schedules into its timetable of drives and stays.
 
     With day0 = ``state.tick``, the day's first tick, each vehicle's
@@ -350,14 +343,14 @@ def _lay_out_day(state: SimState):
 
     step_len = cfg.speed * dt
     longest = max([r.total_length for r in routes]
-                  + [t.route.total_length for s in state.schedules for t in s.trips], default=0.0)
+                  + [t.route.total_length for s in schedules for t in s.trips], default=0.0)
     odo = odometer(step_len, int(longest / step_len) + 2)
     while odo[-1] < longest:  # a running sum may fall short of the product
         odo = odometer(step_len, 2 * len(odo))
     odo_list = odo.tolist()
 
     stays: list[int] = []
-    for vid, sched in enumerate(state.schedules):
+    for vid, sched in enumerate(schedules):
         arrive = arrived.get(vid, day0 - 1)
         for trip in sched.trips:
             dep = departure_tick(trip.depart_time, dt, max(day0, arrive + 1))
@@ -375,7 +368,7 @@ def _lay_out_day(state: SimState):
     state.routes, state.odo, state.end = routes, odo, end
 
 
-def init_sim(cfg: ExperimentConfig, graph: RoadGraph | None = None) -> SimState:
+def init_sim(cfg: ExperimentConfig) -> SimState:
     """Build the initial simulation state for a configuration, day 0 laid out.
 
     Raises ScheduleError, before any trip is drawn, if a home has no
@@ -385,7 +378,7 @@ def init_sim(cfg: ExperimentConfig, graph: RoadGraph | None = None) -> SimState:
     main roads on a graph that has none.
     """
     cfg.validate()
-    g = graph if graph is not None else build_graph(cfg)
+    g = build_graph(cfg)
     rng = np.random.default_rng(cfg.master_seed)
     n = cfg.n_vehicles
 
@@ -409,11 +402,9 @@ def init_sim(cfg: ExperimentConfig, graph: RoadGraph | None = None) -> SimState:
         graph=g,
         rng=rng,
         nodes=homes,
-        schedules=[],
         stores=stores,
         seeds=seeds,
         metrics=Metrics(),
-        completed_count=len(seeds),
     )
     _new_day(state)
     return state
@@ -450,12 +441,13 @@ def _move(state: SimState, t1: int) -> np.ndarray:
     return rows
 
 
-def step(state: SimState, n_ticks: int = 1) -> list[int]:
+def step(state: SimState, n_ticks: int = 1) -> None:
     """Advance the simulation by n_ticks steps of cfg.dt seconds.
 
     Per tick, in order: every vehicle on the road moves, vehicles due by
     the end of the step depart, radio contacts form, chunks cross every
-    contact within its link budget, and completions are flagged at the
+    contact within its link budget, and a receiver that reaches
+    ``decode_threshold`` gets its store's ``completed_at`` stamp: the
     step's end.  A departing vehicle stands at its origin on its
     departure tick but already takes part in contacts; an arrival departs
     again on the next tick at the earliest.
@@ -473,8 +465,6 @@ def step(state: SimState, n_ticks: int = 1) -> list[int]:
     to the next tick.  A span must end by the timetable's end,
     ``state.end``: ValueError otherwise.  ``run`` lays out the next day
     when a span reaches it.
-
-    Returns the tick count at the end of each completion, in order.
     """
     if n_ticks < 1:
         raise ValueError(f"n_ticks must be >= 1, got {n_ticks}")
@@ -488,10 +478,6 @@ def step(state: SimState, n_ticks: int = 1) -> list[int]:
     state.tick = t1
 
     gain = cfg.transfer_rate / (8.0 * cfg.wire_bytes()) * cfg.dt  # chunks a step
-    done: list[int] = []
-    if not len(contacts):
-        state.accum = {}
-        return done
     tick, a, b = contacts.T
     gain_a = gain_b = np.full(len(tick), gain)
     if cfg.share_bandwidth:
@@ -526,13 +512,10 @@ def step(state: SimState, n_ticks: int = 1) -> list[int]:
             for store, got in ((sb, sent_ab), (sa, sent_ba)):
                 if got.size and store.completed_at is None and store.count >= cfg.decode_threshold:
                     store.completed_at = (t + 1) * cfg.dt
-                    state.completed_count += 1
-                    done.append(t + 1)
     state.accum = new_accum if now == t1 - 1 else {}
-    return done
 
 
-def run(cfg: ExperimentConfig, graph: RoadGraph | None = None) -> SimState:
+def run(cfg: ExperimentConfig) -> SimState:
     """Run sim_duration / dt steps and return the final state.
 
     Steps are taken in spans of up to SPAN_TICKS that end where the
@@ -543,16 +526,18 @@ def run(cfg: ExperimentConfig, graph: RoadGraph | None = None) -> SimState:
     of single steps: a day's trips at its first tick, then exchange draws
     in (tick, a, b) order.  The completion count is sampled every
     sample_interval / dt steps from tick 0 and after the last step, all at
-    once from the ticks the completions fell on.
+    once from the stores' stamps: a sample at tick t counts the stamps at
+    or before ``t * dt``.  A stamp is ``k * dt`` for a whole k too, and
+    rounding is monotone, so this compares the tick counts exactly.
     """
-    state = init_sim(cfg, graph)
+    state = init_sim(cfg)
     n_steps = cfg.steps(cfg.sim_duration, "sim_duration")
     per_sample = cfg.steps(cfg.sample_interval, "sample_interval")
-    done: list[int] = []
     while state.tick < n_steps:
         if state.tick == state.end:
             _new_day(state)
-        done += step(state, min(SPAN_TICKS, state.end - state.tick))
-    state.metrics.samples = [(t * cfg.dt, len(state.seeds) + bisect.bisect_right(done, t))
+        step(state, min(SPAN_TICKS, state.end - state.tick))
+    stamps = sorted(s.completed_at for s in state.stores if s.completed_at is not None)
+    state.metrics.samples = [(t * cfg.dt, bisect.bisect_right(stamps, t * cfg.dt))
                              for t in [*range(0, n_steps, per_sample), n_steps]]
     return state

@@ -1,9 +1,10 @@
 """Trip schedules and vehicle motion.
 
 Each vehicle gets a one-day schedule: a Poisson-distributed number of
-trips at uniformly random times, chained so every trip starts where
-the previous one ended.  Between trips the vehicle is parked and (by
-default) invisible to the radio layer.  Motion along a route is
+trips at uniformly random times from the node it starts the day at
+(its home on day 0, drawn by the engine), chained so every trip starts
+where the previous one ended.  Between trips the vehicle is parked and
+(by default) invisible to the radio layer.  Motion along a route is
 piecewise linear at a single constant speed.
 
 The engine lays out each day's drives once, as a timetable of tick
@@ -108,17 +109,17 @@ def _route_for_policy(
 
 def assign_trips(
     g: RoadGraph,
-    n_vehicles: int,
+    start_nodes: list[int],
     mean_trips: float,
     max_trip_dist: float,
     rng: np.random.Generator,
     day_start: float = 0.0,
     policy: str = "random",
     main_road_fraction: float = 0.0,
-    start_nodes: list[int] | None = None,
     until: float = math.inf,
 ) -> list[TripSchedule]:
-    """Draw one day of trips for every vehicle.
+    """Draw one day of trips for every vehicle, vehicle v starting at
+    ``start_nodes[v]``; the fleet is one vehicle per start node.
 
     Trip counts are Poisson(mean_trips); departures are uniform over
     [0, DAY_LEN), sorted, and put on the simulation clock by adding
@@ -126,8 +127,7 @@ def assign_trips(
     nodes within road distance max_trip_dist of its origin.
     With main_road_fraction > 0, that share of vehicles (a Bernoulli
     draw per vehicle) routes every trip over the main roads; the rest
-    use ``policy``.  Home nodes come from ``start_nodes`` when given
-    (letting consecutive days chain), else uniformly at random.
+    use ``policy``.
 
     Only trips with ``depart_time <= until`` are routed and scheduled.
     A later trip is still drawn: it picks its destination, which is the
@@ -136,8 +136,8 @@ def assign_trips(
     makes the same draws, and each schedule is the prefix of the one
     that ``until = inf`` gives.
     """
-    if n_vehicles < 1:
-        raise ValueError(f"need at least one vehicle, got {n_vehicles}")
+    if not len(start_nodes):
+        raise ValueError("need at least one vehicle, got no start_nodes")
     if mean_trips < 0:
         raise ValueError(f"mean_trips must be >= 0, got {mean_trips}")
     if not (0.0 <= main_road_fraction <= 1.0):
@@ -146,17 +146,8 @@ def assign_trips(
         )
     if policy not in ROUTING_POLICIES:
         raise ValueError(f"unknown routing policy {policy!r}")
-    if start_nodes is not None and len(start_nodes) != n_vehicles:
-        raise ValueError(
-            f"start_nodes has {len(start_nodes)} entries for "
-            f"{n_vehicles} vehicles"
-        )
     schedules = []
-    for vid in range(n_vehicles):
-        if start_nodes is None:
-            origin = int(rng.integers(g.n_nodes))
-        else:
-            origin = start_nodes[vid]
+    for vid, origin in enumerate(start_nodes):
         n_trips = int(rng.poisson(mean_trips))
         departs = np.sort(rng.uniform(0.0, DAY_LEN, size=n_trips))
         on_main = main_road_fraction > 0 and rng.random() < main_road_fraction

@@ -373,7 +373,9 @@ def test_invariant_suites():
 
     # Trip-chain continuity across >10^4 generated trips.
     g = generate_manhattan_grid(10, 10, 200.0)
-    schedules = assign_trips(g, 3_000, 4.0, 10_000.0, np.random.default_rng(5))
+    trip_rng = np.random.default_rng(5)
+    homes = trip_rng.integers(g.n_nodes, size=3_000).tolist()
+    schedules = assign_trips(g, homes, 4.0, 10_000.0, trip_rng)
     n_trips = 0
     for sched in schedules:
         prev_dst = None

@@ -159,10 +159,14 @@ def test_parse_config_error_reporting():
         parse_config("rows = 5\nthis is not a pair\n")
     with pytest.raises(ValueError, match="line 3"):
         parse_config("rows = 5\ncols = 5\nrows = 6\n")
-    with pytest.raises(ValueError, match="line 1"):
+    with pytest.raises(ValueError, match=r"^line 1: n_vehicles = 'many' is not an int$"):
         parse_config("n_vehicles = many")
-    with pytest.raises(ValueError, match="boolean"):
+    with pytest.raises(ValueError, match=r"^line 2: seed_rate = 'abc' is not a float$"):
+        parse_config("rows = 5\nseed_rate = abc # note")
+    with pytest.raises(ValueError, match=r"^line 1: parked_exchange = 'maybe' is not a boolean$"):
         parse_config("parked_exchange = maybe")
+    with pytest.raises(ValueError, match=r"^line 1: main_cols = '2,x' is not a list of ints$"):
+        parse_config("main_cols = 2,x")
 
 
 def test_parse_config_validates_result():
@@ -206,6 +210,8 @@ def test_apply_overrides():
         apply_overrides(cfg, ["n_vehicles"])
     with pytest.raises(ValueError):
         apply_overrides(cfg, ["nope=1"])
+    with pytest.raises(ValueError, match=r"^n_vehicles = 'many' is not an int$"):
+        apply_overrides(cfg, ["n_vehicles=many"])
 
 
 def test_coerce_value_types():
@@ -216,6 +222,11 @@ def test_coerce_value_types():
     assert coerce_value("graph_file", "roads.txt") == "roads.txt"
     with pytest.raises(ValueError):
         coerce_value("bogus", "1")
+    for key, raw, kind in (("n_vehicles", " 2.5", "an int"), ("dt", "fast", "a float"),
+                           ("share_bandwidth", "2", "a boolean"),
+                           ("main_cols", "1;2", "a list of ints")):
+        with pytest.raises(ValueError, match=rf"^{key} = '{raw.strip()}' is not {kind}$"):
+            coerce_value(key, raw)
 
 
 # --- sweep bookkeeping ----------------------------------------------------------
@@ -490,6 +501,13 @@ def test_cli_error_paths(tmp_path, capsys):
     code = main(["run", "--set", "seed_rate=5", "--quiet"])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+    # a value of the wrong type names its key, before anything runs
+    assert main(["run", "--set", "n_vehicles=many", "--quiet"]) == 2
+    assert capsys.readouterr().err == "error: n_vehicles = 'many' is not an int\n"
+    assert main(["sweep", "--param", "seed_rate", "--values", "0.1,abc", "--quiet",
+                 "--out", str(tmp_path / "sweep")]) == 2
+    assert capsys.readouterr().err == "error: seed_rate = 'abc' is not a float\n"
+    assert not (tmp_path / "sweep").exists()
     code = main(["run", "--config", str(tmp_path / "missing.cfg"), "--quiet"])
     assert code == 2
     with pytest.raises(SystemExit):

@@ -121,13 +121,20 @@ def test_contacts_empty_and_validation():
 # --- chunk stores and exchange --------------------------------------------------
 
 
+def holding(n_chunks, ids):
+    """A store of n_chunks that holds the given chunk ids."""
+    store = ChunkStore(n_chunks)
+    store.mask[list(ids)] = True
+    store.count = int(store.mask.sum())
+    return store
+
+
 def test_chunk_store_basics():
     s = ChunkStore(10)
     assert s.count == 0
-    assert s.add(3)
-    assert not s.add(3)
-    assert s.count == 1
-    assert s.has(3) and not s.has(4)
+    assert s.ids() == []
+    s = holding(10, [3, 7])
+    assert s.count == 2 and s.ids() == [3, 7]
     s.add_all()
     assert s.count == 10
     assert s.ids() == list(range(10))
@@ -137,28 +144,20 @@ def test_chunk_store_basics():
 
 def test_exchange_moves_only_missing_chunks():
     rng = np.random.default_rng(1)
-    a, b = ChunkStore(20), ChunkStore(20)
-    for i in range(10):
-        a.add(i)
-    for i in range(5, 15):
-        b.add(i)
+    a, b = holding(20, range(10)), holding(20, range(5, 15))
     sent_ab, sent_ba = exchange(a, b, 3, 2, rng)
     assert len(sent_ab) == 3 and set(sent_ab.tolist()) <= set(range(5))
     assert len(sent_ba) == 2 and set(sent_ba.tolist()) <= set(range(10, 15))
     assert sent_ab.tolist() == sorted(sent_ab.tolist())
     assert sent_ba.tolist() == sorted(sent_ba.tolist())
     assert b.count == 13 and a.count == 12
-    for cid in sent_ab:
-        assert b.has(cid)
-    for cid in sent_ba:
-        assert a.has(cid)
+    assert b.mask[sent_ab].all() and a.mask[sent_ba].all()
 
 
 def test_exchange_is_simultaneous_not_sequential():
     """Chunks received in this exchange must not be re-offered back."""
     rng = np.random.default_rng(2)
-    a, b = ChunkStore(4), ChunkStore(4)
-    a.add(0)
+    a, b = holding(4, [0]), ChunkStore(4)
     sent_ab, sent_ba = exchange(a, b, 4, 4, rng)
     assert sent_ab.tolist() == [0]
     assert sent_ba.tolist() == []  # b had nothing of its own to give
@@ -166,9 +165,7 @@ def test_exchange_is_simultaneous_not_sequential():
 
 def test_exchange_budget_larger_than_surplus_sends_all():
     rng = np.random.default_rng(3)
-    a, b = ChunkStore(8), ChunkStore(8)
-    for i in (1, 5, 7):
-        a.add(i)
+    a, b = holding(8, [1, 5, 7]), ChunkStore(8)
     sent_ab, sent_ba = exchange(a, b, 100, 100, rng)
     assert sent_ab.tolist() == [1, 5, 7]
     assert b.count == 3
@@ -350,13 +347,11 @@ def seed_between_two_listeners(share_bandwidth):
         graph=g,
         rng=np.random.default_rng(0),
         nodes=[0, 1, 2],
-        schedules=[TripSchedule(v, ()) for v in range(3)],
         stores=stores,
         seeds=[1],
         metrics=Metrics(),
-        completed_count=1,
     )
-    engine._lay_out_day(state)
+    engine._lay_out_day(state, [TripSchedule(v, ()) for v in range(3)])
     step(state)
     return state
 
@@ -387,9 +382,8 @@ def hand_scheduled_state(monkeypatch, trips_by_vehicle, n_ticks=1, **overrides):
         **overrides
     )
     state = init_sim(cfg)
-    state.schedules = [TripSchedule(v, tuple(t)) for v, t in enumerate(trips_by_vehicle)]
     state.nodes = [trips[0].route.src for trips in trips_by_vehicle]
-    engine._lay_out_day(state)
+    engine._lay_out_day(state, [TripSchedule(v, tuple(t)) for v, t in enumerate(trips_by_vehicle)])
     seen = []
     real = engine.detect_contacts
 
@@ -481,6 +475,16 @@ def test_step_past_the_timetable_end_raises():
         step(state, 8_641)
 
 
+def days_drawn(monkeypatch):
+    """The list each later day's draw in the engine appends its schedules to."""
+    import vancast.engine as engine
+
+    days, real = [], engine.assign_trips
+    monkeypatch.setattr(engine, "assign_trips",
+                        lambda *a, **k: days.append(real(*a, **k)) or days[-1])
+    return days
+
+
 class HandDrawnTrips:
     """A generator whose trip counts and departure times are set by hand,
     one list of day times per vehicle; every other draw is a seeded one's."""
@@ -513,11 +517,13 @@ def test_a_trip_due_after_the_last_step_is_drawn_but_not_routed(monkeypatch):
     routed, real = [], mobility.shortest_path
     monkeypatch.setattr(mobility, "shortest_path",
                         lambda g, src, dst: routed.append(src) or real(g, src, dst))
+    days = days_drawn(monkeypatch)
     state.rng = HandDrawnTrips([[until], [late]])
     engine._new_day(state)
-    assert routed == [state.schedules[0].trips[0].route.src]
-    assert [len(s.trips) for s in state.schedules] == [1, 0]
-    assert state.schedules[0].trips[0].depart_time == until
+    (schedules,) = days
+    assert routed == [schedules[0].trips[0].route.src]
+    assert [len(s.trips) for s in schedules] == [1, 0]
+    assert schedules[0].trips[0].depart_time == until
     drives = state.drives.tolist()
     assert len(drives) == 1 and drives[0][:2] == [0, 599]  # on the last tick, end - 1
 
@@ -534,30 +540,31 @@ def test_a_skipped_trip_raises_schedule_error_where_a_routed_one_does(policy):
     for until in (math.inf, 40_000.0, -math.inf):
         rng = np.random.default_rng(11)
         with pytest.raises(ScheduleError, match="no destination within 1000 m of node 3"):
-            assign_trips(g, 3, 5.0, 1_000.0, rng, policy=policy, start_nodes=[0, 3, 1],
-                         until=until)
+            assign_trips(g, [0, 3, 1], 5.0, 1_000.0, rng, policy=policy, until=until)
         states.append(rng.bit_generator.state)
     assert states == [states[0]] * 3
 
 
-def test_new_day_schedules_lie_inside_their_day():
+def test_new_day_schedules_lie_inside_their_day(monkeypatch):
     from vancast.mobility import DAY_LEN
 
-    def check(state, day):
-        for sched in state.schedules:
+    def check(schedules, day):
+        for sched in schedules:
             departs = [t.depart_time for t in sched.trips]
             assert departs == sorted(departs)
             for d in departs:
                 assert day * DAY_LEN <= d < (day + 1) * DAY_LEN
-        assert sum(len(s.trips) for s in state.schedules) > 0
+        assert sum(len(s.trips) for s in schedules) > 0
 
     cfg = small_traffic_config(
         n_vehicles=20, mean_trips=3.0, dt=10.0, sim_duration=DAY_LEN + 600.0
     )
-    check(init_sim(cfg), 0)
+    days = days_drawn(monkeypatch)
     state = run(cfg)
     assert state.tick // cfg.steps(DAY_LEN, "one day") == 1
-    check(state, 1)
+    assert len(days) == 2
+    check(days[0], 0)
+    check(days[1], 1)
 
 
 def test_zero_duration_run_samples_once():
@@ -690,7 +697,31 @@ def test_run_invariants_hold_throughout():
     assert sum(s.count for s in state.stores) > len(state.seeds) * cfg.n_chunks
 
 
-def test_multi_day_run_keeps_moving():
+# a dt of 0.1, and the pinned off_grid_end run: its end is 30 s past the
+# last 60 s sample, and a vehicle completes in those 30 s
+@pytest.mark.parametrize("overrides", [
+    dict(n_vehicles=20, mean_trips=150.0, parked_exchange=True, dt=0.1, sim_duration=600.0,
+         sample_interval=30.0),
+    dict(rows=6, cols=6, block_len=150.0, main_cols=[1, 4], n_vehicles=60, seed_rate=0.05,
+         mean_trips=120.0, transfer_rate=200_000.0, sim_duration=7_230.0, master_seed=28),
+], ids=["dt_tenth", "off_grid_end"])
+def test_each_sample_counts_the_stores_stamped_by_its_time(overrides):
+    cfg = small_traffic_config(**overrides)
+    state = run(cfg)
+    # every stamp and sample time is a whole number of steps
+    ticks = [round(s.completed_at / cfg.dt) for s in state.stores if s.completed_at is not None]
+    assert [t * cfg.dt for t in sorted(ticks)] == sorted(
+        s.completed_at for s in state.stores if s.completed_at is not None)
+    samples = [(round(t / cfg.dt), c) for t, c in state.metrics.samples]
+    assert [k * cfg.dt for k, _ in samples] == [t for t, _ in state.metrics.samples]
+    assert [c for _, c in samples] == [sum(t <= k for t in ticks) for k, _ in samples]
+    # several completion steps, off the sample grid, one after the last sample but one
+    assert len(set(ticks)) > 2 and any(k % samples[1][0] for k in ticks)
+    assert max(ticks) > samples[-2][0]
+    assert samples[-1][1] == state.completed_count
+
+
+def test_multi_day_run_keeps_moving(monkeypatch):
     """Across the day boundary vehicles get fresh trips and keep mixing."""
     cfg = small_traffic_config(
         n_vehicles=20,
@@ -700,9 +731,10 @@ def test_multi_day_run_keeps_moving():
         mean_trips=2.0,
         transfer_rate=8_000_000.0,
     )
+    days = days_drawn(monkeypatch)
     state = run(cfg)
     assert state.tick // cfg.steps(86_400.0, "one day") == 2
-    assert all(t.depart_time >= 86_400.0 for s in state.schedules for t in s.trips)
+    assert all(t.depart_time >= 86_400.0 for s in days[-1] for t in s.trips)
     day1 = [c for t, c in state.metrics.samples if t <= 86_400.0][-1]
     day2 = state.completed_count
     assert day2 >= day1
@@ -787,11 +819,11 @@ def test_init_sim_refuses_main_road_routing_without_main_roads(tmp_path, monkeyp
 # --- the span pass against a per-tick reference --------------------------------
 
 
-def queue_next_trip(state, ref, vid):
+def queue_next_trip(ref, vid):
     """Queue a parked vehicle's next departure, if it has one left today."""
     import heapq
 
-    trips = state.schedules[vid].trips
+    trips = ref["schedules"][vid].trips
     nxt = ref["states"][vid].next_trip
     if nxt < len(trips):
         heapq.heappush(ref["heap"], (trips[nxt].depart_time, vid))
@@ -804,18 +836,19 @@ def resting_nodes(ref):
     return [vs.route.dst if vs.phase is Phase.EN_ROUTE else vs.node for vs in ref["states"]]
 
 
-def reference_new_day(state, ref, starts):
-    """The reference's day start: the day was drawn from ``starts``, which
-    must be where its vehicles rest; trip indices restart, and parked
-    vehicles queue their first trip.  Drives on the road carry on."""
+def reference_new_day(ref, starts, schedules):
+    """The reference's day start: the day's schedules were drawn from
+    ``starts``, which must be where its vehicles rest; trip indices
+    restart, and parked vehicles queue their first trip.  Drives on the
+    road carry on."""
     from vancast.mobility import Phase
 
     assert starts == resting_nodes(ref)
-    ref["heap"] = []
+    ref["schedules"], ref["heap"] = schedules, []
     for vs in ref["states"]:
         vs.next_trip = 0
         if vs.phase is Phase.PARKED:
-            queue_next_trip(state, ref, vs.vehicle_id)
+            queue_next_trip(ref, vs.vehicle_id)
 
 
 def reference_step(state, ref):
@@ -830,11 +863,11 @@ def reference_step(state, ref):
 
     cfg = state.cfg
     now = state.clock
-    states = ref["states"]
+    states, schedules = ref["states"], ref["schedules"]
     positions, arrived = {}, []
     for vid in sorted(ref["enroute"]):
         vs = states[vid]
-        advance(vs, state.schedules[vid], now, cfg.dt, cfg.speed)
+        advance(vs, schedules[vid], now, cfg.dt, cfg.speed)
         if vs.phase is Phase.PARKED:
             arrived.append(vid)
         else:
@@ -843,12 +876,12 @@ def reference_step(state, ref):
         depart_time, vid = heapq.heappop(ref["heap"])
         vs = states[vid]
         ref["late"] += depart_time <= now
-        advance(vs, state.schedules[vid], now, cfg.dt, cfg.speed)
+        advance(vs, schedules[vid], now, cfg.dt, cfg.speed)
         positions[vid] = position_of(vs, state.graph)
     ref["enroute"] = set(positions)
     for vid in arrived:
-        queue_next_trip(state, ref, vid)
-        trips, nxt = state.schedules[vid].trips, states[vid].next_trip
+        queue_next_trip(ref, vid)
+        trips, nxt = schedules[vid].trips, states[vid].next_trip
         ref["due_on_arrival"] += nxt < len(trips) and trips[nxt].depart_time <= now + cfg.dt
     if cfg.parked_exchange:
         for vs in states:
@@ -884,7 +917,6 @@ def reference_step(state, ref):
         store = state.stores[vid]
         if store.completed_at is None and store.count >= cfg.decode_threshold:
             store.completed_at = state.clock
-            state.completed_count += 1
     return positions, contacts
 
 
@@ -951,12 +983,12 @@ def test_span_pass_matches_per_tick_reference(monkeypatch, case):
     import vancast.engine as engine
     from vancast.mobility import DAY_LEN, Phase, VehicleState
 
-    drawn = []  # the start nodes handed to each day's draw
+    drawn = []  # the start nodes handed to each day's draw, and its schedules
     real_assign = engine.assign_trips
 
-    def assign(*args, start_nodes, **kwargs):
-        drawn.append(list(start_nodes))
-        return real_assign(*args, start_nodes=start_nodes, **kwargs)
+    def assign(g, start_nodes, *args, **kwargs):
+        drawn.append((list(start_nodes), real_assign(g, start_nodes, *args, **kwargs)))
+        return drawn[-1][1]
 
     monkeypatch.setattr(engine, "assign_trips", assign)
     cfg = small_traffic_config(master_seed=sorted(ORACLE_CASES).index(case), **ORACLE_CASES[case])
@@ -965,16 +997,16 @@ def test_span_pass_matches_per_tick_reference(monkeypatch, case):
     spans = init_sim(cfg)
     single = copy.deepcopy(spans)
 
-    ref = {"states": [VehicleState(v, Phase.PARKED, home) for v, home in enumerate(drawn[0])],
+    ref = {"states": [VehicleState(v, Phase.PARKED, home) for v, home in enumerate(drawn[0][0])],
            "enroute": set(), "accum": {}, "late": 0, "due_on_arrival": 0}
-    reference_new_day(single, ref, drawn[0])
+    reference_new_day(ref, *drawn[0])
     expect_rows, expect_contacts = [], []
     on_road_at_midnight = None
     while single.tick < n_steps:
         if single.tick == single.end:
             on_road_at_midnight = len(ref["enroute"])
             engine._new_day(single)
-            reference_new_day(single, ref, drawn[-1])
+            reference_new_day(ref, *drawn[-1])
         tick = single.tick
         positions, contacts = reference_step(single, ref)
         expect_rows += [(tick, v, x, y) for v, (x, y) in positions.items()]
@@ -1008,9 +1040,8 @@ def test_one_span_equals_single_steps(monkeypatch, share_bandwidth):
     b = copy.deepcopy(a)
     seen = []
     spy_on_contacts(monkeypatch, seen)
-    done = []
     for n in (1, 2, 300, 1, 900, 37):
-        done += step(a, n)
+        assert step(a, n) is None
         span = radio(seen)
         seen.clear()
         for _ in range(n):
@@ -1018,7 +1049,9 @@ def test_one_span_equals_single_steps(monkeypatch, share_bandwidth):
         assert span == radio(seen)
         seen.clear()
         assert outcome(a) == outcome(b) and a.accum == b.accum
-    assert done and a.completed_count > len(a.seeds)
+    # stepped without run(), the count is still that of the stamped stores
+    assert a.completed_count == sum(s.completed_at is not None for s in a.stores)
+    assert a.completed_count > len(a.seeds)
 
 
 def test_span_skips_exchanges_between_two_full_stores(monkeypatch):

@@ -30,13 +30,18 @@ def make_grid(rows=5, cols=5, block=100.0, main_cols=None):
     return generate_manhattan_grid(rows, cols, block, main_cols)
 
 
+def homes(g, n, rng):
+    """n start nodes drawn uniformly from g's nodes."""
+    return rng.integers(g.n_nodes, size=n).tolist()
+
+
 # --- schedule generation ------------------------------------------------------
 
 
 def test_trip_count_matches_poisson_mean():
     g = make_grid(4, 4)
     rng = np.random.default_rng(1001)
-    schedules = assign_trips(g, 10_000, 3.0, 5_000.0, rng)
+    schedules = assign_trips(g, homes(g, 10_000, rng), 3.0, 5_000.0, rng)
     mean = sum(len(s.trips) for s in schedules) / len(schedules)
     assert 2.9 <= mean <= 3.1
 
@@ -44,7 +49,7 @@ def test_trip_count_matches_poisson_mean():
 def test_trips_sorted_and_chained():
     g = make_grid()
     rng = np.random.default_rng(7)
-    for sched in assign_trips(g, 200, 4.0, 2_000.0, rng):
+    for sched in assign_trips(g, homes(g, 200, rng), 4.0, 2_000.0, rng):
         departs = [t.depart_time for t in sched.trips]
         assert departs == sorted(departs)
         assert all(0.0 <= d < DAY_LEN for d in departs)
@@ -58,7 +63,7 @@ def test_destinations_respect_distance_cap():
     g = make_grid(6, 6, 100.0)
     rng = np.random.default_rng(12)
     cap = 250.0
-    for sched in assign_trips(g, 300, 3.0, cap, rng):
+    for sched in assign_trips(g, homes(g, 300, rng), 3.0, cap, rng):
         for t in sched.trips:
             short = shortest_path(g, t.route.src, t.route.dst).total_length
             assert 0.0 < short <= cap
@@ -68,7 +73,8 @@ def test_start_nodes_are_respected():
     g = make_grid()
     rng = np.random.default_rng(5)
     starts = [int(rng.integers(g.n_nodes)) for _ in range(50)]
-    schedules = assign_trips(g, 50, 5.0, 2_000.0, rng, start_nodes=starts)
+    schedules = assign_trips(g, starts, 5.0, 2_000.0, rng)
+    assert [s.vehicle_id for s in schedules] == list(range(50))
     for vid, sched in enumerate(schedules):
         if sched.trips:
             assert sched.trips[0].route.src == starts[vid]
@@ -77,7 +83,7 @@ def test_start_nodes_are_respected():
 def test_shortest_policy_routes_are_shortest():
     g = make_grid()
     rng = np.random.default_rng(3)
-    for sched in assign_trips(g, 60, 2.0, 1_500.0, rng, policy="shortest"):
+    for sched in assign_trips(g, homes(g, 60, rng), 2.0, 1_500.0, rng, policy="shortest"):
         for t in sched.trips:
             assert t.route.nodes == shortest_path(g, t.route.src, t.route.dst).nodes
 
@@ -86,7 +92,7 @@ def test_main_road_fraction_one_forces_arterial_routing():
     g = make_grid(6, 6, 100.0, main_cols=[3])
     rng = np.random.default_rng(21)
     schedules = assign_trips(
-        g, 40, 3.0, 2_000.0, rng, policy="random", main_road_fraction=1.0
+        g, homes(g, 40, rng), 3.0, 2_000.0, rng, policy="random", main_road_fraction=1.0
     )
     for sched in schedules:
         for t in sched.trips:
@@ -98,7 +104,7 @@ def test_main_road_fraction_splits_population():
     g = make_grid(6, 6, 100.0, main_cols=[3])
     rng = np.random.default_rng(22)
     schedules = assign_trips(
-        g, 400, 2.0, 2_000.0, rng, policy="shortest", main_road_fraction=0.5
+        g, homes(g, 400, rng), 2.0, 2_000.0, rng, policy="shortest", main_road_fraction=0.5
     )
     on_main = 0
     counted = 0
@@ -116,27 +122,26 @@ def test_no_reachable_destination_is_an_error():
     g = make_grid(3, 3, 100.0)
     rng = np.random.default_rng(0)
     with pytest.raises(ScheduleError) as err:
-        assign_trips(g, 10, 3.0, 50.0, rng)  # cap below one block
+        assign_trips(g, homes(g, 10, rng), 3.0, 50.0, rng)  # cap below one block
     assert "node" in str(err.value)
     with pytest.raises(ScheduleError, match=r"within 99\.9999999 m of node"):
-        assign_trips(g, 10, 3.0, 99.9999999, rng)  # :g would print 100, one block
+        assign_trips(g, homes(g, 10, rng), 3.0, 99.9999999, rng)  # :g would print 100, one block
 
 
 def test_assign_trips_argument_validation():
     g = make_grid()
     rng = np.random.default_rng(0)
+    starts = [0, 1, 2, 3, 4]
+    with pytest.raises(ValueError, match="need at least one vehicle, got no start_nodes"):
+        assign_trips(g, [], 3.0, 1000.0, rng)
     with pytest.raises(ValueError):
-        assign_trips(g, 0, 3.0, 1000.0, rng)
+        assign_trips(g, starts, -1.0, 1000.0, rng)
     with pytest.raises(ValueError):
-        assign_trips(g, 5, -1.0, 1000.0, rng)
-    with pytest.raises(ValueError):
-        assign_trips(g, 5, 3.0, 1000.0, rng, main_road_fraction=1.5)
-    with pytest.raises(ValueError):
-        assign_trips(g, 5, 3.0, 1000.0, rng, start_nodes=[0, 1])
+        assign_trips(g, starts, 3.0, 1000.0, rng, main_road_fraction=1.5)
     # refused before any draw, whether or not a trip is routed
     for until in (math.inf, -math.inf):
         with pytest.raises(ValueError, match="unknown routing policy 'fastest'"):
-            assign_trips(g, 5, 3.0, 1000.0, rng, policy="fastest", until=until)
+            assign_trips(g, starts, 3.0, 1000.0, rng, policy="fastest", until=until)
     assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
 
 
@@ -248,7 +253,7 @@ def test_position_interpolates_between_nodes():
 def test_distance_never_exceeds_route_length():
     g = make_grid(4, 4, 100.0)
     rng = np.random.default_rng(1)
-    schedules = assign_trips(g, 30, 3.0, 1_000.0, rng)
+    schedules = assign_trips(g, homes(g, 30, rng), 3.0, 1_000.0, rng)
     for sched in schedules:
         home = sched.trips[0].route.src if sched.trips else 0
         state = VehicleState(sched.vehicle_id, Phase.PARKED, home)
@@ -279,7 +284,7 @@ def test_daily_share_of_time_on_the_road():
     g = generate_manhattan_grid(10, 10, 1_000.0)
     rng = np.random.default_rng(2)
     n = 400
-    schedules = assign_trips(g, n, 3.0, 10_000.0, rng)
+    schedules = assign_trips(g, homes(g, n, rng), 3.0, 10_000.0, rng)
     states = [
         VehicleState(s.vehicle_id, Phase.PARKED, s.trips[0].route.src if s.trips else 0)
         for s in schedules

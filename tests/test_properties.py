@@ -168,8 +168,9 @@ def test_departure_cutoff_routes_a_prefix_from_the_same_draws(
 
     def draw(until):
         rng = np.random.default_rng(seed)
+        starts = rng.integers(g.n_nodes, size=n_vehicles).tolist()
         # every node has an edge of at most 1.1, so each origin has a destination
-        schedules = assign_trips(g, n_vehicles, mean_trips, 2.5, rng, day_start=DAY_LEN,
+        schedules = assign_trips(g, starts, mean_trips, 2.5, rng, day_start=DAY_LEN,
                                  policy=policy, main_road_fraction=fraction, until=until)
         return schedules, rng.bit_generator.state
 
