@@ -19,10 +19,15 @@ one cell-sorted search, and then runs the chunk exchange, in order,
 only at ticks that have contacts.  This gives the same results, draw
 for draw, as moving, detecting and exchanging one tick at a time.
 A vehicle's completion is recorded once, as its store's ``completed_at``
-stamp.  ``run`` steps in spans up to the timetable's end, lays out the
-next day when the timetable is used up, and builds the completion
-samples once, from the stamps.  All randomness flows through one
-generator, so a (config, seed) pair reproduces a run bit for bit.
+stamp.  ``run`` sizes each span by its radio rows, not by its ticks:
+a span ends at the last tick that keeps it within ``SPAN_ROWS`` rows
+(at least one tick, never past the timetable's end), counted exactly
+off the timetable.  That pays a step's fixed cost once for many sparse
+ticks while keeping a dense span's per-row arrays in cache.  ``run``
+lays out the next day when the timetable is used up, and builds the
+completion samples once, from the stamps.  All randomness flows
+through one generator, so a (config, seed) pair reproduces a run bit
+for bit.
 """
 
 from __future__ import annotations
@@ -45,10 +50,12 @@ from vancast.mobility import (
 )
 from vancast.roadnet import RoadGraph, Route, float_text, generate_manhattan_grid, load_road_graph
 
-# Longest span of ticks that run() hands to one step() call.  Longer
-# spans cost less per tick; the span's arrays grow with it (rows =
-# ticks x vehicles on the radio).
-SPAN_TICKS = 150
+# Most radio rows run() hands to one step() call.  A call has a fixed
+# cost (timetable slicing, route flattening, some thirty numpy calls in
+# detect_contacts, a pass over every store), so sparse ticks share long
+# spans; its per-row arrays must stay in cache, so dense ticks get short
+# ones.  A span still holds at least one tick, however many rows it has.
+SPAN_ROWS = 16_000
 
 
 class ChunkStore:
@@ -441,6 +448,50 @@ def _move(state: SimState, t1: int) -> np.ndarray:
     return rows
 
 
+def _row_profile(state: SimState) -> tuple[np.ndarray, np.ndarray]:
+    """The radio rows :func:`_move` yields from ``state.tick`` to the
+    timetable's end, as a piecewise linear count.
+
+    Each drive, and with ``parked_exchange`` each stay, yields one row a
+    tick, clipped to ticks ``state.tick`` to ``state.end - 1``.  Returns
+    the unique ticks at which the number of rows a tick changes, from
+    ``state.tick`` to ``state.end``, and the rows yielded before each;
+    between two of them the count grows linearly.  Memory is linear in
+    drives plus stays, not in ticks.
+    """
+    t0, end = state.tick, state.end
+    on_air = state.drives[:, 1:]  # (first tick, end tick) of each row-yielding interval
+    if state.cfg.parked_exchange:
+        on_air = np.concatenate((on_air, state.stays[:, 2:]))
+    lo, hi = np.maximum(on_air[:, 0], t0), np.minimum(on_air[:, 1], end)
+    on = hi > lo
+    n = int(on.sum())
+    at = np.concatenate((lo[on], hi[on], [t0, end]))
+    order = np.argsort(at, kind="stable")
+    at = at[order]
+    # Rows a tick from each event on; the last event at a tick holds them all.
+    width = np.cumsum(np.repeat(np.array([1, -1, 0], dtype=np.int64), [n, n, 2])[order])
+    last = np.append(at[1:] != at[:-1], True)
+    ticks, width = at[last], width[last]
+    return ticks, np.concatenate(([0], np.cumsum(width[:-1] * np.diff(ticks))))
+
+
+def _span_end(ticks: np.ndarray, rows: np.ndarray, t0: int, budget: int) -> int:
+    """The last tick t, up to ``ticks[-1]``, such that ticks t0 to t - 1
+    yield at most budget rows of the :func:`_row_profile` (ticks, rows),
+    or t0 + 1 if tick t0 alone yields more."""
+
+    def width(k: int) -> int:  # rows a tick from ticks[k] to ticks[k + 1]
+        return int((rows[k + 1] - rows[k]) // (ticks[k + 1] - ticks[k]))
+
+    k = int(np.searchsorted(ticks, t0, side="right")) - 1
+    cap = int(rows[k]) + (t0 - int(ticks[k])) * width(k) + budget
+    k = int(np.searchsorted(rows, cap, side="right")) - 1
+    if k == len(ticks) - 1:
+        return int(ticks[-1])
+    return max(t0 + 1, int(ticks[k]) + (cap - int(rows[k])) // width(k))
+
+
 def step(state: SimState, n_ticks: int = 1) -> None:
     """Advance the simulation by n_ticks steps of cfg.dt seconds.
 
@@ -518,8 +569,11 @@ def step(state: SimState, n_ticks: int = 1) -> None:
 def run(cfg: ExperimentConfig) -> SimState:
     """Run sim_duration / dt steps and return the final state.
 
-    Steps are taken in spans of up to SPAN_TICKS that end where the
-    timetable ends (see :func:`_lay_out_day`).  When a span reaches it
+    Steps are taken in spans sized by their radio rows: each ends at the
+    last tick that keeps its rows within ``SPAN_ROWS``, counted exactly
+    off the timetable (:func:`_row_profile`), but takes at least one tick
+    and never runs past the timetable's end (see :func:`_lay_out_day`).
+    The split does not change the results.  When a span reaches the end
     before the run's end, the next day's trips are drawn afresh and laid
     out (vehicles keep their location across days, and drives on the road
     at midnight carry on into the new timetable).  The RNG order is that
@@ -533,10 +587,12 @@ def run(cfg: ExperimentConfig) -> SimState:
     state = init_sim(cfg)
     n_steps = cfg.steps(cfg.sim_duration, "sim_duration")
     per_sample = cfg.steps(cfg.sample_interval, "sample_interval")
+    ticks, rows = _row_profile(state)
     while state.tick < n_steps:
         if state.tick == state.end:
             _new_day(state)
-        step(state, min(SPAN_TICKS, state.end - state.tick))
+            ticks, rows = _row_profile(state)
+        step(state, _span_end(ticks, rows, state.tick, SPAN_ROWS) - state.tick)
     stamps = sorted(s.completed_at for s in state.stores if s.completed_at is not None)
     state.metrics.samples = [(t * cfg.dt, bisect.bisect_right(stamps, t * cfg.dt))
                              for t in [*range(0, n_steps, per_sample), n_steps]]

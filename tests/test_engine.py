@@ -574,22 +574,49 @@ def test_zero_duration_run_samples_once():
     assert state.metrics.samples == [(0.0, 1)]
 
 
+def spy_on_spans(monkeypatch):
+    """A list that gets one [first tick, ticks, timetable end, rows a tick]
+    entry per step() call; the rows come from its detect_contacts call."""
+    import vancast.engine as engine
+
+    spans = []
+    real_step, real_detect = engine.step, engine.detect_contacts
+
+    def step(state, n_ticks=1):
+        spans.append([state.tick, n_ticks, state.end, None])
+        return real_step(state, n_ticks)
+
+    def detect(rows, comm_range):
+        t0, n = spans[-1][:2]
+        spans[-1][3] = np.bincount(rows[:, 0].astype(np.int64) - t0, minlength=n)
+        return real_detect(rows, comm_range)
+
+    monkeypatch.setattr(engine, "step", step)
+    monkeypatch.setattr(engine, "detect_contacts", detect)
+    return spans
+
+
+def check_span_rule(spans, n_steps, budget):
+    """The spans tile the run, none crosses its timetable's end, and each
+    ends at the last tick that keeps its rows within budget."""
+    assert sum(n for _, n, _, _ in spans) == n_steps
+    assert [t for t, _, _, _ in spans] == list(np.cumsum([0] + [n for _, n, _, _ in spans[:-1]]))
+    assert all(t + n <= end for t, n, end, _ in spans)
+    assert all(rows.sum() <= budget for _, n, _, rows in spans if n > 1)
+    for (t, n, end, rows), (_, _, _, after) in zip(spans, spans[1:]):
+        assert t + n == end or rows.sum() + after[0] > budget
+
+
 def test_run_at_fractional_dt_takes_exactly_duration_over_dt_steps(monkeypatch):
     import vancast.engine as engine
 
-    calls = []
-    real = engine.step
-
-    def counting(state, n_ticks=1):
-        calls.append(n_ticks)
-        return real(state, n_ticks)
-
-    monkeypatch.setattr(engine, "step", counting)
+    spans = spy_on_spans(monkeypatch)
     state = run(
         two_parked_vehicles_config(dt=0.1, sim_duration=3_600.0, sample_interval=60.0)
     )
-    assert sum(calls) == 36_000
-    assert max(calls) == engine.SPAN_TICKS
+    check_span_rule(spans, 36_000, engine.SPAN_ROWS)
+    # two parked radios give 2 rows a tick, so every span but the last is full
+    assert {n for _, n, _, _ in spans[:-1]} == {engine.SPAN_ROWS // 2}
     assert state.clock == 3_600.0
     times = [t for t, _ in state.metrics.samples]
     assert times == [60.0 * k for k in range(61)]
@@ -611,6 +638,68 @@ def test_day_rolls_over_exactly_at_one_day_of_fractional_steps(monkeypatch):
     state = run(cfg)
     assert state.tick // cfg.steps(DAY_LEN, "one day") == 1
     assert day_starts == [0.0, 86_400.0]
+
+
+def test_span_end_counts_rows_off_the_timetable():
+    import vancast.engine as engine
+
+    # Ticks 100 to 119; rows a tick without parked_exchange: vehicle 0's
+    # carried drive on 100-103, vehicle 2's drive on 106-108, and vehicle
+    # 0's drive that arrives at the end on 112-119.  Every stay adds one
+    # row a tick with parked_exchange, so each tick then has 3.
+    drives = [[0, 95, 104], [2, 106, 109], [0, 112, 120]]
+    stays = [[1, 3, 100, 120], [2, 5, 100, 106], [0, 7, 104, 112], [2, 6, 109, 120]]
+    widths = {False: [1] * 4 + [0] * 2 + [1] * 3 + [0] * 3 + [1] * 8, True: [3] * 20}
+    for parked, width in widths.items():
+        state = init_sim(two_parked_vehicles_config(parked_exchange=parked))
+        state.tick, state.end = 100, 120
+        state.drives = np.array(drives, dtype=np.int64)
+        state.stays = np.array(stays, dtype=np.int64)
+        ticks, rows = engine._row_profile(state)
+        assert ticks[0] == 100 and ticks[-1] == 120
+        for t0 in range(100, 120):
+            for budget in (0, 1, 2, 4, 7, 10**12):
+                within = [t for t in range(t0 + 1, 121) if sum(width[t0 - 100:t - 100]) <= budget]
+                assert engine._span_end(ticks, rows, t0, budget) == max([t0 + 1] + within)
+    # with parked_exchange: one tick alone exceeds 2 rows, and 7 rows hold two ticks
+    assert engine._span_end(ticks, rows, 100, 2) == 101
+    assert engine._span_end(ticks, rows, 100, 7) == 102
+    assert engine._span_end(ticks, rows, 113, 10**12) == 120
+
+
+def test_run_results_do_not_depend_on_the_span_split(monkeypatch, tmp_path):
+    import vancast.engine as engine
+
+    cfg = small_traffic_config(n_vehicles=30, mean_trips=60.0, speed=0.5, dt=20.0,
+                               sim_duration=86_400.0 + 14_400.0, main_road_fraction=0.5,
+                               parked_exchange=True, share_bandwidth=True, master_seed=0)
+    n_steps = cfg.steps(cfg.sim_duration, "sim_duration")
+    on_road_at_midnight = []
+    real_new_day = engine._new_day
+
+    def new_day(state):
+        if state.tick:
+            on_road_at_midnight.append(int((state.drives[:, 2] > state.tick).sum()))
+        real_new_day(state)
+
+    monkeypatch.setattr(engine, "_new_day", new_day)
+    results, calls = [], []
+    for budget in (engine.SPAN_ROWS, 1, 10**12):
+        with monkeypatch.context() as m:
+            m.setattr(engine, "SPAN_ROWS", budget)
+            spans = spy_on_spans(m)
+            state = run(cfg)
+        check_span_rule(spans, n_steps, budget)
+        path = tmp_path / f"{budget}.csv"
+        write_metrics_csv(state.metrics, cfg.n_vehicles, str(path))
+        results.append((path.read_bytes(), state.completed_count,
+                        [(s.mask.tolist(), s.completed_at) for s in state.stores]))
+        calls.append(len(spans))
+    # one span a tick (30 radios each), one a day, and the default between
+    assert calls[1] == n_steps and calls[2] == 2 and 2 < calls[0] < n_steps
+    assert results[1] == results[0] == results[2]
+    assert results[0][1] > len(state.seeds)
+    assert len(on_road_at_midnight) == 3 and min(on_road_at_midnight) > 0
 
 
 def test_metrics_csv_writes_times_exactly(tmp_path):
