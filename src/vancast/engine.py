@@ -51,8 +51,8 @@ from vancast.mobility import (
 from vancast.roadnet import RoadGraph, Route, float_text, generate_manhattan_grid, load_road_graph
 
 # Most radio rows run() hands to one step() call.  A call has a fixed
-# cost (timetable slicing, route flattening, some thirty numpy calls in
-# detect_contacts, a pass over every store), so sparse ticks share long
+# cost (timetable slicing, route flattening, about a hundred numpy calls
+# in detect_contacts, a pass over every store), so sparse ticks share long
 # spans; its per-row arrays must stay in cache, so dense ticks get short
 # ones.  A span still holds at least one tick, however many rows it has.
 SPAN_ROWS = 16_000
@@ -74,7 +74,7 @@ class ChunkStore:
         self.count = self.n_chunks
 
     def ids(self) -> list[int]:
-        return [int(i) for i in np.flatnonzero(self.mask)]
+        return np.flatnonzero(self.mask).tolist()
 
 
 def detect_contacts(rows: np.ndarray, comm_range: float) -> np.ndarray:
@@ -83,10 +83,14 @@ def detect_contacts(rows: np.ndarray, comm_range: float) -> np.ndarray:
 
     Returns an int array of (tick, a, b) rows, one for each pair a < b at
     the same tick within Euclidean distance comm_range (inclusive),
-    sorted.  Rows are binned into comm_range-sized cells per tick, so
-    candidate pairs only come from the same or adjacent cells and the
-    cost stays near-linear in rows at typical densities.  Membership is
-    exactly ``math.hypot(dx, dy) <= comm_range``.
+    sorted.  Rows are binned into comm_range-sized cells per tick and
+    sorted by cell key, in which a cell's upper neighbor is the next key
+    and its right-hand column starts ny keys on.  Each row then pairs
+    with two runs of consecutive keys: its own cell's later rows plus the
+    cell above (run A), and the three cells of the next column (run B).
+    That visits each pair of adjacent cells once, so the cost stays
+    near-linear in rows at typical densities.  Membership is exactly
+    ``math.hypot(dx, dy) <= comm_range``.
     """
     if comm_range <= 0:
         raise ValueError(f"comm_range must be positive, got {comm_range}")
@@ -94,13 +98,15 @@ def detect_contacts(rows: np.ndarray, comm_range: float) -> np.ndarray:
     if not len(rows):
         return np.zeros((0, 3), dtype=np.int64)
     t_min = int(rows[:, 0].min())
-    # Cells shifted to start at 1, so a neighbor offset of -1 stays >= 0.
+    n_ticks = int(rows[:, 0].max()) - t_min + 1
+    # Cells shifted to start at 1, with an empty cell past the last in
+    # each axis: y +- 1 never leaves a column and x + 1 never a tick.
     cx = np.floor(rows[:, 2] / comm_range).astype(np.int64)
     cy = np.floor(rows[:, 3] / comm_range).astype(np.int64)
     cx -= cx.min() - 1
     cy -= cy.min() - 1
     nx, ny = int(cx.max()) + 2, int(cy.max()) + 2
-    if (int(rows[:, 0].max()) - t_min + 1) * nx * ny >= 2**62:
+    if n_ticks * nx * ny >= 2**62:
         raise ValueError("positions span too many radio cells to index")
     key = ((rows[:, 0].astype(np.int64) - t_min) * nx + cx) * ny + cy
     # A span has tens of thousands of rows, so per-row temporaries are
@@ -112,14 +118,12 @@ def detect_contacts(rows: np.ndarray, comm_range: float) -> np.ndarray:
     del order
     row = np.arange(len(key))
 
-    # Visit each unordered cell pair once: the same cell (later rows
-    # only), plus a fixed half of the eight neighbors.
+    # Runs A and B: a row's candidates hold keys key + first to key + last
+    # (in run A, only the rows after it).
     found_i, found_j = [], []
-    for dx, dy in ((0, 0), (1, 0), (1, 1), (0, 1), (-1, 1)):
-        other = key + (dx * ny + dy)
-        lo = row + 1 if dx == dy == 0 else np.searchsorted(key, other, side="left")
-        n = np.searchsorted(key, other, side="right") - lo
-        del other
+    for first, last in ((0, 1), (ny - 1, ny + 1)):
+        lo = row + 1 if first == 0 else np.searchsorted(key, key + first, side="left")
+        n = np.searchsorted(key, key + last, side="right") - lo
         i = np.repeat(row, n)
         j = np.repeat(lo - (np.cumsum(n) - n), n) + np.arange(len(i))
         del lo, n
@@ -132,11 +136,19 @@ def detect_contacts(rows: np.ndarray, comm_range: float) -> np.ndarray:
         found_i.append(i[near])
         found_j.append(j[near])
     i, j = np.concatenate(found_i), np.concatenate(found_j)
-    t = key[i] // (nx * ny) + t_min
+    t = key[i] // (nx * ny)
     a = np.minimum(vid[i], vid[j])
     b = np.maximum(vid[i], vid[j])
-    out = np.stack((t, a, b), axis=1)
-    return out[np.lexsort((b, a, t))]
+    # Sort by (t, a, b) on one int64 key of offsets when it provably fits
+    # (t < n_ticks, a and b offsets < nv); ids spread wider than that
+    # are sorted column by column.
+    v0 = int(vid.min())
+    nv = int(vid.max()) - v0 + 1
+    if n_ticks * nv * nv < 2**63:
+        order = np.argsort((t * nv + (a - v0)) * nv + (b - v0))
+    else:
+        order = np.lexsort((b, a, t))
+    return np.stack((t + t_min, a, b), axis=1)[order]
 
 
 def exchange(

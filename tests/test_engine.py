@@ -74,6 +74,65 @@ def test_contacts_of_many_ticks_match_brute_force_per_tick():
         assert detect_contacts(rows, comm).tolist() == [list(c) for c in expect]
 
 
+def assert_contacts_per_tick(per_tick, comm):
+    """detect_contacts over all ticks' rows equals brute force tick by tick."""
+    rows = np.concatenate([rows_at(p, t) for t, p in per_tick.items()])
+    expect = [[t, a, b] for t, p in sorted(per_tick.items())
+              for a, b in brute_force_pairs(p, comm)]
+    assert detect_contacts(rows, comm).tolist() == expect
+
+
+def test_contacts_at_cell_edges_match_brute_force_per_tick():
+    """Points on an exact comm_range lattice, where cell membership and the
+    range boundary are both decided exactly, around a crowded cell and
+    along the top row and rightmost column of the occupied box."""
+    comm = 10.0
+    x0, y0 = -30.0, -20.0
+    # Cell corners: a 6 x 6 lattice, neighbours exactly comm apart.
+    corners = [(x0 + comm * i, y0 + comm * j) for i in range(6) for j in range(6)]
+    # A crowded cell (2, 2) of the lattice, and a point in each of its
+    # eight neighbours half a metre past the shared edge or corner.
+    cx, cy = x0 + 2 * comm, y0 + 2 * comm
+    inner = [(cx + u, cy + v) for u in (0.5, 5.0, 9.5) for v in (0.5, 5.0, 9.5)]
+    ring = [(cx + u, cy + v) for u in (-0.5, 5.0, 10.5) for v in (-0.5, 5.0, 10.5)
+            if (u, v) != (5.0, 5.0)]
+    # The top row and rightmost column of the box, a tenth of a metre
+    # inside each corner, so pairs also cross cells diagonally there.
+    top = [(x0 + comm * i + 0.1, y0 + 5 * comm - 0.1) for i in range(1, 6)]
+    right = [(x0 + 5 * comm - 0.1, y0 + comm * j + 0.1) for j in range(0, 5)]
+
+    def ids(points, first):
+        # Ids out of position order, so the output sort has work to do.
+        return {(7 * (first + k)) % 211: p for k, p in enumerate(points)}
+
+    per_tick = {
+        4: ids(corners, 0),
+        5: ids(inner + ring + corners[-6:] + corners[5::6], 0),
+        6: ids(corners + inner + ring + top + right, 3),
+    }
+    assert_contacts_per_tick(per_tick, comm)
+    # The same crowd on consecutive ticks: nothing leaks between ticks.
+    assert_contacts_per_tick({t: per_tick[6] for t in (10, 11, 12)}, comm)
+    # Boxes one cell high and one cell wide, where a stencil that wraps a
+    # column or a tick finds rows in range.
+    for line in (corners[::6], corners[:6]):
+        assert_contacts_per_tick({t: ids(line, 1) for t in (7, 8)}, comm)
+
+
+@pytest.mark.parametrize("vids", [
+    2**40 + 3 * np.arange(60),  # large ids in a narrow band
+    2**40 * np.arange(1, 61),  # large ids spread wide
+    # Spread so that 3 ticks times the squared id range just fits in int64.
+    np.arange(60) * (math.isqrt((2**63 - 1) // 3) // 59),
+], ids=["band", "spread", "int64-edge"])
+def test_contacts_with_large_vehicle_ids_match_brute_force_per_tick(vids):
+    rng = np.random.default_rng(63)
+    per_tick = {tick: {int(v): (float(x), float(y)) for v, (x, y) in
+                       zip(vids, rng.uniform(0, 600, size=(len(vids), 2)))}
+                for tick in (20, 21, 22)}
+    assert_contacts_per_tick(per_tick, 150.0)
+
+
 def test_contacts_sorted_and_ordered_pairs():
     positions = {9: (0.0, 0.0), 2: (10.0, 0.0), 5: (5.0, 5.0)}
     contacts = pairs(detect_contacts(rows_at(positions), 50.0))
