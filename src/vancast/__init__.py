@@ -8,7 +8,7 @@ chunks opportunistically from passing traffic until they can decode.
 The package splits into five layers:
 
 * :mod:`vancast.roadnet`  - road graphs, generators, routing
-* :mod:`vancast.mobility` - trip schedules and vehicle motion
+* :mod:`vancast.mobility` - trip schedules and each day's timetable of motion
 * :mod:`vancast.fountain` - random linear fountain codec over GF(256)
 * :mod:`vancast.engine`   - contact detection, chunk exchange, sim loop
 * :mod:`vancast.cli`      - command line front end and parameter sweeps

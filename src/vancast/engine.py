@@ -1,20 +1,15 @@
-"""Discrete-time simulation core: timetable, contacts, chunk exchange, main loop.
+"""Discrete-time simulation core: contacts, chunk exchange, main loop.
 
 Time runs in whole steps (ticks): the clock is ``tick * cfg.dt``, never
-a running sum.  Vehicles drive their trips whatever chunks they carry,
-so a day's motion is fixed once its trips are drawn.  At each day's
-first tick day0 the engine lays it out once as a timetable: drives of
-(vehicle, departure tick, arrival tick) and stays of (vehicle, node,
-first tick, end tick).  A trip departs at the first tick at or after
-``max(day0, prev_arrive + 1)`` whose step its departure time is due
-by; a drive still on the road at day0 is carried over from the previous
-day; trips that would leave at or after the timetable's end (the next
-day's first tick, or the run's end if sooner) are dropped.  Those due
-after its last step are drawn, so the random stream is the same, but
-never routed.
+a running sum.  Motion never depends on chunks, so at each day's first
+tick the engine draws the day's trips and has
+:func:`vancast.mobility.lay_out_day` lay them out as the day's
+:class:`vancast.mobility.Timetable`, which then answers every question
+about motion.  Trips due after its last step are drawn, so the random
+stream is the same, but never routed.
 
 ``step(state, n)`` simulates n ticks in one pass: it reads the span's
-positions off the timetable, finds all radio contacts of the span in
+radio rows off the timetable, finds all radio contacts of the span in
 one cell-sorted search, and then runs the chunk exchange, in order,
 only at ticks that have contacts.  This gives the same results, draw
 for draw, as moving, detecting and exchanging one tick at a time.
@@ -39,22 +34,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from vancast.config import ExperimentConfig
-from vancast.mobility import (
-    DAY_LEN,
-    ScheduleError,
-    TripSchedule,
-    assign_trips,
-    departure_tick,
-    odometer,
-    trace_legs,
-)
-from vancast.roadnet import RoadGraph, Route, float_text, generate_manhattan_grid, load_road_graph
+from vancast.mobility import DAY_LEN, ScheduleError, Timetable, assign_trips, lay_out_day
+from vancast.roadnet import RoadGraph, float_text, generate_manhattan_grid, load_road_graph
 
-# Most radio rows run() hands to one step() call.  A call has a fixed
-# cost (timetable slicing, route flattening, about a hundred numpy calls
-# in detect_contacts, a pass over every store), so sparse ticks share long
-# spans; its per-row arrays must stay in cache, so dense ticks get short
-# ones.  A span still holds at least one tick, however many rows it has.
+# Most radio rows run() hands to one step() call, as Timetable.span_end
+# counts them.  A call has a fixed cost (the timetable's row query, route
+# flattening, about a hundred numpy calls in detect_contacts, a pass over
+# every store), so sparse ticks share long spans; its per-row arrays must
+# stay in cache, so dense ticks get short ones.  A span still holds at
+# least one tick, however many rows it has.
 SPAN_ROWS = 16_000
 
 
@@ -261,20 +249,11 @@ class SimState:
     cfg: ExperimentConfig
     graph: RoadGraph
     rng: np.random.Generator
-    nodes: list[int]  # where each vehicle rests after its last laid-out drive
+    day: Timetable  # the day's motion; its rest nodes start the next day
     stores: list[ChunkStore]
     seeds: list[int]
     metrics: Metrics
     tick: int = 0  # whole steps taken
-    # The day's timetable (see _lay_out_day): (vehicle, departure tick,
-    # arrival tick) drives with their routes, (vehicle, node, first tick,
-    # end tick) stays, the distance driven each tick after a departure,
-    # and the tick the timetable ends at.
-    drives: np.ndarray = field(default_factory=lambda: np.zeros((0, 3), dtype=np.int64))
-    routes: list[Route] = field(default_factory=list)
-    stays: np.ndarray = field(default_factory=lambda: np.zeros((0, 4), dtype=np.int64))
-    odo: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    end: int = 0
     # Link budget carried by each pair in contact at the last tick.
     accum: dict[tuple[int, int], list[float]] = field(default_factory=dict)
 
@@ -295,96 +274,39 @@ def build_graph(cfg: ExperimentConfig) -> RoadGraph:
     return generate_manhattan_grid(cfg.rows, cfg.cols, cfg.block_len, cfg.main_cols)
 
 
-def _timetable_end(state: SimState) -> int:
-    """The tick a timetable laid out at ``state.tick`` ends at: the next
-    day's first tick, or the run's end if sooner."""
-    cfg = state.cfg
-    return min(state.tick + cfg.steps(DAY_LEN, "one day"),
-               cfg.steps(cfg.sim_duration, "sim_duration"))
-
-
 def _new_day(state: SimState):
     """Draw the day's trips, then lay them out as its timetable.
 
-    Every vehicle starts the day where ``state.nodes`` says it rests: its
-    parked node, or the destination of a drive still on the road at the
-    day's first tick, which carries over into the new timetable.  Day 0
-    starts with every vehicle parked at home.  :func:`_lay_out_day` states
-    the timetable's rules: the departure bound, carried drives, dropped
-    trips and where the timetable ends.
+    The day's first tick is ``state.tick``; its timetable ends at the next
+    day's first tick, or at the run's end if sooner.  Every vehicle starts
+    the day where the old timetable leaves it (``state.day.rest``): its
+    parked node, or the destination of a drive still on the road, which
+    carries over into the new timetable.  Day 0 starts with every vehicle
+    parked at home.
 
     Every trip of the day is drawn, but only those due by ``until =
     (end - 1) * dt + dt`` are routed, for the timetable's end tick end:
     the step at tick k departs trips due by ``k * dt + dt``, a bound that
     grows with k, so a later trip could depart no sooner than end, and
-    :func:`_lay_out_day` would drop it.  The draws stay the same.
+    :func:`vancast.mobility.lay_out_day` would drop it.  The draws stay
+    the same.
     """
-    cfg = state.cfg
+    cfg, start = state.cfg, state.tick
+    per_day = cfg.steps(DAY_LEN, "one day")
+    end = min(start + per_day, cfg.steps(cfg.sim_duration, "sim_duration"))
     schedules = assign_trips(
         state.graph,
-        state.nodes,
+        state.day.rest,
         cfg.mean_trips,
         cfg.max_trip_dist,
         state.rng,
-        day_start=(state.tick // cfg.steps(DAY_LEN, "one day")) * DAY_LEN,
+        day_start=(start // per_day) * DAY_LEN,
         policy=cfg.routing_policy,
         main_road_fraction=cfg.main_road_fraction,
-        until=(_timetable_end(state) - 1) * cfg.dt + cfg.dt,
+        until=(end - 1) * cfg.dt + cfg.dt,
     )
-    _lay_out_day(state, schedules)
-
-
-def _lay_out_day(state: SimState, schedules: list[TripSchedule]):
-    """Turn the day's schedules into its timetable of drives and stays.
-
-    With day0 = ``state.tick``, the day's first tick, each vehicle's
-    trips chain from its last arrival, prev_arrive (day0 - 1 for a
-    vehicle parked at day0): a trip departs at ``departure_tick(
-    depart_time, dt, max(day0, prev_arrive + 1))`` and arrives
-    ``bisect_left(odo, total_length)`` ticks later.  A drive of the
-    previous table that arrives at day0 or later is still on the road, so
-    it is carried over and the vehicle's trips wait for its arrival.  The
-    timetable ends, as ``state.end``, at the next day's first tick or at
-    the run's end, whichever comes first (:func:`_timetable_end`); trips
-    that would leave at or after it are dropped.  Trips due after its last
-    step never reach the schedules (see :func:`_new_day`); one due sooner
-    that an earlier drive's late arrival pushes to the end is routed and
-    dropped here.  ``state.nodes`` ends as where each vehicle rests after
-    its last drive: the next day's start.
-    """
-    cfg, dt = state.cfg, state.cfg.dt
-    day0 = state.tick
-    end = _timetable_end(state)
-    carried = np.flatnonzero(state.drives[:, 2] >= day0)
-    routes = [state.routes[i] for i in carried.tolist()]
-    drives = state.drives[carried].ravel().tolist()
-    arrived = dict(zip(drives[::3], drives[2::3]))  # vehicle -> carried arrival tick
-
-    step_len = cfg.speed * dt
-    longest = max([r.total_length for r in routes]
-                  + [t.route.total_length for s in schedules for t in s.trips], default=0.0)
-    odo = odometer(step_len, int(longest / step_len) + 2)
-    while odo[-1] < longest:  # a running sum may fall short of the product
-        odo = odometer(step_len, 2 * len(odo))
-    odo_list = odo.tolist()
-
-    stays: list[int] = []
-    for vid, sched in enumerate(schedules):
-        arrive = arrived.get(vid, day0 - 1)
-        for trip in sched.trips:
-            dep = departure_tick(trip.depart_time, dt, max(day0, arrive + 1))
-            if dep >= end:
-                break
-            stays += (vid, state.nodes[vid], max(day0, arrive), dep)
-            arrive = dep + bisect.bisect_left(odo_list, trip.route.total_length)
-            drives += (vid, dep, arrive)
-            routes.append(trip.route)
-            state.nodes[vid] = trip.route.dst
-        stays += (vid, state.nodes[vid], max(day0, arrive), end)
-    stay_rows = np.array(stays, dtype=np.int64).reshape(-1, 4)
-    state.stays = stay_rows[stay_rows[:, 3] > stay_rows[:, 2]]
-    state.drives = np.array(drives, dtype=np.int64).reshape(-1, 3)
-    state.routes, state.odo, state.end = routes, odo, end
+    state.day = lay_out_day(state.day, schedules, start, end, cfg.dt, cfg.speed,
+                            cfg.parked_exchange)
 
 
 def init_sim(cfg: ExperimentConfig) -> SimState:
@@ -420,88 +342,13 @@ def init_sim(cfg: ExperimentConfig) -> SimState:
         cfg=cfg,
         graph=g,
         rng=rng,
-        nodes=homes,
+        day=Timetable(tuple(homes)),
         stores=stores,
         seeds=seeds,
         metrics=Metrics(),
     )
     _new_day(state)
     return state
-
-
-def _move(state: SimState, t1: int) -> np.ndarray:
-    """The radio rows of ticks state.tick to t1 - 1, read off the timetable.
-
-    Rows are (tick, vehicle, x, y): one per driving vehicle per tick, from
-    its departure tick up to the tick before its arrival, and with
-    ``parked_exchange`` one per parked vehicle per tick at its node.
-    """
-    g, t0 = state.graph, state.tick
-    vids, dep, arrive = state.drives.T
-    on = (dep < t1) & (arrive > t0)
-    dep = dep[on]
-    lo, hi = np.maximum(dep, t0), np.minimum(arrive[on], t1)
-    drives = hi - lo
-    n_drive = int(drives.sum())
-    stays = state.stays if state.cfg.parked_exchange else state.stays[:0]
-    stay_vids, nodes, first, last = stays.T
-    first, last = np.maximum(first, t0), np.minimum(last, t1)
-    counts = np.maximum(last - first, 0)
-    rows = np.empty((n_drive + int(counts.sum()), 4))
-    rows[:n_drive, 0], rows[:n_drive, 2], rows[:n_drive, 3] = trace_legs(
-        g, [state.routes[i] for i in np.flatnonzero(on).tolist()], dep, lo, hi, state.odo)
-    rows[:n_drive, 1] = np.repeat(vids[on], drives)
-    at = np.repeat(nodes, counts)
-    rows[n_drive:, 0] = np.repeat(first - (np.cumsum(counts) - counts), counts) + np.arange(
-        len(at))
-    rows[n_drive:, 1] = np.repeat(stay_vids, counts)
-    rows[n_drive:, 2] = np.asarray(g.node_x)[at]
-    rows[n_drive:, 3] = np.asarray(g.node_y)[at]
-    return rows
-
-
-def _row_profile(state: SimState) -> tuple[np.ndarray, np.ndarray]:
-    """The radio rows :func:`_move` yields from ``state.tick`` to the
-    timetable's end, as a piecewise linear count.
-
-    Each drive, and with ``parked_exchange`` each stay, yields one row a
-    tick, clipped to ticks ``state.tick`` to ``state.end - 1``.  Returns
-    the unique ticks at which the number of rows a tick changes, from
-    ``state.tick`` to ``state.end``, and the rows yielded before each;
-    between two of them the count grows linearly.  Memory is linear in
-    drives plus stays, not in ticks.
-    """
-    t0, end = state.tick, state.end
-    on_air = state.drives[:, 1:]  # (first tick, end tick) of each row-yielding interval
-    if state.cfg.parked_exchange:
-        on_air = np.concatenate((on_air, state.stays[:, 2:]))
-    lo, hi = np.maximum(on_air[:, 0], t0), np.minimum(on_air[:, 1], end)
-    on = hi > lo
-    n = int(on.sum())
-    at = np.concatenate((lo[on], hi[on], [t0, end]))
-    order = np.argsort(at, kind="stable")
-    at = at[order]
-    # Rows a tick from each event on; the last event at a tick holds them all.
-    width = np.cumsum(np.repeat(np.array([1, -1, 0], dtype=np.int64), [n, n, 2])[order])
-    last = np.append(at[1:] != at[:-1], True)
-    ticks, width = at[last], width[last]
-    return ticks, np.concatenate(([0], np.cumsum(width[:-1] * np.diff(ticks))))
-
-
-def _span_end(ticks: np.ndarray, rows: np.ndarray, t0: int, budget: int) -> int:
-    """The last tick t, up to ``ticks[-1]``, such that ticks t0 to t - 1
-    yield at most budget rows of the :func:`_row_profile` (ticks, rows),
-    or t0 + 1 if tick t0 alone yields more."""
-
-    def width(k: int) -> int:  # rows a tick from ticks[k] to ticks[k + 1]
-        return int((rows[k + 1] - rows[k]) // (ticks[k + 1] - ticks[k]))
-
-    k = int(np.searchsorted(ticks, t0, side="right")) - 1
-    cap = int(rows[k]) + (t0 - int(ticks[k])) * width(k) + budget
-    k = int(np.searchsorted(rows, cap, side="right")) - 1
-    if k == len(ticks) - 1:
-        return int(ticks[-1])
-    return max(t0 + 1, int(ticks[k]) + (cap - int(rows[k])) // width(k))
 
 
 def step(state: SimState, n_ticks: int = 1) -> None:
@@ -515,28 +362,27 @@ def step(state: SimState, n_ticks: int = 1) -> None:
     departure tick but already takes part in contacts; an arrival departs
     again on the next tick at the earliest.
 
-    Motion never depends on chunks, so it is read off the day's timetable
-    (see :func:`_lay_out_day`): the drives and, with ``parked_exchange``,
-    the stays that overlap the span, clipped to it.  Positions come from
-    :func:`vancast.mobility.trace_legs` with the sequential adds of
-    :func:`vancast.mobility.odometer`, contacts from one
-    :func:`detect_contacts` call, and :func:`exchange` then runs in
-    (tick, a, b) order, with the same floats and draws as n_ticks single
-    steps.  A contact whose two stores both hold every chunk can move
-    nothing and draws nothing, so it is skipped; it still counts toward
-    ``share_bandwidth`` degrees.  A pair's link budget carries over only
-    to the next tick.  A span must end by the timetable's end,
-    ``state.end``: ValueError otherwise.  ``run`` lays out the next day
-    when a span reaches it.
+    Motion never depends on chunks, so the span's radio rows are read off
+    the day's timetable (:meth:`vancast.mobility.Timetable.radio_rows`),
+    contacts come from one :func:`detect_contacts` call, and
+    :func:`exchange` then runs in (tick, a, b) order, with the same floats
+    and draws as n_ticks single steps.  A contact whose two stores both
+    hold every chunk can move nothing and draws nothing, so it is skipped;
+    it still counts toward ``share_bandwidth`` degrees.  Nor is
+    :func:`exchange` called for two empty stores, though their link
+    budget still accrues.  A pair's link budget carries over only to the
+    next tick.  A span must end by the timetable's end, ``state.day.end``:
+    ValueError otherwise.  ``run`` lays out the next day when a span
+    reaches it.
     """
     if n_ticks < 1:
         raise ValueError(f"n_ticks must be >= 1, got {n_ticks}")
     cfg = state.cfg
     t0, t1 = state.tick, state.tick + n_ticks
-    if t1 > state.end:
+    if t1 > state.day.end:
         raise ValueError(f"ticks {t0} to {t1 - 1} run past the timetable's end at tick "
-                         f"{state.end}")
-    rows = _move(state, t1)
+                         f"{state.day.end}")
+    rows = state.day.radio_rows(state.graph, t0, t1)
     contacts = detect_contacts(rows, cfg.comm_range)
     state.tick = t1
 
@@ -569,7 +415,7 @@ def step(state: SimState, n_ticks: int = 1) -> None:
         acc[0] -= n_ab
         acc[1] -= n_ba
         new_accum[(va, vb)] = acc
-        if n_ab or n_ba:
+        if (n_ab or n_ba) and (sa.count or sb.count):
             sent_ab, sent_ba = exchange(sa, sb, n_ab, n_ba, state.rng)
             # Only receivers: a hand-built state may hold an unstamped store at the threshold.
             for store, got in ((sb, sent_ab), (sa, sent_ba)):
@@ -583,8 +429,8 @@ def run(cfg: ExperimentConfig) -> SimState:
 
     Steps are taken in spans sized by their radio rows: each ends at the
     last tick that keeps its rows within ``SPAN_ROWS``, counted exactly
-    off the timetable (:func:`_row_profile`), but takes at least one tick
-    and never runs past the timetable's end (see :func:`_lay_out_day`).
+    off the timetable (:meth:`vancast.mobility.Timetable.span_end`), but
+    takes at least one tick and never runs past the timetable's end.
     The split does not change the results.  When a span reaches the end
     before the run's end, the next day's trips are drawn afresh and laid
     out (vehicles keep their location across days, and drives on the road
@@ -599,12 +445,10 @@ def run(cfg: ExperimentConfig) -> SimState:
     state = init_sim(cfg)
     n_steps = cfg.steps(cfg.sim_duration, "sim_duration")
     per_sample = cfg.steps(cfg.sample_interval, "sample_interval")
-    ticks, rows = _row_profile(state)
     while state.tick < n_steps:
-        if state.tick == state.end:
+        if state.tick == state.day.end:
             _new_day(state)
-            ticks, rows = _row_profile(state)
-        step(state, _span_end(ticks, rows, state.tick, SPAN_ROWS) - state.tick)
+        step(state, state.day.span_end(state.tick, SPAN_ROWS) - state.tick)
     stamps = sorted(s.completed_at for s in state.stores if s.completed_at is not None)
     state.metrics.samples = [(t * cfg.dt, bisect.bisect_right(stamps, t * cfg.dt))
                              for t in [*range(0, n_steps, per_sample), n_steps]]

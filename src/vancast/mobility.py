@@ -7,18 +7,29 @@ where the previous one ended.  Between trips the vehicle is parked and
 (by default) invisible to the radio layer.  Motion along a route is
 piecewise linear at a single constant speed.
 
-The engine lays out each day's drives once, as a timetable of tick
-numbers, with :func:`departure_tick` and :func:`odometer`, and places
-vehicles on them with :func:`trace_legs`.  :func:`advance` and
-:func:`position_of`, which move and place one :class:`VehicleState`
-for one step, are the per-tick reference those functions match float
-for float; the engine itself never calls them.
+Time runs in whole steps (ticks) of dt seconds.  Vehicles drive their
+trips whatever chunks they carry, so a day's motion is fixed once its
+trips are drawn, and :func:`lay_out_day` lays it out once, at the day's
+first tick, as a :class:`Timetable` of drives and stays; it states the
+rules for departures, drives carried over from the previous day and
+trips dropped at the timetable's end.  The timetable answers the
+engine's two questions about motion: the radio rows of a span of ticks
+(:meth:`Timetable.radio_rows`, placed by :func:`trace_legs` at
+:func:`odometer` distances), and where a span of at most so many rows
+ends (:meth:`Timetable.span_end`), counted exactly off its intervals.
+
+:func:`advance` and :func:`position_of`, which move and place one
+:class:`VehicleState` for one step, are the per-tick reference that
+:func:`departure_tick`, :func:`odometer` and :func:`trace_legs` match
+float for float; the engine itself never calls them.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -109,7 +120,7 @@ def _route_for_policy(
 
 def assign_trips(
     g: RoadGraph,
-    start_nodes: list[int],
+    start_nodes: Sequence[int],
     mean_trips: float,
     max_trip_dist: float,
     rng: np.random.Generator,
@@ -300,3 +311,142 @@ def trace_legs(
     ys = np.asarray(g.node_y)
     ax, ay = xs[a], ys[a]
     return ticks, ax + (xs[b] - ax) * t, ay + (ys[b] - ay) * t
+
+
+@dataclass(eq=False)
+class Timetable:
+    """One day's motion as tick numbers, from tick ``start`` to ``end - 1``.
+
+    ``drives`` holds (vehicle, departure tick, arrival tick) rows, driving
+    ``routes`` in the same order, and ``stays`` (vehicle, node, first
+    tick, end tick) rows; ``odo`` is the distance driven each tick after a
+    departure (:func:`odometer`).  ``rest`` is where each vehicle rests
+    after its last drive: the next day's start.  A drive yields one radio
+    row a tick, and with ``parked`` so does a stay.  ``ticks`` and ``rows``
+    count those rows, worked out once where the timetable is built: the
+    ticks from start to end at which the rows a tick change, and the rows
+    yielded before each; between two of them the count grows linearly.
+    Their memory is linear in drives plus stays, not in ticks.
+    """
+
+    rest: tuple[int, ...]
+    drives: np.ndarray = field(default_factory=lambda: np.zeros((0, 3), dtype=np.int64))
+    routes: list[Route] = field(default_factory=list)
+    stays: np.ndarray = field(default_factory=lambda: np.zeros((0, 4), dtype=np.int64))
+    odo: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    start: int = 0
+    end: int = 0
+    parked: bool = False
+    ticks: np.ndarray = field(init=False, repr=False)
+    rows: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        on_air = self.drives[:, 1:]  # (first tick, end tick) of each row-yielding interval
+        if self.parked:
+            on_air = np.concatenate((on_air, self.stays[:, 2:]))
+        lo, hi = np.maximum(on_air[:, 0], self.start), np.minimum(on_air[:, 1], self.end)
+        on = hi > lo
+        lo, hi = np.sort(lo[on]), np.sort(hi[on])
+        at = np.sort(np.concatenate((lo, hi, [self.start, self.end])))
+        ticks = at[np.append(at[1:] != at[:-1], True)]
+        # Rows a tick from each breakpoint on: intervals begun minus intervals ended.
+        width = np.searchsorted(lo, ticks, side="right") - np.searchsorted(hi, ticks, side="right")
+        self.ticks = ticks
+        self.rows = np.concatenate(([0], np.cumsum(width[:-1] * np.diff(ticks))))
+
+    def radio_rows(self, g: RoadGraph, t0: int, t1: int) -> np.ndarray:
+        """The radio rows of ticks t0 to t1 - 1, as (tick, vehicle, x, y).
+
+        One row per driving vehicle per tick, from its departure tick up
+        to the tick before its arrival, and with ``parked`` one per parked
+        vehicle per tick at its node.
+        """
+        vids, dep, arrive = self.drives.T
+        on = (dep < t1) & (arrive > t0)
+        dep = dep[on]
+        lo, hi = np.maximum(dep, t0), np.minimum(arrive[on], t1)
+        drives = hi - lo
+        n_drive = int(drives.sum())
+        stays = self.stays if self.parked else self.stays[:0]
+        stay_vids, nodes, first, last = stays.T
+        first, last = np.maximum(first, t0), np.minimum(last, t1)
+        counts = np.maximum(last - first, 0)
+        rows = np.empty((n_drive + int(counts.sum()), 4))
+        rows[:n_drive, 0], rows[:n_drive, 2], rows[:n_drive, 3] = trace_legs(
+            g, [self.routes[i] for i in np.flatnonzero(on).tolist()], dep, lo, hi, self.odo)
+        rows[:n_drive, 1] = np.repeat(vids[on], drives)
+        at = np.repeat(nodes, counts)
+        rows[n_drive:, 0] = np.repeat(first - (np.cumsum(counts) - counts), counts) + np.arange(
+            len(at))
+        rows[n_drive:, 1] = np.repeat(stay_vids, counts)
+        rows[n_drive:, 2] = np.asarray(g.node_x)[at]
+        rows[n_drive:, 3] = np.asarray(g.node_y)[at]
+        return rows
+
+    def span_end(self, t0: int, budget: int) -> int:
+        """The last tick t, up to ``end``, such that ticks t0 to t - 1 yield
+        at most budget radio rows, or t0 + 1 if tick t0 alone yields more."""
+        ticks, rows = self.ticks, self.rows
+
+        def width(k: int) -> int:  # rows a tick from ticks[k] to ticks[k + 1]
+            return int((rows[k + 1] - rows[k]) // (ticks[k + 1] - ticks[k]))
+
+        k = int(np.searchsorted(ticks, t0, side="right")) - 1
+        cap = int(rows[k]) + (t0 - int(ticks[k])) * width(k) + budget
+        k = int(np.searchsorted(rows, cap, side="right")) - 1
+        if k == len(ticks) - 1:
+            return int(ticks[-1])
+        return max(t0 + 1, int(ticks[k]) + (cap - int(rows[k])) // width(k))
+
+
+def lay_out_day(
+    prev: Timetable,
+    schedules: list[TripSchedule],
+    start: int,
+    end: int,
+    dt: float,
+    speed: float,
+    parked: bool,
+) -> Timetable:
+    """The timetable of ticks start to end - 1 that follows ``prev``.
+
+    Vehicle v starts the day at ``prev.rest[v]``, and ``schedules[v]``
+    must be drawn from there.  Each vehicle's trips chain from its last
+    arrival, prev_arrive (start - 1 for a vehicle parked at start): a trip
+    departs at ``departure_tick(depart_time, dt, max(start, prev_arrive +
+    1))`` and arrives ``bisect_left(odo, total_length)`` ticks later.  A
+    drive of ``prev`` that arrives at start or later is still on the
+    road, so it is carried over and the vehicle's trips wait for its
+    arrival.  Trips that would leave at or after end are dropped.
+    ``prev`` is left as it was.
+    """
+    carried = np.flatnonzero(prev.drives[:, 2] >= start)
+    routes = [prev.routes[i] for i in carried.tolist()]
+    drives = prev.drives[carried].ravel().tolist()
+    arrived = dict(zip(drives[::3], drives[2::3]))  # vehicle -> carried arrival tick
+
+    step_len = speed * dt
+    longest = max([r.total_length for r in routes]
+                  + [t.route.total_length for s in schedules for t in s.trips], default=0.0)
+    odo = odometer(step_len, int(longest / step_len) + 2)
+    while odo[-1] < longest:  # a running sum may fall short of the product
+        odo = odometer(step_len, 2 * len(odo))
+    odo_list = odo.tolist()
+
+    rest = list(prev.rest)
+    stays: list[int] = []
+    for vid, sched in enumerate(schedules):
+        arrive = arrived.get(vid, start - 1)
+        for trip in sched.trips:
+            dep = departure_tick(trip.depart_time, dt, max(start, arrive + 1))
+            if dep >= end:
+                break
+            stays += (vid, rest[vid], max(start, arrive), dep)
+            arrive = dep + bisect.bisect_left(odo_list, trip.route.total_length)
+            drives += (vid, dep, arrive)
+            routes.append(trip.route)
+            rest[vid] = trip.route.dst
+        stays += (vid, rest[vid], max(start, arrive), end)
+    stay_rows = np.array(stays, dtype=np.int64).reshape(-1, 4)
+    return Timetable(tuple(rest), np.array(drives, dtype=np.int64).reshape(-1, 3), routes,
+                     stay_rows[stay_rows[:, 3] > stay_rows[:, 2]], odo, start, end, parked)

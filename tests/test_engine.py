@@ -375,6 +375,30 @@ def test_link_budget_arithmetic_over_contact():
     assert counts == [1, 1, 1, 1, 1, 2]
 
 
+def test_link_budget_carries_over_between_two_empty_stores(monkeypatch):
+    """Two empty stores meet at 1.5 chunks a tick: no exchange is called,
+    but the half chunk left over carries to the next tick, where the pair
+    holds different chunks and sends two each way."""
+    import vancast.engine as engine
+    from vancast.engine import step
+
+    cfg = two_parked_vehicles_config(seed_rate=0.0, transfer_rate=1.5 * 8 * 1338)
+    assert cfg.transfer_rate / (8.0 * cfg.wire_bytes()) * cfg.dt == 1.5
+    state = init_sim(cfg)
+    calls, real = [], engine.exchange
+    monkeypatch.setattr(engine, "exchange", lambda *a: calls.append(a[2:4]) or real(*a))
+    step(state)
+    assert [s.count for s in state.stores] == [0, 0] and calls == []
+    assert state.accum == {(0, 1): [0.5, 0.5]}
+    for store, held in zip(state.stores, (range(0, 4), range(4, 8))):
+        store.mask[list(held)] = True
+        store.count = 4
+    step(state)
+    assert calls == [(2, 2)]
+    assert [s.count for s in state.stores] == [6, 6]
+    assert state.accum == {(0, 1): [0.0, 0.0]}
+
+
 def test_parked_vehicles_silent_by_default():
     cfg = two_parked_vehicles_config(parked_exchange=False)
     state = run(cfg)
@@ -386,9 +410,8 @@ def test_parked_vehicles_silent_by_default():
 def seed_between_two_listeners(share_bandwidth):
     """Hand-built state: a seeded vehicle parked between two listeners
     that cannot hear each other (comm range covers one 50 m hop only)."""
-    import vancast.engine as engine
     from vancast.engine import Metrics, SimState, step
-    from vancast.mobility import TripSchedule
+    from vancast.mobility import Timetable, TripSchedule, lay_out_day
     from vancast.roadnet import generate_manhattan_grid
 
     cfg = two_parked_vehicles_config(
@@ -405,12 +428,13 @@ def seed_between_two_listeners(share_bandwidth):
         cfg=cfg,
         graph=g,
         rng=np.random.default_rng(0),
-        nodes=[0, 1, 2],
+        day=lay_out_day(Timetable((0, 1, 2)), [TripSchedule(v, ()) for v in range(3)], 0,
+                        cfg.steps(cfg.sim_duration, "sim_duration"), cfg.dt, cfg.speed,
+                        cfg.parked_exchange),
         stores=stores,
         seeds=[1],
         metrics=Metrics(),
     )
-    engine._lay_out_day(state, [TripSchedule(v, ()) for v in range(3)])
     step(state)
     return state
 
@@ -434,15 +458,17 @@ def hand_scheduled_state(monkeypatch, trips_by_vehicle, n_ticks=1, **overrides):
     vehicle's day.  Returns the state and the list of positions handed to
     contact detection, one dict per tick, for steps of n_ticks ticks."""
     import vancast.engine as engine
-    from vancast.mobility import TripSchedule
+    from vancast.mobility import Timetable, TripSchedule, lay_out_day
 
     cfg = two_parked_vehicles_config(
         cols=3, comm_range=60.0, parked_exchange=False, speed=10.0, sim_duration=60.0,
         **overrides
     )
     state = init_sim(cfg)
-    state.nodes = [trips[0].route.src for trips in trips_by_vehicle]
-    engine._lay_out_day(state, [TripSchedule(v, tuple(t)) for v, t in enumerate(trips_by_vehicle)])
+    assert state.day.drives.size == 0 and state.day.end == 60
+    state.day = lay_out_day(Timetable(tuple(trips[0].route.src for trips in trips_by_vehicle)),
+                            [TripSchedule(v, tuple(t)) for v, t in enumerate(trips_by_vehicle)],
+                            0, 60, cfg.dt, cfg.speed, cfg.parked_exchange)
     seen = []
     real = engine.detect_contacts
 
@@ -470,7 +496,7 @@ def test_departing_vehicle_stands_at_origin_and_is_in_contact(monkeypatch):
     step(state)
     # both left inside (0, 1], on tick 0, and stand at their origins, 50 m apart
     assert seen == [{0: (0.0, 0.0), 1: (50.0, 0.0)}]
-    assert state.drives.tolist() == [[0, 0, 10], [1, 0, 5]]  # 100 m and 50 m at 10 m/s
+    assert state.day.drives.tolist() == [[0, 0, 10], [1, 0, 5]]  # 100 m and 50 m at 10 m/s
     assert state.stores[1 - seed].count == 74  # one second of the 800 kb/s link
 
 
@@ -488,10 +514,10 @@ def arrival_with_a_due_trip(monkeypatch, n_ticks):
     # The second trip has been due since 3 s, but waits for the arrival on
     # tick 5 (6 s) and leaves on tick 6; vehicle 1's trip at 90 s would
     # leave after the 60 s run and is dropped.
-    assert state.drives.tolist() == [[0, 0, 5], [0, 6, 11]]
-    assert state.routes == [first, second]
-    assert state.stays.tolist() == [[0, 1, 5, 6], [0, 2, 11, 60], [1, 2, 0, 60]]
-    assert state.nodes == [2, 2]
+    assert state.day.drives.tolist() == [[0, 0, 5], [0, 6, 11]]
+    assert state.day.routes == [first, second]
+    assert state.day.stays.tolist() == [[0, 1, 5, 6], [0, 2, 11, 60], [1, 2, 0, 60]]
+    assert state.day.rest == (2, 2)
     return state, seen
 
 
@@ -529,7 +555,7 @@ def test_step_past_the_timetable_end_raises():
     # a timetable holds one day; run() lays out the next at its first tick
     state = init_sim(two_parked_vehicles_config(dt=10.0, sim_duration=2 * 86_400.0,
                                                 sample_interval=60.0))
-    assert state.end == 8_640
+    assert state.day.end == 8_640
     with pytest.raises(ValueError, match="timetable"):
         step(state, 8_641)
 
@@ -569,8 +595,8 @@ def test_a_trip_due_after_the_last_step_is_drawn_but_not_routed(monkeypatch):
 
     state = init_sim(two_parked_vehicles_config(cols=3, dt=0.1, sim_duration=60.0,
                                                 routing_policy="shortest"))
-    assert state.end == 600
-    until = (state.end - 1) * 0.1 + 0.1
+    assert state.day.end == 600
+    until = (state.day.end - 1) * 0.1 + 0.1
     late = math.nextafter(until, math.inf)
     assert departure_tick(until, 0.1, 0) == 599 and departure_tick(late, 0.1, 0) == 600
     routed, real = [], mobility.shortest_path
@@ -583,7 +609,7 @@ def test_a_trip_due_after_the_last_step_is_drawn_but_not_routed(monkeypatch):
     assert routed == [schedules[0].trips[0].route.src]
     assert [len(s.trips) for s in schedules] == [1, 0]
     assert schedules[0].trips[0].depart_time == until
-    drives = state.drives.tolist()
+    drives = state.day.drives.tolist()
     assert len(drives) == 1 and drives[0][:2] == [0, 599]  # on the last tick, end - 1
 
 
@@ -642,7 +668,7 @@ def spy_on_spans(monkeypatch):
     real_step, real_detect = engine.step, engine.detect_contacts
 
     def step(state, n_ticks=1):
-        spans.append([state.tick, n_ticks, state.end, None])
+        spans.append([state.tick, n_ticks, state.day.end, None])
         return real_step(state, n_ticks)
 
     def detect(rows, comm_range):
@@ -700,7 +726,7 @@ def test_day_rolls_over_exactly_at_one_day_of_fractional_steps(monkeypatch):
 
 
 def test_span_end_counts_rows_off_the_timetable():
-    import vancast.engine as engine
+    from vancast.mobility import Timetable
 
     # Ticks 100 to 119; rows a tick without parked_exchange: vehicle 0's
     # carried drive on 100-103, vehicle 2's drive on 106-108, and vehicle
@@ -710,20 +736,17 @@ def test_span_end_counts_rows_off_the_timetable():
     stays = [[1, 3, 100, 120], [2, 5, 100, 106], [0, 7, 104, 112], [2, 6, 109, 120]]
     widths = {False: [1] * 4 + [0] * 2 + [1] * 3 + [0] * 3 + [1] * 8, True: [3] * 20}
     for parked, width in widths.items():
-        state = init_sim(two_parked_vehicles_config(parked_exchange=parked))
-        state.tick, state.end = 100, 120
-        state.drives = np.array(drives, dtype=np.int64)
-        state.stays = np.array(stays, dtype=np.int64)
-        ticks, rows = engine._row_profile(state)
-        assert ticks[0] == 100 and ticks[-1] == 120
+        day = Timetable((0, 3, 6), np.array(drives, dtype=np.int64), [],
+                        np.array(stays, dtype=np.int64), start=100, end=120, parked=parked)
+        assert day.ticks[0] == 100 and day.ticks[-1] == 120
         for t0 in range(100, 120):
             for budget in (0, 1, 2, 4, 7, 10**12):
                 within = [t for t in range(t0 + 1, 121) if sum(width[t0 - 100:t - 100]) <= budget]
-                assert engine._span_end(ticks, rows, t0, budget) == max([t0 + 1] + within)
-    # with parked_exchange: one tick alone exceeds 2 rows, and 7 rows hold two ticks
-    assert engine._span_end(ticks, rows, 100, 2) == 101
-    assert engine._span_end(ticks, rows, 100, 7) == 102
-    assert engine._span_end(ticks, rows, 113, 10**12) == 120
+                assert day.span_end(t0, budget) == max([t0 + 1] + within)
+    # with parked stays: one tick alone exceeds 2 rows, and 7 rows hold two ticks
+    assert day.span_end(100, 2) == 101
+    assert day.span_end(100, 7) == 102
+    assert day.span_end(113, 10**12) == 120
 
 
 def test_run_results_do_not_depend_on_the_span_split(monkeypatch, tmp_path):
@@ -738,7 +761,7 @@ def test_run_results_do_not_depend_on_the_span_split(monkeypatch, tmp_path):
 
     def new_day(state):
         if state.tick:
-            on_road_at_midnight.append(int((state.drives[:, 2] > state.tick).sum()))
+            on_road_at_midnight.append(int((state.day.drives[:, 2] > state.tick).sum()))
         real_new_day(state)
 
     monkeypatch.setattr(engine, "_new_day", new_day)
@@ -1104,9 +1127,9 @@ def drive_in_spans(monkeypatch, state, n_steps, span_len, seen):
 
     spy_on_contacts(monkeypatch, seen)
     while state.tick < n_steps:
-        if state.tick == state.end:
+        if state.tick == state.day.end:
             engine._new_day(state)
-        engine.step(state, min(span_len, state.end - state.tick))
+        engine.step(state, min(span_len, state.day.end - state.tick))
     monkeypatch.undo()
 
 
@@ -1151,7 +1174,7 @@ def test_span_pass_matches_per_tick_reference(monkeypatch, case):
     expect_rows, expect_contacts = [], []
     on_road_at_midnight = None
     while single.tick < n_steps:
-        if single.tick == single.end:
+        if single.tick == single.day.end:
             on_road_at_midnight = len(ref["enroute"])
             engine._new_day(single)
             reference_new_day(ref, *drawn[-1])
@@ -1165,7 +1188,7 @@ def test_span_pass_matches_per_tick_reference(monkeypatch, case):
     drive_in_spans(monkeypatch, spans, n_steps, span_len, seen)
     assert radio(seen) == (sorted(expect_rows), expect_contacts)
     assert outcome(spans) == outcome(single)
-    assert spans.nodes == resting_nodes(ref)
+    assert list(spans.day.rest) == resting_nodes(ref)
     assert spans.accum == {k: v for k, v in ref["accum"].items()
                            if not (spans.stores[k[0]].count == spans.stores[k[1]].count
                                    == cfg.n_chunks)}

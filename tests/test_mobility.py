@@ -9,12 +9,14 @@ from vancast.mobility import (
     DAY_LEN,
     Phase,
     ScheduleError,
+    Timetable,
     Trip,
     TripSchedule,
     VehicleState,
     advance,
     assign_trips,
     departure_tick,
+    lay_out_day,
     odometer,
     position_of,
     trace_legs,
@@ -359,3 +361,38 @@ def test_trace_legs_match_advance_and_position_of():
         ticks, xs, ys = trace_legs(g, routes, np.array(departs), np.array(lo),
                                    np.array(hi), odo)
         assert list(zip(ticks.tolist(), xs.tolist(), ys.tolist())) == expect
+
+
+def timetable_fields(day):
+    """Every field of a timetable, copied out as plain values."""
+    return (day.rest, day.drives.tolist(), list(day.routes), day.stays.tolist(),
+            day.odo.tolist(), day.start, day.end, day.parked, day.ticks.tolist(),
+            day.rows.tolist())
+
+
+def test_lay_out_day_carries_a_drive_over_and_leaves_prev_as_it_was():
+    g = make_grid(1, 3, 50.0)  # nodes 0, 1, 2 on a line, 50 m apart
+    # ticks 0-7: vehicle 0 drives 100 m at 10 m/s, arriving on tick 10
+    prev = lay_out_day(Timetable((0, 1)),
+                       [TripSchedule(0, (Trip(0.0, shortest_path(g, 0, 2)),)),
+                        TripSchedule(1, ())], 0, 8, 1.0, 10.0, True)
+    assert prev.rest == (2, 1)
+    assert prev.drives.tolist() == [[0, 0, 10]]
+    assert prev.stays.tolist() == [[1, 1, 0, 8]]
+    before = timetable_fields(prev)
+    # ticks 8-19: vehicle 0's trip due at 9 s waits for its arrival, and
+    # vehicle 1 leaves on tick 8
+    schedules = [TripSchedule(0, (Trip(9.0, shortest_path(g, 2, 1)),)),
+                 TripSchedule(1, (Trip(8.5, shortest_path(g, 1, 0)),))]
+    day = lay_out_day(prev, schedules, 8, 20, 1.0, 10.0, True)
+    assert timetable_fields(prev) == before
+    assert timetable_fields(day) == timetable_fields(
+        lay_out_day(prev, schedules, 8, 20, 1.0, 10.0, True))
+    assert day.rest == (1, 0)
+    assert day.routes == [prev.routes[0]] + [t.route for s in schedules for t in s.trips]
+    assert day.drives.tolist() == [[0, 0, 10], [0, 11, 16], [1, 8, 13]]
+    assert day.stays.tolist() == [[0, 2, 10, 11], [0, 1, 16, 20], [1, 0, 13, 20]]
+    # each vehicle drives or stays on the radio every tick: two rows a tick
+    rows = day.radio_rows(g, 8, 20)
+    assert np.bincount(rows[:, 0].astype(np.int64) - 8).tolist() == [2] * 12
+    assert day.span_end(8, 5) == 10 and day.span_end(9, 10**9) == 20
