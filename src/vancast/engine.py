@@ -79,6 +79,11 @@ def detect_contacts(rows: np.ndarray, comm_range: float) -> np.ndarray:
     That visits each pair of adjacent cells once, so the cost stays
     near-linear in rows at typical densities.  Membership is exactly
     ``math.hypot(dx, dy) <= comm_range``.
+
+    Raises ValueError, naming comm_range, before any cell becomes int64:
+    for a position not finite or 2**52 cells or more from the origin
+    (cells and their differences must be exact floats), and for ticks
+    times cells of 2**62 or more (the int64 keys must not wrap).
     """
     if comm_range <= 0:
         raise ValueError(f"comm_range must be positive, got {comm_range}")
@@ -87,16 +92,22 @@ def detect_contacts(rows: np.ndarray, comm_range: float) -> np.ndarray:
         return np.zeros((0, 3), dtype=np.int64)
     t_min = int(rows[:, 0].min())
     n_ticks = int(rows[:, 0].max()) - t_min + 1
+    cx = np.floor(rows[:, 2] / comm_range)
+    cy = np.floor(rows[:, 3] / comm_range)
+    x0, x1, y0, y1 = ends = [cx.min(), cx.max(), cy.min(), cy.max()]
+    if not (np.abs(ends) < 2**52).all():  # false for NaN too
+        raise ValueError(f"radio positions must be finite and under 2**52 cells of "
+                         f"comm_range = {comm_range} m from the origin")
     # Cells shifted to start at 1, with an empty cell past the last in
     # each axis: y +- 1 never leaves a column and x + 1 never a tick.
-    cx = np.floor(rows[:, 2] / comm_range).astype(np.int64)
-    cy = np.floor(rows[:, 3] / comm_range).astype(np.int64)
-    cx -= cx.min() - 1
-    cy -= cy.min() - 1
-    nx, ny = int(cx.max()) + 2, int(cy.max()) + 2
+    cx -= x0 - 1
+    cy -= y0 - 1
+    nx, ny = int(x1 - x0) + 3, int(y1 - y0) + 3
     if n_ticks * nx * ny >= 2**62:
-        raise ValueError("positions span too many radio cells to index")
-    key = ((rows[:, 0].astype(np.int64) - t_min) * nx + cx) * ny + cy
+        raise ValueError(f"positions span too many comm_range = {comm_range} m cells over "
+                         f"{n_ticks} ticks to index")
+    key = ((rows[:, 0].astype(np.int64) - t_min) * nx + cx.astype(np.int64)) * ny \
+        + cy.astype(np.int64)
     # A span has tens of thousands of rows, so per-row temporaries are
     # dropped as soon as they are used: they set the run's peak memory.
     del cx, cy
@@ -371,17 +382,14 @@ def step(state: SimState, n_ticks: int = 1) -> None:
     it still counts toward ``share_bandwidth`` degrees.  Nor is
     :func:`exchange` called for two empty stores, though their link
     budget still accrues.  A pair's link budget carries over only to the
-    next tick.  A span must end by the timetable's end, ``state.day.end``:
-    ValueError otherwise.  ``run`` lays out the next day when a span
-    reaches it.
+    next tick.  ``radio_rows`` refuses a span past the timetable's end,
+    ``state.day.end``, before the clock moves; ``run`` lays out the next
+    day when a span reaches it.
     """
     if n_ticks < 1:
         raise ValueError(f"n_ticks must be >= 1, got {n_ticks}")
     cfg = state.cfg
     t0, t1 = state.tick, state.tick + n_ticks
-    if t1 > state.day.end:
-        raise ValueError(f"ticks {t0} to {t1 - 1} run past the timetable's end at tick "
-                         f"{state.day.end}")
     rows = state.day.radio_rows(state.graph, t0, t1)
     contacts = detect_contacts(rows, cfg.comm_range)
     state.tick = t1

@@ -9,9 +9,11 @@ chunks whose derived coefficient matrix reaches rank ``k`` decodes the
 file exactly.
 
 Field arithmetic uses the AES polynomial x^8 + x^4 + x^3 + x + 1
-(0x11B): addition is XOR, and products and inverses are read from the
-dense tables ``GF_MUL[a, b]`` and ``GF_INV[a]`` built at import time
-(``GF_INV[0]`` is 0, as zero has no inverse).
+(0x11B): addition is XOR, and doubling is a shift reduced by it
+(:func:`_double`), the field's one definition here.  The dense tables
+``GF_MUL[a, b]`` and ``GF_INV[a]`` that elimination reads are built at
+import time by :func:`gf_matmul` from those doublings (``GF_INV[0]`` is
+0, as zero has no inverse).
 
 All payload arithmetic is one kernel, :func:`gf_matmul`, a blocked
 matrix product built from XORs of doubled rows.  Encoding is one product
@@ -45,35 +47,6 @@ COEFF_KEY = b"vancast/rlc/coeff/v1"
 DEFAULT_K = 300
 DEFAULT_N = 450
 
-
-def _build_tables() -> tuple[np.ndarray, np.ndarray]:
-    """Build exp/log tables, then dense mul/inv lookup tables.
-
-    The generator is 3: under the 0x11B polynomial, 2 only generates a
-    51-element subgroup, so repeated doubling would not enumerate the
-    whole field.
-    """
-    exp = np.zeros(255, dtype=np.int64)
-    log = np.zeros(256, dtype=np.int64)
-    x = 1
-    for i in range(255):
-        exp[i] = x
-        log[x] = i
-        x ^= x << 1
-        if x & 0x100:
-            x ^= GF_POLY
-    # mul[a, b] = exp[(log a + log b) mod 255], with the zero row/column
-    # patched afterwards since log(0) is undefined.
-    idx = (log[:, None] + log[None, :]) % 255
-    mul = exp[idx].astype(np.uint8)
-    mul[0, :] = 0
-    mul[:, 0] = 0
-    inv = np.zeros(256, dtype=np.uint8)
-    inv[1:] = exp[(255 - log[1:]) % 255]
-    return mul, inv
-
-
-GF_MUL, GF_INV = _build_tables()
 
 # Rows of X per block of gf_matmul.  At the default 1334-byte symbols a
 # block's 8 doublings take 342 kB, and the rows picked from them at most
@@ -126,6 +99,12 @@ def gf_matmul(a: np.ndarray, x: np.ndarray) -> np.ndarray:
             if len(sel):
                 out[i] ^= np.bitwise_xor.reduce(sel, axis=0)
     return out.view(np.uint8)[:, :size]
+
+
+# Every product a·b as one gf_matmul of the column 0..255 by the row
+# 0..255, and each inverse as the b with a·b = 1 (none for 0, read as 0).
+GF_MUL = gf_matmul(np.arange(256)[:, None], np.arange(256)[None, :])
+GF_INV = np.argmax(GF_MUL == 1, axis=1).astype(np.uint8)
 
 
 def derive_coefficients(chunk_id: int, k: int) -> np.ndarray:

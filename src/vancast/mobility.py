@@ -354,13 +354,20 @@ class Timetable:
         self.ticks = ticks
         self.rows = np.concatenate(([0], np.cumsum(width[:-1] * np.diff(ticks))))
 
+    def _within(self, t0: int, t1: int) -> None:
+        if not self.start <= t0 <= t1 <= self.end:
+            raise ValueError(f"ticks {t0} to {t1 - 1} lie outside the timetable, which runs "
+                             f"from tick {self.start} to its end at tick {self.end}")
+
     def radio_rows(self, g: RoadGraph, t0: int, t1: int) -> np.ndarray:
         """The radio rows of ticks t0 to t1 - 1, as (tick, vehicle, x, y).
 
         One row per driving vehicle per tick, from its departure tick up
         to the tick before its arrival, and with ``parked`` one per parked
-        vehicle per tick at its node.
+        vehicle per tick at its node.  Raises ValueError unless
+        ``start <= t0 <= t1 <= end``: the timetable knows no other ticks.
         """
+        self._within(t0, t1)
         vids, dep, arrive = self.drives.T
         on = (dep < t1) & (arrive > t0)
         dep = dep[on]
@@ -385,7 +392,9 @@ class Timetable:
 
     def span_end(self, t0: int, budget: int) -> int:
         """The last tick t, up to ``end``, such that ticks t0 to t - 1 yield
-        at most budget radio rows, or t0 + 1 if tick t0 alone yields more."""
+        at most budget radio rows, or t0 + 1 if tick t0 alone yields more.
+        Raises ValueError unless t0 is one of the ticks start to end - 1."""
+        self._within(t0, t0 + 1)
         ticks, rows = self.ticks, self.rows
 
         def width(k: int) -> int:  # rows a tick from ticks[k] to ticks[k + 1]

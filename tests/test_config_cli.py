@@ -372,6 +372,13 @@ def test_cli_seed_flag_changes_run(tmp_path):
     assert (out3 / "run.csv").read_text().startswith("time_s,")
 
 
+def test_cli_run_exits_2_on_cells_too_small_to_index(tmp_path, capsys):
+    code = main(["run", *tiny_args(), "--set", "comm_range=1e-20", "--out",
+                 str(tmp_path / "o"), "--quiet"])
+    assert code == 2
+    assert "comm_range" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", [["run"], ["sweep", "--param", "seed_rate",
                                                  "--values", "0.5"]])
 def test_cli_refuses_a_negative_seed_before_running(tmp_path, capsys, command):

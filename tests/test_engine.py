@@ -177,6 +177,22 @@ def test_contacts_empty_and_validation():
         detect_contacts(rows_at({0: (0.0, 0.0)}), 0.0)
 
 
+def test_contacts_refuse_cells_past_exact_int64_keys():
+    # 200 m is 2e22 cells of 1e-20 m: an int64 cast would wrap them
+    with pytest.raises(ValueError, match="comm_range"):
+        detect_contacts(rows_at({0: (0.0, 0.0), 1: (200.0, 0.0)}), 1e-20)
+    # exact cells, but over 2**32 ticks a box of more than 2**62 keys
+    rows = np.array([(0, 0, 0.0, 0.0), (2**32, 1, 2.0**15, 2.0**15)])
+    with pytest.raises(ValueError, match="comm_range"):
+        detect_contacts(rows, 1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_contacts_refuse_a_non_finite_position(bad):
+    with pytest.raises(ValueError, match="comm_range"):
+        detect_contacts(rows_at({0: (0.0, 0.0), 1: (10.0, 0.0), 2: (bad, 5.0)}), 100.0)
+
+
 # --- chunk stores and exchange --------------------------------------------------
 
 
@@ -558,6 +574,18 @@ def test_step_past_the_timetable_end_raises():
     assert state.day.end == 8_640
     with pytest.raises(ValueError, match="timetable"):
         step(state, 8_641)
+
+
+def test_run_refuses_cells_past_int64_before_any_exchange(monkeypatch):
+    """Parked vehicles 50 m apart are 5e21 cells of 1e-20 m apart: the run
+    stops at its first span, before a chunk moves."""
+    import vancast.engine as engine
+
+    calls, real = [], engine.exchange
+    monkeypatch.setattr(engine, "exchange", lambda *args: calls.append(args) or real(*args))
+    with pytest.raises(ValueError, match="comm_range"):
+        run(two_parked_vehicles_config(comm_range=1e-20))
+    assert calls == []
 
 
 def days_drawn(monkeypatch):

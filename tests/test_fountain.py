@@ -110,6 +110,14 @@ def test_inverse_of_zero_rejected():
     assert GF_INV[0] == 0
 
 
+def test_tables_are_contiguous_uint8():
+    # _pivot XORs rows gathered from GF_MUL into uint8 rows in place, and
+    # value comparisons alone would not see another dtype.
+    assert GF_MUL.dtype == np.uint8 and GF_MUL.shape == (256, 256)
+    assert GF_MUL.flags.c_contiguous
+    assert GF_INV.dtype == np.uint8 and GF_INV.shape == (256,)
+
+
 # --- coefficient derivation -------------------------------------------------
 
 

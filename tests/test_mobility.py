@@ -396,3 +396,27 @@ def test_lay_out_day_carries_a_drive_over_and_leaves_prev_as_it_was():
     rows = day.radio_rows(g, 8, 20)
     assert np.bincount(rows[:, 0].astype(np.int64) - 8).tolist() == [2] * 12
     assert day.span_end(8, 5) == 10 and day.span_end(9, 10**9) == 20
+
+
+def test_timetable_refuses_ticks_outside_it():
+    g = make_grid(1, 2, 30.0)
+    # ticks 0-9: vehicle 0 drives 30 m at 10 m/s on the air at ticks 2-4
+    day = Timetable((1,), np.array([[0, 2, 5]]), [shortest_path(g, 0, 1)],
+                    odo=odometer(10.0, 4), start=0, end=10)
+    assert day.span_end(0, 2) == 4 and day.span_end(9, 2) == 10
+    assert day.radio_rows(g, 0, 10)[:, 0].tolist() == [2, 3, 4]
+    for t0 in (-1, 10):
+        with pytest.raises(ValueError, match="timetable"):
+            day.span_end(t0, 2)
+    with pytest.raises(ValueError, match="timetable"):
+        Timetable((0,)).span_end(0, 5)
+    with pytest.raises(ValueError, match="timetable"):
+        day.radio_rows(g, 8, 12)
+    # ticks 8-19 follow a day whose drive carries over: ticks 3-7 are not theirs
+    later = lay_out_day(Timetable((0,)), [TripSchedule(0, (Trip(0.0, shortest_path(g, 0, 1)),))],
+                        0, 8, 1.0, 1.0, False)
+    later = lay_out_day(later, [TripSchedule(0, ())], 8, 20, 1.0, 1.0, False)
+    assert later.drives.tolist() == [[0, 0, 30]]
+    with pytest.raises(ValueError, match="timetable"):
+        later.radio_rows(g, 3, 8)
+    assert later.radio_rows(g, 8, 8).shape == (0, 4)
