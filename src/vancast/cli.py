@@ -202,7 +202,10 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_gen_graph(args) -> int:
-    main_cols = [int(c) for c in args.main_cols.split(",")] if args.main_cols else []
+    try:
+        main_cols = [int(c) for c in args.main_cols.split(",")] if args.main_cols else []
+    except ValueError:
+        raise ValueError(f"--main-cols {args.main_cols!r} is not a list of ints") from None
     g = generate_manhattan_grid(args.rows, args.cols, args.block_len, main_cols)
     save_road_graph(g, args.out)
     print(f"wrote {g.n_nodes} nodes, {g.n_edges} edges to {args.out}")

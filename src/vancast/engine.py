@@ -38,11 +38,11 @@ from vancast.mobility import DAY_LEN, ScheduleError, Timetable, assign_trips, la
 from vancast.roadnet import RoadGraph, float_text, generate_manhattan_grid, load_road_graph
 
 # Most radio rows run() hands to one step() call, as Timetable.span_end
-# counts them.  A call has a fixed cost (the timetable's row query, route
-# flattening, about a hundred numpy calls in detect_contacts, a pass over
-# every store), so sparse ticks share long spans; its per-row arrays must
-# stay in cache, so dense ticks get short ones.  A span still holds at
-# least one tick, however many rows it has.
+# reads them off its prefix sum.  A call has a fixed cost (the timetable's
+# row query, route flattening, about a hundred numpy calls in
+# detect_contacts, a pass over every store), so sparse ticks share long
+# spans; its per-row arrays must stay in cache, so dense ticks get short
+# ones.  A span still holds at least one tick, however many rows it has.
 SPAN_ROWS = 16_000
 
 
@@ -65,6 +65,28 @@ class ChunkStore:
         return np.flatnonzero(self.mask).tolist()
 
 
+def radio_cells(x: np.ndarray, y: np.ndarray, comm_range: float, n_ticks: int, spare: int = 1):
+    """Cells of comm_range at positions x, y, the least shifted to ``spare``,
+    and the columns and rows (nx, ny) of their box, ``spare`` empty cells a
+    side.  Raises ValueError naming comm_range, before a cell becomes int64,
+    for a box edge not finite or 2**52 cells or more from the origin (cells
+    must be exact floats), or for ticks times cells of 2**62 or more (keys
+    over n_ticks ticks must not wrap)."""
+    with np.errstate(over="ignore"):  # an infinite cell fails the bound below
+        cx, cy = np.floor(x / comm_range), np.floor(y / comm_range)
+    x0, x1, y0, y1 = ends = [cx.min(), cx.max(), cy.min(), cy.max()]
+    if not (np.abs(ends) <= 2**52 - spare).all():  # false for NaN too
+        raise ValueError(f"radio positions must be finite and under 2**52 cells of "
+                         f"comm_range = {comm_range} m from the origin")
+    nx, ny = int(x1 - x0) + 2 * spare + 1, int(y1 - y0) + 2 * spare + 1
+    if n_ticks * nx * ny >= 2**62:
+        raise ValueError(f"positions span too many comm_range = {comm_range} m cells over "
+                         f"{n_ticks} ticks to index")
+    cx -= x0 - spare
+    cy -= y0 - spare
+    return cx, cy, nx, ny
+
+
 def detect_contacts(rows: np.ndarray, comm_range: float) -> np.ndarray:
     """Every radio contact among rows of (tick, vehicle, x, y), a float
     array of shape (n, 4) with at most one row per vehicle and tick.
@@ -78,12 +100,8 @@ def detect_contacts(rows: np.ndarray, comm_range: float) -> np.ndarray:
     cell above (run A), and the three cells of the next column (run B).
     That visits each pair of adjacent cells once, so the cost stays
     near-linear in rows at typical densities.  Membership is exactly
-    ``math.hypot(dx, dy) <= comm_range``.
-
-    Raises ValueError, naming comm_range, before any cell becomes int64:
-    for a position not finite or 2**52 cells or more from the origin
-    (cells and their differences must be exact floats), and for ticks
-    times cells of 2**62 or more (the int64 keys must not wrap).
+    ``math.hypot(dx, dy) <= comm_range``.  Cells that :func:`radio_cells`
+    cannot key raise its ValueError, which names comm_range.
     """
     if comm_range <= 0:
         raise ValueError(f"comm_range must be positive, got {comm_range}")
@@ -92,20 +110,9 @@ def detect_contacts(rows: np.ndarray, comm_range: float) -> np.ndarray:
         return np.zeros((0, 3), dtype=np.int64)
     t_min = int(rows[:, 0].min())
     n_ticks = int(rows[:, 0].max()) - t_min + 1
-    cx = np.floor(rows[:, 2] / comm_range)
-    cy = np.floor(rows[:, 3] / comm_range)
-    x0, x1, y0, y1 = ends = [cx.min(), cx.max(), cy.min(), cy.max()]
-    if not (np.abs(ends) < 2**52).all():  # false for NaN too
-        raise ValueError(f"radio positions must be finite and under 2**52 cells of "
-                         f"comm_range = {comm_range} m from the origin")
     # Cells shifted to start at 1, with an empty cell past the last in
     # each axis: y +- 1 never leaves a column and x + 1 never a tick.
-    cx -= x0 - 1
-    cy -= y0 - 1
-    nx, ny = int(x1 - x0) + 3, int(y1 - y0) + 3
-    if n_ticks * nx * ny >= 2**62:
-        raise ValueError(f"positions span too many comm_range = {comm_range} m cells over "
-                         f"{n_ticks} ticks to index")
+    cx, cy, nx, ny = radio_cells(rows[:, 2], rows[:, 3], comm_range, n_ticks)
     key = ((rows[:, 0].astype(np.int64) - t_min) * nx + cx.astype(np.int64)) * ny \
         + cy.astype(np.int64)
     # A span has tens of thousands of rows, so per-row temporaries are
@@ -327,10 +334,13 @@ def init_sim(cfg: ExperimentConfig) -> SimState:
     destination within max_trip_dist.  No later origin can lack one: the
     graph is undirected, so the last trip's origin is within reach.
     Raises ValueError, also before any draw, if trips would route over
-    main roads on a graph that has none.
+    main roads on a graph that has none, or if :func:`radio_cells` refuses
+    the nodes' cells, plus one for rounding, over a span of up to a day.
     """
     cfg.validate()
     g = build_graph(cfg)
+    radio_cells(np.asarray(g.node_x), np.asarray(g.node_y), cfg.comm_range, min(
+        cfg.steps(DAY_LEN, "one day"), cfg.steps(cfg.sim_duration, "sim_duration")), spare=2)
     rng = np.random.default_rng(cfg.master_seed)
     n = cfg.n_vehicles
 

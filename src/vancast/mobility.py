@@ -16,7 +16,7 @@ trips dropped at the timetable's end.  The timetable answers the
 engine's two questions about motion: the radio rows of a span of ticks
 (:meth:`Timetable.radio_rows`, placed by :func:`trace_legs` at
 :func:`odometer` distances), and where a span of at most so many rows
-ends (:meth:`Timetable.span_end`), counted exactly off its intervals.
+ends (:meth:`Timetable.span_end`), read off its prefix sum of rows.
 
 :func:`advance` and :func:`position_of`, which move and place one
 :class:`VehicleState` for one step, are the per-tick reference that
@@ -319,14 +319,13 @@ class Timetable:
 
     ``drives`` holds (vehicle, departure tick, arrival tick) rows, driving
     ``routes`` in the same order, and ``stays`` (vehicle, node, first
-    tick, end tick) rows; ``odo`` is the distance driven each tick after a
-    departure (:func:`odometer`).  ``rest`` is where each vehicle rests
-    after its last drive: the next day's start.  A drive yields one radio
-    row a tick, and with ``parked`` so does a stay.  ``ticks`` and ``rows``
-    count those rows, worked out once where the timetable is built: the
-    ticks from start to end at which the rows a tick change, and the rows
-    yielded before each; between two of them the count grows linearly.
-    Their memory is linear in drives plus stays, not in ticks.
+    tick, end tick) rows, kept only where parked vehicles are on the
+    radio; ``odo`` is the distance driven each tick after a departure
+    (:func:`odometer`).  ``rest`` is where each vehicle rests after its
+    last drive: the next day's start.  Each drive and each stay yields one
+    radio row a tick.  ``rows`` is their prefix sum, worked out once where
+    the timetable is built: ``rows[i]`` is the rows yielded by ticks
+    ``start`` to ``start + i - 1``, one int64 for each tick and one more.
     """
 
     rest: tuple[int, ...]
@@ -336,23 +335,18 @@ class Timetable:
     odo: np.ndarray = field(default_factory=lambda: np.zeros(0))
     start: int = 0
     end: int = 0
-    parked: bool = False
-    ticks: np.ndarray = field(init=False, repr=False)
     rows: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        on_air = self.drives[:, 1:]  # (first tick, end tick) of each row-yielding interval
-        if self.parked:
-            on_air = np.concatenate((on_air, self.stays[:, 2:]))
-        lo, hi = np.maximum(on_air[:, 0], self.start), np.minimum(on_air[:, 1], self.end)
-        on = hi > lo
-        lo, hi = np.sort(lo[on]), np.sort(hi[on])
-        at = np.sort(np.concatenate((lo, hi, [self.start, self.end])))
-        ticks = at[np.append(at[1:] != at[:-1], True)]
-        # Rows a tick from each breakpoint on: intervals begun minus intervals ended.
-        width = np.searchsorted(lo, ticks, side="right") - np.searchsorted(hi, ticks, side="right")
-        self.ticks = ticks
-        self.rows = np.concatenate(([0], np.cumsum(width[:-1] * np.diff(ticks))))
+        # Drives and stays begin and end their rows at their (first tick,
+        # end tick), clipped to the timetable; counted one tick late from
+        # start, begun minus ended sums to the rows of the tick before, and
+        # twice to the rows before.
+        on_air = np.concatenate((self.drives[:, 1:], self.stays[:, 2:])).clip(self.start, self.end)
+        on_air += 1 - self.start
+        rows = np.bincount(on_air[:, 0], minlength=self.end - self.start + 2)
+        rows -= np.bincount(on_air[:, 1], minlength=len(rows))
+        self.rows = rows.cumsum(out=rows).cumsum(out=rows)[:-1]
 
     def _within(self, t0: int, t1: int) -> None:
         if not self.start <= t0 <= t1 <= self.end:
@@ -363,8 +357,8 @@ class Timetable:
         """The radio rows of ticks t0 to t1 - 1, as (tick, vehicle, x, y).
 
         One row per driving vehicle per tick, from its departure tick up
-        to the tick before its arrival, and with ``parked`` one per parked
-        vehicle per tick at its node.  Raises ValueError unless
+        to the tick before its arrival, and one per stay per tick at its
+        node.  Raises ValueError unless
         ``start <= t0 <= t1 <= end``: the timetable knows no other ticks.
         """
         self._within(t0, t1)
@@ -374,8 +368,7 @@ class Timetable:
         lo, hi = np.maximum(dep, t0), np.minimum(arrive[on], t1)
         drives = hi - lo
         n_drive = int(drives.sum())
-        stays = self.stays if self.parked else self.stays[:0]
-        stay_vids, nodes, first, last = stays.T
+        stay_vids, nodes, first, last = self.stays.T
         first, last = np.maximum(first, t0), np.minimum(last, t1)
         counts = np.maximum(last - first, 0)
         rows = np.empty((n_drive + int(counts.sum()), 4))
@@ -395,17 +388,8 @@ class Timetable:
         at most budget radio rows, or t0 + 1 if tick t0 alone yields more.
         Raises ValueError unless t0 is one of the ticks start to end - 1."""
         self._within(t0, t0 + 1)
-        ticks, rows = self.ticks, self.rows
-
-        def width(k: int) -> int:  # rows a tick from ticks[k] to ticks[k + 1]
-            return int((rows[k + 1] - rows[k]) // (ticks[k + 1] - ticks[k]))
-
-        k = int(np.searchsorted(ticks, t0, side="right")) - 1
-        cap = int(rows[k]) + (t0 - int(ticks[k])) * width(k) + budget
-        k = int(np.searchsorted(rows, cap, side="right")) - 1
-        if k == len(ticks) - 1:
-            return int(ticks[-1])
-        return max(t0 + 1, int(ticks[k]) + (cap - int(rows[k])) // width(k))
+        cap = int(self.rows[t0 - self.start]) + budget  # a Python int: no overflow
+        return max(t0 + 1, self.start + int(np.searchsorted(self.rows, cap, side="right")) - 1)
 
 
 def lay_out_day(
@@ -426,8 +410,8 @@ def lay_out_day(
     1))`` and arrives ``bisect_left(odo, total_length)`` ticks later.  A
     drive of ``prev`` that arrives at start or later is still on the
     road, so it is carried over and the vehicle's trips wait for its
-    arrival.  Trips that would leave at or after end are dropped.
-    ``prev`` is left as it was.
+    arrival.  Trips that would leave at or after end are dropped, and
+    stays kept only if ``parked``.  ``prev`` is left as it was.
     """
     carried = np.flatnonzero(prev.drives[:, 2] >= start)
     routes = [prev.routes[i] for i in carried.tolist()]
@@ -450,12 +434,14 @@ def lay_out_day(
             dep = departure_tick(trip.depart_time, dt, max(start, arrive + 1))
             if dep >= end:
                 break
-            stays += (vid, rest[vid], max(start, arrive), dep)
+            if parked:
+                stays += (vid, rest[vid], max(start, arrive), dep)
             arrive = dep + bisect.bisect_left(odo_list, trip.route.total_length)
             drives += (vid, dep, arrive)
             routes.append(trip.route)
             rest[vid] = trip.route.dst
-        stays += (vid, rest[vid], max(start, arrive), end)
+        if parked:
+            stays += (vid, rest[vid], max(start, arrive), end)
     stay_rows = np.array(stays, dtype=np.int64).reshape(-1, 4)
     return Timetable(tuple(rest), np.array(drives, dtype=np.int64).reshape(-1, 3), routes,
-                     stay_rows[stay_rows[:, 3] > stay_rows[:, 2]], odo, start, end, parked)
+                     stay_rows[stay_rows[:, 3] > stay_rows[:, 2]], odo, start, end)

@@ -342,8 +342,8 @@ def generate_manhattan_grid(
         raise ValueError(f"grid needs rows, cols >= 1, got {rows}x{cols}")
     if rows == 1 and cols == 1:
         raise ValueError("a 1x1 grid has no edges")
-    if block_len <= 0:
-        raise ValueError(f"block_len must be positive, got {block_len}")
+    if not 0 < block_len < math.inf:  # false for NaN too
+        raise ValueError(f"block_len must be positive and finite, got {block_len}")
     main_set = set(main_cols or [])
     for c in main_set:
         if not (0 <= c < cols):

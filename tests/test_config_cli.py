@@ -1,6 +1,7 @@
 """Configuration parsing, sweep bookkeeping, and CLI entry points."""
 
 import os
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -377,6 +378,14 @@ def test_cli_run_exits_2_on_cells_too_small_to_index(tmp_path, capsys):
                  str(tmp_path / "o"), "--quiet"])
     assert code == 2
     assert "comm_range" in capsys.readouterr().err
+    # 1e-320 m cells overflow the float division: refused at load, with no warning
+    args = ["run", "--set", "n_vehicles=2", "--set", "parked_exchange=true", "--set",
+            "comm_range=1e-320", "--set", "sim_duration=600", "--set", "seed_rate=0.5",
+            "--out", str(tmp_path / "o"), "--quiet"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(args) == 2
+    assert "comm_range" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", [["run"], ["sweep", "--param", "seed_rate",
@@ -517,5 +526,11 @@ def test_cli_error_paths(tmp_path, capsys):
     assert not (tmp_path / "sweep").exists()
     code = main(["run", "--config", str(tmp_path / "missing.cfg"), "--quiet"])
     assert code == 2
+    # gen-graph names the flag whose value it cannot use
+    for flag, value, named in (("--block-len", "nan", "block_len"),
+                               ("--main-cols", "2,x", "--main-cols")):
+        assert main(["gen-graph", flag, value, "--out", str(tmp_path / "g.txt"), "--quiet"]) == 2
+        assert named in capsys.readouterr().err
+    assert not (tmp_path / "g.txt").exists()
     with pytest.raises(SystemExit):
         main(["no-such-command"])

@@ -1,6 +1,7 @@
 """Simulation engine tests: contacts, exchange, provisioning, full runs."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -181,6 +182,11 @@ def test_contacts_refuse_cells_past_exact_int64_keys():
     # 200 m is 2e22 cells of 1e-20 m: an int64 cast would wrap them
     with pytest.raises(ValueError, match="comm_range"):
         detect_contacts(rows_at({0: (0.0, 0.0), 1: (200.0, 0.0)}), 1e-20)
+    # 200 m over 1e-320 m overflows to an infinite cell: refused, not warned
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="comm_range"):
+            detect_contacts(rows_at({0: (0.0, 0.0), 1: (200.0, 0.0)}), 1e-320)
     # exact cells, but over 2**32 ticks a box of more than 2**62 keys
     rows = np.array([(0, 0, 0.0, 0.0), (2**32, 1, 2.0**15, 2.0**15)])
     with pytest.raises(ValueError, match="comm_range"):
@@ -517,23 +523,26 @@ def test_departing_vehicle_stands_at_origin_and_is_in_contact(monkeypatch):
 
 
 def arrival_with_a_due_trip(monkeypatch, n_ticks):
-    from vancast.mobility import Trip
+    from vancast.mobility import Timetable, Trip, TripSchedule, lay_out_day
     from vancast.roadnet import generate_manhattan_grid, shortest_path
 
     g = generate_manhattan_grid(1, 3, 50.0, [])
     first, second = shortest_path(g, 0, 1), shortest_path(g, 1, 2)
-    state, seen = hand_scheduled_state(
-        monkeypatch,
-        [[Trip(0.0, first), Trip(3.0, second)], [Trip(90.0, shortest_path(g, 2, 1))]],
-        n_ticks=n_ticks,
-    )
+    trips = [[Trip(0.0, first), Trip(3.0, second)], [Trip(90.0, shortest_path(g, 2, 1))]]
+    state, seen = hand_scheduled_state(monkeypatch, trips, n_ticks=n_ticks)
     # The second trip has been due since 3 s, but waits for the arrival on
     # tick 5 (6 s) and leaves on tick 6; vehicle 1's trip at 90 s would
     # leave after the 60 s run and is dropped.
     assert state.day.drives.tolist() == [[0, 0, 5], [0, 6, 11]]
     assert state.day.routes == [first, second]
-    assert state.day.stays.tolist() == [[0, 1, 5, 6], [0, 2, 11, 60], [1, 2, 0, 60]]
+    assert state.day.stays.size == 0  # parked vehicles are off the radio
     assert state.day.rest == (2, 2)
+    # Laid out for parked radios, the same schedules stay at node 1 on the
+    # arrival tick, then at node 2; vehicle 1 stays at node 2 all run.
+    schedules = [TripSchedule(v, tuple(t)) for v, t in enumerate(trips)]
+    parked = lay_out_day(Timetable((0, 2)), schedules, 0, 60, 1.0, 10.0, True)
+    assert parked.drives.tolist() == state.day.drives.tolist()
+    assert parked.stays.tolist() == [[0, 1, 5, 6], [0, 2, 11, 60], [1, 2, 0, 60]]
     return state, seen
 
 
@@ -578,14 +587,30 @@ def test_step_past_the_timetable_end_raises():
 
 def test_run_refuses_cells_past_int64_before_any_exchange(monkeypatch):
     """Parked vehicles 50 m apart are 5e21 cells of 1e-20 m apart: the run
-    stops at its first span, before a chunk moves."""
+    stops at load, before the seeds or the day's trips are drawn and
+    before a chunk moves."""
     import vancast.engine as engine
 
-    calls, real = [], engine.exchange
-    monkeypatch.setattr(engine, "exchange", lambda *args: calls.append(args) or real(*args))
+    calls = []
+    for name in ("provision_seeds", "assign_trips", "exchange"):
+        real = getattr(engine, name)
+        monkeypatch.setattr(engine, name, lambda *a, name=name, real=real, **k:
+                            calls.append(name) or real(*a, **k))
     with pytest.raises(ValueError, match="comm_range"):
         run(two_parked_vehicles_config(comm_range=1e-20))
     assert calls == []
+
+
+def test_init_sim_bounds_cells_by_the_graph_and_a_day():
+    # The default 1.8 km grid over a day of 1 s ticks: 0.25 mm cells are
+    # about the last that index, and a shorter run allows smaller ones.
+    from dataclasses import replace
+
+    days = ExperimentConfig(n_vehicles=2, mean_trips=0.0, sim_duration=2 * 86_400.0)
+    init_sim(replace(days, comm_range=3e-4))
+    with pytest.raises(ValueError, match="comm_range = 0.0002 m cells over 86400 ticks"):
+        init_sim(replace(days, comm_range=2e-4))
+    init_sim(replace(days, comm_range=2e-4, sim_duration=3_600.0))
 
 
 def days_drawn(monkeypatch):
@@ -758,17 +783,20 @@ def test_span_end_counts_rows_off_the_timetable():
 
     # Ticks 100 to 119; rows a tick without parked_exchange: vehicle 0's
     # carried drive on 100-103, vehicle 2's drive on 106-108, and vehicle
-    # 0's drive that arrives at the end on 112-119.  Every stay adds one
-    # row a tick with parked_exchange, so each tick then has 3.
+    # 0's drive that arrives at the end on 112-119.  With parked_exchange
+    # the stays are laid out too, each adding one row a tick, so each tick
+    # then has 3.
     drives = [[0, 95, 104], [2, 106, 109], [0, 112, 120]]
     stays = [[1, 3, 100, 120], [2, 5, 100, 106], [0, 7, 104, 112], [2, 6, 109, 120]]
     widths = {False: [1] * 4 + [0] * 2 + [1] * 3 + [0] * 3 + [1] * 8, True: [3] * 20}
     for parked, width in widths.items():
         day = Timetable((0, 3, 6), np.array(drives, dtype=np.int64), [],
-                        np.array(stays, dtype=np.int64), start=100, end=120, parked=parked)
-        assert day.ticks[0] == 100 and day.ticks[-1] == 120
+                        np.array(stays if parked else [], dtype=np.int64).reshape(-1, 4),
+                        start=100, end=120)
+        assert day.rows.tolist() == np.cumsum([0] + width).tolist()
         for t0 in range(100, 120):
-            for budget in (0, 1, 2, 4, 7, 10**12):
+            # 2**63 overflows int64: a budget past every row still ends the span at end
+            for budget in (0, 1, 2, 4, 7, 10**12, 2**63):
                 within = [t for t in range(t0 + 1, 121) if sum(width[t0 - 100:t - 100]) <= budget]
                 assert day.span_end(t0, budget) == max([t0 + 1] + within)
     # with parked stays: one tick alone exceeds 2 rows, and 7 rows hold two ticks

@@ -366,8 +366,7 @@ def test_trace_legs_match_advance_and_position_of():
 def timetable_fields(day):
     """Every field of a timetable, copied out as plain values."""
     return (day.rest, day.drives.tolist(), list(day.routes), day.stays.tolist(),
-            day.odo.tolist(), day.start, day.end, day.parked, day.ticks.tolist(),
-            day.rows.tolist())
+            day.odo.tolist(), day.start, day.end, day.rows.tolist())
 
 
 def test_lay_out_day_carries_a_drive_over_and_leaves_prev_as_it_was():
@@ -420,3 +419,38 @@ def test_timetable_refuses_ticks_outside_it():
     with pytest.raises(ValueError, match="timetable"):
         later.radio_rows(g, 3, 8)
     assert later.radio_rows(g, 8, 8).shape == (0, 4)
+
+
+def two_days(parked):
+    """Two days of 40 busy vehicles at 1 m/s on 10 s ticks, as timetables;
+    day 1 carries over drives still on the road at midnight."""
+    g = make_grid(5, 5, 100.0)
+    rng = np.random.default_rng(11)
+    per_day = int(DAY_LEN / 10.0)
+    days = [Timetable(tuple(homes(g, 40, rng)))]
+    for d in range(2):
+        schedules = assign_trips(g, days[-1].rest, 40.0, 800.0, rng, day_start=d * DAY_LEN,
+                                 policy="shortest")
+        days.append(lay_out_day(days[-1], schedules, d * per_day, (d + 1) * per_day, 10.0, 1.0,
+                                parked))
+    assert (days[2].drives[:, 1] < per_day).any()  # carried over midnight
+    return g, days[1:]
+
+
+@pytest.mark.parametrize("parked", [False, True])
+def test_rows_are_the_prefix_sum_of_radio_rows_a_tick(parked):
+    g, days = two_days(parked)
+    for day in days:
+        ticks = day.radio_rows(g, day.start, day.end)[:, 0].astype(np.int64) - day.start
+        assert day.rows[0] == 0
+        assert np.diff(day.rows).tolist() == np.bincount(ticks, minlength=day.end - day.start
+                                                         ).tolist()
+
+
+def test_lay_out_day_keeps_stays_only_for_parked_radios():
+    g, off_air = two_days(False)
+    _, on_air = two_days(True)
+    for off, on in zip(off_air, on_air):
+        assert off.stays.shape == (0, 4) and len(on.stays)
+        assert off.drives.tolist() == on.drives.tolist()
+        assert off.routes == on.routes and off.rest == on.rest

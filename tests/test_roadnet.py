@@ -101,6 +101,9 @@ def test_grid_argument_validation():
         generate_manhattan_grid(5, 5, 0.0)
     with pytest.raises(ValueError):
         generate_manhattan_grid(5, 5, 100.0, main_cols=[5])
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="block_len must be positive and finite"):
+            generate_manhattan_grid(5, 5, bad)
 
 
 def test_graph_validation():
