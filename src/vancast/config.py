@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass, field, fields, replace
 
 from vancast.mobility import DAY_LEN, ROUTING_POLICIES
-from vancast.roadnet import float_text
+from vancast.roadnet import check_block_len, float_text
 
 
 @dataclass
@@ -103,6 +103,7 @@ class ExperimentConfig:
                 f"got {self.routing_policy!r}"
             )
         if self.graph_file is None:
+            check_block_len(self.rows, self.cols, self.block_len)
             for c in self.main_cols:
                 if not (0 <= c < self.cols):
                     raise ValueError(f"main column {c} outside 0..{self.cols - 1}")

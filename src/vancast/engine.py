@@ -243,7 +243,7 @@ def time_to_fraction(metrics: Metrics, frac: float, n_vehicles: int) -> float | 
     prev_t, prev_c = None, None
     for t, c in metrics.samples:
         if c >= target:
-            if prev_t is None or prev_c >= target:
+            if prev_t is None:
                 return t
             return prev_t + (target - prev_c) / (c - prev_c) * (t - prev_t)
         prev_t, prev_c = t, c
@@ -349,8 +349,8 @@ def init_sim(cfg: ExperimentConfig) -> SimState:
 
     homes = [int(v) for v in rng.integers(g.n_nodes, size=n)]
     if cfg.mean_trips > 0 and cfg.sim_duration > 0:
-        if not g.main_nodes.size and (cfg.main_road_fraction > 0
-                                      or cfg.routing_policy == "main_road"):
+        if not g.main_nodes and (cfg.main_road_fraction > 0
+                                 or cfg.routing_policy == "main_road"):
             key = ("routing_policy = main_road" if cfg.routing_policy == "main_road" else
                    f"main_road_fraction = {float_text(cfg.main_road_fraction)}")
             where = f"graph_file {cfg.graph_file}" if cfg.graph_file else "main_cols"

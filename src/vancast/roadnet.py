@@ -9,7 +9,9 @@ All route selection is deterministic for a given graph and random
 state.  Ties inside Dijkstra are broken toward the smaller node id, so
 two runs of the same experiment walk identical paths.  Every policy
 hands its legs, each a destination with a distance field rooted there,
-to one walk that builds the Route.
+to one walk that builds the Route.  ``RoadGraph.dijkstra`` is the one
+search and memoizes nothing; ``RoadGraph.field`` is the one memo of
+distance fields, shared by every reader, who must not edit them.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import heapq
 import logging
 import math
 import sys
+from array import array
 from dataclasses import dataclass
 from itertools import compress
 
@@ -72,11 +75,9 @@ class RoadGraph:
         # Main-only routing: non-main edges weigh inf, so no search
         # relaxes them and no route walk takes them.
         self.main_weights = [e.length if e.main else np.inf for e in self.edges]
-        self.main_nodes = np.array(
-            sorted({v for e in self.edges if e.main for v in (e.a, e.b)}), dtype=np.intp)
+        self.main_nodes = tuple(sorted({v for e in self.edges if e.main for v in (e.a, e.b)}))
         self._length_array = np.array(self.lengths)
-        self._dist_cache: dict[int, np.ndarray] = {}
-        self._main_cache: dict[int, np.ndarray] = {}
+        self._fields: dict[tuple[int, bool], array] = {}
         self._warned_off_main = False  # main_road_route warns once per graph
         self._within: dict[tuple[int, float], tuple[int, ...]] = {}
         # One int object per node id, shared by every cached tuple, so a
@@ -93,19 +94,17 @@ class RoadGraph:
 
     def dijkstra(
         self, src: int, weights: list[float] | None = None, target: int | None = None
-    ) -> np.ndarray:
-        """Distances from src to every node.  Unreachable nodes get inf.
-
-        With default weights (``lengths``) the result is memoized on the
-        graph.  Custom weight vectors are not cached here: the per-trip
-        inflated weights of :func:`random_route`, and ``main_weights``,
-        whose inf entries confine the search to main roads (see
-        :meth:`main_field`).
+    ) -> list[float]:
+        """Distances from src to every node under weights (default
+        ``lengths``), inf where unreachable, in a fresh list: the graph's
+        one search, which memoizes nothing (:meth:`field` does).  Custom
+        weights are the per-trip inflated weights of :func:`random_route`,
+        and ``main_weights``, whose inf entries confine it to main roads.
 
         With ``target`` the search is A* (Hart, Nilsson & Raphael, 1968)
         toward target.  Only the nodes a route walk from target needs are
         sure to hold the full search's distance; others may hold an upper
-        bound or inf.  The heuristic is the cached true-length field of
+        bound or inf.  The heuristic is the memoized true-length field of
         target.  It is consistent because every weight vector searched is
         edgewise at least ``lengths`` (the lengths, their per-trip
         inflations, ``main_weights``), so in exact arithmetic every node
@@ -120,15 +119,9 @@ class RoadGraph:
         on a shortest path to target holds the full search's distance,
         since no search assigns a node less than the full search does.
         """
-        if weights is None and src in self._dist_cache:
-            return self._dist_cache[src]
         w = self.lengths if weights is None else weights
         n = self.n_nodes
-        if target is None:
-            h = [0.0] * n
-        else:
-            field = self._dist_cache.get(target)
-            h = (self.dijkstra(target) if field is None else field).tolist()
+        h = [0.0] * n if target is None else self.field(target)
         slack = 1.0 + 4 * n * sys.float_info.epsilon
         adjacency = self.adjacency
         dist = [math.inf] * n
@@ -151,27 +144,24 @@ class RoadGraph:
                 if nd < dist[v]:
                     dist[v] = nd
                     heapq.heappush(heap, (nd + h[v], v))
-        out = np.array(dist)
-        if weights is None and target is None:
-            self._dist_cache[src] = out
-        return out
+        return dist
 
-    def main_field(self, src: int) -> np.ndarray:
-        """Main-road-only distances from src (``main_weights``), memoized:
-        inf off src's main component.  Kept for the main nodes that
-        :func:`main_road_route` enters and leaves by."""
-        field = self._main_cache.get(src)
-        if field is None:
-            field = self._main_cache[src] = self.dijkstra(src, self.main_weights)
-        return field
+    def field(self, src: int, main: bool = False) -> array:
+        """The full search from src under ``lengths``, or with ``main`` under
+        ``main_weights`` (inf off src's main component), run once per
+        ``(src, main)``: every caller gets the same array and must not edit it."""
+        out = self._fields.get((src, main))
+        if out is None:
+            out = self._fields[src, main] = array(
+                "d", self.dijkstra(src, self.main_weights if main else None))
+        return out
 
     def nodes_within(self, src: int, max_dist: float) -> tuple[int, ...]:
         """Nodes at positive road distance <= max_dist from src, sorted.
         Cached per ``(src, max_dist)``."""
         near = self._within.get((src, max_dist))
         if near is None:
-            dist = self.dijkstra(src)
-            near = tuple(compress(self._node_ids, ((dist > 0) & (dist <= max_dist)).tolist()))
+            near = tuple(compress(self._node_ids, [0 < d <= max_dist for d in self.field(src)]))
             self._within[(src, max_dist)] = near
         return near
 
@@ -204,7 +194,7 @@ class Route:
 
 
 def _walk_route(
-    g: RoadGraph, src: int, legs: list[tuple[int, np.ndarray, list[float]]]
+    g: RoadGraph, src: int, legs: list[tuple[int, array | list[float], list[float]]]
 ) -> Route:
     """Walk from src through each leg ``(dst, field rooted at dst, weights)``.
 
@@ -217,8 +207,7 @@ def _walk_route(
     edge_ids: list[int] = []
     cum = [0.0]
     u = src
-    for dst, field, weights in legs:
-        dist = field.tolist()
+    for dst, dist, weights in legs:
         if not math.isfinite(dist[u]):
             raise ValueError(f"no path from {u} to {dst}")
         guard = g.n_nodes + 1
@@ -241,7 +230,7 @@ def _walk_route(
 def shortest_path(g: RoadGraph, src: int, dst: int) -> Route:
     """Deterministic shortest route by road length."""
     _check_endpoints(g, src, dst)
-    return _walk_route(g, src, [(dst, g.dijkstra(dst), g.lengths)])
+    return _walk_route(g, src, [(dst, g.field(dst), g.lengths)])
 
 
 def random_route(
@@ -288,33 +277,33 @@ def main_road_route(g: RoadGraph, src: int, dst: int) -> Route:
     component nearest dst; then on to dst.  Ties go to the smaller node
     id; the middle leg is empty when entry and exit coincide.  The
     component and the middle leg come from the graph's memoized
-    main-only fields of entry and exit (:meth:`RoadGraph.main_field`).
+    main-only fields of entry and exit (:meth:`RoadGraph.field`).
     A src that reaches no main road gets :func:`shortest_path`, with one
     warning per graph.  Raises ValueError on a graph with no main edges.
     """
     _check_endpoints(g, src, dst)
     main = g.main_nodes
-    if not main.size:
+    if not main:
         raise ValueError("graph has no main roads")
     if src == dst:
         return Route((src,), (), (0.0,))
 
-    # main is sorted and argmin keeps the first minimum: the smaller id.
-    dist_src = g.dijkstra(src)
-    entry = int(main[np.argmin(dist_src[main])])
-    if not np.isfinite(dist_src[entry]):
+    # main is sorted and min keeps the first minimum: the smaller id.
+    dist_src = g.field(src)
+    entry = min(main, key=dist_src.__getitem__)
+    if not math.isfinite(dist_src[entry]):
         if not g._warned_off_main:
             g._warned_off_main = True
             log.warning("main roads unreachable from node %d; using shortest path "
                         "(not repeated for other trips on this graph)", src)
         return shortest_path(g, src, dst)
-    comp = main[np.isfinite(g.main_field(entry)[main])]
-    dist_dst = g.dijkstra(dst)
-    exit_ = int(comp[np.argmin(dist_dst[comp])])
+    on_entry = g.field(entry, main=True)
+    dist_dst = g.field(dst)
+    exit_ = min((v for v in main if math.isfinite(on_entry[v])), key=dist_dst.__getitem__)
 
-    legs = [(entry, g.dijkstra(entry), g.lengths)]
+    legs = [(entry, g.field(entry), g.lengths)]
     if entry != exit_:
-        legs.append((exit_, g.main_field(exit_), g.main_weights))
+        legs.append((exit_, g.field(exit_, main=True), g.main_weights))
     legs.append((dst, dist_dst, g.lengths))
     return _walk_route(g, src, legs)
 
@@ -323,6 +312,14 @@ def _check_endpoints(g: RoadGraph, src: int, dst: int):
     for name, v in (("src", src), ("dst", dst)):
         if not (0 <= v < g.n_nodes):
             raise ValueError(f"{name} node {v} outside graph with {g.n_nodes} nodes")
+
+
+def check_block_len(rows: int, cols: int, block_len: float):
+    """ValueError naming block_len unless it is positive and a rows x cols
+    grid's farthest coordinate, ``(max(rows, cols) - 1) * block_len``, is finite."""
+    if not (block_len > 0 and math.isfinite((max(rows, cols) - 1) * block_len)):
+        raise ValueError(f"block_len must be positive and finite, as must the {rows}x{cols} "
+                         f"grid's far side, {max(rows, cols) - 1} blocks out; got {block_len}")
 
 
 def generate_manhattan_grid(
@@ -342,8 +339,7 @@ def generate_manhattan_grid(
         raise ValueError(f"grid needs rows, cols >= 1, got {rows}x{cols}")
     if rows == 1 and cols == 1:
         raise ValueError("a 1x1 grid has no edges")
-    if not 0 < block_len < math.inf:  # false for NaN too
-        raise ValueError(f"block_len must be positive and finite, got {block_len}")
+    check_block_len(rows, cols, block_len)
     main_set = set(main_cols or [])
     for c in main_set:
         if not (0 <= c < cols):

@@ -388,6 +388,24 @@ def test_cli_run_exits_2_on_cells_too_small_to_index(tmp_path, capsys):
     assert "comm_range" in capsys.readouterr().err
 
 
+def test_cli_run_refuses_a_block_len_whose_grid_overflows(tmp_path, capsys):
+    # 1e308 is finite, but a third column of nodes would sit at 2e308 = inf
+    code = main(["run", *tiny_args(), "--set", "cols=3", "--set", "block_len=1e308",
+                 "--out", str(tmp_path / "o"), "--quiet"])
+    assert code == 2
+    assert "block_len" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_sweep_refuses_a_block_len_whose_grid_overflows_before_any_run(tmp_path, capsys):
+    out = tmp_path / "sweep"
+    code = main(["sweep", *tiny_args(), "--set", "cols=3", "--param", "block_len",
+                 "--values", "100,1e308", "--replicates", "1", "--out", str(out), "--quiet"])
+    assert code == 2
+    assert "block_len" in capsys.readouterr().err
+    assert not out.exists()  # not even the CSV of block_len = 100
+
+
 @pytest.mark.parametrize("command", [["run"], ["sweep", "--param", "seed_rate",
                                                  "--values", "0.5"]])
 def test_cli_refuses_a_negative_seed_before_running(tmp_path, capsys, command):

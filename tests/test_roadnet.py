@@ -106,6 +106,15 @@ def test_grid_argument_validation():
             generate_manhattan_grid(5, 5, bad)
 
 
+def test_grid_refuses_a_block_len_whose_far_side_overflows():
+    # 1e308 is finite, but the third column of nodes would sit at 2e308 = inf
+    with pytest.raises(ValueError, match="block_len must be positive and finite"):
+        generate_manhattan_grid(1, 3, 1e308)
+    with pytest.raises(ValueError, match="block_len"):
+        generate_manhattan_grid(3, 1, 1e308)
+    assert generate_manhattan_grid(1, 2, 1e308).node_x == [0.0, 1e308]
+
+
 def test_graph_validation():
     with pytest.raises(ValueError):
         RoadGraph([0.0], [0.0], [])  # no edges
@@ -404,14 +413,19 @@ def test_main_road_route_searches_main_roads_once_per_main_node(monkeypatch):
     g = generate_manhattan_grid(6, 6, 100.0, main_cols=[1, 4])
     searches, real = [], g.dijkstra
     monkeypatch.setattr(g, "dijkstra", lambda src, weights=None, target=None: (
-        searches.append((src, weights is g.main_weights)) or real(src, weights, target)))
+        searches.append((src, weights is g.main_weights, target))
+        or real(src, weights, target)))
     for src in range(g.n_nodes):
         for dst in range(g.n_nodes):
             main_road_route(g, src, dst)
-    main_searches = [src for src, on_main in searches if on_main]
-    # one main-only field per entry or exit, never searched again
-    assert len(main_searches) == len(set(main_searches))
-    assert set(main_searches) <= set(g.main_nodes.tolist())
+            shortest_path(g, src, dst)
+    full = [(src, on_main) for src, on_main, target in searches if target is None]
+    # one full search per (node, weights), never run again: later reads hit the memo
+    assert len(full) == len(set(full))
+    assert {src for src, on_main in full if not on_main} == set(range(g.n_nodes))
+    main_searches = [src for src, on_main in full if on_main]
+    # one main-only field per entry or exit
+    assert set(main_searches) <= set(g.main_nodes)
 
 
 def test_main_road_route_warns_once_per_graph_off_the_main_roads(caplog):
