@@ -35,11 +35,12 @@ import numpy as np
 
 from vancast.config import ExperimentConfig
 from vancast.mobility import DAY_LEN, ScheduleError, Timetable, assign_trips, lay_out_day
-from vancast.roadnet import RoadGraph, float_text, generate_manhattan_grid, load_road_graph
+from vancast.roadnet import (RoadGraph, check_road_sums, float_text, generate_manhattan_grid,
+                             load_road_graph)
 
 # Most radio rows run() hands to one step() call, as Timetable.span_end
-# reads them off its prefix sum.  A call has a fixed cost (the timetable's
-# row query, route flattening, about a hundred numpy calls in
+# counts them (Timetable.rows_before).  A call has a fixed cost (the
+# timetable's row query, route flattening, about a hundred numpy calls in
 # detect_contacts, a pass over every store), so sparse ticks share long
 # spans; its per-row arrays must stay in cache, so dense ticks get short
 # ones.  A span still holds at least one tick, however many rows it has.
@@ -288,7 +289,9 @@ class SimState:
 
 def build_graph(cfg: ExperimentConfig) -> RoadGraph:
     if cfg.graph_file:
-        return load_road_graph(cfg.graph_file)
+        g = load_road_graph(cfg.graph_file)
+        check_road_sums(g, f"graph_file {cfg.graph_file}")
+        return g
     return generate_manhattan_grid(cfg.rows, cfg.cols, cfg.block_len, cfg.main_cols)
 
 

@@ -16,15 +16,18 @@ import time by :func:`gf_matmul` from those doublings (``GF_INV[0]`` is
 0, as zero has no inverse).
 
 All payload arithmetic is one kernel, :func:`gf_matmul`, a blocked
-matrix product built from XORs of doubled rows.  Encoding is one product
-of the coded ids' coefficient rows by the symbols.  Decoding places the
-held systematic symbols by index and solves for the missing ones only:
-one Gauss-Jordan over the coded rows' coefficients on the missing
-columns picks the pivot rows and their inverse, and two products give
-the symbols.  :func:`decode` is the only code that turns chunks into
-file bytes.  :func:`rank` runs the same elimination without payloads,
-and :class:`DecoderState` tracks rank chunk by chunk in a reduced basis
-that grows by the same pivot step, :func:`_pivot`.
+matrix product that gathers from 4-bit product tables built from
+doubled rows.  Encoding is one product of the coded ids' coefficient
+rows by the symbols.  Decoding places the held systematic symbols by
+index and solves for the missing ones only: a Gauss-Jordan over the
+coded rows' coefficients on the missing columns picks the pivot rows
+and their inverse, and two products give the symbols, the first over
+the known columns only.  The elimination reduces the leading square
+block of coded rows first and all of them only when that block is
+singular (:func:`_eliminate`).  :func:`decode` is the only code that
+turns chunks into file bytes.  :func:`rank` runs the same elimination
+without payloads, and :class:`DecoderState` tracks rank chunk by chunk
+in a reduced basis that grows by the same pivot step, :func:`_pivot`.
 """
 
 from __future__ import annotations
@@ -48,14 +51,13 @@ DEFAULT_K = 300
 DEFAULT_N = 450
 
 
-# Rows of X per block of gf_matmul.  At the default 1334-byte symbols a
-# block's 8 doublings take 342 kB, and the rows picked from them at most
-# as much again, so the kernel's temporaries stay under 1 MB.
-_BLOCK = 32
+# Rows of X per block of gf_matmul.  A block's product tables take
+# _BLOCK × 32 × words × 8 bytes: 0.68 MB at the default 1334-byte symbols,
+# so the kernel's scratch stays under 1 MB.
+_BLOCK = 16
 _BYTE_LOW_BITS = np.uint64(0x0101010101010101)
 _BYTE_HIGH_BITS = np.uint64(0xFEFEFEFEFEFEFEFE)
 _POLY_LOW = np.uint64(GF_POLY & 0xFF)
-_BIT_SHIFTS = np.arange(8, dtype=np.uint8)
 
 
 def _double(words: np.ndarray) -> np.ndarray:
@@ -72,10 +74,14 @@ def gf_matmul(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Matrix product (m×n)·(n×S) over GF(256), as a (m, S) uint8 array.
 
     X is taken in blocks of ``_BLOCK`` rows, each row zero-padded to
-    whole uint64 words.  For a block the 8 doublings 2^t·X_j are built
-    once; output row i then gains the XOR of the doubled rows picked by
-    the set bits of A[i, j], since a·x is the XOR of 2^t·x over the set
-    bits t of a.
+    whole uint64 words.  For a block, each row X_j gets two 16-entry
+    product tables, ``tab[h, v, j] = (v << 4h)·X_j``: entries 1, 2, 4 and
+    8 of the two halves are the 8 doublings 2^t·X_j, and every other
+    entry is the XOR of two built before it, since a·x is the XOR of
+    2^t·x over the set bits t of a.  Each column j then adds to every
+    output row at once the entry of A[i, j]'s low four bits and the
+    entry of its high four bits, by two gathers (split tables, after
+    Plank, Greenan & Miller, FAST 2013).
     """
     a = np.asarray(a, dtype=np.uint8)
     x = np.asarray(x, dtype=np.uint8)
@@ -85,19 +91,21 @@ def gf_matmul(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     size = x.shape[1]
     words = -(-size // 8)
     out = np.zeros((m, words), dtype=np.uint64)
-    planes = np.zeros((min(n, _BLOCK), 8, words), dtype=np.uint64)
-    padded = planes.view(np.uint8)
+    tab = np.zeros((2, 16, min(n, _BLOCK), words), dtype=np.uint64)
+    padded = tab.view(np.uint8)
     for b0 in range(0, n, _BLOCK):
         nb = min(_BLOCK, n - b0)
-        padded[:nb, 0, :size] = x[b0 : b0 + nb]
+        block = tab[:, :, :nb]
+        padded[0, 1, :nb, :size] = x[b0 : b0 + nb]
         for t in range(1, 8):
-            planes[:nb, t] = _double(planes[:nb, t - 1])
-        doubled = planes[:nb].reshape(nb * 8, words)
-        bits = ((a[:, b0 : b0 + nb, None] >> _BIT_SHIFTS) & 1).astype(bool)
-        for i, pick in enumerate(bits.reshape(m, nb * 8)):
-            sel = doubled[pick]
-            if len(sel):
-                out[i] ^= np.bitwise_xor.reduce(sel, axis=0)
+            block[t // 4, 1 << t % 4] = _double(block[(t - 1) // 4, 1 << (t - 1) % 4])
+        for w in (2, 4, 8):
+            np.bitwise_xor(block[:, w, None], block[:, 1:w], out=block[:, w + 1 : 2 * w])
+        col = a[:, b0 : b0 + nb].T
+        low, high = (col & 15).astype(np.intp), (col >> 4).astype(np.intp)
+        for j in range(nb):
+            out ^= block[0, :, j][low[j]]
+            out ^= block[1, :, j][high[j]]
     return out.view(np.uint8)[:, :size]
 
 
@@ -255,6 +263,33 @@ def _gauss_jordan(rows: np.ndarray, ncols: int) -> np.ndarray:
     return pivots
 
 
+def _eliminate(
+    coeffs: np.ndarray, miss: np.ndarray, inverse: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Jordan of the rows of ``coeffs`` on the columns ``miss``,
+    the leading square block first.
+
+    With r = |miss|, the first r rows are reduced alone, and all rows only
+    when those are singular (about 1 time in 256 for random rows).  As
+    pivots go to the first free row in row order, a nonsingular leading
+    block gets the pivots all rows would, so the rank is exact either
+    way.  With ``inverse``, the reduced rows are augmented with an
+    identity, which ends up holding the inverse of the pivot rows'
+    square block.  Returns the reduced rows and, as
+    :func:`_gauss_jordan` does, the pivot row of each column.
+    """
+    r = miss.size
+    for rows in (coeffs[:r], coeffs):
+        c = len(rows)
+        work = np.zeros((c, r + c if inverse else r), dtype=np.uint8)
+        work[:, :r] = rows[:, miss]
+        if inverse:
+            work[:, r:] = np.eye(c, dtype=np.uint8)
+        pivots = _gauss_jordan(work, r)
+        if c == len(coeffs) or (pivots >= 0).all():
+            return work, pivots
+
+
 def _solve(
     symbols: np.ndarray, known: np.ndarray, coeffs: np.ndarray, payloads: np.ndarray
 ) -> None:
@@ -263,29 +298,23 @@ def _solve(
     ``known`` flags the columns K whose symbols are already placed;
     ``coeffs`` and ``payloads`` are the other received rows, with
     ``coeffs · symbols = payloads``.  With M the missing columns, one
-    Gauss-Jordan over the coefficients on M (augmented with an
-    identity) picks r = |M| pivot rows and the inverse of their square
+    elimination over the coefficients on M (:func:`_eliminate`, with the
+    inverse) picks r = |M| pivot rows and the inverse of their square
     block B, and two matrix products finish the job:
 
         S_M = B^-1 · (P ⊕ A_K · S_K)
 
-    over the pivot rows only.  Raises :class:`RankDeficientError` with
-    rank |K| + rank(coeffs on M) when the rows do not span.
+    over the pivot rows and the known columns only.  Raises
+    :class:`RankDeficientError` with rank |K| + rank(coeffs on M) when
+    the rows do not span.
     """
     miss = np.flatnonzero(~known)
-    r, c = miss.size, len(coeffs)
-    work = np.zeros((c, r + c), dtype=np.uint8)
-    work[:, :r] = coeffs[:, miss]
-    work[:, r:] = np.eye(c, dtype=np.uint8)
-    pivots = _gauss_jordan(work, r)
+    r = miss.size
+    work, pivots = _eliminate(coeffs, miss, inverse=True)
     found = int(np.count_nonzero(pivots >= 0))
     if found < r:
         raise RankDeficientError(len(known) - r + found, len(known))
-    # A_K · S_K as a product with all of S, the missing columns zeroed in
-    # A: no copy of the known symbols.
-    known_part = coeffs[pivots]
-    known_part[:, miss] = 0
-    rhs = payloads[pivots] ^ gf_matmul(known_part, symbols)
+    rhs = payloads[pivots] ^ gf_matmul(coeffs[np.ix_(pivots, known)], symbols[known])
     symbols[miss] = gf_matmul(work[pivots][:, r + pivots], rhs)
 
 
@@ -304,8 +333,8 @@ def rank(ids, k: int) -> int:
 
     It is the number of distinct systematic ids plus the rank of the
     coded ids' coefficients on the missing systematic columns, found by
-    the elimination :func:`decode` uses, with no payload work.  The set
-    decodes iff the rank is k.
+    the elimination :func:`decode` uses (:func:`_eliminate`), with no
+    payload work.  The set decodes iff the rank is k.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -314,8 +343,8 @@ def rank(ids, k: int) -> int:
     miss = np.flatnonzero(~known)
     if miss.size == 0 or s == len(ids):
         return s
-    work = _coefficient_rows(ids[s:], k)[:, miss]
-    return s + int(np.count_nonzero(_gauss_jordan(work, miss.size) >= 0))
+    _, pivots = _eliminate(_coefficient_rows(ids[s:], k), miss, inverse=False)
+    return s + int(np.count_nonzero(pivots >= 0))
 
 
 class DecoderState:

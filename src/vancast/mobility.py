@@ -16,7 +16,8 @@ trips dropped at the timetable's end.  The timetable answers the
 engine's two questions about motion: the radio rows of a span of ticks
 (:meth:`Timetable.radio_rows`, placed by :func:`trace_legs` at
 :func:`odometer` distances), and where a span of at most so many rows
-ends (:meth:`Timetable.span_end`), read off its prefix sum of rows.
+ends (:meth:`Timetable.span_end`), read off the sorted first and end
+ticks of its drives and stays.
 
 :func:`advance` and :func:`position_of`, which move and place one
 :class:`VehicleState` for one step, are the per-tick reference that
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import bisect
 import math
+from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
@@ -323,9 +325,11 @@ class Timetable:
     radio; ``odo`` is the distance driven each tick after a departure
     (:func:`odometer`).  ``rest`` is where each vehicle rests after its
     last drive: the next day's start.  Each drive and each stay yields one
-    radio row a tick.  ``rows`` is their prefix sum, worked out once where
-    the timetable is built: ``rows[i]`` is the rows yielded by ticks
-    ``start`` to ``start + i - 1``, one int64 for each tick and one more.
+    radio row a tick.  ``on_air`` holds their first ticks and their end
+    ticks, clipped to the timetable and each sorted, then the prefix sums
+    of each: worked out once where the timetable is built, 8 bytes an
+    entry, so it grows with the drives and stays, not with the ticks.
+    :meth:`rows_before` reads the rows yielded by any span of ticks off it.
     """
 
     rest: tuple[int, ...]
@@ -335,18 +339,22 @@ class Timetable:
     odo: np.ndarray = field(default_factory=lambda: np.zeros(0))
     start: int = 0
     end: int = 0
-    rows: np.ndarray = field(init=False, repr=False)
+    on_air: tuple[array, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        # Drives and stays begin and end their rows at their (first tick,
-        # end tick), clipped to the timetable; counted one tick late from
-        # start, begun minus ended sums to the rows of the tick before, and
-        # twice to the rows before.
-        on_air = np.concatenate((self.drives[:, 1:], self.stays[:, 2:])).clip(self.start, self.end)
-        on_air += 1 - self.start
-        rows = np.bincount(on_air[:, 0], minlength=self.end - self.start + 2)
-        rows -= np.bincount(on_air[:, 1], minlength=len(rows))
-        self.rows = rows.cumsum(out=rows).cumsum(out=rows)[:-1]
+        ticks = np.concatenate((self.drives[:, 1:], self.stays[:, 2:])).T.astype(np.int64)
+        ticks.clip(self.start, self.end, out=ticks).sort()
+        sums = np.zeros((2, ticks.shape[1] + 1), dtype=np.int64)
+        ticks.cumsum(axis=1, out=sums[:, 1:])
+        self.on_air = tuple(array("q", row.tobytes()) for row in (*ticks, *sums))
+
+    def rows_before(self, t: int) -> int:
+        """The radio rows yielded by ticks start to t - 1, for t from start
+        to end: a drive or stay on the air from tick f up to tick e adds
+        t - f if f < t, less t - e if e < t."""
+        first, last, first_sums, last_sums = self.on_air
+        i, j = bisect.bisect_left(first, t), bisect.bisect_left(last, t)
+        return t * i - first_sums[i] - (t * j - last_sums[j])
 
     def _within(self, t0: int, t1: int) -> None:
         if not self.start <= t0 <= t1 <= self.end:
@@ -388,8 +396,9 @@ class Timetable:
         at most budget radio rows, or t0 + 1 if tick t0 alone yields more.
         Raises ValueError unless t0 is one of the ticks start to end - 1."""
         self._within(t0, t0 + 1)
-        cap = int(self.rows[t0 - self.start]) + budget  # a Python int: no overflow
-        return max(t0 + 1, self.start + int(np.searchsorted(self.rows, cap, side="right")) - 1)
+        cap = self.rows_before(t0) + budget
+        ticks = range(t0, self.end + 1)
+        return max(t0 + 1, t0 + bisect.bisect_right(ticks, cap, key=self.rows_before) - 1)
 
 
 def lay_out_day(

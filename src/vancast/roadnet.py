@@ -28,6 +28,10 @@ import numpy as np
 
 log = logging.getLogger(__name__)
 
+# The most random_route inflates an edge's length by, so the most a search
+# weighs it: every road sum is bounded through it (check_road_sums).
+MAX_FACTOR = 3.0
+
 
 @dataclass(frozen=True)
 class Edge:
@@ -238,7 +242,7 @@ def random_route(
     src: int,
     dst: int,
     rng: np.random.Generator,
-    max_factor: float = 3.0,
+    max_factor: float = MAX_FACTOR,
 ) -> Route:
     """Shortest path under per-trip random edge weight inflation.
 
@@ -257,7 +261,7 @@ def random_route(
 
 
 def route_factors(
-    g: RoadGraph, src: int, dst: int, rng: np.random.Generator, max_factor: float = 3.0
+    g: RoadGraph, src: int, dst: int, rng: np.random.Generator, max_factor: float = MAX_FACTOR
 ) -> np.ndarray | None:
     """The per-edge inflation factors :func:`random_route` draws for a trip
     from src to dst: one uniform draw from [1, max_factor] per edge, or
@@ -314,12 +318,37 @@ def _check_endpoints(g: RoadGraph, src: int, dst: int):
             raise ValueError(f"{name} node {v} outside graph with {g.n_nodes} nodes")
 
 
+def _sums_finite(total: float, n_nodes: int) -> bool:
+    """Whether every road sum a search can form stays finite on a graph of
+    n_nodes whose edge lengths sum to total: a route takes each edge at
+    most once, weighed at most MAX_FACTOR times its length, and rounded
+    sums over at most n - 1 edges stray from the exact ones by less than
+    a factor 1 + 4 n eps (see :meth:`RoadGraph.dijkstra`)."""
+    return math.isfinite(MAX_FACTOR * total * (1 + 4 * n_nodes * sys.float_info.epsilon))
+
+
+def check_road_sums(g: RoadGraph, name: str):
+    """ValueError naming ``name``, the source of g, unless every road sum
+    a search can form on g stays finite."""
+    try:
+        total = math.fsum(g.lengths)
+    except OverflowError:
+        total = math.inf
+    if not _sums_finite(total, g.n_nodes):
+        raise ValueError(f"{name}: its edge lengths sum to {total:g} m, and routes weigh them up "
+                         f"to {MAX_FACTOR:g} times over: road sums could overflow")
+
+
 def check_block_len(rows: int, cols: int, block_len: float):
-    """ValueError naming block_len unless it is positive and a rows x cols
-    grid's farthest coordinate, ``(max(rows, cols) - 1) * block_len``, is finite."""
-    if not (block_len > 0 and math.isfinite((max(rows, cols) - 1) * block_len)):
-        raise ValueError(f"block_len must be positive and finite, as must the {rows}x{cols} "
-                         f"grid's far side, {max(rows, cols) - 1} blocks out; got {block_len}")
+    """ValueError naming block_len unless it is positive and every road
+    sum a search can form on a rows x cols grid stays finite.  That bounds
+    the grid's farthest coordinate too, as its blocks' total length is
+    at least ``(max(rows, cols) - 1) * block_len``."""
+    n_edges = rows * (cols - 1) + (rows - 1) * cols
+    if not (block_len > 0 and _sums_finite(n_edges * block_len, rows * cols)):
+        raise ValueError(f"block_len must be positive and finite, as must {MAX_FACTOR:g} times "
+                         f"the total length of the {rows}x{cols} grid's {n_edges} blocks, "
+                         f"which routes may weigh; got {block_len}")
 
 
 def generate_manhattan_grid(

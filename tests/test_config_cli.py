@@ -406,6 +406,49 @@ def test_cli_sweep_refuses_a_block_len_whose_grid_overflows_before_any_run(tmp_p
     assert not out.exists()  # not even the CSV of block_len = 100
 
 
+# A 10x10 grid of 1.5e307 m blocks has a finite far side (1.35e308), but
+# its 180 blocks sum past the largest float, so a route search could reach
+# inf on a connected grid.
+HUGE_GRID = ["--set", "rows=10", "--set", "cols=10", "--set", "block_len=1.5e307"]
+
+
+def test_cli_gen_graph_refuses_a_block_len_whose_road_sums_overflow(tmp_path, capsys):
+    out = tmp_path / "g.txt"
+    assert main(["gen-graph", "--block-len", "1.5e307", "--out", str(out), "--quiet"]) == 2
+    assert "block_len" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_run_refuses_a_block_len_whose_road_sums_overflow(tmp_path, capsys):
+    code = main(["run", *tiny_args(), *HUGE_GRID, "--out", str(tmp_path / "o"), "--quiet"])
+    assert code == 2
+    assert "block_len" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_sweep_refuses_a_block_len_whose_road_sums_overflow_before_any_run(tmp_path, capsys):
+    out = tmp_path / "sweep"
+    code = main(["sweep", *tiny_args(), "--set", "rows=10", "--set", "cols=10", "--param",
+                 "block_len", "--values", "100,1.5e307", "--replicates", "1", "--out", str(out),
+                 "--quiet"])
+    assert code == 2
+    assert "block_len" in capsys.readouterr().err
+    assert not out.exists()  # not even the CSV of block_len = 100
+
+
+def test_cli_run_refuses_a_graph_file_whose_road_sums_overflow(tmp_path, capsys):
+    # one road of 1e308 m between nodes 100 m apart: a trip that weighs it
+    # more than 1.8 times over would find no path
+    path = tmp_path / "long.txt"
+    path.write_text("nodes 2 edges 1\nnode 0 0 0\nnode 1 100 0\nedge 0 0 1 1e308 0\n")
+    code = main(["run", "--set", f"graph_file={path}", "--set", "max_trip_dist=1e308",
+                 "--set", "n_vehicles=2", "--set", "sim_duration=600",
+                 "--out", str(tmp_path / "o"), "--quiet"])
+    assert code == 2
+    assert "graph_file" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("command", [["run"], ["sweep", "--param", "seed_rate",
                                                  "--values", "0.5"]])
 def test_cli_refuses_a_negative_seed_before_running(tmp_path, capsys, command):

@@ -250,6 +250,25 @@ def test_decode_out_of_order_subsets():
     assert decode(chunks[:k - 1:-1], k, len(data)) == data
 
 
+def test_decode_falls_back_to_every_row_when_the_leading_square_is_singular():
+    """Holding ids 0 and 1 of k = 4 leaves columns 2 and 3 missing.  The
+    first two coded ids, 5 and 90, are dependent on them, so the leading
+    square block is singular; id 91 makes the whole set span."""
+    rng = np.random.default_rng(2013)
+    data = rng.integers(0, 256, size=37, dtype=np.uint8).tobytes()
+    k = 4
+    chunks = encode(data, k=k, n=92)
+    c5, c90 = derive_coefficients(5, k).tolist(), derive_coefficients(90, k).tolist()
+    assert slow_mul(c5[2], c90[3]) == slow_mul(c5[3], c90[2])  # singular on columns 2, 3
+    assert oracle_rank([c5[2:], c90[2:]]) == 1
+    held = [chunks[i] for i in (91, 0, 90, 1, 5)]
+    assert rank([c.chunk_id for c in held], k) == k
+    assert decode(held, k, len(data)) == data
+    with pytest.raises(RankDeficientError) as err:
+        decode(held[1:], k, len(data))
+    assert err.value.rank == rank([0, 1, 5, 90], k) == 3
+
+
 def test_299_chunks_never_enough():
     """One chunk short of the threshold can never span the symbol space."""
     rng = np.random.default_rng(31)

@@ -366,7 +366,7 @@ def test_trace_legs_match_advance_and_position_of():
 def timetable_fields(day):
     """Every field of a timetable, copied out as plain values."""
     return (day.rest, day.drives.tolist(), list(day.routes), day.stays.tolist(),
-            day.odo.tolist(), day.start, day.end, day.rows.tolist())
+            day.odo.tolist(), day.start, day.end, [a.tolist() for a in day.on_air])
 
 
 def test_lay_out_day_carries_a_drive_over_and_leaves_prev_as_it_was():
@@ -442,9 +442,28 @@ def test_rows_are_the_prefix_sum_of_radio_rows_a_tick(parked):
     g, days = two_days(parked)
     for day in days:
         ticks = day.radio_rows(g, day.start, day.end)[:, 0].astype(np.int64) - day.start
-        assert day.rows[0] == 0
-        assert np.diff(day.rows).tolist() == np.bincount(ticks, minlength=day.end - day.start
-                                                         ).tolist()
+        rows = [day.rows_before(t) for t in range(day.start, day.end + 1)]
+        assert rows[0] == 0
+        assert np.diff(rows).tolist() == np.bincount(ticks, minlength=day.end - day.start
+                                                     ).tolist()
+
+
+def test_row_counts_grow_with_drives_and_stays_not_ticks():
+    g = make_grid(1, 3, 50.0)
+    schedules = [TripSchedule(0, (Trip(600.0, shortest_path(g, 0, 2)),
+                                  Trip(3600.0, shortest_path(g, 2, 1)))), TripSchedule(1, ())]
+    sizes = []
+    for dt in (1.0, 0.01):
+        per_day = round(DAY_LEN / dt)
+        day = lay_out_day(Timetable((0, 1)), schedules, 0, per_day, dt, 10.0, True)
+        n = len(day.drives) + len(day.stays)
+        assert n == 6  # vehicle 0: 2 drives and 3 stays; vehicle 1: 1 stay
+        sizes.append(sum(memoryview(a).nbytes for a in day.on_air))
+        assert sizes[-1] == 8 * (4 * n + 2)  # sorted ticks and their prefix sums
+        # each vehicle drives or stays on the radio every tick: two rows a tick
+        assert day.rows_before(per_day) == 2 * per_day
+        assert day.span_end(0, 10**6) == min(per_day, 500_000)
+    assert sizes[0] == sizes[1]
 
 
 def test_lay_out_day_keeps_stays_only_for_parked_radios():

@@ -2,8 +2,10 @@
 search stopped at its target walks the same routes as a full one, a
 main-road route is its three legs joined, a departure cutoff routes a
 prefix of the day's trips from the same draws, the GF(256) matrix product
-agrees with the multiplication table, and the incremental decoder agrees
-with a from-scratch rank and hands decode the chunks that rebuild the file."""
+agrees with the multiplication table, the solve recovers the symbols from
+every fed row or reports their exact rank, and the incremental decoder
+agrees with a from-scratch rank and hands decode the chunks that rebuild
+the file."""
 
 import math
 import os
@@ -37,8 +39,11 @@ text = st.text(st.characters(exclude_characters="#", exclude_categories=("Cc", "
 @st.composite
 def configs(draw):
     rows, cols = draw(st.integers(1, 30)), draw(st.integers(1, 30))
-    # the grid's far side, (max(rows, cols) - 1) blocks out, must be finite too
-    block_len = draw(positive.filter(lambda b: math.isfinite((max(rows, cols) - 1) * b)))
+    # 3 times the grid's total block length, the most a route may weigh,
+    # must be finite too, with 4 n eps to spare for rounding
+    blocks = rows * (cols - 1) + (rows - 1) * cols
+    block_len = draw(positive.filter(
+        lambda b: math.isfinite(3 * blocks * b * (1 + 4 * rows * cols * 2.0**-52))))
     n_chunks = draw(count)
     # dt divides one day; spans are whole numbers of steps
     dt = draw(st.sampled_from([0.1, 0.25, 0.5, 1.0, 2.7, 5.0, 60.0, 86_400.0]))
@@ -192,12 +197,13 @@ def test_departure_cutoff_routes_a_prefix_from_the_same_draws(
 
 @st.composite
 def gf_operands(draw):
-    """(m×n, n×S) uint8 pairs: S often not a multiple of 8, n across several
-    of the kernel's row blocks, empty dimensions, and whole zero rows and
+    """(m×n, n×S) uint8 pairs: m up to 40 output rows, S often not a
+    multiple of 8, n across several of the kernel's row blocks and at each
+    side of their edges, empty dimensions, and whole zero rows and
     columns."""
-    m = draw(st.integers(0, 4))
-    n = draw(st.integers(0, 9) | st.sampled_from([31, 32, 33, 63, 64, 65, 129, 200]))
-    size = draw(st.integers(0, 21))
+    m = draw(st.integers(0, 4) | st.integers(5, 40))
+    n = draw(st.integers(0, 9) | st.sampled_from([15, 16, 17, 31, 32, 33, 63, 64, 65, 129, 200]))
+    size = draw(st.integers(0, 21) | st.sampled_from([57, 1333]))
     byte = st.integers(0, 255)
     a = draw(arrays(np.uint8, (m, n), elements=byte))
     x = draw(arrays(np.uint8, (n, size), elements=byte))
@@ -212,9 +218,8 @@ def gf_operands(draw):
 def test_gf_matmul_matches_table_products(case):
     a, x = case
     expect = np.zeros((a.shape[0], x.shape[1]), dtype=np.uint8)
-    for i in range(a.shape[0]):
-        for j in range(a.shape[1]):
-            expect[i] ^= GF_MUL[a[i, j], x[j]]
+    for j in range(a.shape[1]):
+        expect ^= GF_MUL[a[:, j, None], x[j]]
     got = gf_matmul(a, x)
     assert got.dtype == np.uint8 and got.shape == expect.shape
     assert np.array_equal(got, expect)
@@ -263,6 +268,26 @@ def test_decoder_state_rank_flags_and_solve(case):
         got = np.zeros_like(symbols)
         _solve(got, np.zeros(k, dtype=bool), coeffs, gf_matmul(coeffs, symbols))
         assert np.array_equal(got, symbols)
+
+
+@settings(max_examples=300, deadline=None)
+@given(decoder_feeds(), st.data())
+def test_solve_with_every_fed_row(case, data):
+    # Combination rows can make the leading square singular, so the
+    # elimination must fall back to every row and still count rank exactly.
+    symbols, rows = case
+    k = len(symbols)
+    known = data.draw(arrays(bool, k))
+    coeffs = np.array(rows)
+    got = np.where(known[:, None], symbols, 0).astype(np.uint8)
+    full = oracle_rank([[int(v) for v in r] for r in rows] + np.eye(k, dtype=int)[known].tolist())
+    if full == k:
+        _solve(got, known, coeffs, gf_matmul(coeffs, symbols))
+        assert np.array_equal(got, symbols)
+    else:
+        with pytest.raises(RankDeficientError) as err:
+            _solve(got, known, coeffs, gf_matmul(coeffs, symbols))
+        assert err.value.rank == full
 
 
 @st.composite

@@ -112,7 +112,25 @@ def test_grid_refuses_a_block_len_whose_far_side_overflows():
         generate_manhattan_grid(1, 3, 1e308)
     with pytest.raises(ValueError, match="block_len"):
         generate_manhattan_grid(3, 1, 1e308)
-    assert generate_manhattan_grid(1, 2, 1e308).node_x == [0.0, 1e308]
+    # one block of 1e308 has a finite far side, but a route may weigh it
+    # 3 times over (test_grid_refuses_a_block_len_whose_road_sums_overflow)
+    with pytest.raises(ValueError, match="block_len"):
+        generate_manhattan_grid(1, 2, 1e308)
+    assert generate_manhattan_grid(1, 2, 5e307).node_x == [0.0, 5e307]
+
+
+def test_grid_refuses_a_block_len_whose_road_sums_overflow():
+    # a 10x10 grid of 1.5e307 m blocks: its far side, 9 blocks out, is a
+    # finite 1.35e308, but its 180 blocks sum past the largest float
+    with pytest.raises(ValueError, match="block_len must be positive and finite"):
+        generate_manhattan_grid(10, 10, 1.5e307)
+    # 3 times the sum, with 4 n eps of rounding, must be finite: one block
+    # of 5.99e307 m passes, one of 6e307 does not
+    top = 1.7976931348623157e308 / 3 / (1 + 8 * 2.0**-52)
+    assert generate_manhattan_grid(1, 2, 5.99e307).node_x == [0.0, 5.99e307]
+    assert 5.99e307 < top < 6e307
+    with pytest.raises(ValueError, match="block_len"):
+        generate_manhattan_grid(1, 2, 6e307)
 
 
 def test_graph_validation():
