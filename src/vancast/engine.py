@@ -9,10 +9,15 @@ about motion.  Trips due after its last step are drawn, so the random
 stream is the same, but never routed.
 
 ``step(state, n)`` simulates n ticks in one pass: it reads the span's
-radio rows off the timetable, finds all radio contacts of the span in
-one cell-sorted search, and then runs the chunk exchange, in order,
-only at ticks that have contacts.  This gives the same results, draw
-for draw, as moving, detecting and exchanging one tick at a time.
+radio rows off the timetable, finds the span's radio contacts in one
+cell-sorted search, and then runs the chunk exchange, in order, only at
+ticks that have contacts.  Only contacts that can move a chunk are
+searched for: those with an end whose store was not full at the span's
+first tick, found among the rows within a cell of such a vehicle.  Only
+``share_bandwidth`` searches every contact, as it divides a link by the
+degree of each end.  A span with no such vehicle on the air reads no
+rows at all.  This gives the same results, draw for draw, as moving,
+detecting and exchanging one tick at a time.
 A vehicle's completion is recorded once, as its store's ``completed_at``
 stamp.  ``run`` sizes each span by its radio rows, not by its ticks:
 a span ends at the last tick that keeps it within ``SPAN_ROWS`` rows
@@ -88,9 +93,35 @@ def radio_cells(x: np.ndarray, y: np.ndarray, comm_range: float, n_ticks: int, s
     return cx, cy, nx, ny
 
 
-def detect_contacts(rows: np.ndarray, comm_range: float) -> np.ndarray:
+def _near_live(key: np.ndarray, is_live: np.ndarray, ny: int) -> np.ndarray:
+    """The indices of the keys whose cell is a live key's cell or one of
+    the 8 around it (the next key is the cell above, ny keys on the next
+    column), and perhaps a few more.
+
+    Live keys are marked in a bitmap of a power of two entries, at least
+    8 a key, indexed by ``key & (size - 1)``; the marks are dilated by +-1
+    and by +-ny modulo the size, then read with every key.  Sums agree
+    modulo the size, so no neighbor is missed; two keys that collide only
+    keep an extra index.
+    """
+    size = 1 << (8 * len(key) - 1).bit_length()
+    bits = np.zeros(size, dtype=bool)
+    bits[key[is_live] & (size - 1)] = True
+    for s in {1, ny % size} - {0}:
+        grown = bits.copy()  # bits | bits rolled by s | bits rolled by -s
+        grown[s:] |= bits[:-s]
+        grown[:s] |= bits[-s:]
+        grown[:-s] |= bits[s:]
+        grown[-s:] |= bits[:s]
+        bits = grown
+    return np.flatnonzero(bits[key & (size - 1)])
+
+
+def detect_contacts(rows: np.ndarray, comm_range: float,
+                    live: np.ndarray | None = None) -> np.ndarray:
     """Every radio contact among rows of (tick, vehicle, x, y), a float
-    array of shape (n, 4) with at most one row per vehicle and tick.
+    array of shape (n, 4) with at most one row per vehicle and tick, or,
+    given a per-vehicle bool mask ``live``, only those with a live end.
 
     Returns an int array of (tick, a, b) rows, one for each pair a < b at
     the same tick within Euclidean distance comm_range (inclusive),
@@ -103,11 +134,28 @@ def detect_contacts(rows: np.ndarray, comm_range: float) -> np.ndarray:
     near-linear in rows at typical densities.  Membership is exactly
     ``math.hypot(dx, dy) <= comm_range``.  Cells that :func:`radio_cells`
     cannot key raise its ValueError, which names comm_range.
+
+    With ``live``, the same search runs only on the rows that
+    :func:`_near_live` keeps: a row of a live vehicle, or one within a cell
+    of it at the same tick, which holds every contact with a live end.
+    The result is then the unmasked result less the pairs of two vehicles
+    that are not live.  ``live`` must be a 1-D bool array indexed by every
+    vehicle id in rows, or a ValueError names it.
     """
     if comm_range <= 0:
         raise ValueError(f"comm_range must be positive, got {comm_range}")
     rows = np.asarray(rows, dtype=float).reshape(-1, 4)
-    if not len(rows):
+    vid = rows[:, 1].astype(np.int64)
+    if live is not None:
+        live = np.asarray(live)
+        if live.ndim != 1 or live.dtype != bool:
+            raise ValueError(f"live must be a 1-D bool array, got {live.dtype} of shape "
+                             f"{live.shape}")
+        if len(vid) and not (0 <= vid.min() and vid.max() < len(live)):
+            raise ValueError(f"live covers vehicles 0 to {len(live) - 1}, but rows hold "
+                             f"vehicles {vid.min()} to {vid.max()}")
+        row_live = live[vid]
+    if not len(rows) or (live is not None and not row_live.any()):
         return np.zeros((0, 3), dtype=np.int64)
     t_min = int(rows[:, 0].min())
     n_ticks = int(rows[:, 0].max()) - t_min + 1
@@ -119,9 +167,15 @@ def detect_contacts(rows: np.ndarray, comm_range: float) -> np.ndarray:
     # A span has tens of thousands of rows, so per-row temporaries are
     # dropped as soon as they are used: they set the run's peak memory.
     del cx, cy
-    order = np.argsort(key, kind="stable")
+    if live is None:
+        order = np.argsort(key, kind="stable")
+    else:
+        keep = _near_live(key, row_live, ny)
+        order = keep[np.argsort(key[keep], kind="stable")]
+        row_live = row_live[order]
+        del keep
     key = key[order]
-    x, y, vid = rows[order, 2], rows[order, 3], rows[order, 1].astype(np.int64)
+    x, y, vid = rows[:, 2][order], rows[:, 3][order], vid[order]
     del order
     row = np.arange(len(key))
 
@@ -140,6 +194,8 @@ def detect_contacts(rows: np.ndarray, comm_range: float) -> np.ndarray:
         # pairs at the boundary with math.hypot.
         for k in np.flatnonzero(np.abs(d - comm_range) <= 1e-9 * comm_range).tolist():
             near[k] = math.hypot(x[i[k]] - x[j[k]], y[i[k]] - y[j[k]]) <= comm_range
+        if live is not None:
+            near &= row_live[i] | row_live[j]
         found_i.append(i[near])
         found_j.append(j[near])
     i, j = np.concatenate(found_i), np.concatenate(found_j)
@@ -391,37 +447,45 @@ def step(state: SimState, n_ticks: int = 1) -> None:
     contacts come from one :func:`detect_contacts` call, and
     :func:`exchange` then runs in (tick, a, b) order, with the same floats
     and draws as n_ticks single steps.  A contact whose two stores both
-    hold every chunk can move nothing and draws nothing, so it is skipped;
-    it still counts toward ``share_bandwidth`` degrees.  Nor is
-    :func:`exchange` called for two empty stores, though their link
-    budget still accrues.  A pair's link budget carries over only to the
-    next tick.  ``radio_rows`` refuses a span past the timetable's end,
-    ``state.day.end``, before the clock moves; ``run`` lays out the next
-    day when a span reaches it.
+    held every chunk at the span's first tick can move nothing and draws
+    nothing, so only contacts with a live end, a store not full then, are
+    detected (``live``).  Under ``share_bandwidth`` every contact is
+    detected, since a link's share divides by the degree of each end, and
+    that degree counts contacts between two full stores too; those
+    contacts are then dropped.  Either way, if no live vehicle is on the
+    air in the span (:meth:`vancast.mobility.Timetable.radio_vehicles`),
+    its rows are not even read.  Nor is :func:`exchange` called for two
+    empty stores, though their link budget still accrues.  A pair's link
+    budget carries over only to the next tick.  The timetable refuses a
+    span past its end, ``state.day.end``, before the clock moves; ``run``
+    lays out the next day when a span reaches it.
     """
     if n_ticks < 1:
         raise ValueError(f"n_ticks must be >= 1, got {n_ticks}")
-    cfg = state.cfg
+    cfg, day, stores = state.cfg, state.day, state.stores
     t0, t1 = state.tick, state.tick + n_ticks
-    rows = state.day.radio_rows(state.graph, t0, t1)
-    contacts = detect_contacts(rows, cfg.comm_range)
+    live = np.array([s.count for s in stores]) != cfg.n_chunks
+    if live[day.radio_vehicles(t0, t1)].any():
+        # A shared link's degrees count every contact, full pairs too.
+        contacts = detect_contacts(day.radio_rows(state.graph, t0, t1), cfg.comm_range,
+                                   None if cfg.share_bandwidth else live)
+    else:
+        contacts = np.zeros((0, 3), dtype=np.int64)
     state.tick = t1
 
     gain = cfg.transfer_rate / (8.0 * cfg.wire_bytes()) * cfg.dt  # chunks a step
-    tick, a, b = contacts.T
-    gain_a = gain_b = np.full(len(tick), gain)
+    gain_a = gain_b = np.full(len(contacts), gain)
     if cfg.share_bandwidth:
+        tick, a, b = contacts.T
         ends = np.concatenate(((tick - t0) * cfg.n_vehicles + a,
                                (tick - t0) * cfg.n_vehicles + b))
         _, where, degree = np.unique(ends, return_inverse=True, return_counts=True)
         gain_a, gain_b = gain / degree[where].reshape(2, -1)
-    stores = state.stores
-    full = np.array([s.count for s in stores]) == cfg.n_chunks
-    live = ~(full[a] & full[b])
+        either = live[a] | live[b]
+        contacts, gain_a, gain_b = contacts[either], gain_a[either], gain_b[either]
 
     now, new_accum = t0 - 1, state.accum  # the last tick and its pairs' budgets
-    for t, va, vb, g_a, g_b in zip(tick[live].tolist(), a[live].tolist(), b[live].tolist(),
-                                   gain_a[live].tolist(), gain_b[live].tolist()):
+    for (t, va, vb), g_a, g_b in zip(contacts.tolist(), gain_a.tolist(), gain_b.tolist()):
         if t != now:
             accum = new_accum if t == now + 1 else {}
             new_accum, now = {}, t

@@ -13,11 +13,12 @@ trips are drawn, and :func:`lay_out_day` lays it out once, at the day's
 first tick, as a :class:`Timetable` of drives and stays; it states the
 rules for departures, drives carried over from the previous day and
 trips dropped at the timetable's end.  The timetable answers the
-engine's two questions about motion: the radio rows of a span of ticks
+engine's three questions about motion: the radio rows of a span of ticks
 (:meth:`Timetable.radio_rows`, placed by :func:`trace_legs` at
-:func:`odometer` distances), and where a span of at most so many rows
-ends (:meth:`Timetable.span_end`), read off the sorted first and end
-ticks of its drives and stays.
+:func:`odometer` distances), the vehicles those rows belong to
+(:meth:`Timetable.radio_vehicles`, without placing any), and where a
+span of at most so many rows ends (:meth:`Timetable.span_end`), read off
+the sorted first and end ticks of its drives and stays.
 
 :func:`advance` and :func:`position_of`, which move and place one
 :class:`VehicleState` for one step, are the per-tick reference that
@@ -360,6 +361,16 @@ class Timetable:
         if not self.start <= t0 <= t1 <= self.end:
             raise ValueError(f"ticks {t0} to {t1 - 1} lie outside the timetable, which runs "
                              f"from tick {self.start} to its end at tick {self.end}")
+
+    def radio_vehicles(self, t0: int, t1: int) -> np.ndarray:
+        """The vehicles with a radio row in ticks t0 to t1 - 1 (see
+        :meth:`radio_rows`), one entry per drive or stay, so a vehicle may
+        repeat.  Raises :meth:`radio_rows`' ValueError for the same ticks."""
+        self._within(t0, t1)
+        drives, stays = self.drives, self.stays
+        on = np.maximum(drives[:, 1], t0) < np.minimum(drives[:, 2], t1)
+        parked = np.maximum(stays[:, 2], t0) < np.minimum(stays[:, 3], t1)
+        return np.concatenate((drives[on, 0], stays[parked, 0]))
 
     def radio_rows(self, g: RoadGraph, t0: int, t1: int) -> np.ndarray:
         """The radio rows of ticks t0 to t1 - 1, as (tick, vehicle, x, y).

@@ -199,6 +199,37 @@ def test_contacts_refuse_a_non_finite_position(bad):
         detect_contacts(rows_at({0: (0.0, 0.0), 1: (10.0, 0.0), 2: (bad, 5.0)}), 100.0)
 
 
+def test_contacts_with_a_live_mask_keep_the_pairs_with_a_live_end():
+    # a chain 40 m apart at 50 m range: 0-1, 1-2, 2-3 and 3-4 are in contact
+    rows = rows_at({v: (40.0 * v, 0.0) for v in range(5)})
+    live = np.array([False, False, False, True, False])
+    assert pairs(detect_contacts(rows, 50.0, live)) == [(2, 3), (3, 4)]
+    assert detect_contacts(rows, 50.0, np.zeros(5, dtype=bool)).shape == (0, 3)
+    assert np.array_equal(detect_contacts(rows, 50.0, np.ones(7, dtype=bool)),
+                          detect_contacts(rows, 50.0))
+
+
+@pytest.mark.parametrize("bad", [np.ones(3, dtype=np.int64), np.ones(3),
+                                 np.ones((3, 1), dtype=bool), np.bool_(True)])
+def test_contacts_refuse_a_live_mask_that_is_not_1d_bool(bad):
+    with pytest.raises(ValueError, match="live"):
+        detect_contacts(rows_at({0: (0.0, 0.0), 1: (10.0, 0.0)}), 100.0, bad)
+
+
+def test_contacts_refuse_a_live_mask_short_of_a_vehicle_id():
+    # numpy would raise an IndexError for vehicle 2
+    with pytest.raises(ValueError, match="live"):
+        detect_contacts(rows_at({0: (0.0, 0.0), 2: (10.0, 0.0)}), 100.0,
+                        np.ones(2, dtype=bool))
+
+
+def test_contacts_refuse_a_negative_vehicle_id_under_a_live_mask():
+    # numpy would read vehicle -1 off the mask's last entry
+    with pytest.raises(ValueError, match="live"):
+        detect_contacts(rows_at({-1: (0.0, 0.0), 0: (10.0, 0.0)}), 100.0,
+                        np.array([False, True]))
+
+
 # --- chunk stores and exchange --------------------------------------------------
 
 
@@ -474,12 +505,44 @@ def test_dedicated_bandwidth_serves_each_link_fully():
     assert state.stores[2].count == 74
 
 
-def hand_scheduled_state(monkeypatch, trips_by_vehicle, n_ticks=1, **overrides):
+@pytest.mark.parametrize("share_bandwidth", [False, True])
+def test_only_shared_bandwidth_detects_contacts_without_a_live_mask(monkeypatch,
+                                                                    share_bandwidth):
+    """A shared link divides by each end's degree, which counts contacts
+    between full stores too, so that search takes no mask."""
+    import vancast.engine as engine
+
+    masks, real = [], engine.detect_contacts
+    monkeypatch.setattr(engine, "detect_contacts", lambda rows, comm_range, live=None:
+                        masks.append(live) or real(rows, comm_range, live))
+    seed_between_two_listeners(share_bandwidth)
+    if share_bandwidth:
+        assert masks == [None]
+    else:  # vehicle 1, the seed, is full
+        assert [m.tolist() for m in masks] == [[True, False, True]]
+
+
+def spy_on_steps(monkeypatch, record):
+    """Patch engine.step to call record(state, n_ticks, rows) before each
+    span runs, with the span's radio rows read off the timetable: all of
+    them, whether or not step itself reads them."""
+    import vancast.engine as engine
+
+    real = engine.step
+
+    def step(state, n_ticks=1):
+        record(state, n_ticks, state.day.radio_rows(state.graph, state.tick,
+                                                    state.tick + n_ticks))
+        return real(state, n_ticks)
+
+    monkeypatch.setattr(engine, "step", step)
+
+
+def hand_scheduled_state(monkeypatch, trips_by_vehicle, **overrides):
     """init_sim of a 60 s run on a 1x3 grid (nodes 50 m apart, 60 m radio
     range) with no drawn trips, then the given trips laid out as each
-    vehicle's day.  Returns the state and the list of positions handed to
-    contact detection, one dict per tick, for steps of n_ticks ticks."""
-    import vancast.engine as engine
+    vehicle's day.  Returns the state and a list that gets the radio
+    positions of every tick that engine.step runs, one dict per tick."""
     from vancast.mobility import Timetable, TripSchedule, lay_out_day
 
     cfg = two_parked_vehicles_config(
@@ -492,20 +555,17 @@ def hand_scheduled_state(monkeypatch, trips_by_vehicle, n_ticks=1, **overrides):
                             [TripSchedule(v, tuple(t)) for v, t in enumerate(trips_by_vehicle)],
                             0, 60, cfg.dt, cfg.speed, cfg.parked_exchange)
     seen = []
-    real = engine.detect_contacts
 
-    def spy(rows, comm_range):
-        # one dict of positions per tick of the span
+    def record(state, n_ticks, rows):
         for tick in range(state.tick, state.tick + n_ticks):
             seen.append({int(v): (x, y) for t, v, x, y in rows.tolist() if t == tick})
-        return real(rows, comm_range)
 
-    monkeypatch.setattr(engine, "detect_contacts", spy)
+    spy_on_steps(monkeypatch, record)
     return state, seen
 
 
 def test_departing_vehicle_stands_at_origin_and_is_in_contact(monkeypatch):
-    from vancast.engine import step
+    import vancast.engine as engine
     from vancast.mobility import Trip
     from vancast.roadnet import generate_manhattan_grid, shortest_path
 
@@ -515,21 +575,21 @@ def test_departing_vehicle_stands_at_origin_and_is_in_contact(monkeypatch):
         [Trip(0.2, shortest_path(g, 1, 2))],
     ])
     seed = state.seeds[0]
-    step(state)
+    engine.step(state)
     # both left inside (0, 1], on tick 0, and stand at their origins, 50 m apart
     assert seen == [{0: (0.0, 0.0), 1: (50.0, 0.0)}]
     assert state.day.drives.tolist() == [[0, 0, 10], [1, 0, 5]]  # 100 m and 50 m at 10 m/s
     assert state.stores[1 - seed].count == 74  # one second of the 800 kb/s link
 
 
-def arrival_with_a_due_trip(monkeypatch, n_ticks):
+def arrival_with_a_due_trip(monkeypatch):
     from vancast.mobility import Timetable, Trip, TripSchedule, lay_out_day
     from vancast.roadnet import generate_manhattan_grid, shortest_path
 
     g = generate_manhattan_grid(1, 3, 50.0, [])
     first, second = shortest_path(g, 0, 1), shortest_path(g, 1, 2)
     trips = [[Trip(0.0, first), Trip(3.0, second)], [Trip(90.0, shortest_path(g, 2, 1))]]
-    state, seen = hand_scheduled_state(monkeypatch, trips, n_ticks=n_ticks)
+    state, seen = hand_scheduled_state(monkeypatch, trips)
     # The second trip has been due since 3 s, but waits for the arrival on
     # tick 5 (6 s) and leaves on tick 6; vehicle 1's trip at 90 s would
     # leave after the 60 s run and is dropped.
@@ -547,24 +607,59 @@ def arrival_with_a_due_trip(monkeypatch, n_ticks):
 
 
 def test_arrival_with_a_due_trip_departs_on_the_next_step(monkeypatch):
-    from vancast.engine import step
+    import vancast.engine as engine
 
-    state, seen = arrival_with_a_due_trip(monkeypatch, 1)
+    state, seen = arrival_with_a_due_trip(monkeypatch)
     for _ in range(6):  # depart on tick 0, then 50 m at 10 m/s
-        step(state)
+        engine.step(state)
     assert [sorted(p) for p in seen] == [[0]] * 5 + [[]]  # parked on its arrival tick
-    step(state)
+    engine.step(state)
     assert seen[-1] == {0: (50.0, 0.0)}  # off again, standing at node 1
 
 
 def test_arrival_with_a_due_trip_departs_on_the_next_tick_of_a_span(monkeypatch):
-    from vancast.engine import step
+    import vancast.engine as engine
 
-    state, seen = arrival_with_a_due_trip(monkeypatch, 7)
-    step(state, 7)  # the seven ticks above in one span
+    state, seen = arrival_with_a_due_trip(monkeypatch)
+    engine.step(state, 7)  # the seven ticks above in one span
     # on the road for ticks 0-4, parked on its arrival tick, off again on tick 6
     assert [sorted(p) for p in seen] == [[0]] * 5 + [[], [0]]
     assert seen[-1] == {0: (50.0, 0.0)}
+
+
+@pytest.mark.parametrize("share_bandwidth", [False, True])
+def test_a_span_with_no_live_radio_reads_no_rows_and_exchanges_nothing(monkeypatch,
+                                                                      share_bandwidth):
+    """Vehicle 0 drives with every chunk, and vehicle 1, which has none,
+    is parked off the radio: no store on the air can gain a chunk, so the
+    span reads no radio rows and calls no exchange, and the link budget
+    carried from the tick before it is dropped, as after any span with
+    no live contact.  Once vehicle 0 lacks a chunk, the next span reads
+    its rows."""
+    import vancast.engine as engine
+    from vancast.mobility import Timetable, Trip
+    from vancast.roadnet import generate_manhattan_grid, shortest_path
+
+    g = generate_manhattan_grid(1, 3, 50.0, [])
+    state, _ = hand_scheduled_state(monkeypatch, [[Trip(0.0, shortest_path(g, 0, 2))],
+                                                  [Trip(90.0, shortest_path(g, 1, 0))]],
+                                    share_bandwidth=share_bandwidth)
+    monkeypatch.undo()
+    state.stores[0].add_all()
+    state.stores[1].mask[:] = False
+    state.stores[1].count, state.stores[1].completed_at = 0, None
+    state.accum = {(0, 1): [0.5, 0.5]}
+    calls, real_rows, real_exchange = [], Timetable.radio_rows, engine.exchange
+    monkeypatch.setattr(Timetable, "radio_rows", lambda *a: calls.append("rows") or
+                        real_rows(*a))
+    monkeypatch.setattr(engine, "exchange", lambda *a: calls.append("exchange") or
+                        real_exchange(*a))
+    engine.step(state, 7)
+    assert calls == [] and state.tick == 7 and state.accum == {}
+    state.stores[0].mask[0] = False
+    state.stores[0].count -= 1
+    engine.step(state, 3)
+    assert calls == ["rows"] and state.tick == 10
 
 
 def test_step_past_the_timetable_end_raises():
@@ -714,23 +809,14 @@ def test_zero_duration_run_samples_once():
 
 def spy_on_spans(monkeypatch):
     """A list that gets one [first tick, ticks, timetable end, rows a tick]
-    entry per step() call; the rows come from its detect_contacts call."""
-    import vancast.engine as engine
-
+    entry per step() call; the rows are the span's radio rows."""
     spans = []
-    real_step, real_detect = engine.step, engine.detect_contacts
 
-    def step(state, n_ticks=1):
-        spans.append([state.tick, n_ticks, state.day.end, None])
-        return real_step(state, n_ticks)
+    def record(state, n_ticks, rows):
+        rows_a_tick = np.bincount(rows[:, 0].astype(np.int64) - state.tick, minlength=n_ticks)
+        spans.append([state.tick, n_ticks, state.day.end, rows_a_tick])
 
-    def detect(rows, comm_range):
-        t0, n = spans[-1][:2]
-        spans[-1][3] = np.bincount(rows[:, 0].astype(np.int64) - t0, minlength=n)
-        return real_detect(rows, comm_range)
-
-    monkeypatch.setattr(engine, "step", step)
-    monkeypatch.setattr(engine, "detect_contacts", detect)
+    spy_on_steps(monkeypatch, record)
     return spans
 
 
@@ -1157,17 +1243,12 @@ def outcome(state):
 
 
 def spy_on_contacts(monkeypatch, seen):
-    """Append every detect_contacts call's (rows, contacts) to seen."""
-    import vancast.engine as engine
+    """Append each engine.step span's radio rows and all their contacts,
+    full stores or not, to seen, as (rows, contacts)."""
+    from vancast.engine import detect_contacts
 
-    real = engine.detect_contacts
-
-    def spy(rows, comm_range):
-        contacts = real(rows, comm_range)
-        seen.append((rows, contacts))
-        return contacts
-
-    monkeypatch.setattr(engine, "detect_contacts", spy)
+    spy_on_steps(monkeypatch, lambda state, n_ticks, rows: seen.append(
+        (rows, detect_contacts(rows, state.cfg.comm_range))))
 
 
 def radio(seen):
@@ -1259,7 +1340,7 @@ def test_span_pass_matches_per_tick_reference(monkeypatch, case):
 def test_one_span_equals_single_steps(monkeypatch, share_bandwidth):
     import copy
 
-    from vancast.engine import step
+    import vancast.engine as engine
 
     cfg = small_traffic_config(n_vehicles=30, mean_trips=200.0,
                                share_bandwidth=share_bandwidth, sim_duration=7_200.0)
@@ -1268,11 +1349,11 @@ def test_one_span_equals_single_steps(monkeypatch, share_bandwidth):
     seen = []
     spy_on_contacts(monkeypatch, seen)
     for n in (1, 2, 300, 1, 900, 37):
-        assert step(a, n) is None
+        assert engine.step(a, n) is None
         span = radio(seen)
         seen.clear()
         for _ in range(n):
-            step(b, 1)
+            engine.step(b, 1)
         assert span == radio(seen)
         seen.clear()
         assert outcome(a) == outcome(b) and a.accum == b.accum

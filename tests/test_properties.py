@@ -5,7 +5,8 @@ prefix of the day's trips from the same draws, the GF(256) matrix product
 agrees with the multiplication table, the solve recovers the symbols from
 every fed row or reports their exact rank, and the incremental decoder
 agrees with a from-scratch rank and hands decode the chunks that rebuild
-the file."""
+the file, and contact detection under a live mask finds exactly the
+unmasked contacts that have a live end."""
 
 import math
 import os
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from vancast.config import ROUTING_POLICIES, ExperimentConfig, config_lines, parse_config
+from vancast.engine import detect_contacts
 from test_fountain import oracle_rank
 from vancast.fountain import (GF_MUL, DecoderState, RankDeficientError, _solve, decode,
                               encode, gf_matmul, rank)
@@ -318,3 +320,62 @@ def test_decoder_state_hands_decode_the_chunks_that_raised_the_rank(case):
         with pytest.raises(RankDeficientError) as err:
             decode(raised, k, len(data))
         assert err.value.rank == state.rank
+
+
+@st.composite
+def masked_radio_rows(draw):
+    """Radio rows (tick, vehicle, x, y), at most one per vehicle and tick,
+    a comm_range and a live mask over the vehicles.  Layouts: spread over a
+    few cells; many rows in one cell; a lattice of comm_range steps, so
+    pairs lie exactly comm_range apart; and one live row whose cell key
+    collides in the filter's bitmap with far rows in contact among
+    themselves (all rows in one row of cells, so a cell's key is 3 times
+    its column, and far columns a multiple of the bitmap's size off)."""
+    r = draw(st.sampled_from([0.3, 1.0, 7.5, 100.0]))
+    layout = draw(st.sampled_from(["spread", "one_cell", "lattice", "collide"]))
+    if layout == "collide":
+        k = draw(st.integers(1, 8))
+        size = 1 << (8 * (k + 1) - 1).bit_length()  # the bitmap of k + 1 rows
+        rows = [(0, 0, 0.5 * r, 0.5 * r)]
+        for v in range(1, k + 1):
+            column = draw(st.integers(1, 3)) * size + draw(st.integers(0, 1))
+            rows.append((0, v, (column + draw(st.floats(0.0, 0.9))) * r,
+                         draw(st.floats(0.0, 0.9)) * r))
+        live = np.arange(k + 1) == 0
+        return np.array(rows), r, live, "collide"
+    n_vehicles, n_ticks = draw(st.integers(1, 30)), draw(st.integers(1, 12))
+    if layout == "spread":
+        point = st.tuples(st.floats(-6 * r, 6 * r), st.floats(-6 * r, 6 * r))
+    elif layout == "one_cell":
+        point = st.tuples(st.floats(0.0, r, exclude_max=True),
+                          st.floats(0.0, r, exclude_max=True))
+    else:
+        point = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).map(
+            lambda p: (p[0] * r, p[1] * r))
+    rows = [(t, v, *draw(point)) for v in range(n_vehicles)
+            for t in sorted(draw(st.sets(st.integers(0, n_ticks - 1))))]
+    rows = draw(st.permutations(rows))
+    mask = draw(st.sampled_from(["none live", "all live", "some live"]))
+    extra = draw(st.integers(0, 3))  # the mask may cover vehicles with no rows
+    if mask == "some live":
+        live = np.array(draw(st.lists(st.booleans(), min_size=n_vehicles + extra,
+                                      max_size=n_vehicles + extra)), dtype=bool)
+    else:
+        live = np.full(n_vehicles + extra, mask == "all live")
+    return np.array(rows, dtype=float).reshape(-1, 4), r, live, mask
+
+
+@settings(max_examples=300, deadline=None)
+@given(masked_radio_rows())
+def test_live_mask_keeps_exactly_the_contacts_with_a_live_end(case):
+    rows, r, live, kind = case
+    every = detect_contacts(rows, r)
+    got = detect_contacts(rows, r, live)
+    assert np.array_equal(got, every[live[every[:, 1]] | live[every[:, 2]]])
+    assert got.shape[1] == 3 and got.dtype == np.int64
+    if kind == "none live":
+        assert len(got) == 0
+    elif kind == "all live":
+        assert np.array_equal(got, every)
+    elif kind == "collide":
+        assert len(got) == 0  # the far rows' own contacts have no live end
