@@ -102,12 +102,15 @@ def _near_live(key: np.ndarray, is_live: np.ndarray, ny: int) -> np.ndarray:
     8 a key, indexed by ``key & (size - 1)``; the marks are dilated by +-1
     and by +-ny modulo the size, then read with every key.  Sums agree
     modulo the size, so no neighbor is missed; two keys that collide only
-    keep an extra index.
+    keep an extra index.  Both dilations run even when ny is 1 (or -1)
+    modulo the size: a diagonal neighbor is then 2 marks away.
     """
     size = 1 << (8 * len(key) - 1).bit_length()
     bits = np.zeros(size, dtype=bool)
     bits[key[is_live] & (size - 1)] = True
-    for s in {1, ny % size} - {0}:
+    for s in (1, ny % size):
+        if not s:  # ny is 0 modulo the size: +-ny marks nothing new
+            continue
         grown = bits.copy()  # bits | bits rolled by s | bits rolled by -s
         grown[s:] |= bits[:-s]
         grown[:s] |= bits[-s:]

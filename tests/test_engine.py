@@ -209,6 +209,16 @@ def test_contacts_with_a_live_mask_keep_the_pairs_with_a_live_end():
                           detect_contacts(rows, 50.0))
 
 
+@pytest.mark.parametrize("far_y", [3090.0, 2890.0])
+def test_contacts_with_a_live_mask_keep_a_diagonal_pair_on_a_tall_grid(far_y):
+    # 3 rows mark a 32-entry bitmap; the far row makes the grid ny = 33 or 31
+    # cells tall, 1 or -1 modulo 32, so the diagonal neighbor's key is 2 off
+    rows = rows_at({0: (90.0, 90.0), 1: (110.0, 110.0), 2: (0.0, far_y)})
+    live = np.array([True, False, False])
+    assert pairs(detect_contacts(rows, 100.0, live)) == [(0, 1)]
+    assert pairs(detect_contacts(rows, 100.0, ~live)) == [(0, 1)]
+
+
 @pytest.mark.parametrize("bad", [np.ones(3, dtype=np.int64), np.ones(3),
                                  np.ones((3, 1), dtype=bool), np.bool_(True)])
 def test_contacts_refuse_a_live_mask_that_is_not_1d_bool(bad):

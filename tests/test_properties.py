@@ -323,16 +323,32 @@ def test_decoder_state_hands_decode_the_chunks_that_raised_the_rank(case):
 
 
 @st.composite
-def masked_radio_rows(draw):
+def masked_radio_rows(draw, layouts=("spread", "one_cell", "lattice", "collide", "tall")):
     """Radio rows (tick, vehicle, x, y), at most one per vehicle and tick,
     a comm_range and a live mask over the vehicles.  Layouts: spread over a
     few cells; many rows in one cell; a lattice of comm_range steps, so
-    pairs lie exactly comm_range apart; and one live row whose cell key
+    pairs lie exactly comm_range apart; one live row whose cell key
     collides in the filter's bitmap with far rows in contact among
     themselves (all rows in one row of cells, so a cell's key is 3 times
-    its column, and far columns a multiple of the bitmap's size off)."""
+    its column, and far columns a multiple of the bitmap's size off); and
+    "tall": rows around the corner of four cells, all in range, over one
+    or two ticks, plus one far row, not live, that makes the grid's ny
+    equal to 1 or -1 modulo the bitmap's size, so a diagonal neighbor's
+    key is 2 marks off."""
     r = draw(st.sampled_from([0.3, 1.0, 7.5, 100.0]))
-    layout = draw(st.sampled_from(["spread", "one_cell", "lattice", "collide"]))
+    layout = draw(st.sampled_from(layouts))
+    if layout == "tall":
+        n_vehicles, n_ticks = draw(st.integers(2, 4)), draw(st.integers(1, 2))
+        point = st.tuples(st.floats(0.65 * r, 1.35 * r), st.floats(0.65 * r, 1.35 * r))
+        rows = [(t, v, *draw(point)) for v in range(n_vehicles)
+                for t in sorted(draw(st.sets(st.integers(0, n_ticks - 1), min_size=1)))]
+        size = 1 << (8 * (len(rows) + 1) - 1).bit_length()  # with the far row
+        y0 = int(min(np.floor(y / r) for *_, y in rows))
+        ny = draw(st.integers(1, 3)) * size + draw(st.sampled_from([1, size - 1]))
+        rows.append((0, n_vehicles, 0.0, (ny - 3 + y0 + 0.5) * r))  # ny = far - y0 + 3
+        live = np.array(draw(st.lists(st.booleans(), min_size=n_vehicles,
+                                      max_size=n_vehicles)) + [False])
+        return np.array(rows), r, live, "tall"
     if layout == "collide":
         k = draw(st.integers(1, 8))
         size = 1 << (8 * (k + 1) - 1).bit_length()  # the bitmap of k + 1 rows
@@ -366,7 +382,7 @@ def masked_radio_rows(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(masked_radio_rows())
+@given(st.one_of(masked_radio_rows(), masked_radio_rows(["tall"])))  # tall, more often
 def test_live_mask_keeps_exactly_the_contacts_with_a_live_end(case):
     rows, r, live, kind = case
     every = detect_contacts(rows, r)
