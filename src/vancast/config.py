@@ -63,6 +63,10 @@ class ExperimentConfig:
         """On-air bytes per chunk: 4-byte id plus the payload."""
         return 4 + self.symbol_size()
 
+    def chunks_per_step(self) -> float:
+        """Chunks one direction of a dedicated link carries in a dt step."""
+        return self.transfer_rate / (8 * self.wire_bytes()) * self.dt
+
     def steps(self, seconds: float, key: str) -> int:
         """``seconds`` in whole dt steps; ValueError naming ``key`` if not whole
         (to a relative 1e-12, since a dt like 0.1 has no exact binary form)."""
@@ -86,6 +90,10 @@ class ExperimentConfig:
                      "max_trip_dist", "speed", "dt", "sample_interval",
                      "replicates"):
             positive(name)
+        if not math.isfinite(self.chunks_per_step()):
+            raise ValueError(f"transfer_rate = {float_text(self.transfer_rate)} b/s over "
+                             f"dt = {float_text(self.dt)} s is not a finite number of "
+                             f"chunks a step")
         positive("mean_trips", allow_zero=True)
         positive("sim_duration", allow_zero=True)
         if self.decode_threshold > self.n_chunks:

@@ -33,6 +33,7 @@ for bit.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -226,36 +227,38 @@ def exchange(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Transfer up to budget chunks in each direction of one contact.
 
-    Each side offers the chunk ids the other is missing; when the
-    surplus exceeds the budget, the subset actually sent is a uniform
-    draw without replacement.  Both directions are computed from the
-    pre-exchange stores, so a chunk received this instant is not
-    immediately re-offered back.  Returns the ids sent a -> b and b -> a,
-    each as a sorted int array.
+    Each side offers the chunk ids the other is missing; when the surplus
+    exceeds the budget, a uniform draw without replacement picks the ids
+    sent, a -> b first.  Both directions see the pre-exchange stores (b
+    gets only a's chunks), so nothing received is re-offered back.
+    Returns the ids sent a -> b and b -> a, each a sorted int array.  A
+    direction costs one ``rng.choice`` if its surplus exceeds its budget,
+    after one comparison and one ``nonzero``, and with no budget, an
+    empty giver or a full receiver, no pass at all.
     """
     if budget_ab < 0 or budget_ba < 0:
         raise ValueError("budgets must be >= 0")
     if store_a.n_chunks != store_b.n_chunks:
         raise ValueError("stores disagree on the chunk universe")
-    surplus_ab = np.flatnonzero(store_a.mask & ~store_b.mask)
-    surplus_ba = np.flatnonzero(store_b.mask & ~store_a.mask)
+    sent_ab = _send(store_a, store_b, budget_ab, rng)
+    return sent_ab, _send(store_b, store_a, budget_ba, rng)
 
-    def pick(surplus: np.ndarray, budget: int) -> np.ndarray:
-        if budget == 0 or surplus.size == 0:
-            return surplus[:0]
-        if surplus.size <= budget:
-            return surplus
-        return np.sort(rng.choice(surplus, size=budget, replace=False))
 
-    sent_ab = pick(surplus_ab, budget_ab)
-    sent_ba = pick(surplus_ba, budget_ba)
-    if sent_ab.size:
-        store_b.mask[sent_ab] = True
-        store_b.count += int(sent_ab.size)
-    if sent_ba.size:
-        store_a.mask[sent_ba] = True
-        store_a.count += int(sent_ba.size)
-    return sent_ab, sent_ba
+_NOTHING = np.zeros(0, dtype=np.intp)  # what a direction that makes no pass sends
+
+
+def _send(giver: ChunkStore, receiver: ChunkStore, budget: int, rng: np.random.Generator):
+    """One direction of :func:`exchange`, sent and added to receiver."""
+    if not budget or not giver.count or receiver.count == receiver.n_chunks:
+        return _NOTHING
+    ids = (giver.mask > receiver.mask).nonzero()[0]  # giver & ~receiver
+    if len(ids) > budget:
+        ids = rng.choice(ids, size=budget, replace=False)
+        ids.sort()
+    if len(ids):
+        receiver.mask[ids] = True
+        receiver.count += len(ids)
+    return ids
 
 
 def provision_seeds(
@@ -476,39 +479,40 @@ def step(state: SimState, n_ticks: int = 1) -> None:
         contacts = np.zeros((0, 3), dtype=np.int64)
     state.tick = t1
 
-    gain = cfg.transfer_rate / (8.0 * cfg.wire_bytes()) * cfg.dt  # chunks a step
-    gain_a = gain_b = np.full(len(contacts), gain)
+    gain = cfg.chunks_per_step()
+    gains = itertools.repeat((gain, gain))  # (a -> b, b -> a) for each contact
     if cfg.share_bandwidth:
-        tick, a, b = contacts.T
-        ends = np.concatenate(((tick - t0) * cfg.n_vehicles + a,
-                               (tick - t0) * cfg.n_vehicles + b))
+        # Each contact's end a, then each one's end b, keyed by tick and vehicle.
+        ends = ((contacts[:, 0] - t0) * cfg.n_vehicles + contacts[:, 1:].T).ravel()
         _, where, degree = np.unique(ends, return_inverse=True, return_counts=True)
-        gain_a, gain_b = gain / degree[where].reshape(2, -1)
-        either = live[a] | live[b]
-        contacts, gain_a, gain_b = contacts[either], gain_a[either], gain_b[either]
+        either = live[contacts[:, 1:]].any(axis=1)
+        contacts = contacts[either]
+        gains = zip(*(gain / degree[where].reshape(2, -1))[:, either].tolist())
 
+    n_chunks, threshold, dt, rng = cfg.n_chunks, cfg.decode_threshold, cfg.dt, state.rng
     now, new_accum = t0 - 1, state.accum  # the last tick and its pairs' budgets
-    for (t, va, vb), g_a, g_b in zip(contacts.tolist(), gain_a.tolist(), gain_b.tolist()):
+    for (t, va, vb), (g_a, g_b) in zip(contacts.tolist(), gains):
         if t != now:
             accum = new_accum if t == now + 1 else {}
             new_accum, now = {}, t
         sa, sb = stores[va], stores[vb]
-        if sa.count == sb.count == cfg.n_chunks:
+        if sa.count == sb.count == n_chunks:
             continue
-        acc = accum.get((va, vb), [0.0, 0.0])
-        acc[0] += g_a
-        acc[1] += g_b
-        n_ab = int(acc[0])
-        n_ba = int(acc[1])
-        acc[0] -= n_ab
-        acc[1] -= n_ba
+        if acc := accum.get((va, vb)):
+            acc[0] += g_a
+            acc[1] += g_b
+        else:
+            acc = [g_a, g_b]  # 0.0 + g is g: gains are positive
+        n_ab, n_ba = int(acc[0]), int(acc[1])
+        acc[0], acc[1] = acc[0] - n_ab, acc[1] - n_ba
         new_accum[(va, vb)] = acc
         if (n_ab or n_ba) and (sa.count or sb.count):
-            sent_ab, sent_ba = exchange(sa, sb, n_ab, n_ba, state.rng)
+            sent_ab, sent_ba = exchange(sa, sb, n_ab, n_ba, rng)
             # Only receivers: a hand-built state may hold an unstamped store at the threshold.
-            for store, got in ((sb, sent_ab), (sa, sent_ba)):
-                if got.size and store.completed_at is None and store.count >= cfg.decode_threshold:
-                    store.completed_at = (t + 1) * cfg.dt
+            if len(sent_ab) and sb.completed_at is None and sb.count >= threshold:
+                sb.completed_at = (t + 1) * dt
+            if len(sent_ba) and sa.completed_at is None and sa.count >= threshold:
+                sa.completed_at = (t + 1) * dt
     state.accum = new_accum if now == t1 - 1 else {}
 
 

@@ -74,6 +74,21 @@ def test_chunk_geometry_from_defaults():
     assert cfg.wire_bytes() == 1338
 
 
+def test_chunks_per_step_is_the_link_rate_over_the_wire_chunk():
+    assert ExperimentConfig().chunks_per_step() == 800_000.0 / (8 * 1338) * 1.0
+    assert ExperimentConfig(transfer_rate=1.5 * 8 * 1338, dt=2.0).chunks_per_step() == 3.0
+
+
+def test_validate_refuses_a_link_of_infinite_chunks_a_step():
+    # each factor is finite, but 1e308 b/s over 21600 s steps is not
+    cfg = ExperimentConfig(transfer_rate=1e308, dt=21_600.0, sim_duration=86_400.0,
+                           sample_interval=21_600.0)
+    with pytest.raises(ValueError, match="transfer_rate = 1e\\+308 b/s over dt = 21600 s"):
+        cfg.validate()
+    cfg.transfer_rate = 1e300
+    cfg.validate()
+
+
 @pytest.mark.parametrize(
     "field,value",
     [
@@ -404,6 +419,28 @@ def test_cli_sweep_refuses_a_block_len_whose_grid_overflows_before_any_run(tmp_p
     assert code == 2
     assert "block_len" in capsys.readouterr().err
     assert not out.exists()  # not even the CSV of block_len = 100
+
+
+# 1e308 b/s is finite, but over a 21600 s step it carries inf chunks.
+HUGE_LINK = ["--set", "transfer_rate=1e308", "--set", "dt=21600", "--set", "sim_duration=86400",
+             "--set", "sample_interval=21600", "--set", "n_vehicles=50", "--set",
+             "mean_trips=10", "--set", "seed_rate=0.2"]
+
+
+def test_cli_run_refuses_a_link_of_infinite_chunks_a_step(tmp_path, capsys):
+    code = main(["run", *HUGE_LINK, "--out", str(tmp_path / "o"), "--quiet"])
+    assert code == 2
+    assert "transfer_rate" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_sweep_refuses_a_link_of_infinite_chunks_a_step_before_any_run(tmp_path, capsys):
+    out = tmp_path / "sweep"
+    code = main(["sweep", *HUGE_LINK[2:], "--param", "transfer_rate", "--values", "1000,1e308",
+                 "--replicates", "1", "--out", str(out), "--quiet"])
+    assert code == 2
+    assert "transfer_rate" in capsys.readouterr().err
+    assert not out.exists()  # not even the CSV of transfer_rate = 1000
 
 
 # A 10x10 grid of 1.5e307 m blocks has a finite far side (1.35e308), but

@@ -251,6 +251,50 @@ def holding(n_chunks, ids):
     return store
 
 
+# exchange() as it was before each direction cost one comparison, kept
+# verbatim as an oracle: the property test in test_properties.py and the
+# per-tick reference below compare exchange() with it, draw for draw.
+def reference_exchange(
+    store_a: ChunkStore,
+    store_b: ChunkStore,
+    budget_ab: int,
+    budget_ba: int,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Transfer up to budget chunks in each direction of one contact.
+
+    Each side offers the chunk ids the other is missing; when the
+    surplus exceeds the budget, the subset actually sent is a uniform
+    draw without replacement.  Both directions are computed from the
+    pre-exchange stores, so a chunk received this instant is not
+    immediately re-offered back.  Returns the ids sent a -> b and b -> a,
+    each as a sorted int array.
+    """
+    if budget_ab < 0 or budget_ba < 0:
+        raise ValueError("budgets must be >= 0")
+    if store_a.n_chunks != store_b.n_chunks:
+        raise ValueError("stores disagree on the chunk universe")
+    surplus_ab = np.flatnonzero(store_a.mask & ~store_b.mask)
+    surplus_ba = np.flatnonzero(store_b.mask & ~store_a.mask)
+
+    def pick(surplus: np.ndarray, budget: int) -> np.ndarray:
+        if budget == 0 or surplus.size == 0:
+            return surplus[:0]
+        if surplus.size <= budget:
+            return surplus
+        return np.sort(rng.choice(surplus, size=budget, replace=False))
+
+    sent_ab = pick(surplus_ab, budget_ab)
+    sent_ba = pick(surplus_ba, budget_ba)
+    if sent_ab.size:
+        store_b.mask[sent_ab] = True
+        store_b.count += int(sent_ab.size)
+    if sent_ba.size:
+        store_a.mask[sent_ba] = True
+        store_a.count += int(sent_ba.size)
+    return sent_ab, sent_ba
+
+
 def test_chunk_store_basics():
     s = ChunkStore(10)
     assert s.count == 0
@@ -446,7 +490,7 @@ def test_link_budget_carries_over_between_two_empty_stores(monkeypatch):
     from vancast.engine import step
 
     cfg = two_parked_vehicles_config(seed_rate=0.0, transfer_rate=1.5 * 8 * 1338)
-    assert cfg.transfer_rate / (8.0 * cfg.wire_bytes()) * cfg.dt == 1.5
+    assert cfg.chunks_per_step() == 1.5
     state = init_sim(cfg)
     calls, real = [], engine.exchange
     monkeypatch.setattr(engine, "exchange", lambda *a: calls.append(a[2:4]) or real(*a))
@@ -1176,12 +1220,11 @@ def reference_new_day(ref, starts, schedules):
 
 def reference_step(state, ref):
     """One tick the way single steps work: advance() and position_of() per
-    vehicle, brute-force contacts, exchange() per contact.  ``ref`` holds the
-    reference's own vehicle states, departure heap and link bookkeeping;
-    returns the tick's positions and contacts."""
+    vehicle, brute-force contacts, the frozen reference_exchange() per
+    contact.  ``ref`` holds the reference's own vehicle states, departure
+    heap and link bookkeeping; returns the tick's positions and contacts."""
     import heapq
 
-    from vancast.engine import exchange
     from vancast.mobility import Phase, advance, position_of
 
     cfg = state.cfg
@@ -1228,8 +1271,8 @@ def reference_step(state, ref):
         acc[1] -= n_ba
         accum[(a, b)] = acc
         if n_ab or n_ba:
-            sent_ab, sent_ba = exchange(state.stores[a], state.stores[b], n_ab, n_ba,
-                                        state.rng)
+            sent_ab, sent_ba = reference_exchange(state.stores[a], state.stores[b], n_ab,
+                                                  n_ba, state.rng)
             if sent_ab.size:
                 touched.add(b)
             if sent_ba.size:

@@ -2,12 +2,15 @@
 
 The digests were recorded with the one-tick-at-a-time engine, before
 steps were simulated in spans, except ``off_grid_end``'s, recorded
-before ``run`` built its samples in one pass; any change to them is a
-change in the simulated results and must be documented as one.
+before ``run`` built its samples in one pass, and the final-state
+digest, recorded before ``exchange`` skipped its empty directions; any
+change to them is a change in the simulated results and must be
+documented as one.
 """
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from vancast.config import ExperimentConfig
@@ -54,3 +57,21 @@ def test_run_csv_digest_is_pinned(tmp_path, case):
     path = tmp_path / "run.csv"
     write_metrics_csv(run(cfg).metrics, cfg.n_vehicles, str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_final_state_digest_with_asymmetric_budgets_is_pinned(tmp_path):
+    """A slow shared link: 796 exchanges, 198 with exactly one zero budget,
+    70 of those drawing.  Only the 3 seeds complete, so run.csv pins
+    little; the digest adds every final store's mask and stamp and the
+    generator's state."""
+    cfg = ExperimentConfig(**{**BASE, **dict(master_seed=15, share_bandwidth=True,
+                                             transfer_rate=5_000.0)})
+    state = run(cfg)
+    path = tmp_path / "run.csv"
+    write_metrics_csv(state.metrics, cfg.n_vehicles, str(path))
+    h = hashlib.sha256(path.read_bytes())
+    for store in state.stores:
+        h.update(np.packbits(store.mask).tobytes())
+        h.update(repr(store.completed_at).encode())
+    h.update(repr(state.rng.bit_generator.state).encode())
+    assert h.hexdigest() == "bef89f2f7827665a6bb80c587afad1037572ed3b04b57e031d1efbddf060745e"

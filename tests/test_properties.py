@@ -5,8 +5,9 @@ prefix of the day's trips from the same draws, the GF(256) matrix product
 agrees with the multiplication table, the solve recovers the symbols from
 every fed row or reports their exact rank, and the incremental decoder
 agrees with a from-scratch rank and hands decode the chunks that rebuild
-the file, and contact detection under a live mask finds exactly the
-unmasked contacts that have a live end."""
+the file, contact detection under a live mask finds exactly the
+unmasked contacts that have a live end, and exchange sends, keeps and
+draws exactly what its frozen reference does."""
 
 import math
 import os
@@ -21,7 +22,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from vancast.config import ROUTING_POLICIES, ExperimentConfig, config_lines, parse_config
-from vancast.engine import detect_contacts
+from vancast.engine import ChunkStore, detect_contacts, exchange
+from test_engine import reference_exchange
 from test_fountain import oracle_rank
 from vancast.fountain import (GF_MUL, DecoderState, RankDeficientError, _solve, decode,
                               encode, gf_matmul, rank)
@@ -47,16 +49,20 @@ def configs(draw):
     block_len = draw(positive.filter(
         lambda b: math.isfinite(3 * blocks * b * (1 + 4 * rows * cols * 2.0**-52))))
     n_chunks = draw(count)
+    decode_threshold, file_size = draw(st.integers(1, n_chunks)), draw(count)
     # dt divides one day; spans are whole numbers of steps
     dt = draw(st.sampled_from([0.1, 0.25, 0.5, 1.0, 2.7, 5.0, 60.0, 86_400.0]))
+    # a link must carry a finite number of chunks a step
+    wire_bits = 8 * (4 + math.ceil(file_size / decode_threshold))
+    transfer_rate = draw(positive.filter(lambda r: math.isfinite(r / wire_bits * dt)))
     # "" and "none" read back as no graph file
     graph_file = draw(st.none() | text.filter(lambda s: s and s.lower() != "none"))
     return ExperimentConfig(
         rows=rows, cols=cols, block_len=block_len,
         main_cols=sorted(draw(st.sets(st.integers(0, cols - 1)))), graph_file=graph_file,
         n_vehicles=draw(count), seed_rate=draw(unit), n_chunks=n_chunks,
-        decode_threshold=draw(st.integers(1, n_chunks)), file_size=draw(count),
-        transfer_rate=draw(positive), comm_range=draw(positive),
+        decode_threshold=decode_threshold, file_size=file_size,
+        transfer_rate=transfer_rate, comm_range=draw(positive),
         parked_exchange=draw(st.booleans()), share_bandwidth=draw(st.booleans()),
         mean_trips=draw(st.just(0.0) | positive), max_trip_dist=draw(positive),
         speed=draw(positive), routing_policy=draw(st.sampled_from(ROUTING_POLICIES)),
@@ -395,3 +401,52 @@ def test_live_mask_keeps_exactly_the_contacts_with_a_live_end(case):
         assert np.array_equal(got, every)
     elif kind == "collide":
         assert len(got) == 0  # the far rows' own contacts have no live end
+
+
+@st.composite
+def exchange_cases(draw):
+    """Two stores' masks over 1 to 500 chunks (random, full, empty, or b the
+    same as a), each direction's budget (0, 1, its surplus, above it,
+    around 74, the default link's chunks a tick, or anything up to
+    n_chunks + 2) and a generator seed."""
+    n = draw(st.integers(1, 500))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def mask(kind):
+        if kind == "random":
+            return rng.random(n) < draw(st.sampled_from([0.01, 0.3, 0.5, 0.9, 0.99]))
+        return np.full(n, kind == "full")
+
+    kinds = st.sampled_from(["random", "random", "full", "empty"])
+    mask_a = mask(draw(kinds))
+    mask_b = mask_a.copy() if draw(st.booleans()) and draw(st.booleans()) else mask(draw(kinds))
+
+    def budget(surplus):
+        return draw(st.one_of(st.just(0), st.just(1), st.just(surplus),
+                              st.integers(surplus + 1, surplus + 80), st.integers(70, 78),
+                              st.integers(0, n + 2)))
+
+    budgets = budget(int((mask_a & ~mask_b).sum())), budget(int((mask_b & ~mask_a).sum()))
+    return mask_a, mask_b, budgets, draw(st.integers(0, 2**63))
+
+
+@settings(max_examples=400, deadline=None)
+@given(exchange_cases())
+def test_exchange_matches_its_frozen_reference(case):
+    mask_a, mask_b, budgets, seed = case
+    ends = []
+    for kernel in (exchange, reference_exchange):
+        a, b = ChunkStore(len(mask_a)), ChunkStore(len(mask_b))
+        for store, mask in ((a, mask_a), (b, mask_b)):
+            store.mask[:] = mask
+            store.count = int(mask.sum())
+        rng = np.random.default_rng(seed)
+        sent = kernel(a, b, *budgets, rng)
+        assert a.count == a.mask.sum() and b.count == b.mask.sum()
+        ends.append((sent, a, b, rng.bit_generator.state))
+    (sent, a, b, state), (ref_sent, ref_a, ref_b, ref_state) = ends
+    for got, want in zip(sent, ref_sent):
+        assert got.dtype.kind == "i" and np.array_equal(got, want)
+    assert np.array_equal(a.mask, ref_a.mask) and np.array_equal(b.mask, ref_b.mask)
+    assert (a.count, b.count) == (ref_a.count, ref_b.count)
+    assert state == ref_state
