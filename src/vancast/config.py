@@ -10,8 +10,10 @@ import hashlib
 import math
 from dataclasses import dataclass, field, fields, replace
 
+import numpy as np
+
 from vancast.mobility import DAY_LEN, ROUTING_POLICIES
-from vancast.roadnet import check_block_len, float_text
+from vancast.roadnet import check_grid, float_text
 
 
 @dataclass
@@ -95,6 +97,11 @@ class ExperimentConfig:
                              f"dt = {float_text(self.dt)} s is not a finite number of "
                              f"chunks a step")
         positive("mean_trips", allow_zero=True)
+        try:  # a throwaway generator: numpy checks the mean before it draws
+            np.random.default_rng(0).poisson(self.mean_trips, size=0)
+        except ValueError:
+            raise ValueError(f"mean_trips = {float_text(self.mean_trips)} is too large for "
+                             f"numpy's Poisson draw of a vehicle's trips a day") from None
         positive("sim_duration", allow_zero=True)
         if self.decode_threshold > self.n_chunks:
             raise ValueError(
@@ -111,7 +118,7 @@ class ExperimentConfig:
                 f"got {self.routing_policy!r}"
             )
         if self.graph_file is None:
-            check_block_len(self.rows, self.cols, self.block_len)
+            check_grid(self.rows, self.cols, self.block_len)
             for c in self.main_cols:
                 if not (0 <= c < self.cols):
                     raise ValueError(f"main column {c} outside 0..{self.cols - 1}")

@@ -232,9 +232,11 @@ def exchange(
     sent, a -> b first.  Both directions see the pre-exchange stores (b
     gets only a's chunks), so nothing received is re-offered back.
     Returns the ids sent a -> b and b -> a, each a sorted int array.  A
-    direction costs one ``rng.choice`` if its surplus exceeds its budget,
-    after one comparison and one ``nonzero``, and with no budget, an
-    empty giver or a full receiver, no pass at all.
+    direction finds its surplus with one comparison and one ``nonzero``
+    and, if the surplus exceeds its budget, draws: a 1- or 2-chunk pick
+    takes 1 or 3 ``rng.integers`` draws, the same draws ``rng.choice``
+    makes (:func:`_pick`), and a larger pick calls ``rng.choice``.  With
+    no budget, an empty giver or a full receiver it makes no pass at all.
     """
     if budget_ab < 0 or budget_ba < 0:
         raise ValueError("budgets must be >= 0")
@@ -253,12 +255,40 @@ def _send(giver: ChunkStore, receiver: ChunkStore, budget: int, rng: np.random.G
         return _NOTHING
     ids = (giver.mask > receiver.mask).nonzero()[0]  # giver & ~receiver
     if len(ids) > budget:
-        ids = rng.choice(ids, size=budget, replace=False)
-        ids.sort()
+        if budget <= 2:
+            ids = _pick(ids, budget, rng)
+        else:
+            ids = rng.choice(ids, size=budget, replace=False)
+            ids.sort()
     if len(ids):
         receiver.mask[ids] = True
         receiver.count += len(ids)
     return ids
+
+
+def _pick(ids, k: int, rng: np.random.Generator):
+    """k = 1 or 2 of ids (k < len(ids)), sorted: the picks of ``rng.choice(ids,
+    size=k, replace=False)``, made with the same draws, so rng ends in the
+    same state (pinned by ``tests/test_engine.py::test_pick_makes_the_draws_of_choice``).
+
+    ``choice`` runs Floyd's algorithm (Bentley and Floyd, CACM 1987) for so
+    few picks: one bounded integer on [0, j] for each j from n - k to
+    n - 1, where a value already picked gives way to j, then one draw to
+    shuffle the picks, whose order the sort drops.  By hand that is 1 draw
+    for one chunk and 3 for two, far cheaper than a ``choice`` call; from
+    three chunks on, the 2k - 1 scalar draws and Floyd's set of picks cost
+    more than ``choice`` does.
+    """
+    n = len(ids)
+    if k == 1:
+        i = rng.integers(n)
+        return ids[i:i + 1]
+    i, j = rng.integers(n - 1), rng.integers(n)
+    rng.integers(2)  # choice's shuffle of the pair
+    if j == i:
+        j = n - 1
+    lo, hi = (i, j) if i < j else (j, i)
+    return ids[lo:hi + 1:hi - lo]  # ids[lo] and ids[hi], one view
 
 
 def provision_seeds(

@@ -339,11 +339,14 @@ def check_road_sums(g: RoadGraph, name: str):
                          f"to {MAX_FACTOR:g} times over: road sums could overflow")
 
 
-def check_block_len(rows: int, cols: int, block_len: float):
-    """ValueError naming block_len unless it is positive and every road
-    sum a search can form on a rows x cols grid stays finite.  That bounds
-    the grid's farthest coordinate too, as its blocks' total length is
-    at least ``(max(rows, cols) - 1) * block_len``."""
+def check_grid(rows: int, cols: int, block_len: float):
+    """ValueError naming rows and cols for a 1x1 grid, which has no edges,
+    and naming block_len unless it is positive and every road sum a search
+    can form on a rows x cols grid stays finite.  That bounds the grid's
+    farthest coordinate too, as its blocks' total length is at least
+    ``(max(rows, cols) - 1) * block_len``."""
+    if rows == cols == 1:
+        raise ValueError("rows = cols = 1 is a 1x1 grid, which has no edges")
     n_edges = rows * (cols - 1) + (rows - 1) * cols
     if not (block_len > 0 and _sums_finite(n_edges * block_len, rows * cols)):
         raise ValueError(f"block_len must be positive and finite, as must {MAX_FACTOR:g} times "
@@ -366,9 +369,7 @@ def generate_manhattan_grid(
     """
     if rows < 1 or cols < 1:
         raise ValueError(f"grid needs rows, cols >= 1, got {rows}x{cols}")
-    if rows == 1 and cols == 1:
-        raise ValueError("a 1x1 grid has no edges")
-    check_block_len(rows, cols, block_len)
+    check_grid(rows, cols, block_len)
     main_set = set(main_cols or [])
     for c in main_set:
         if not (0 <= c < cols):

@@ -111,6 +111,23 @@ def test_validate_rejects_bad_values(field, value):
         cfg.validate()
 
 
+def test_validate_refuses_a_1x1_grid_by_name():
+    cfg = ExperimentConfig(rows=1, cols=1, main_cols=[])
+    with pytest.raises(ValueError, match="^rows = cols = 1 is a 1x1 grid, which has no edges"):
+        cfg.validate()
+    cfg.cols = 2
+    cfg.validate()
+
+
+def test_validate_refuses_a_mean_trips_numpy_cannot_draw():
+    # numpy refuses a Poisson mean above about 9.22e18 before drawing
+    cfg = ExperimentConfig(mean_trips=1e19)
+    with pytest.raises(ValueError, match="^mean_trips = 1e\\+19 is too large"):
+        cfg.validate()
+    cfg.mean_trips = 1e18
+    cfg.validate()
+
+
 FLOAT_FIELDS = [f.name for f in fields(ExperimentConfig) if f.type == "float"]
 
 
@@ -471,6 +488,32 @@ def test_cli_sweep_refuses_a_block_len_whose_road_sums_overflow_before_any_run(t
     assert code == 2
     assert "block_len" in capsys.readouterr().err
     assert not out.exists()  # not even the CSV of block_len = 100
+
+
+# Each was refused only when the run used it: the 1x1 grid by the grid
+# builder, with a message naming no key, the mean by numpy's Poisson draw.
+UNRUNNABLE = [("rows", "1", ["cols=1", "main_cols=none"]), ("mean_trips", "1e19", [])]
+
+
+@pytest.mark.parametrize("key,bad,pairs", UNRUNNABLE)
+def test_cli_run_refuses_a_value_it_cannot_run_by_name(tmp_path, capsys, key, bad, pairs):
+    sets = [f"{key}={bad}", *pairs, "n_vehicles=5", "sim_duration=60"]
+    code = main(["run", *(arg for pair in sets for arg in ("--set", pair)),
+                 "--out", str(tmp_path / "o"), "--quiet"])
+    assert code == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("key,bad,pairs", UNRUNNABLE)
+def test_cli_sweep_refuses_a_value_it_cannot_run_before_any_run(tmp_path, capsys, key, bad, pairs):
+    out = tmp_path / "sweep"
+    sets = [*pairs, "n_vehicles=5", "sim_duration=60"]
+    code = main(["sweep", "--param", key, "--values", f"2,{bad}", "--replicates", "1",
+                 *(arg for pair in sets for arg in ("--set", pair)), "--out", str(out), "--quiet"])
+    assert code == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()  # not even the CSV of the first value, 2
 
 
 def test_cli_run_refuses_a_graph_file_whose_road_sums_overflow(tmp_path, capsys):

@@ -10,6 +10,7 @@ from vancast.config import ExperimentConfig
 from vancast.engine import (
     ChunkStore,
     Metrics,
+    _pick,
     detect_contacts,
     exchange,
     init_sim,
@@ -346,6 +347,22 @@ def test_exchange_zero_budget_and_errors():
         exchange(a, b, -1, 0, rng)
     with pytest.raises(ValueError):
         exchange(a, ChunkStore(6), 1, 1, rng)
+
+
+# n: k + 1, the least surplus that draws; small surpluses; either side of
+# choice's tail-shuffle cutoff (n > 10,000, and only for k > n // 50); and
+# either side of 2**32, where bounded draws go from 32- to 64-bit words
+# (n = 2**32 takes a raw 32-bit word).
+@pytest.mark.parametrize("n", [None, 3, 50, 99, 100, 10_000, 10_001,
+                               2**32 - 1, 2**32, 2**32 + 1, 2**40])
+@pytest.mark.parametrize("k", [1, 2])
+def test_pick_makes_the_draws_of_choice(k, n):
+    n = n or k + 1
+    for seed in range(200):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = _pick(range(n), k, rng)  # a range slices like ids, at any n
+        assert list(got) == np.sort(ref.choice(n, k, replace=False)).tolist()
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_exchange_conservation_property():

@@ -42,7 +42,8 @@ text = st.text(st.characters(exclude_characters="#", exclude_categories=("Cc", "
 
 @st.composite
 def configs(draw):
-    rows, cols = draw(st.integers(1, 30)), draw(st.integers(1, 30))
+    rows = draw(st.integers(1, 30))
+    cols = draw(st.integers(1 if rows > 1 else 2, 30))  # a 1x1 grid has no edges
     # 3 times the grid's total block length, the most a route may weigh,
     # must be finite too, with 4 n eps to spare for rounding
     blocks = rows * (cols - 1) + (rows - 1) * cols
@@ -64,7 +65,8 @@ def configs(draw):
         decode_threshold=decode_threshold, file_size=file_size,
         transfer_rate=transfer_rate, comm_range=draw(positive),
         parked_exchange=draw(st.booleans()), share_bandwidth=draw(st.booleans()),
-        mean_trips=draw(st.just(0.0) | positive), max_trip_dist=draw(positive),
+        # numpy's Poisson draw refuses a mean past about 9.22e18
+        mean_trips=draw(st.floats(0.0, 9e18)), max_trip_dist=draw(positive),
         speed=draw(positive), routing_policy=draw(st.sampled_from(ROUTING_POLICIES)),
         main_road_fraction=draw(unit), dt=dt,
         sim_duration=draw(st.integers(0, 10**7)) * dt,
@@ -406,7 +408,7 @@ def test_live_mask_keeps_exactly_the_contacts_with_a_live_end(case):
 @st.composite
 def exchange_cases(draw):
     """Two stores' masks over 1 to 500 chunks (random, full, empty, or b the
-    same as a), each direction's budget (0, 1, its surplus, above it,
+    same as a), each direction's budget (0, 1, 2, 3, its surplus, above it,
     around 74, the default link's chunks a tick, or anything up to
     n_chunks + 2) and a generator seed."""
     n = draw(st.integers(1, 500))
@@ -422,7 +424,7 @@ def exchange_cases(draw):
     mask_b = mask_a.copy() if draw(st.booleans()) and draw(st.booleans()) else mask(draw(kinds))
 
     def budget(surplus):
-        return draw(st.one_of(st.just(0), st.just(1), st.just(surplus),
+        return draw(st.one_of(st.just(0), st.just(1), st.just(2), st.just(3), st.just(surplus),
                               st.integers(surplus + 1, surplus + 80), st.integers(70, 78),
                               st.integers(0, n + 2)))
 
