@@ -30,7 +30,7 @@ from vancast.config import (
     replicate_seed,
     value_key,
 )
-from vancast.engine import Metrics, run, time_to_fraction, write_metrics_csv
+from vancast.engine import Metrics, prepare_sim, run, time_to_fraction, write_metrics_csv
 from vancast.roadnet import float_text, generate_manhattan_grid, save_road_graph
 
 log = logging.getLogger(__name__)
@@ -67,9 +67,13 @@ def run_sweep(
 
     Each replicate gets its own seed derived from (master_seed, param,
     value, replicate), so cells are statistically independent yet the
-    whole sweep is reproducible from one number.  Every cell's config is
-    validated before the first run, so a bad value fails the sweep before
-    it writes anything.  Returns the per-run records in execution order.
+    whole sweep is reproducible from one number.  Every cell goes through
+    :func:`vancast.engine.prepare_sim`, with its own seed, before the first
+    run: a value that a run's set-up would refuse (say, a ``comm_range``
+    whose radio cells cannot be indexed, main-road trips on a graph with
+    none, or a ``max_trip_dist`` that leaves a home no destination) fails
+    the sweep before it writes anything.  Returns the per-run records in
+    execution order.
     """
     out = out_dir if out_dir is not None else cfg.out_dir
     cells = []
@@ -77,7 +81,7 @@ def run_sweep(
         for rep in range(cfg.replicates):
             seed = replicate_seed(cfg.master_seed, spec.param, value, rep)
             cell = replace(cfg, **{spec.param: value}, master_seed=seed)
-            cell.validate()
+            prepare_sim(cell)
             cells.append((value, rep, seed, cell))
     os.makedirs(out, exist_ok=True)
     runs: list[SweepRun] = []

@@ -516,6 +516,28 @@ def test_cli_sweep_refuses_a_value_it_cannot_run_before_any_run(tmp_path, capsys
     assert not out.exists()  # not even the CSV of the first value, 2
 
 
+# Each passes validate and is refused by the run's set-up: radio cells too
+# small to index, main-road trips without main roads, a home with no
+# destination in reach.  The first value of each sweep runs.
+SET_UP_REFUSALS = [
+    ("comm_range", "100,1e-20", ["parked_exchange=true", "n_vehicles=60", "mean_trips=10",
+                                 "sim_duration=7200", "seed_rate=0.2"]),
+    ("main_road_fraction", "0,0.5", ["main_cols=none", "n_vehicles=5", "sim_duration=60"]),
+    ("max_trip_dist", "10000,1", ["n_vehicles=5", "sim_duration=60"]),
+]
+
+
+@pytest.mark.parametrize("key,values,pairs", SET_UP_REFUSALS)
+def test_cli_sweep_refuses_a_value_its_set_up_refuses_before_any_run(tmp_path, capsys, key,
+                                                                     values, pairs):
+    out = tmp_path / "sweep"
+    code = main(["sweep", "--param", key, "--values", values, "--replicates", "1",
+                 *(arg for pair in pairs for arg in ("--set", pair)), "--out", str(out), "--quiet"])
+    assert code == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()  # not even the CSV of the first value
+
+
 def test_cli_run_refuses_a_graph_file_whose_road_sums_overflow(tmp_path, capsys):
     # one road of 1e308 m between nodes 100 m apart: a trip that weighs it
     # more than 1.8 times over would find no path

@@ -220,6 +220,23 @@ def test_contacts_with_a_live_mask_keep_a_diagonal_pair_on_a_tall_grid(far_y):
     assert pairs(detect_contacts(rows, 100.0, ~live)) == [(0, 1)]
 
 
+@pytest.mark.parametrize("live", [None, np.array([True, False]), np.array([False, True])])
+def test_contacts_keep_two_rows_alone_in_diagonal_cells(live):
+    # cells (0, 0) and (1, 1) of a 4-cell-tall box: keys exactly ny + 1 apart
+    rows = rows_at({0: (90.0, 90.0), 1: (110.0, 110.0)}, tick=3)
+    assert detect_contacts(rows, 100.0, live).tolist() == [[3, 0, 1]]
+
+
+@pytest.mark.parametrize("live", [None, np.ones(4, dtype=bool)])
+def test_contacts_of_rows_all_alone_are_empty(live):
+    # no row has another within a cell at its tick: each is pruned before the search
+    rows = np.array([(0, 0, 0.0, 0.0), (0, 1, 250.0, 250.0), (1, 2, 0.0, 250.0),
+                     (2, 3, 0.0, 0.0)])
+    contacts = detect_contacts(rows, 100.0, live)
+    assert contacts.shape == (0, 3)
+    assert contacts.dtype == np.int64
+
+
 @pytest.mark.parametrize("bad", [np.ones(3, dtype=np.int64), np.ones(3),
                                  np.ones((3, 1), dtype=bool), np.bool_(True)])
 def test_contacts_refuse_a_live_mask_that_is_not_1d_bool(bad):
