@@ -182,9 +182,10 @@ def _cmd_run(args) -> int:
     write_metrics_csv(state.metrics, cfg.n_vehicles, csv_path)
     n = cfg.n_vehicles
     done = state.completed_count
+    end = cfg.steps(cfg.sim_duration, "sim_duration") * cfg.dt  # a settled run stops sooner
     print(
         f"completed {done}/{n} vehicles ({100.0 * done / n:.1f}%) "
-        f"in {float_text(state.clock)} s"
+        f"in {float_text(end)} s"
     )
     for frac, hours in milestone_hours(state.metrics, n).items():
         pct = int(round(frac * 100))

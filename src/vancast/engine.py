@@ -2,11 +2,18 @@
 
 Time runs in whole steps (ticks): the clock is ``tick * cfg.dt``, never
 a running sum.  Motion never depends on chunks, so at each day's first
-tick the engine draws the day's trips and has
-:func:`vancast.mobility.lay_out_day` lay them out as the day's
-:class:`vancast.mobility.Timetable`, which then answers every question
-about motion.  Trips due after its last step are drawn, so the random
-stream is the same, but never routed.
+tick the engine draws the whole day's trips, and
+:func:`vancast.mobility.lay_out_day` lays them out a window at a time as
+a :class:`vancast.mobility.Timetable`, which then answers every question
+about motion.  Day 0 is one window, laid out in :func:`init_sim`; a
+later day's windows hold about ``WINDOW_TRIPS`` trips each.  A trip is
+routed when its window is laid out: one due in a later window keeps the
+generator's position before its route's draws and is routed from there,
+to the route it would have had, and one due after the run is never
+routed.  So the random stream is the same, draw for draw, however the
+days are split.  Once every store is full no later tick can change a
+store, a stamp or a sample, so ``run`` stops at the end of the window it
+is in and routes nothing after it.
 
 ``step(state, n)`` simulates n ticks in one pass: it reads the span's
 radio rows off the timetable, finds the span's radio contacts in one
@@ -28,10 +35,10 @@ a span ends at the last tick that keeps it within ``SPAN_ROWS`` rows
 (at least one tick, never past the timetable's end), counted exactly
 off the timetable.  That pays a step's fixed cost once for many sparse
 ticks while keeping a dense span's per-row arrays in cache.  ``run``
-lays out the next day when the timetable is used up, and builds the
-completion samples once, from the stamps.  All randomness flows
-through one generator, so a (config, seed) pair reproduces a run bit
-for bit.
+lays out the next window or day when the timetable is used up, unless
+the run has settled, and builds the completion samples once, from the
+stamps.  All randomness flows through one generator, so a (config,
+seed) pair reproduces a run bit for bit.
 """
 
 from __future__ import annotations
@@ -44,7 +51,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from vancast.config import ExperimentConfig
-from vancast.mobility import DAY_LEN, ScheduleError, Timetable, assign_trips, lay_out_day
+from vancast.mobility import (DAY_LEN, ScheduleError, Timetable, assign_trips, deferred_router,
+                              due_by, lay_out_day)
 from vancast.roadnet import (RoadGraph, check_road_sums, float_text, generate_manhattan_grid,
                              load_road_graph)
 
@@ -55,6 +63,14 @@ from vancast.roadnet import (RoadGraph, check_road_sums, float_text, generate_ma
 # spans; its per-row arrays must stay in cache, so dense ticks get short
 # ones.  A span still holds at least one tick, however many rows it has.
 SPAN_ROWS = 16_000
+
+# Trips that one layout window holds, in expectation, from day 1 on: a
+# window lasts DAY_LEN * WINDOW_TRIPS / (n_vehicles * mean_trips) seconds,
+# at least a tick, at most the rest of the day.  A run that settles stops
+# at the end of its window, so the trips after it are never routed; a
+# window has a fixed cost (a pass over every vehicle's schedule), so it
+# holds many trips.
+WINDOW_TRIPS = 2_048
 
 
 class ChunkStore:
@@ -377,12 +393,13 @@ def write_metrics_csv(metrics: Metrics, n_vehicles: int, path: str):
 class SimState:
     """Everything a running simulation owns; the day is ``tick // (DAY_LEN / dt)``,
     and ``metrics`` stays empty until :func:`run` samples the finished run.
-    A store's ``completed_at`` is the one record of its vehicle's completion."""
+    A store's ``completed_at`` is the one record of its vehicle's completion.
+    ``day`` is the timetable of the window that ends at ``day.end``."""
 
     cfg: ExperimentConfig
     graph: RoadGraph
     rng: np.random.Generator
-    day: Timetable  # the day's motion; its rest nodes start the next day
+    day: Timetable  # the window's motion; its rest nodes start the next one
     stores: list[ChunkStore]
     seeds: list[int]
     metrics: Metrics
@@ -400,6 +417,12 @@ class SimState:
         """Vehicles whose store is stamped complete, seeds included."""
         return sum(s.completed_at is not None for s in self.stores)
 
+    @property
+    def settled(self) -> bool:
+        """Every store holds every chunk: no later tick can change a store,
+        a stamp or a sample."""
+        return all(s.count == self.cfg.n_chunks for s in self.stores)
+
 
 def build_graph(cfg: ExperimentConfig) -> RoadGraph:
     if cfg.graph_file:
@@ -409,26 +432,49 @@ def build_graph(cfg: ExperimentConfig) -> RoadGraph:
     return generate_manhattan_grid(cfg.rows, cfg.cols, cfg.block_len, cfg.main_cols)
 
 
+def _window_end(cfg: ExperimentConfig, start: int) -> int:
+    """The end tick of the layout window that starts at tick start: the
+    day's end (or the run's, if sooner) on day 0, else after about
+    ``WINDOW_TRIPS`` of the fleet's trips (see there)."""
+    per_day = cfg.steps(DAY_LEN, "one day")
+    day_end = min((start // per_day + 1) * per_day, cfg.steps(cfg.sim_duration, "sim_duration"))
+    if start < per_day or not cfg.mean_trips:
+        return day_end
+    ticks = per_day * WINDOW_TRIPS / (cfg.n_vehicles * cfg.mean_trips)
+    return day_end if ticks >= day_end - start else start + max(1, math.ceil(ticks))
+
+
+def _lay_out(state: SimState, schedules: list | None, end: int, route=None) -> None:
+    """Lay out ticks ``state.tick`` to end - 1 after ``state.day`` (see
+    :func:`vancast.mobility.lay_out_day`, whose odometer stops at the run's end)."""
+    cfg = state.cfg
+    state.day = lay_out_day(state.day, schedules, state.tick, end, cfg.dt, cfg.speed,
+                            cfg.parked_exchange, cfg.steps(cfg.sim_duration, "sim_duration"),
+                            route)
+
+
 def _new_day(state: SimState):
-    """Draw the day's trips, then lay them out as its timetable.
+    """Draw the day's trips, then lay out its first window.
 
-    The day's first tick is ``state.tick``; its timetable ends at the next
-    day's first tick, or at the run's end if sooner.  Every vehicle starts
-    the day where the old timetable leaves it (``state.day.rest``): its
-    parked node, or the destination of a drive still on the road, which
-    carries over into the new timetable.  Day 0 starts with every vehicle
-    parked at home.
+    The day's first tick is ``state.tick``.  Day 0's window is the whole
+    day (or the run, if shorter), so its routing is set-up work; a later
+    day's first window holds about ``WINDOW_TRIPS`` of its trips
+    (:func:`_window_end`).  Every vehicle starts the day where the old
+    timetable leaves it (``state.day.rest``): its parked node, or the
+    destination of a drive still on the road, which carries over into the
+    new timetable.  Trips the old timetable left pending are dropped.  Day
+    0 starts with every vehicle parked at home.
 
-    Every trip of the day is drawn, but only those due by ``until =
-    (end - 1) * dt + dt`` are routed, for the timetable's end tick end:
-    the step at tick k departs trips due by ``k * dt + dt``, a bound that
-    grows with k, so a later trip could depart no sooner than end, and
-    :func:`vancast.mobility.lay_out_day` would drop it.  The draws stay
-    the same.
+    Every trip of the day is drawn, but only those due by the window's
+    end (:func:`vancast.mobility.due_by`) are routed.  Later ones due by
+    the day's end are deferred, for :func:`_next_window` to route, and the
+    rest, which could only depart after the run, are dropped.  The draws
+    stay the same.
     """
     cfg, start = state.cfg, state.tick
     per_day = cfg.steps(DAY_LEN, "one day")
-    end = min(start + per_day, cfg.steps(cfg.sim_duration, "sim_duration"))
+    day_end = min(start + per_day, cfg.steps(cfg.sim_duration, "sim_duration"))
+    end = _window_end(cfg, start)
     schedules = assign_trips(
         state.graph,
         state.day.rest,
@@ -438,10 +484,19 @@ def _new_day(state: SimState):
         day_start=(start // per_day) * DAY_LEN,
         policy=cfg.routing_policy,
         main_road_fraction=cfg.main_road_fraction,
-        until=(end - 1) * cfg.dt + cfg.dt,
+        until=due_by(end, cfg.dt),
+        drop_after=due_by(day_end, cfg.dt),
     )
-    state.day = lay_out_day(state.day, schedules, start, end, cfg.dt, cfg.speed,
-                            cfg.parked_exchange)
+    _lay_out(state, schedules, end)
+
+
+def _next_window(state: SimState):
+    """Lay out the day's next window, which starts at ``state.tick``: the
+    trips the last window left pending, deferred ones routed as they are
+    laid out (:func:`vancast.mobility.deferred_router`), none drawn afresh
+    and no draw of ``state.rng`` made."""
+    _lay_out(state, None, _window_end(state.cfg, state.tick),
+             deferred_router(state.graph, state.rng))
 
 
 def init_sim(cfg: ExperimentConfig) -> SimState:
@@ -503,7 +558,7 @@ def step(state: SimState, n_ticks: int = 1) -> None:
     again on the next tick at the earliest.
 
     Motion never depends on chunks, so the span's radio rows are read off
-    the day's timetable (:meth:`vancast.mobility.Timetable.radio_rows`),
+    the window's timetable (:meth:`vancast.mobility.Timetable.radio_rows`),
     contacts come from one :func:`detect_contacts` call, and
     :func:`exchange` then runs in (tick, a, b) order, with the same floats
     and draws as n_ticks single steps.  A contact whose two stores both
@@ -518,7 +573,7 @@ def step(state: SimState, n_ticks: int = 1) -> None:
     empty stores, though their link budget still accrues.  A pair's link
     budget carries over only to the next tick.  The timetable refuses a
     span past its end, ``state.day.end``, before the clock moves; ``run``
-    lays out the next day when a span reaches it.
+    lays out the next window or day when a span reaches it.
     """
     if n_ticks < 1:
         raise ValueError(f"n_ticks must be >= 1, got {n_ticks}")
@@ -571,18 +626,29 @@ def step(state: SimState, n_ticks: int = 1) -> None:
 
 
 def run(cfg: ExperimentConfig) -> SimState:
-    """Run sim_duration / dt steps and return the final state.
+    """Run sim_duration / dt steps, or until the run settles, and return
+    the final state.
 
     Steps are taken in spans sized by their radio rows: each ends at the
     last tick that keeps its rows within ``SPAN_ROWS``, counted exactly
     off the timetable (:meth:`vancast.mobility.Timetable.span_end`), but
     takes at least one tick and never runs past the timetable's end.
     The split does not change the results.  When a span reaches the end
-    before the run's end, the next day's trips are drawn afresh and laid
-    out (vehicles keep their location across days, and drives on the road
-    at midnight carry on into the new timetable).  The RNG order is that
-    of single steps: a day's trips at its first tick, then exchange draws
-    in (tick, a, b) order.  The completion count is sampled every
+    before the run's end, the run stops if it has settled
+    (:attr:`SimState.settled`).  Otherwise the day's next window is laid
+    out (:func:`_next_window`), or, at midnight, the next day's trips are
+    drawn afresh and its first window laid out (:func:`_new_day`):
+    vehicles keep their location across windows and days, and drives on
+    the road carry on into the new timetable.  Neither the window split
+    nor the stop changes the results.  The RNG order is that of single
+    steps: a day's trips at its first tick, then exchange draws in (tick,
+    a, b) order; a deferred trip's route is drawn from a scratch copy.
+
+    A run that settles returns early: ``tick`` is the end of the last
+    window laid out (``day``, whose ``end`` it is), and ``rng`` has made
+    the draws of the days begun and of every exchange up to that tick.
+    Its stores, stamps and samples are those of the full run, which
+    would make only more draws.  The completion count is sampled every
     sample_interval / dt steps from tick 0 and after the last step, all at
     once from the stores' stamps: a sample at tick t counts the stamps at
     or before ``t * dt``.  A stamp is ``k * dt`` for a whole k too, and
@@ -591,9 +657,12 @@ def run(cfg: ExperimentConfig) -> SimState:
     state = init_sim(cfg)
     n_steps = cfg.steps(cfg.sim_duration, "sim_duration")
     per_sample = cfg.steps(cfg.sample_interval, "sample_interval")
+    per_day = cfg.steps(DAY_LEN, "one day")
     while state.tick < n_steps:
         if state.tick == state.day.end:
-            _new_day(state)
+            if state.settled:
+                break
+            (_next_window if state.tick % per_day else _new_day)(state)
         step(state, state.day.span_end(state.tick, SPAN_ROWS) - state.tick)
     stamps = sorted(s.completed_at for s in state.stores if s.completed_at is not None)
     state.metrics.samples = [(t * cfg.dt, bisect.bisect_right(stamps, t * cfg.dt))

@@ -9,10 +9,15 @@ piecewise linear at a single constant speed.
 
 Time runs in whole steps (ticks) of dt seconds.  Vehicles drive their
 trips whatever chunks they carry, so a day's motion is fixed once its
-trips are drawn, and :func:`lay_out_day` lays it out once, at the day's
-first tick, as a :class:`Timetable` of drives and stays; it states the
-rules for departures, drives carried over from the previous day and
-trips dropped at the timetable's end.  The timetable answers the
+trips are drawn.  :func:`assign_trips` draws a whole day at its first
+tick but routes only the trips due by a given time; each later one is
+kept as a :class:`DeferredTrip`, with the generator's position before
+its route's draws.  :func:`lay_out_day` lays out a window of ticks, a
+whole day or part of one, as a :class:`Timetable` of drives and stays;
+it routes a deferred trip (:func:`deferred_router`) only when it lays
+the trip out, to the route an eager draw gives.  It states the rules
+for departures, drives carried over from the previous window, and trips
+left pending at the timetable's end.  The timetable answers the
 engine's three questions about motion: the radio rows of a span of ticks
 (:meth:`Timetable.radio_rows`, placed by :func:`trace_legs` at
 :func:`odometer` distances), the vehicles those rows belong to
@@ -31,9 +36,10 @@ from __future__ import annotations
 import bisect
 import math
 from array import array
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,24 +72,45 @@ class Trip:
     route: Route
 
 
+class DeferredTrip(NamedTuple):
+    """A drawn trip not routed yet.  Under the random policy ``draws`` is
+    the generator's position just before the trip's edge factors were
+    drawn (:func:`_position`); other policies draw nothing and hold None."""
+
+    depart_time: float
+    src: int
+    dst: int
+    policy: str
+    draws: int | None
+
+
 @dataclass(frozen=True)
 class TripSchedule:
-    """All trips of one vehicle for one day, sorted by departure."""
+    """One vehicle's trips for one day, sorted by departure: the routed
+    ``trips``, then the ``deferred`` ones, routed when they are laid out
+    (:func:`lay_out_day`)."""
 
     vehicle_id: int
     trips: tuple[Trip, ...]
+    deferred: tuple[DeferredTrip, ...] = ()
 
     def __post_init__(self):
-        departs = [t.depart_time for t in self.trips]
+        departs = [t.depart_time for t in self.trips] + [d.depart_time for d in self.deferred]
         if departs != sorted(departs):
             raise ValueError("trips must be sorted by departure time")
-        for prev, nxt in zip(self.trips, self.trips[1:]):
-            if prev.route.dst != nxt.route.src:
-                raise ValueError(
-                    f"vehicle {self.vehicle_id}: trip starting at "
-                    f"{nxt.depart_time:.0f}s does not start where the "
-                    f"previous trip ended"
-                )
+        at = None  # where the previous trip ended
+        for trip in self.trips:
+            if at is not None and trip.route.src != at:
+                raise self._unchained(trip.depart_time)
+            at = trip.route.dst
+        for trip in self.deferred:
+            if at is not None and trip.src != at:
+                raise self._unchained(trip.depart_time)
+            at = trip.dst
+
+    def _unchained(self, depart_time: float) -> ValueError:
+        return ValueError(f"vehicle {self.vehicle_id}: trip starting at {depart_time:.0f}s "
+                          f"does not start where the previous trip ended")
 
 
 @dataclass
@@ -112,13 +139,46 @@ def _pick_destination(
 
 
 def _route_for_policy(
-    g: RoadGraph, src: int, dst: int, policy: str, rng: np.random.Generator
+    g: RoadGraph, src: int, dst: int, policy: str, rng: np.random.Generator | None
 ) -> Route:
     if policy == "shortest":
         return shortest_path(g, src, dst)
     if policy == "random":
         return random_route(g, src, dst, rng)
     return main_road_route(g, src, dst)
+
+
+# PCG64's 128-bit state; a saved position holds it, then the buffered
+# uint32's flag and value above it.
+_STATE_BITS = 128
+_STATE_MASK = (1 << _STATE_BITS) - 1
+
+
+def _position(rng: np.random.Generator) -> int:
+    """rng's PCG64 position, packed in one int: its 128-bit state, then
+    ``has_uint32`` and ``uinteger`` (half of a 64-bit draw that a 32-bit
+    draw left over).  The increment, fixed by the seed, is not kept."""
+    s = rng.bit_generator.state
+    return s["state"]["state"] | (s["has_uint32"] | s["uinteger"] << 1) << _STATE_BITS
+
+
+def _resumer(inc: int) -> Callable[[int], np.random.Generator]:
+    """A function that sets one scratch PCG64 generator, on the stream of
+    increment ``inc``, to a packed position (:func:`_position`) and returns
+    it: the generator then makes the draws the one that was there made."""
+    bits = np.random.PCG64(0)
+    scratch = np.random.Generator(bits)
+    state = bits.state
+    state["state"]["inc"] = inc
+
+    def resume(position: int) -> np.random.Generator:
+        state["state"]["state"] = position & _STATE_MASK
+        state["has_uint32"] = position >> _STATE_BITS & 1
+        state["uinteger"] = position >> _STATE_BITS + 1
+        bits.state = state
+        return scratch
+
+    return resume
 
 
 def assign_trips(
@@ -131,6 +191,7 @@ def assign_trips(
     policy: str = "random",
     main_road_fraction: float = 0.0,
     until: float = math.inf,
+    drop_after: float = math.inf,
 ) -> list[TripSchedule]:
     """Draw one day of trips for every vehicle, vehicle v starting at
     ``start_nodes[v]``; the fleet is one vehicle per start node.
@@ -143,12 +204,18 @@ def assign_trips(
     draw per vehicle) routes every trip over the main roads; the rest
     use ``policy``.
 
-    Only trips with ``depart_time <= until`` are routed and scheduled.
-    A later trip is still drawn: it picks its destination, which is the
-    next trip's origin, and under the random policy draws the edge
-    factors its route would (:func:`route_factors`).  So the generator
-    makes the same draws, and each schedule is the prefix of the one
-    that ``until = inf`` gives.
+    Only trips with ``depart_time <= until`` are routed, into each
+    schedule's ``trips``.  A later trip is still drawn: it picks its
+    destination, which is the next trip's origin, and under the random
+    policy draws the edge factors its route would (:func:`route_factors`).
+    So the generator makes the same draws, and each schedule's ``trips``
+    is the prefix of the one that ``until = inf`` gives.  A later trip
+    due by ``drop_after`` is kept in ``deferred`` as a
+    :class:`DeferredTrip`, with, under the random policy, the generator's
+    position before its factor draws (rng is then a PCG64 generator, as
+    ``np.random.default_rng`` makes), from which :func:`deferred_router`
+    routes it to the route ``until = inf`` gives; one due after
+    ``drop_after`` is dropped.
     """
     if not len(start_nodes):
         raise ValueError("need at least one vehicle, got no start_nodes")
@@ -166,18 +233,40 @@ def assign_trips(
         departs = np.sort(rng.uniform(0.0, DAY_LEN, size=n_trips))
         on_main = main_road_fraction > 0 and rng.random() < main_road_fraction
         trip_policy = "main_road" if on_main else policy
-        trips = []
+        trips, deferred = [], []
         for depart in departs:
             depart_time = float(depart) + day_start
             dst = _pick_destination(g, origin, max_trip_dist, rng)
             if depart_time <= until:
                 trips.append(Trip(depart_time, _route_for_policy(g, origin, dst, trip_policy,
                                                                  rng)))
+            elif depart_time <= drop_after:
+                draws = None
+                if trip_policy == "random":
+                    draws = _position(rng)
+                    route_factors(g, origin, dst, rng)
+                deferred.append(DeferredTrip(depart_time, origin, dst, trip_policy, draws))
             elif trip_policy == "random":
                 route_factors(g, origin, dst, rng)
             origin = dst
-        schedules.append(TripSchedule(vid, tuple(trips)))
+        schedules.append(TripSchedule(vid, tuple(trips), tuple(deferred)))
     return schedules
+
+
+def deferred_router(g: RoadGraph, rng: np.random.Generator) -> Callable[[DeferredTrip], Route]:
+    """A function that routes the deferred trips ``rng`` drew.  It reads
+    rng for its increment but never draws from it: a random-policy trip's
+    factors come from one scratch generator set to the trip's saved
+    position, so the trip gets the route :func:`random_route` would have
+    given it when it was drawn."""
+    resume = _resumer(rng.bit_generator.state["state"]["inc"])
+
+    def route(trip: DeferredTrip) -> Route:
+        if trip.draws is None:
+            return _route_for_policy(g, trip.src, trip.dst, trip.policy, None)
+        return random_route(g, trip.src, trip.dst, resume(trip.draws))
+
+    return route
 
 
 def advance(
@@ -254,6 +343,14 @@ def departure_tick(depart_time: float, dt: float, earliest: int) -> int:
     return k
 
 
+def due_by(end: int, dt: float) -> float:
+    """The latest departure time that a timetable ending at tick end can
+    lay out: the step at tick k departs trips due by ``k * dt + dt``, a
+    bound that grows with k (:func:`departure_tick`), so a trip due later
+    departs at end or later."""
+    return (end - 1) * dt + dt
+
+
 def odometer(step_len: float, n: int) -> np.ndarray:
     """Distance driven 0, 1, ..., n - 1 steps after a departure.
 
@@ -318,14 +415,17 @@ def trace_legs(
 
 @dataclass(eq=False)
 class Timetable:
-    """One day's motion as tick numbers, from tick ``start`` to ``end - 1``.
+    """A window's motion as tick numbers, from tick ``start`` to ``end - 1``.
 
     ``drives`` holds (vehicle, departure tick, arrival tick) rows, driving
     ``routes`` in the same order, and ``stays`` (vehicle, node, first
     tick, end tick) rows, kept only where parked vehicles are on the
     radio; ``odo`` is the distance driven each tick after a departure
     (:func:`odometer`).  ``rest`` is where each vehicle rests after its
-    last drive: the next day's start.  Each drive and each stay yields one
+    last drive: the next window's start.  ``pending[v]`` holds vehicle v's
+    trips of the day not laid out yet, in order: a :class:`Trip` pushed
+    past the end by a late arrival, then the rest, routed or deferred.
+    Each drive and each stay yields one
     radio row a tick.  ``on_air`` holds their first ticks and their end
     ticks, clipped to the timetable and each sorted, then the prefix sums
     of each: worked out once where the timetable is built, 8 bytes an
@@ -340,6 +440,7 @@ class Timetable:
     odo: np.ndarray = field(default_factory=lambda: np.zeros(0))
     start: int = 0
     end: int = 0
+    pending: list[tuple[Trip | DeferredTrip, ...]] = field(default_factory=list, repr=False)
     on_air: tuple[array, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -412,26 +513,45 @@ class Timetable:
         return max(t0 + 1, t0 + bisect.bisect_right(ticks, cap, key=self.rows_before) - 1)
 
 
+def _odometer_to(step_len: float, length: float, most: float) -> np.ndarray:
+    """The :func:`odometer` that reaches ``length``, or ``most`` entries."""
+    odo = odometer(step_len, min(int(length / step_len) + 2, most))
+    while odo[-1] < length and len(odo) < most:  # a running sum may fall short
+        odo = odometer(step_len, min(2 * len(odo), most))
+    return odo
+
+
 def lay_out_day(
     prev: Timetable,
-    schedules: list[TripSchedule],
+    schedules: list[TripSchedule] | None,
     start: int,
     end: int,
     dt: float,
     speed: float,
     parked: bool,
+    horizon: int | None = None,
+    route: Callable[[DeferredTrip], Route] | None = None,
 ) -> Timetable:
-    """The timetable of ticks start to end - 1 that follows ``prev``.
+    """The timetable of ticks start to end - 1 that follows ``prev``: a
+    whole day, or one window of it.
 
-    Vehicle v starts the day at ``prev.rest[v]``, and ``schedules[v]``
-    must be drawn from there.  Each vehicle's trips chain from its last
-    arrival, prev_arrive (start - 1 for a vehicle parked at start): a trip
-    departs at ``departure_tick(depart_time, dt, max(start, prev_arrive +
-    1))`` and arrives ``bisect_left(odo, total_length)`` ticks later.  A
-    drive of ``prev`` that arrives at start or later is still on the
-    road, so it is carried over and the vehicle's trips wait for its
-    arrival.  Trips that would leave at or after end are dropped, and
-    stays kept only if ``parked``.  ``prev`` is left as it was.
+    Vehicle v starts the window at ``prev.rest[v]``, and lays out the
+    trips of ``schedules[v]``, which must be drawn from there, or, with
+    no schedules, the trips ``prev`` left pending.  Each vehicle's trips
+    chain from its last arrival, prev_arrive (start - 1 for a vehicle
+    parked at start): a trip departs at ``departure_tick(depart_time, dt,
+    max(start, prev_arrive + 1))`` and arrives ``bisect_left(odo,
+    total_length)`` ticks later.  A deferred trip is routed by ``route``
+    when it is laid out, and only then.  A drive of ``prev`` that arrives
+    at start or later is still on the road, so it is carried over and the
+    vehicle's trips wait for its arrival.  A trip that would leave at or
+    after end is not laid out, nor are the vehicle's later ones: they are
+    left ``pending``, for the next window to lay out or a new day to drop.
+    Stays are kept only if ``parked``.  ``prev`` is left as it was.
+
+    ``horizon`` is the run's end tick, if known: no tick from it on is
+    ever read, so the odometer stops there, and a drive whose arrival lies
+    past it arrives, in the table, at its last tick or later.
     """
     carried = np.flatnonzero(prev.drives[:, 2] >= start)
     routes = [prev.routes[i] for i in carried.tolist()]
@@ -439,29 +559,40 @@ def lay_out_day(
     arrived = dict(zip(drives[::3], drives[2::3]))  # vehicle -> carried arrival tick
 
     step_len = speed * dt
-    longest = max([r.total_length for r in routes]
-                  + [t.route.total_length for s in schedules for t in s.trips], default=0.0)
-    odo = odometer(step_len, int(longest / step_len) + 2)
-    while odo[-1] < longest:  # a running sum may fall short of the product
-        odo = odometer(step_len, 2 * len(odo))
+    # A drive reads its distances up to the tick before the horizon at
+    # most, and none departs before start or a carried departure.
+    most = math.inf if horizon is None else max(2, horizon - min([start, *drives[1::3]]))
+    odo = _odometer_to(step_len, max([r.total_length for r in routes], default=0.0), most)
     odo_list = odo.tolist()
 
+    queues = prev.pending if schedules is None else [s.trips + s.deferred for s in schedules]
+    last_due = due_by(end, dt)
     rest = list(prev.rest)
     stays: list[int] = []
-    for vid, sched in enumerate(schedules):
+    pending = []
+    for vid, queue in enumerate(queues):
         arrive = arrived.get(vid, start - 1)
-        for trip in sched.trips:
+        n = 0
+        for trip in queue:
+            if trip.depart_time > last_due:
+                break
             dep = departure_tick(trip.depart_time, dt, max(start, arrive + 1))
             if dep >= end:
                 break
             if parked:
                 stays += (vid, rest[vid], max(start, arrive), dep)
-            arrive = dep + bisect.bisect_left(odo_list, trip.route.total_length)
+            path = route(trip) if isinstance(trip, DeferredTrip) else trip.route
+            if path.total_length > odo_list[-1] and len(odo_list) < most:
+                odo = _odometer_to(step_len, path.total_length, most)
+                odo_list = odo.tolist()
+            arrive = dep + bisect.bisect_left(odo_list, path.total_length)
             drives += (vid, dep, arrive)
-            routes.append(trip.route)
-            rest[vid] = trip.route.dst
+            routes.append(path)
+            rest[vid] = path.dst
+            n += 1
+        pending.append(queue[n:])
         if parked:
             stays += (vid, rest[vid], max(start, arrive), end)
     stay_rows = np.array(stays, dtype=np.int64).reshape(-1, 4)
     return Timetable(tuple(rest), np.array(drives, dtype=np.int64).reshape(-1, 3), routes,
-                     stay_rows[stay_rows[:, 3] > stay_rows[:, 2]], odo, start, end)
+                     stay_rows[stay_rows[:, 3] > stay_rows[:, 2]], odo, start, end, pending)

@@ -946,7 +946,8 @@ def test_day_rolls_over_exactly_at_one_day_of_fractional_steps(monkeypatch):
         real(state)
 
     monkeypatch.setattr(engine, "_new_day", spy)
-    cfg = two_parked_vehicles_config(dt=0.1, sim_duration=DAY_LEN + 600.0)
+    # no seed, so no store fills: the run does not settle on day 0
+    cfg = two_parked_vehicles_config(dt=0.1, sim_duration=DAY_LEN + 600.0, seed_rate=0.0)
     state = run(cfg)
     assert state.tick // cfg.steps(DAY_LEN, "one day") == 1
     assert day_starts == [0.0, 86_400.0]
@@ -982,9 +983,11 @@ def test_span_end_counts_rows_off_the_timetable():
 def test_run_results_do_not_depend_on_the_span_split(monkeypatch, tmp_path):
     import vancast.engine as engine
 
+    # a link slow enough that the run does not settle, so every span runs
     cfg = small_traffic_config(n_vehicles=30, mean_trips=60.0, speed=0.5, dt=20.0,
                                sim_duration=86_400.0 + 14_400.0, main_road_fraction=0.5,
-                               parked_exchange=True, share_bandwidth=True, master_seed=0)
+                               parked_exchange=True, share_bandwidth=True, master_seed=0,
+                               transfer_rate=100.0)
     n_steps = cfg.steps(cfg.sim_duration, "sim_duration")
     on_road_at_midnight = []
     real_new_day = engine._new_day
@@ -1012,6 +1015,99 @@ def test_run_results_do_not_depend_on_the_span_split(monkeypatch, tmp_path):
     assert results[1] == results[0] == results[2]
     assert results[0][1] > len(state.seeds)
     assert len(on_road_at_midnight) == 3 and min(on_road_at_midnight) > 0
+
+
+def test_run_results_do_not_depend_on_the_window(monkeypatch, tmp_path):
+    """Day 1 laid out in windows of about a tick, in about 8 h windows (the
+    default) and in one: the same samples, stores, stamps and draws.
+    Slow drives of a backlog of trips cross window ends, trips due in a
+    window leave after it, and trips left pending at midnight are dropped."""
+    import vancast.engine as engine
+    from vancast.mobility import DAY_LEN, due_by
+
+    cfg = small_traffic_config(n_vehicles=30, mean_trips=200.0, speed=0.5, dt=20.0,
+                               sim_duration=DAY_LEN + 40_000.0, parked_exchange=True,
+                               transfer_rate=40.0, master_seed=3)
+    results, windows = [], []
+    for window_trips in (1, engine.WINDOW_TRIPS, 10**9):
+        seen = {"windows": 0, "carried": 0, "pushed": 0, "dropped": 0, "stays": 0}
+        real_new_day, real_next_window = engine._new_day, engine._next_window
+
+        def pending(day):
+            return [queue for queue in day.pending if queue]
+
+        def new_day(state):
+            if state.tick:
+                seen["dropped"] += len(pending(state.day))
+            real_new_day(state)
+
+        def next_window(state):
+            day = state.day
+            seen["windows"] += 1
+            seen["carried"] += int((day.drives[:, 2] > state.tick).sum())
+            seen["stays"] += len(day.stays)
+            due = due_by(day.end, cfg.dt)
+            seen["pushed"] += sum(queue[0].depart_time <= due for queue in pending(day))
+            real_next_window(state)
+
+        with monkeypatch.context() as m:
+            m.setattr(engine, "WINDOW_TRIPS", window_trips)
+            m.setattr(engine, "_new_day", new_day)
+            m.setattr(engine, "_next_window", next_window)
+            state = run(cfg)
+        assert state.tick == cfg.steps(cfg.sim_duration, "sim_duration")
+        path = tmp_path / f"{window_trips}.csv"
+        write_metrics_csv(state.metrics, cfg.n_vehicles, str(path))
+        results.append((path.read_bytes(), outcome(state)))
+        windows.append(seen)
+    assert results[0] == results[1] == results[2]
+    assert results[0][1][1] > len(state.seeds)  # a slow link, but chunks move
+    assert windows[0]["windows"] > windows[1]["windows"] > windows[2]["windows"] == 0
+    for seen in windows[:2]:
+        assert seen["carried"] and seen["pushed"] and seen["dropped"] and seen["stays"]
+
+
+def test_a_settled_run_stops_with_the_results_of_the_full_run(monkeypatch, tmp_path):
+    """Every store is full during day 1 of 3: the run stops at the end of
+    the window it is in, drawing no day 2, with the samples, stores and
+    stamps of the same run forced on to its end."""
+    import vancast.engine as engine
+    from vancast.engine import SimState
+    from vancast.mobility import DAY_LEN
+
+    cfg = small_traffic_config(n_vehicles=100, mean_trips=25.0, dt=10.0,
+                               sim_duration=3 * DAY_LEN, master_seed=5)
+    n_steps, per_day = cfg.steps(cfg.sim_duration, "sim_duration"), cfg.steps(DAY_LEN, "one day")
+    results = []
+    for forced in (False, True):
+        with monkeypatch.context() as m:
+            if forced:
+                m.setattr(SimState, "settled", property(lambda state: False))
+            days = days_drawn(m)
+            state = run(cfg)
+        path = tmp_path / f"{forced}.csv"
+        write_metrics_csv(state.metrics, cfg.n_vehicles, str(path))
+        results.append((path.read_bytes(), [(s.mask.tolist(), s.completed_at)
+                                            for s in state.stores]))
+        if forced:
+            assert state.tick == n_steps and len(days) == 3
+        else:
+            # at the end of day 1's first window, which ends before the day does
+            assert state.settled and state.tick == state.day.end
+            assert state.day.start == per_day and state.tick < 2 * per_day
+            assert len(days) == 2
+    assert results[0] == results[1]
+
+
+def test_a_crawl_lays_out_an_odometer_no_longer_than_the_run():
+    """At 1e-7 m/s a 2 km route is 2e10 steps of odometer; the run reads
+    only a day of them, so no more are laid out, and the drives arrive,
+    in the timetable, after the run's end."""
+    cfg = small_traffic_config(n_vehicles=5, speed=1e-7, sim_duration=86_400.0)
+    state = run(cfg)
+    n_steps = cfg.steps(cfg.sim_duration, "sim_duration")
+    assert state.tick == n_steps and len(state.day.odo) <= n_steps
+    assert len(state.day.drives) and (state.day.drives[:, 2] >= n_steps).all()
 
 
 def test_metrics_csv_writes_times_exactly(tmp_path):

@@ -7,14 +7,18 @@ import pytest
 
 from vancast.mobility import (
     DAY_LEN,
+    DeferredTrip,
     Phase,
     ScheduleError,
     Timetable,
     Trip,
     TripSchedule,
     VehicleState,
+    _position,
+    _resumer,
     advance,
     assign_trips,
+    deferred_router,
     departure_tick,
     lay_out_day,
     odometer,
@@ -147,6 +151,57 @@ def test_assign_trips_argument_validation():
     assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
 
 
+def test_a_deferred_trip_gets_the_route_an_eager_draw_gives():
+    """Drawn with none routed (until = -inf), each trip is routed later
+    from its saved position to the route the eager draw gave it, node for
+    node; the generator ends where the eager draw leaves it, and routing
+    draws nothing from it."""
+    g = make_grid(5, 5, 100.0, [2])
+    starts = homes(g, 30, np.random.default_rng(6))
+    eager_rng, lazy_rng = np.random.default_rng(5), np.random.default_rng(5)
+    eager = assign_trips(g, starts, 6.0, 400.0, eager_rng, main_road_fraction=0.3)
+    lazy = assign_trips(g, starts, 6.0, 400.0, lazy_rng, main_road_fraction=0.3,
+                        until=-math.inf)
+    drawn = eager_rng.bit_generator.state
+    assert lazy_rng.bit_generator.state == drawn
+    route = deferred_router(g, lazy_rng)
+    policies, buffered = set(), 0
+    for e, lz in zip(eager, lazy):
+        assert lz.trips == () and len(lz.deferred) == len(e.trips)
+        for trip, d in zip(e.trips, lz.deferred):
+            got = route(d)
+            assert (got.nodes, got.edge_ids, got.cum_length) == (
+                trip.route.nodes, trip.route.edge_ids, trip.route.cum_length)
+            assert (d.depart_time, d.src, d.dst) == (trip.depart_time, got.src, got.dst)
+            policies.add(d.policy)
+            # saved while the generator held half of a 64-bit draw
+            buffered += d.draws is not None and d.draws >> 128 & 1
+    assert policies == {"random", "main_road"} and buffered
+    assert lazy_rng.bit_generator.state == drawn
+
+
+def test_a_saved_position_resumes_the_draws_with_the_buffered_half():
+    rng = np.random.default_rng(9)
+    rng.integers(10)  # a 32-bit draw keeps the other half of its 64 bits
+    assert rng.bit_generator.state["has_uint32"] == 1
+    position = _position(rng)
+    expect = rng.integers(1000, size=3).tolist() + rng.uniform(size=2).tolist()
+    scratch = _resumer(rng.bit_generator.state["state"]["inc"])(position)
+    assert scratch.integers(1000, size=3).tolist() + scratch.uniform(size=2).tolist() == expect
+
+
+def test_drop_after_keeps_only_the_deferred_trips_due_by_it():
+    g = make_grid()
+    starts = homes(g, 10, np.random.default_rng(1))
+    kept = assign_trips(g, starts, 8.0, 400.0, np.random.default_rng(2), until=30_000.0)
+    cut = assign_trips(g, starts, 8.0, 400.0, np.random.default_rng(2), until=30_000.0,
+                       drop_after=60_000.0)
+    assert [s.trips for s in cut] == [s.trips for s in kept]
+    assert [s.deferred for s in cut] == [
+        tuple(d for d in s.deferred if d.depart_time <= 60_000.0) for s in kept]
+    assert sum(len(s.deferred) for s in cut) < sum(len(s.deferred) for s in kept)
+
+
 def test_schedule_validation():
     g = make_grid()
     r01 = shortest_path(g, 0, 1)
@@ -157,6 +212,15 @@ def test_schedule_validation():
         TripSchedule(0, (Trip(50.0, r01), Trip(10.0, r12)))  # unsorted
     with pytest.raises(ValueError):
         TripSchedule(0, (Trip(10.0, r01), Trip(50.0, r34)))  # broken chain
+    # deferred trips follow the routed ones, in order and chained
+    TripSchedule(0, (Trip(10.0, r01),), (DeferredTrip(50.0, 1, 2, "shortest", None),))
+    with pytest.raises(ValueError, match="sorted"):
+        TripSchedule(0, (Trip(50.0, r01),), (DeferredTrip(10.0, 1, 2, "shortest", None),))
+    with pytest.raises(ValueError, match="trip starting at 50s does not start"):
+        TripSchedule(0, (Trip(10.0, r01),), (DeferredTrip(50.0, 3, 4, "shortest", None),))
+    with pytest.raises(ValueError, match="trip starting at 60s does not start"):
+        TripSchedule(0, (), (DeferredTrip(50.0, 0, 1, "shortest", None),
+                             DeferredTrip(60.0, 3, 4, "shortest", None)))
 
 
 # --- motion -------------------------------------------------------------------
@@ -419,6 +483,32 @@ def test_timetable_refuses_ticks_outside_it():
     with pytest.raises(ValueError, match="timetable"):
         later.radio_rows(g, 3, 8)
     assert later.radio_rows(g, 8, 8).shape == (0, 4)
+
+
+def test_a_horizon_caps_the_odometer_and_changes_no_row_before_it():
+    """At 0.5 m/s, two windows up to a horizon at tick 150: vehicle 0's
+    100 m drive, from tick 0, would arrive at tick 200, so the odometer
+    stops at the horizon and the drive arrives, in the table, no sooner
+    than it; every row before the horizon is the uncapped table's."""
+    g = make_grid(1, 3, 50.0)
+    schedules = [TripSchedule(0, (Trip(0.0, shortest_path(g, 0, 2)),
+                                  Trip(5.0, shortest_path(g, 2, 1)))),
+                 TripSchedule(1, (Trip(30.0, shortest_path(g, 1, 0)),))]
+    layouts = []
+    for horizon in (None, 150):
+        first = lay_out_day(Timetable((0, 1)), schedules, 0, 100, 1.0, 0.5, True, horizon)
+        second = lay_out_day(first, None, 100, 150, 1.0, 0.5, True, horizon)
+        layouts.append((first, second))
+    (full, full_next), (capped, capped_next) = layouts
+    assert len(full.odo) > 200 and len(capped.odo) == 150 and len(capped_next.odo) == 150
+    assert full.drives.tolist() == [[0, 0, 200], [1, 29, 129]]
+    assert capped.drives.tolist() == [[0, 0, 150], [1, 29, 129]]
+    assert capped_next.drives.tolist() == capped.drives.tolist()  # both carried over
+    # vehicle 0's trip due at 5 s waits for the arrival, past both windows
+    assert capped_next.pending == full_next.pending == [schedules[0].trips[1:], ()]
+    for a, b in ((full, capped), (full_next, capped_next)):
+        assert np.array_equal(a.radio_rows(g, a.start, a.end), b.radio_rows(g, b.start, b.end))
+        assert a.stays.tolist() == b.stays.tolist()
 
 
 def two_days(parked):

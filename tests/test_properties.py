@@ -1,7 +1,8 @@
 """Property tests: text formats read back exactly what was written, a
 search stopped at its target walks the same routes as a full one, a
 main-road route is its three legs joined, a departure cutoff routes a
-prefix of the day's trips from the same draws, the GF(256) matrix product
+prefix of the day's trips from the same draws and the rest later to the
+same routes, the GF(256) matrix product
 agrees with the multiplication table, the solve recovers the symbols from
 every fed row or reports their exact rank, and the incremental decoder
 agrees with a from-scratch rank and hands decode the chunks that rebuild
@@ -27,7 +28,7 @@ from test_engine import reference_exchange
 from test_fountain import oracle_rank
 from vancast.fountain import (GF_MUL, DecoderState, RankDeficientError, _solve, decode,
                               encode, gf_matmul, rank)
-from vancast.mobility import DAY_LEN, assign_trips
+from vancast.mobility import DAY_LEN, Trip, assign_trips, deferred_router
 from vancast.roadnet import (Edge, RoadGraph, Route, _walk_route, load_road_graph,
                              main_road_route, save_road_graph)
 
@@ -183,12 +184,13 @@ def test_departure_cutoff_routes_a_prefix_from_the_same_draws(
     g, _ = case
     assume(g.main_nodes)
 
-    def draw(until):
+    def draw(until, drop_after=math.inf):
         rng = np.random.default_rng(seed)
         starts = rng.integers(g.n_nodes, size=n_vehicles).tolist()
         # every node has an edge of at most 1.1, so each origin has a destination
         schedules = assign_trips(g, starts, mean_trips, 2.5, rng, day_start=DAY_LEN,
-                                 policy=policy, main_road_fraction=fraction, until=until)
+                                 policy=policy, main_road_fraction=fraction, until=until,
+                                 drop_after=drop_after)
         return schedules, rng.bit_generator.state
 
     full, stream = draw(math.inf)
@@ -197,12 +199,19 @@ def test_departure_cutoff_routes_a_prefix_from_the_same_draws(
     if departs:  # right at a departure, and one ulp either side of it
         at = departs[pick % len(departs)]
         cutoffs += [at, math.nextafter(at, -math.inf), math.nextafter(at, math.inf)]
+    route = deferred_router(g, np.random.default_rng(seed))
     for until in cutoffs:
         schedules, after = draw(until)
         assert after == stream
         assert [s.vehicle_id for s in schedules] == list(range(n_vehicles))
         assert [s.trips for s in schedules] == [
             tuple(t for t in s.trips if t.depart_time <= until) for s in full]
+        # the later trips, routed from their saved positions, are the rest
+        assert [s.trips + tuple(Trip(d.depart_time, route(d)) for d in s.deferred)
+                for s in schedules] == [s.trips for s in full]
+        # dropped past the cutoff, they still make their draws
+        schedules, after = draw(until, until)
+        assert after == stream and not any(s.deferred for s in schedules)
 
 
 @st.composite
