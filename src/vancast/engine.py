@@ -7,11 +7,12 @@ tick the engine draws the whole day's trips, and
 a :class:`vancast.mobility.Timetable`, which then answers every question
 about motion.  Day 0 is one window, laid out in :func:`init_sim`; a
 later day's windows hold about ``WINDOW_TRIPS`` trips each.  A trip is
-routed when its window is laid out: one due in a later window keeps the
-generator's position before its route's draws and is routed from there,
-to the route it would have had, and one due after the run is never
-routed.  So the random stream is the same, draw for draw, however the
-days are split.  Once every store is full no later tick can change a
+routed when its window is laid out: one due in a later window keeps
+where its route's draws lie (its vehicle's generator state before the
+vehicle's one read of raw words, and the word offset in that read) and
+is routed from there, to the route it would have had, and one due after
+the run is never routed.  So the random stream is the same, draw for
+draw, however the days are split.  Once every store is full no later tick can change a
 store, a stamp or a sample, so ``run`` stops at the end of the window it
 is in and routes nothing after it.
 

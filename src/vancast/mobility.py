@@ -11,8 +11,10 @@ Time runs in whole steps (ticks) of dt seconds.  Vehicles drive their
 trips whatever chunks they carry, so a day's motion is fixed once its
 trips are drawn.  :func:`assign_trips` draws a whole day at its first
 tick but routes only the trips due by a given time; each later one is
-kept as a :class:`DeferredTrip`, with the generator's position before
-its route's draws.  :func:`lay_out_day` lays out a window of ticks, a
+kept as a :class:`DeferredTrip`, with where its route's draws lie in the
+stream.  Its draws are those of a per-trip loop of numpy calls, but a
+vehicle's destination picks and route factors come from one read of raw
+PCG64 words.  :func:`lay_out_day` lays out a window of ticks, a
 whole day or part of one, as a :class:`Timetable` of drives and stays;
 it routes a deferred trip (:func:`deferred_router`) only when it lays
 the trip out, to the route an eager draw gives.  It states the rules
@@ -44,12 +46,13 @@ from typing import NamedTuple
 import numpy as np
 
 from vancast.roadnet import (
+    MAX_FACTOR,
     RoadGraph,
     Route,
+    _factor_route,
     float_text,
     main_road_route,
     random_route,
-    route_factors,
     shortest_path,
 )
 
@@ -73,9 +76,11 @@ class Trip:
 
 
 class DeferredTrip(NamedTuple):
-    """A drawn trip not routed yet.  Under the random policy ``draws`` is
-    the generator's position just before the trip's edge factors were
-    drawn (:func:`_position`); other policies draw nothing and hold None."""
+    """A drawn trip not routed yet.  Under the random policy ``draws``
+    packs where the trip's edge factors lie in the stream: the generator's
+    128-bit PCG64 state before its vehicle's read of raw words, and above
+    it the offset of the trip's first factor word in that read
+    (:func:`assign_trips`).  Other policies draw nothing and hold None."""
 
     depart_time: float
     src: int
@@ -126,59 +131,23 @@ class VehicleState:
     next_trip: int = 0  # index into the schedule's trip tuple
 
 
-def _pick_destination(
-    g: RoadGraph, origin: int, max_trip_dist: float, rng: np.random.Generator
-) -> int:
-    """Uniform choice among nodes within (0, max_trip_dist] of origin."""
-    candidates = g.nodes_within(origin, max_trip_dist)
-    if not candidates:
-        raise ScheduleError(
-            f"no destination within {float_text(max_trip_dist)} m of node {origin}"
-        )
-    return candidates[int(rng.integers(len(candidates)))]
-
-
-def _route_for_policy(
-    g: RoadGraph, src: int, dst: int, policy: str, rng: np.random.Generator | None
-) -> Route:
-    if policy == "shortest":
-        return shortest_path(g, src, dst)
-    if policy == "random":
-        return random_route(g, src, dst, rng)
-    return main_road_route(g, src, dst)
-
-
-# PCG64's 128-bit state; a saved position holds it, then the buffered
-# uint32's flag and value above it.
+# A saved draw position packs PCG64's 128-bit state below a word offset.
 _STATE_BITS = 128
 _STATE_MASK = (1 << _STATE_BITS) - 1
+_HALF = (1 << 32) - 1
+# numpy's uniform draw from [1, MAX_FACTOR): 1 + (MAX_FACTOR - 1) * (w >> 11) * 2**-53
+# for a 64-bit word w.  Scaling by a power of two is exact, so folding it into
+# the scale rounds the same.
+_FACTOR_SCALE = (MAX_FACTOR - 1.0) * 2.0**-53
 
 
-def _position(rng: np.random.Generator) -> int:
-    """rng's PCG64 position, packed in one int: its 128-bit state, then
-    ``has_uint32`` and ``uinteger`` (half of a 64-bit draw that a 32-bit
-    draw left over).  The increment, fixed by the seed, is not kept."""
-    s = rng.bit_generator.state
-    return s["state"]["state"] | (s["has_uint32"] | s["uinteger"] << 1) << _STATE_BITS
-
-
-def _resumer(inc: int) -> Callable[[int], np.random.Generator]:
-    """A function that sets one scratch PCG64 generator, on the stream of
-    increment ``inc``, to a packed position (:func:`_position`) and returns
-    it: the generator then makes the draws the one that was there made."""
-    bits = np.random.PCG64(0)
-    scratch = np.random.Generator(bits)
-    state = bits.state
-    state["state"]["inc"] = inc
-
-    def resume(position: int) -> np.random.Generator:
-        state["state"]["state"] = position & _STATE_MASK
-        state["has_uint32"] = position >> _STATE_BITS & 1
-        state["uinteger"] = position >> _STATE_BITS + 1
-        bits.state = state
-        return scratch
-
-    return resume
+def _factors(words: np.ndarray) -> np.ndarray:
+    """The values ``rng.uniform(1.0, MAX_FACTOR, size=len(words))`` makes
+    from these raw PCG64 words (numpy's ``next_double`` is a word's top 53
+    bits times 2**-53)."""
+    factors = (words >> 11) * _FACTOR_SCALE
+    factors += 1.0
+    return factors
 
 
 def assign_trips(
@@ -207,18 +176,38 @@ def assign_trips(
     Only trips with ``depart_time <= until`` are routed, into each
     schedule's ``trips``.  A later trip is still drawn: it picks its
     destination, which is the next trip's origin, and under the random
-    policy draws the edge factors its route would (:func:`route_factors`).
-    So the generator makes the same draws, and each schedule's ``trips``
-    is the prefix of the one that ``until = inf`` gives.  A later trip
-    due by ``drop_after`` is kept in ``deferred`` as a
-    :class:`DeferredTrip`, with, under the random policy, the generator's
-    position before its factor draws (rng is then a PCG64 generator, as
-    ``np.random.default_rng`` makes), from which :func:`deferred_router`
-    routes it to the route ``until = inf`` gives; one due after
-    ``drop_after`` is dropped.
+    policy draws the edge factors its route would.  So the generator
+    makes the same draws, and each schedule's ``trips`` is the prefix of
+    the one that ``until = inf`` gives.  A later trip due by
+    ``drop_after`` is kept in ``deferred`` as a :class:`DeferredTrip`,
+    which :func:`deferred_router` routes to the route ``until = inf``
+    gives; one due after ``drop_after`` is dropped.
+
+    The draws are those of a per-trip loop of numpy calls, draw for draw:
+    per vehicle ``rng.poisson``, ``rng.uniform`` for the departures and,
+    with main_road_fraction > 0, ``rng.random()``; then per trip
+    ``rng.integers(len(candidates))`` for the destination (no draw for a
+    single candidate) and, under the random policy,
+    ``rng.uniform(1.0, MAX_FACTOR, size=g.n_edges)`` for the route
+    (:func:`vancast.roadnet.random_route`).  The per-trip draws of a
+    vehicle are made from one read of raw 64-bit words, in stream order.
+    A pick is numpy's Lemire draw (Lemire, ACM TOMACS 2019) on a 32-bit
+    half: the low half of a fresh word, whose high half is kept for the
+    next pick, or that kept half; a factor is one fresh word.  The kept
+    half is tracked here and written back to rng at the end.  The read is
+    sized for every pick drawing once; a rejected draw tops it up, and
+    words a single-candidate pick left unread are given back.
+
+    Raises ValueError, before any draw, for a start node outside the
+    graph, a generator that is not PCG64 (as ``np.random.default_rng``
+    makes) or a NaN until or drop_after.
     """
     if not len(start_nodes):
         raise ValueError("need at least one vehicle, got no start_nodes")
+    for vid, node in enumerate(start_nodes):
+        if not 0 <= node < g.n_nodes:
+            raise ValueError(f"vehicle {vid}: start node {node} outside graph with "
+                             f"{g.n_nodes} nodes")
     if mean_trips < 0:
         raise ValueError(f"mean_trips must be >= 0, got {mean_trips}")
     if not (0.0 <= main_road_fraction <= 1.0):
@@ -227,44 +216,106 @@ def assign_trips(
         )
     if policy not in ROUTING_POLICIES:
         raise ValueError(f"unknown routing policy {policy!r}")
+    if math.isnan(until) or math.isnan(drop_after):
+        raise ValueError(f"until and drop_after must not be NaN, got {until} and {drop_after}")
+    bits = rng.bit_generator
+    if not isinstance(bits, np.random.PCG64):
+        raise ValueError(f"assign_trips draws from PCG64's raw words, got a "
+                         f"{type(bits).__name__} generator")
+    n_edges = g.n_edges
+    state = bits.state
+    has_half, half = state["has_uint32"], state["uinteger"]  # the kept 32-bit half
     schedules = []
-    for vid, origin in enumerate(start_nodes):
-        n_trips = int(rng.poisson(mean_trips))
-        departs = np.sort(rng.uniform(0.0, DAY_LEN, size=n_trips))
-        on_main = main_road_fraction > 0 and rng.random() < main_road_fraction
-        trip_policy = "main_road" if on_main else policy
-        trips, deferred = [], []
-        for depart in departs:
-            depart_time = float(depart) + day_start
-            dst = _pick_destination(g, origin, max_trip_dist, rng)
-            if depart_time <= until:
-                trips.append(Trip(depart_time, _route_for_policy(g, origin, dst, trip_policy,
-                                                                 rng)))
-            elif depart_time <= drop_after:
-                draws = None
-                if trip_policy == "random":
-                    draws = _position(rng)
-                    route_factors(g, origin, dst, rng)
-                deferred.append(DeferredTrip(depart_time, origin, dst, trip_policy, draws))
-            elif trip_policy == "random":
-                route_factors(g, origin, dst, rng)
-            origin = dst
-        schedules.append(TripSchedule(vid, tuple(trips), tuple(deferred)))
+    try:
+        for vid, origin in enumerate(start_nodes):
+            n_trips = int(rng.poisson(mean_trips))
+            departs = (np.sort(rng.uniform(0.0, DAY_LEN, size=n_trips)) + day_start).tolist()
+            on_main = main_road_fraction > 0 and rng.random() < main_road_fraction
+            trip_policy = "main_road" if on_main else policy
+            n_routed = bisect.bisect_right(departs, until)
+            n_kept = max(n_routed, bisect.bisect_right(departs, drop_after))
+            per_trip = n_edges if trip_policy == "random" else 0
+            block = 0  # the state before the read, if a deferred trip resumes from it
+            if per_trip and n_kept > n_routed:
+                block = bits.state["state"]["state"]
+            n_words = n_trips * per_trip + max(0, n_trips - has_half + 1) // 2
+            words, at = bits.random_raw(n_words), 0  # the read, and its next word
+            trips, deferred = [], []
+            try:
+                for i, depart_time in enumerate(departs):
+                    candidates = g.nodes_within(origin, max_trip_dist)
+                    if not candidates:
+                        raise ScheduleError(f"no destination within "
+                                            f"{float_text(max_trip_dist)} m of node {origin}")
+                    n = len(candidates)
+                    if n > 1:  # rng.integers(n): a 32-bit Lemire draw
+                        floor = (1 << 32) % n
+                        while True:
+                            if has_half:
+                                has_half, draw = 0, half
+                            else:
+                                if at == len(words):
+                                    words = np.concatenate((words, bits.random_raw(1)))
+                                word = int(words[at])
+                                at += 1
+                                has_half, draw, half = 1, word & _HALF, word >> 32
+                            draw *= n
+                            if draw & _HALF >= floor:
+                                break
+                        dst = candidates[draw >> 32]
+                    else:
+                        dst = candidates[0]
+                    if per_trip:
+                        if at + per_trip > len(words):
+                            words = np.concatenate(
+                                (words, bits.random_raw(at + per_trip - len(words))))
+                        if i < n_routed:
+                            trips.append(Trip(depart_time, _factor_route(
+                                g, origin, dst, _factors(words[at:at + per_trip]))))
+                        elif i < n_kept:
+                            deferred.append(DeferredTrip(depart_time, origin, dst, trip_policy,
+                                                         block | at << _STATE_BITS))
+                        at += per_trip
+                    elif i < n_routed:
+                        trips.append(Trip(depart_time,
+                                          _route_for_policy(g, origin, dst, trip_policy)))
+                    elif i < n_kept:
+                        deferred.append(DeferredTrip(depart_time, origin, dst, trip_policy, None))
+                    origin = dst
+            finally:
+                if at < len(words):  # unread: single-candidate picks, or after a refusal
+                    bits.advance(at - len(words))
+            schedules.append(TripSchedule(vid, tuple(trips), tuple(deferred)))
+    finally:
+        state = bits.state
+        state["has_uint32"], state["uinteger"] = has_half, half
+        bits.state = state
     return schedules
+
+
+def _route_for_policy(g: RoadGraph, src: int, dst: int, policy: str) -> Route:
+    """The route of the shortest or main_road policy, which draw nothing."""
+    return (main_road_route if policy == "main_road" else shortest_path)(g, src, dst)
 
 
 def deferred_router(g: RoadGraph, rng: np.random.Generator) -> Callable[[DeferredTrip], Route]:
     """A function that routes the deferred trips ``rng`` drew.  It reads
     rng for its increment but never draws from it: a random-policy trip's
-    factors come from one scratch generator set to the trip's saved
-    position, so the trip gets the route :func:`random_route` would have
-    given it when it was drawn."""
-    resume = _resumer(rng.bit_generator.state["state"]["inc"])
+    factors come from one scratch generator set to the trip's block state
+    and advanced by its word offset, so the trip gets the route it would
+    have got had it been routed when it was drawn."""
+    bits = np.random.PCG64(0)
+    scratch = np.random.Generator(bits)
+    state = bits.state
+    state["state"]["inc"] = rng.bit_generator.state["state"]["inc"]
 
     def route(trip: DeferredTrip) -> Route:
         if trip.draws is None:
-            return _route_for_policy(g, trip.src, trip.dst, trip.policy, None)
-        return random_route(g, trip.src, trip.dst, resume(trip.draws))
+            return _route_for_policy(g, trip.src, trip.dst, trip.policy)
+        state["state"]["state"] = trip.draws & _STATE_MASK
+        bits.state = state
+        bits.advance(trip.draws >> _STATE_BITS)
+        return random_route(g, trip.src, trip.dst, scratch)
 
     return route
 

@@ -83,6 +83,11 @@ class RoadGraph:
         self._length_array = np.array(self.lengths)
         self._fields: dict[tuple[int, bool], array] = {}
         self._warned_off_main = False  # main_road_route warns once per graph
+        # main_road_route's memos: src -> entry (None off the main roads),
+        # entry -> its main component, (component's first node, dst) -> exit
+        self._entries: dict[int, int | None] = {}
+        self._main_parts: dict[int, tuple[int, ...]] = {}
+        self._exits: dict[tuple[int, int], int] = {}
         self._within: dict[tuple[int, float], tuple[int, ...]] = {}
         # One int object per node id, shared by every cached tuple, so a
         # tuple costs a pointer per node rather than an int each.
@@ -249,28 +254,25 @@ def random_route(
     Every edge length is multiplied by an independent uniform draw from
     [1, max_factor] before running the search, which spreads traffic
     over near-shortest alternatives while keeping routes loop-free.
-    ``max_factor=1`` degenerates to :func:`shortest_path` exactly.
-    The reported route lengths always use the true edge lengths.
+    The draws are one ``rng.uniform`` call of one value per edge, none
+    when src == dst.  ``max_factor=1`` degenerates to
+    :func:`shortest_path` exactly.  The reported route lengths always
+    use the true edge lengths.
     """
     _check_endpoints(g, src, dst)
-    factors = route_factors(g, src, dst, rng, max_factor)
-    if factors is None:
-        return Route((src,), (), (0.0,))
-    weights = (g._length_array * factors).tolist()
-    return _walk_route(g, src, [(dst, g.dijkstra(dst, weights, target=src), weights)])
-
-
-def route_factors(
-    g: RoadGraph, src: int, dst: int, rng: np.random.Generator, max_factor: float = MAX_FACTOR
-) -> np.ndarray | None:
-    """The per-edge inflation factors :func:`random_route` draws for a trip
-    from src to dst: one uniform draw from [1, max_factor] per edge, or
-    None, with no draw, when src == dst."""
     if max_factor < 1.0:
         raise ValueError(f"max_factor must be >= 1, got {max_factor}")
     if src == dst:
-        return None
-    return rng.uniform(1.0, max_factor, size=g.n_edges)
+        return Route((src,), (), (0.0,))
+    return _factor_route(g, src, dst, rng.uniform(1.0, max_factor, size=g.n_edges))
+
+
+def _factor_route(g: RoadGraph, src: int, dst: int, factors: np.ndarray) -> Route:
+    """The route from src to dst (src != dst) that is shortest with edge i's
+    length multiplied by ``factors[i]``, each in [1, MAX_FACTOR]: the
+    route :func:`random_route` gives for those draws."""
+    weights = (g._length_array * factors).tolist()
+    return _walk_route(g, src, [(dst, g.dijkstra(dst, weights, target=src), weights)])
 
 
 def main_road_route(g: RoadGraph, src: int, dst: int) -> Route:
@@ -281,7 +283,10 @@ def main_road_route(g: RoadGraph, src: int, dst: int) -> Route:
     component nearest dst; then on to dst.  Ties go to the smaller node
     id; the middle leg is empty when entry and exit coincide.  The
     component and the middle leg come from the graph's memoized
-    main-only fields of entry and exit (:meth:`RoadGraph.field`).
+    main-only fields of entry and exit (:meth:`RoadGraph.field`).  The
+    graph memoizes the entry of each src, the component of each entry
+    and the exit of each (component, dst): at most one entry a node and
+    one exit a node per main component.
     A src that reaches no main road gets :func:`shortest_path`, with one
     warning per graph.  Raises ValueError on a graph with no main edges.
     """
@@ -292,23 +297,36 @@ def main_road_route(g: RoadGraph, src: int, dst: int) -> Route:
     if src == dst:
         return Route((src,), (), (0.0,))
 
-    # main is sorted and min keeps the first minimum: the smaller id.
-    dist_src = g.field(src)
-    entry = min(main, key=dist_src.__getitem__)
-    if not math.isfinite(dist_src[entry]):
+    if src in g._entries:
+        entry = g._entries[src]
+    else:
+        # main is sorted and min keeps the first minimum: the smaller id.
+        dist_src = g.field(src)
+        entry = min(main, key=dist_src.__getitem__)
+        if not math.isfinite(dist_src[entry]):
+            entry = None
+        g._entries[src] = entry
+    if entry is None:
         if not g._warned_off_main:
             g._warned_off_main = True
             log.warning("main roads unreachable from node %d; using shortest path "
                         "(not repeated for other trips on this graph)", src)
         return shortest_path(g, src, dst)
-    on_entry = g.field(entry, main=True)
-    dist_dst = g.field(dst)
-    exit_ = min((v for v in main if math.isfinite(on_entry[v])), key=dist_dst.__getitem__)
+    part = g._main_parts.get(entry)
+    if part is None:
+        on_entry = g.field(entry, main=True)
+        part = tuple(v for v in main if math.isfinite(on_entry[v]))
+        # one tuple per component: its smallest node, an entry of it too,
+        # keys the tuple that every entry of the component shares
+        part = g._main_parts[entry] = g._main_parts.setdefault(part[0], part)
+    exit_ = g._exits.get((part[0], dst))
+    if exit_ is None:
+        exit_ = g._exits[part[0], dst] = min(part, key=g.field(dst).__getitem__)
 
     legs = [(entry, g.field(entry), g.lengths)]
     if entry != exit_:
         legs.append((exit_, g.field(exit_, main=True), g.main_weights))
-    legs.append((dst, dist_dst, g.lengths))
+    legs.append((dst, g.field(dst), g.lengths))
     return _walk_route(g, src, legs)
 
 

@@ -14,8 +14,6 @@ from vancast.mobility import (
     Trip,
     TripSchedule,
     VehicleState,
-    _position,
-    _resumer,
     advance,
     assign_trips,
     deferred_router,
@@ -26,8 +24,10 @@ from vancast.mobility import (
     trace_legs,
 )
 from vancast.roadnet import (
+    MAX_FACTOR,
     generate_manhattan_grid,
     main_road_route,
+    random_route,
     shortest_path,
 )
 
@@ -39,6 +39,56 @@ def make_grid(rows=5, cols=5, block=100.0, main_cols=None):
 def homes(g, n, rng):
     """n start nodes drawn uniformly from g's nodes."""
     return rng.integers(g.n_nodes, size=n).tolist()
+
+
+def reference_assign_trips(g, start_nodes, mean_trips, max_trip_dist, rng, day_start=0.0,
+                           policy="random", main_road_fraction=0.0, until=math.inf,
+                           drop_after=math.inf):
+    """assign_trips as a per-trip loop of numpy calls: one rng.integers
+    per destination pick, one rng.uniform per random route's factors.
+    Returns per vehicle its routed trips and, as Trips, its deferred ones
+    with the routes they are due; rng ends where assign_trips leaves it."""
+    schedules = []
+    for origin in start_nodes:
+        n_trips = int(rng.poisson(mean_trips))
+        departs = np.sort(rng.uniform(0.0, DAY_LEN, size=n_trips))
+        on_main = main_road_fraction > 0 and rng.random() < main_road_fraction
+        trip_policy = "main_road" if on_main else policy
+        trips, deferred = [], []
+        for depart in departs:
+            depart_time = float(depart) + day_start
+            candidates = g.nodes_within(origin, max_trip_dist)
+            if not candidates:
+                raise ScheduleError(f"no destination within {max_trip_dist:g} m of node {origin}")
+            dst = candidates[int(rng.integers(len(candidates)))]
+            if depart_time <= until or depart_time <= drop_after:
+                if trip_policy == "random":
+                    route = random_route(g, origin, dst, rng)
+                elif trip_policy == "main_road":
+                    route = main_road_route(g, origin, dst)
+                else:
+                    route = shortest_path(g, origin, dst)
+                (trips if depart_time <= until else deferred).append(Trip(depart_time, route))
+            elif trip_policy == "random":
+                rng.uniform(1.0, MAX_FACTOR, size=g.n_edges)
+            origin = dst
+        schedules.append((tuple(trips), tuple(deferred)))
+    return schedules
+
+
+def pcg64_emitting(word, before, inc, hi):
+    """A PCG64 state whose (before + 1)-th raw word is ``word``.  PCG64
+    steps, then emits the xor of its state's 64-bit halves rotated right by
+    the state's top 6 bits; with hi, the high half, below 2**58 there is no
+    rotation, so the state with low half ``hi ^ word`` emits word.  That
+    state is then stepped back before + 1 times."""
+    assert hi < 2**58
+    bits = np.random.PCG64(0)
+    state = bits.state
+    state["state"] = {"state": hi << 64 | (hi ^ word), "inc": inc}
+    bits.state = state
+    bits.advance(-(before + 1))
+    return bits.state
 
 
 # --- schedule generation ------------------------------------------------------
@@ -148,14 +198,26 @@ def test_assign_trips_argument_validation():
     for until in (math.inf, -math.inf):
         with pytest.raises(ValueError, match="unknown routing policy 'fastest'"):
             assign_trips(g, starts, 3.0, 1000.0, rng, policy="fastest", until=until)
+    with pytest.raises(ValueError, match="vehicle 1: start node 99 outside graph with 25 nodes"):
+        assign_trips(g, [3, 99], 5.0, 1000.0, rng)
+    with pytest.raises(ValueError, match="vehicle 0: start node -1 outside"):
+        assign_trips(g, [-1], 5.0, 1000.0, rng)
+    for until, drop_after in ((math.nan, math.inf), (5.0, math.nan)):
+        with pytest.raises(ValueError, match="must not be NaN"):
+            assign_trips(g, starts, 5.0, 1000.0, rng, until=until, drop_after=drop_after)
     assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+    mt = np.random.Generator(np.random.MT19937(1))
+    key = mt.bit_generator.state["state"]["key"].copy()
+    with pytest.raises(ValueError, match="PCG64's raw words, got a MT19937 generator"):
+        assign_trips(g, starts, 5.0, 1000.0, mt, until=1000.0)
+    assert np.array_equal(mt.bit_generator.state["state"]["key"], key)
 
 
 def test_a_deferred_trip_gets_the_route_an_eager_draw_gives():
     """Drawn with none routed (until = -inf), each trip is routed later
-    from its saved position to the route the eager draw gave it, node for
-    node; the generator ends where the eager draw leaves it, and routing
-    draws nothing from it."""
+    from its saved block and offset to the route the eager draw gave it,
+    node for node; the generator ends where the eager draw leaves it, and
+    routing draws nothing from it."""
     g = make_grid(5, 5, 100.0, [2])
     starts = homes(g, 30, np.random.default_rng(6))
     eager_rng, lazy_rng = np.random.default_rng(5), np.random.default_rng(5)
@@ -165,7 +227,7 @@ def test_a_deferred_trip_gets_the_route_an_eager_draw_gives():
     drawn = eager_rng.bit_generator.state
     assert lazy_rng.bit_generator.state == drawn
     route = deferred_router(g, lazy_rng)
-    policies, buffered = set(), 0
+    policies, offsets = set(), set()
     for e, lz in zip(eager, lazy):
         assert lz.trips == () and len(lz.deferred) == len(e.trips)
         for trip, d in zip(e.trips, lz.deferred):
@@ -174,20 +236,67 @@ def test_a_deferred_trip_gets_the_route_an_eager_draw_gives():
                 trip.route.nodes, trip.route.edge_ids, trip.route.cum_length)
             assert (d.depart_time, d.src, d.dst) == (trip.depart_time, got.src, got.dst)
             policies.add(d.policy)
-            # saved while the generator held half of a 64-bit draw
-            buffered += d.draws is not None and d.draws >> 128 & 1
-    assert policies == {"random", "main_road"} and buffered
+            if d.draws is not None:
+                offsets.add(d.draws >> 128)
+    assert policies == {"random", "main_road"}
+    # offset 0: the first pick took the half a draw before it kept, so the
+    # read starts with the factors; later trips sit further into the block
+    assert {0, 1} <= offsets and max(offsets) > g.n_edges
     assert lazy_rng.bit_generator.state == drawn
 
 
-def test_a_saved_position_resumes_the_draws_with_the_buffered_half():
+def test_a_deferred_trip_resumed_after_later_draws_routes_as_an_eager_draw_does():
+    """A deferred trip's block and offset stay valid whatever the generator
+    draws after them: later vehicles' trips, other calls, a buffered half."""
+    g = make_grid(4, 4, 100.0)
+    starts = [0, 5, 10, 15]
+    eager = assign_trips(g, starts, 5.0, 300.0, np.random.default_rng(9))
     rng = np.random.default_rng(9)
-    rng.integers(10)  # a 32-bit draw keeps the other half of its 64 bits
+    lazy = assign_trips(g, starts, 5.0, 300.0, rng, until=-math.inf)
+    rng.integers(10, size=7)
+    rng.uniform(size=50)
     assert rng.bit_generator.state["has_uint32"] == 1
-    position = _position(rng)
-    expect = rng.integers(1000, size=3).tolist() + rng.uniform(size=2).tolist()
-    scratch = _resumer(rng.bit_generator.state["state"]["inc"])(position)
-    assert scratch.integers(1000, size=3).tolist() + scratch.uniform(size=2).tolist() == expect
+    route = deferred_router(g, rng)
+    for e, lz in zip(eager, lazy):
+        assert [Trip(d.depart_time, route(d)) for d in reversed(lz.deferred)] == list(
+            reversed(e.trips))
+
+
+def test_a_rejected_pick_draws_again_as_numpy_does():
+    """A 32-bit draw of 0 is rejected by Lemire's method for a candidate
+    count that is not a power of two.  A crafted raw word with a low half
+    of 0 puts that draw in a vehicle's first pick, and a buffered half of
+    0 puts it where the pick needs a fresh word after it, past the read;
+    both match the per-trip reference on the same words."""
+    g = make_grid(4, 4, 100.0)
+    origin = 5
+    n = len(g.nodes_within(origin, 250.0))
+    assert n & (n - 1) and (1 << 32) % n  # a draw of 0 is rejected
+    inc = np.random.default_rng(3).bit_generator.state["state"]["inc"]
+    word = 0x9E3779B9 << 32  # the pick's 32-bit draws: 0, then this high half
+    for hi in range(1, 100):  # the first with one trip: two poisson draws, a departure
+        crafted = pcg64_emitting(word, 3, inc, hi)
+        probe = np.random.Generator(np.random.PCG64(0))
+        probe.bit_generator.state = crafted
+        if probe.poisson(1.0) == 1:
+            break
+    probe.uniform()
+    assert probe.bit_generator.random_raw(1)[0] == word
+    cases = [crafted, dict(crafted, has_uint32=1, uinteger=0)]  # then a kept half of 0
+    for state in cases:
+        for policy in ("random", "shortest"):
+            for until in (math.inf, -math.inf):
+                rngs = [np.random.Generator(np.random.PCG64(0)) for _ in range(2)]
+                for r in rngs:
+                    r.bit_generator.state = state
+                got = assign_trips(g, [origin, 0], 1.0, 250.0, rngs[0], policy=policy,
+                                   until=until)
+                ref = reference_assign_trips(g, [origin, 0], 1.0, 250.0, rngs[1],
+                                             policy=policy, until=until)
+                route = deferred_router(g, rngs[0])
+                assert [(s.trips, tuple(Trip(d.depart_time, route(d)) for d in s.deferred))
+                        for s in got] == ref
+                assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
 
 
 def test_drop_after_keeps_only_the_deferred_trips_due_by_it():

@@ -2,7 +2,7 @@
 search stopped at its target walks the same routes as a full one, a
 main-road route is its three legs joined, a departure cutoff routes a
 prefix of the day's trips from the same draws and the rest later to the
-same routes, the GF(256) matrix product
+same routes, as a per-trip loop of numpy draws does, the GF(256) matrix product
 agrees with the multiplication table, the solve recovers the symbols from
 every fed row or reports their exact rank, and the incremental decoder
 agrees with a from-scratch rank and hands decode the chunks that rebuild
@@ -26,6 +26,7 @@ from vancast.config import ROUTING_POLICIES, ExperimentConfig, config_lines, par
 from vancast.engine import ChunkStore, detect_contacts, exchange
 from test_engine import reference_exchange
 from test_fountain import oracle_rank
+from test_mobility import reference_assign_trips
 from vancast.fountain import (GF_MUL, DecoderState, RankDeficientError, _solve, decode,
                               encode, gf_matmul, rank)
 from vancast.mobility import DAY_LEN, Trip, assign_trips, deferred_router
@@ -178,19 +179,40 @@ def test_main_road_route_is_its_legs_joined(case):
 @given(rounded_graphs(), st.sampled_from(ROUTING_POLICIES), st.sampled_from([0.0, 0.5]),
        st.integers(1, 5), st.sampled_from([0.0, 1.0, 4.0]), st.integers(0, 2**32),
        st.floats(0.0, 3 * DAY_LEN) | st.sampled_from([-math.inf, math.inf]),
-       st.integers(0, 40))
+       st.integers(0, 40), st.booleans())
 def test_departure_cutoff_routes_a_prefix_from_the_same_draws(
-        case, policy, fraction, n_vehicles, mean_trips, seed, cut, pick):
+        case, policy, fraction, n_vehicles, mean_trips, seed, cut, pick, buffered):
+    """Every cut-off and drop time gives the trips, the deferred trips'
+    routes and the final generator state of the per-trip reference loop,
+    whatever the candidate counts (a single candidate draws nothing) and
+    whether the generator starts with a buffered 32-bit half: so a cut-off
+    routes a prefix of the day's trips and the rest, routed later, are the
+    rest of the day, from the same draws."""
     g, _ = case
     assume(g.main_nodes)
 
-    def draw(until, drop_after=math.inf):
+    def fresh():
         rng = np.random.default_rng(seed)
         starts = rng.integers(g.n_nodes, size=n_vehicles).tolist()
+        if rng.bit_generator.state["has_uint32"] != buffered:
+            rng.integers(7)  # takes the buffered half or leaves one
+        return rng, starts
+
+    def draw(until, drop_after=math.inf):
+        rng, starts = fresh()
         # every node has an edge of at most 1.1, so each origin has a destination
         schedules = assign_trips(g, starts, mean_trips, 2.5, rng, day_start=DAY_LEN,
                                  policy=policy, main_road_fraction=fraction, until=until,
                                  drop_after=drop_after)
+        ref_rng, starts = fresh()
+        ref = reference_assign_trips(g, starts, mean_trips, 2.5, ref_rng, day_start=DAY_LEN,
+                                     policy=policy, main_road_fraction=fraction, until=until,
+                                     drop_after=drop_after)
+        route = deferred_router(g, rng)
+        assert [(s.trips, tuple(Trip(d.depart_time, route(d)) for d in s.deferred))
+                for s in schedules] == ref
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert [s.vehicle_id for s in schedules] == list(range(n_vehicles))
         return schedules, rng.bit_generator.state
 
     full, stream = draw(math.inf)
@@ -203,15 +225,16 @@ def test_departure_cutoff_routes_a_prefix_from_the_same_draws(
     for until in cutoffs:
         schedules, after = draw(until)
         assert after == stream
-        assert [s.vehicle_id for s in schedules] == list(range(n_vehicles))
         assert [s.trips for s in schedules] == [
             tuple(t for t in s.trips if t.depart_time <= until) for s in full]
-        # the later trips, routed from their saved positions, are the rest
+        # the later trips, routed from their saved blocks and offsets, are the rest
         assert [s.trips + tuple(Trip(d.depart_time, route(d)) for d in s.deferred)
                 for s in schedules] == [s.trips for s in full]
-        # dropped past the cutoff, they still make their draws
-        schedules, after = draw(until, until)
-        assert after == stream and not any(s.deferred for s in schedules)
+        # dropped past the drop time, they still make their draws
+        for drop_after in (until, cutoffs[-1]):
+            schedules, after = draw(until, drop_after)
+            assert after == stream
+            assert all(d.depart_time <= drop_after for s in schedules for d in s.deferred)
 
 
 @st.composite

@@ -427,6 +427,29 @@ def test_main_road_route_stays_in_entry_component_and_breaks_ties():
     assert route.cum_length == (0.0, 5.0, 15.0, 25.0, 75.0)
 
 
+def test_memoized_main_road_routes_match_a_fresh_graph_for_every_pair():
+    """Entries, components and exits read back from the memo give the
+    route a graph with an empty memo gives, for every (src, dst), on a
+    grid whose arterials are three main components and on a graph of two;
+    the exit memo holds at most one exit a node per main component."""
+    main = [(1, 2), (1, 3), (2, 4), (3, 4), (5, 6)]
+    plain = [(0, 1, 5.0), (4, 7, 50.0), (6, 7, 5.0), (0, 5, 100.0), (1, 4, 5.0)]
+    edges = [Edge(i, a, b, 10.0, main=True) for i, (a, b) in enumerate(main)]
+    edges += [Edge(len(edges) + i, a, b, w) for i, (a, b, w) in enumerate(plain)]
+    split = RoadGraph([float(i) for i in range(8)], [0.0] * 8, edges)
+    for g, parts in ((generate_manhattan_grid(5, 6, 100.0, main_cols=[0, 2, 4]), 3), (split, 2)):
+        def fresh():
+            return RoadGraph(g.node_x, g.node_y, g.edges)
+
+        for _ in range(2):  # the second pass reads every choice off the memo
+            for src in range(g.n_nodes):
+                for dst in range(g.n_nodes):
+                    assert main_road_route(g, src, dst) == main_road_route(fresh(), src, dst)
+        assert len(g._entries) == g.n_nodes
+        assert len({part for part, _ in g._exits}) == parts
+        assert len(g._exits) <= parts * g.n_nodes
+
+
 def test_main_road_route_searches_main_roads_once_per_main_node(monkeypatch):
     g = generate_manhattan_grid(6, 6, 100.0, main_cols=[1, 4])
     searches, real = [], g.dijkstra
