@@ -143,6 +143,8 @@ def _codec_selftest(trials: int, seed: int) -> int:
 
     if trials < 1:
         raise ValueError(f"--trials must be >= 1, got {trials}")
+    if seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     k, n = 300, 450
     data = rng.integers(0, 256, size=100_000, dtype=np.uint8).tobytes()

@@ -20,15 +20,21 @@ is in and routes nothing after it.
 radio rows off the timetable, finds the span's radio contacts in one
 cell-sorted search, and then runs the chunk exchange, in order, only at
 ticks that have contacts.  Only contacts that can move a chunk are
-searched for: those with an end whose store was not full at the span's
-first tick, found among the rows within a cell of such a vehicle.  Only
-``share_bandwidth`` searches every contact, as it divides a link by the
-degree of each end.  A span with no such vehicle on the air reads no
+searched for: those with a live end, a vehicle whose store was not full
+at the span's first tick.  So the timetable places every live vehicle's
+rows but a full vehicle's only on the route segments and stays where a
+live vehicle is near it at some tick in common, and the search keeps
+the rows within a cell of a live row.  Only ``share_bandwidth`` places
+every row and searches every contact, as it divides a link by the
+degree of each end.  A span with no live vehicle on the air reads no
 rows at all.  Either way, a row with no other row within a cell at its
-tick is dropped once the rows are sorted, before the search; on a
-sparse fleet that is most of them (at seed 7 the benchmark's
-payload_decode searches 31% of the rows it sorts, seed_rate_cell 69%,
-arterial_rush 98%).  This gives the same results, draw for draw, as
+tick is dropped once the rows are sorted, before the search.  At seed 7
+the benchmark's seed_rate_cell, arterial_rush and payload_decode place
+34%, 38% and 94% of their spans' rows and search 70%, 98% and 31% of
+the rows they sort.  Stores fill mid-span, so the exchange runs over a
+span's contacts in blocks, and drops, before each, those whose two
+stores are both full by then (the three iterate 94%, 29% and 100% of
+their contacts).  This gives the same results, draw for draw, as
 moving, detecting and exchanging one tick at a time.
 A vehicle's completion is recorded once, as its store's ``completed_at``
 stamp.  ``run`` sizes each span by its radio rows, not by its ticks:
@@ -72,6 +78,12 @@ SPAN_ROWS = 16_000
 # window has a fixed cost (a pass over every vehicle's schedule), so it
 # holds many trips.
 WINDOW_TRIPS = 2_048
+
+# Contacts step() hands its exchange loop at a time: at each block's start
+# it drops those whose two stores are both full by then, which is the
+# loop's own skip done in bulk, so most pairs that filled earlier in the
+# span cost no pass of the loop.
+EXCHANGE_BLOCK = 256
 
 
 class ChunkStore:
@@ -161,7 +173,7 @@ def detect_contacts(rows: np.ndarray, comm_range: float,
     The cost is one sort of the rows plus searches, pair expansion and
     gathers over the rows left, near-linear in rows at typical
     densities; on a sparse fleet most rows are alone (the benchmark's
-    payload_decode keeps 31% of the rows it sorts, seed_rate_cell 69%,
+    payload_decode keeps 31% of the rows it sorts, seed_rate_cell 70%,
     the dense arterial_rush 98%).  Membership is exactly
     ``math.hypot(dx, dy) <= comm_range``.  Cells that :func:`radio_cells`
     cannot key raise its ValueError, which names comm_range.
@@ -564,15 +576,19 @@ def step(state: SimState, n_ticks: int = 1) -> None:
     :func:`exchange` then runs in (tick, a, b) order, with the same floats
     and draws as n_ticks single steps.  A contact whose two stores both
     held every chunk at the span's first tick can move nothing and draws
-    nothing, so only contacts with a live end, a store not full then, are
-    detected (``live``).  Under ``share_bandwidth`` every contact is
-    detected, since a link's share divides by the degree of each end, and
-    that degree counts contacts between two full stores too; those
-    contacts are then dropped.  Either way, if no live vehicle is on the
-    air in the span (:meth:`vancast.mobility.Timetable.radio_vehicles`),
-    its rows are not even read.  Nor is :func:`exchange` called for two
-    empty stores, though their link budget still accrues.  A pair's link
-    budget carries over only to the next tick.  The timetable refuses a
+    nothing, so only the rows that can meet a live vehicle, a store not
+    full then, are placed, and only contacts with a live end detected
+    (``live``).  Under ``share_bandwidth`` every row is placed and every
+    contact detected, since a link's share divides by the degree of each
+    end, and that degree counts contacts between two full stores too;
+    those contacts are then dropped.  Either way, if no live vehicle is
+    on the air in the span (:meth:`vancast.mobility.Timetable.radio_vehicles`),
+    its rows are not even read.  A contact whose two stores are both full
+    by the time it is reached is skipped, and is dropped in bulk if they
+    were full when its block of ``EXCHANGE_BLOCK`` contacts began.  Nor
+    is :func:`exchange` called for two empty stores, though their link
+    budget still accrues.  A pair's link budget carries over only to the
+    next tick.  The timetable refuses a
     span past its end, ``state.day.end``, before the clock moves; ``run``
     lays out the next window or day when a span reaches it.
     """
@@ -581,48 +597,59 @@ def step(state: SimState, n_ticks: int = 1) -> None:
     cfg, day, stores = state.cfg, state.day, state.stores
     t0, t1 = state.tick, state.tick + n_ticks
     live = np.array([s.count for s in stores]) != cfg.n_chunks
-    if live[day.radio_vehicles(t0, t1)].any():
-        # A shared link's degrees count every contact, full pairs too.
-        contacts = detect_contacts(day.radio_rows(state.graph, t0, t1), cfg.comm_range,
-                                   None if cfg.share_bandwidth else live)
-    else:
+    if not live[day.radio_vehicles(t0, t1)].any():
         contacts = np.zeros((0, 3), dtype=np.int64)
+    elif cfg.share_bandwidth:  # a shared link's degrees count every contact, full pairs too
+        contacts = detect_contacts(day.radio_rows(state.graph, t0, t1), cfg.comm_range)
+    else:
+        contacts = detect_contacts(day.radio_rows(state.graph, t0, t1, live, cfg.comm_range),
+                                   cfg.comm_range, live)
     state.tick = t1
 
     gain = cfg.chunks_per_step()
-    gains = itertools.repeat((gain, gain))  # (a -> b, b -> a) for each contact
+    gains = None  # (a -> b, b -> a) for each contact, if not (gain, gain)
     if cfg.share_bandwidth:
         # Each contact's end a, then each one's end b, keyed by tick and vehicle.
         ends = ((contacts[:, 0] - t0) * cfg.n_vehicles + contacts[:, 1:].T).ravel()
         _, where, degree = np.unique(ends, return_inverse=True, return_counts=True)
         either = live[contacts[:, 1:]].any(axis=1)
         contacts = contacts[either]
-        gains = zip(*(gain / degree[where].reshape(2, -1))[:, either].tolist())
+        gains = (gain / degree[where].reshape(2, -1))[:, either].T
 
     n_chunks, threshold, dt, rng = cfg.n_chunks, cfg.decode_threshold, cfg.dt, state.rng
     now, new_accum = t0 - 1, state.accum  # the last tick and its pairs' budgets
-    for (t, va, vb), (g_a, g_b) in zip(contacts.tolist(), gains):
-        if t != now:
-            accum = new_accum if t == now + 1 else {}
-            new_accum, now = {}, t
-        sa, sb = stores[va], stores[vb]
-        if sa.count == sb.count == n_chunks:
-            continue
-        if acc := accum.get((va, vb)):
-            acc[0] += g_a
-            acc[1] += g_b
-        else:
-            acc = [g_a, g_b]  # 0.0 + g is g: gains are positive
-        n_ab, n_ba = int(acc[0]), int(acc[1])
-        acc[0], acc[1] = acc[0] - n_ab, acc[1] - n_ba
-        new_accum[(va, vb)] = acc
-        if (n_ab or n_ba) and (sa.count or sb.count):
-            sent_ab, sent_ba = exchange(sa, sb, n_ab, n_ba, rng)
-            # Only receivers: a hand-built state may hold an unstamped store at the threshold.
-            if len(sent_ab) and sb.completed_at is None and sb.count >= threshold:
-                sb.completed_at = (t + 1) * dt
-            if len(sent_ba) and sa.completed_at is None and sa.count >= threshold:
-                sa.completed_at = (t + 1) * dt
+    full = ~live  # updated as stores fill
+    for lo in range(0, len(contacts), EXCHANGE_BLOCK):
+        block = contacts[lo:lo + EXCHANGE_BLOCK]
+        open_ = ~(full[block[:, 1]] & full[block[:, 2]])
+        block_gains = (itertools.repeat((gain, gain)) if gains is None else
+                       gains[lo:lo + EXCHANGE_BLOCK][open_].tolist())
+        for (t, va, vb), (g_a, g_b) in zip(block[open_].tolist(), block_gains):
+            if t != now:
+                accum = new_accum if t == now + 1 else {}
+                new_accum, now = {}, t
+            sa, sb = stores[va], stores[vb]
+            if sa.count == sb.count == n_chunks:
+                continue
+            if acc := accum.get((va, vb)):
+                acc[0] += g_a
+                acc[1] += g_b
+            else:
+                acc = [g_a, g_b]  # 0.0 + g is g: gains are positive
+            n_ab, n_ba = int(acc[0]), int(acc[1])
+            acc[0], acc[1] = acc[0] - n_ab, acc[1] - n_ba
+            new_accum[(va, vb)] = acc
+            if (n_ab or n_ba) and (sa.count or sb.count):
+                sent_ab, sent_ba = exchange(sa, sb, n_ab, n_ba, rng)
+                # Only receivers: a hand-built state may hold an unstamped store at the threshold.
+                if len(sent_ab):
+                    if sb.completed_at is None and sb.count >= threshold:
+                        sb.completed_at = (t + 1) * dt
+                    full[vb] = sb.count == n_chunks
+                if len(sent_ba):
+                    if sa.completed_at is None and sa.count >= threshold:
+                        sa.completed_at = (t + 1) * dt
+                    full[va] = sa.count == n_chunks
     state.accum = new_accum if now == t1 - 1 else {}
 
 

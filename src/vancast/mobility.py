@@ -21,8 +21,10 @@ the trip out, to the route an eager draw gives.  It states the rules
 for departures, drives carried over from the previous window, and trips
 left pending at the timetable's end.  The timetable answers the
 engine's three questions about motion: the radio rows of a span of ticks
-(:meth:`Timetable.radio_rows`, placed by :func:`trace_legs` at
-:func:`odometer` distances), the vehicles those rows belong to
+(:meth:`Timetable.radio_rows`: drives cut into the route segments they
+are on by :func:`leg_segments`, placed by :func:`place_segments` at
+:func:`odometer` distances, and, given a live mask, only where they can
+meet a live vehicle), the vehicles those rows belong to
 (:meth:`Timetable.radio_vehicles`, without placing any), and where a
 span of at most so many rows ends (:meth:`Timetable.span_end`), read off
 the sorted first and end ticks of its drives and stays.
@@ -41,6 +43,7 @@ from array import array
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -414,6 +417,78 @@ def odometer(step_len: float, n: int) -> np.ndarray:
     return np.cumsum(steps)  # a running sum: left to right, one add each
 
 
+def leg_segments(
+    routes: list[Route],
+    departs: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    odo: np.ndarray,
+) -> tuple[np.ndarray, ...]:
+    """The route segments many drives are on, each with the ticks it is on it.
+
+    Leg i drives ``routes[i]`` from a departure at tick ``departs[i]`` over
+    ticks ``lo[i]`` to ``hi[i] - 1``, all before its arrival, at distance
+    ``odo[tick - departs[i]]`` (see :func:`odometer`).  A leg is on the
+    first segment with ``cum_length[seg + 1] >= distance``, as in
+    :func:`advance`: from the step at which it is past the segment's
+    first node (``odo > cum_length``; a route's first node from step 0)
+    to the step at which it is past the next.  Returns, in leg order and
+    then tick order, one entry per segment the legs are on in those
+    ticks: the leg, the segment's first and end tick, its two nodes and
+    their ``cum_length``.
+    """
+    paths = [r.nodes for r in routes]
+    sizes = np.fromiter(map(len, paths), np.int64, len(routes))
+    nodes = np.fromiter(chain.from_iterable(paths), np.int64, int(sizes.sum()))
+    cum = np.fromiter(chain.from_iterable([r.cum_length for r in routes]), float, len(nodes))
+    leg = np.repeat(np.arange(len(routes)), sizes)
+    passed = np.searchsorted(odo, cum, side="right")
+    start = np.cumsum(sizes) - sizes
+    passed[start] = 0
+    passed += departs[leg]  # the tick from which a leg is past each node
+    # Segment f runs from flat node f to f + 1.  From a route's last node,
+    # none runs: a leg's rows end by its arrival, before it is past that node.
+    leg = leg[:-1]
+    first = np.maximum(passed[:-1], lo[leg])
+    end = np.minimum(passed[1:], hi[leg])
+    f = np.flatnonzero(end > first)
+    return leg[f], first[f], end[f], nodes[f], nodes[f + 1], cum[f], cum[f + 1]
+
+
+def place_segments(
+    g: RoadGraph,
+    departs: np.ndarray,
+    odo: np.ndarray,
+    first: np.ndarray,
+    end: np.ndarray,
+    a: np.ndarray,
+    b: np.ndarray,
+    cum_a: np.ndarray,
+    cum_b: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Ticks and planar positions of drives on segments, one row per tick:
+    a drive that departed at tick ``departs[i]`` is on the segment from
+    node ``a[i]`` to ``b[i]`` over ticks ``first[i]`` to ``end[i] - 1``,
+    where ``cum_a[i]`` and ``cum_b[i]`` are the nodes' ``cum_length`` on its
+    route; the point is :func:`position_of`'s interpolation."""
+    counts = end - first
+    n = int(counts.sum())
+    ticks = np.repeat(first - (np.cumsum(counts) - counts), counts) + np.arange(n)
+    steps = ticks - np.repeat(departs, counts)
+    t = odo[steps] - np.repeat(cum_a, counts)
+    del steps
+    t /= np.repeat(cum_b - cum_a, counts)
+    xs, ys = np.asarray(g.node_x), np.asarray(g.node_y)
+    ax, ay = xs[a], ys[a]
+    x = np.repeat(xs[b] - ax, counts)
+    x *= t
+    x += np.repeat(ax, counts)
+    y = t  # t's buffer: per-row arrays set a run's peak memory
+    y *= np.repeat(ys[b] - ay, counts)
+    y += np.repeat(ay, counts)
+    return ticks, x, y
+
+
 def trace_legs(
     g: RoadGraph,
     routes: list[Route],
@@ -422,46 +497,49 @@ def trace_legs(
     hi: np.ndarray,
     odo: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Ticks and planar positions of many drives, one row per tick.
+    """Ticks and planar positions of many drives, one row per tick: leg i
+    drives ``routes[i]`` from tick ``departs[i]`` over ticks ``lo[i]`` to
+    ``hi[i] - 1`` (see :func:`leg_segments` and :func:`place_segments`)."""
+    leg, *segments = leg_segments(routes, departs, lo, hi, odo)
+    return place_segments(g, departs[leg], odo, *segments)
 
-    Leg i drives ``routes[i]`` from a departure at tick ``departs[i]``; its
-    rows cover ticks ``lo[i]`` to ``hi[i] - 1``, all before its arrival, at
-    distance ``odo[tick - departs[i]]`` (see :func:`odometer`).  The segment
-    is the first with ``cum_length[seg + 1] >= distance``, as in
-    :func:`advance`, and the point is :func:`position_of`'s interpolation.
+
+def _meets_live(near: tuple[np.ndarray, np.ndarray], places: np.ndarray, first: np.ndarray,
+                end: np.ndarray, live: np.ndarray) -> np.ndarray | None:
+    """Which of the non-empty intervals of ticks ``first[i]`` to ``end[i] - 1``
+    (from 0) at place ``places[i]`` are live, or overlap in time a live one on a
+    near place (``near``, :meth:`vancast.roadnet.RoadGraph.near_places`);
+    None if that is all of them.
+
+    Each live interval is copied to every place near its own, and the
+    copies are sorted by place and first tick, with a running maximum of
+    their end ticks.  An interval that is not live overlaps a copy on its
+    place iff the last copy there that starts before its end has a
+    running maximum past its first tick: one search for each.
     """
-    counts = hi - lo
-    leg = np.repeat(np.arange(len(routes)), counts)
-    ticks = np.repeat(lo - (np.cumsum(counts) - counts), counts) + np.arange(len(leg))
-    steps = ticks - departs[leg]
-
-    sizes = np.fromiter((len(r.nodes) for r in routes), np.int64, len(routes))
-    nodes = np.fromiter((v for r in routes for v in r.nodes), np.int64, int(sizes.sum()))
-    cum = np.fromiter((c for r in routes for c in r.cum_length), float, len(nodes))
-    start = np.cumsum(sizes) - sizes
-    # Step count from which a leg is past each of its route's nodes
-    # (odo > cum_length); a route's first node counts from step 0.
-    passed = np.searchsorted(odo, cum, side="right")
-    passed[start] = 0
-    # One sorted integer key per (leg, node) and per (leg, row): the
-    # number of keys at or below a row's key, less one, indexes the
-    # row's segment start in the flat route arrays.
-    width = len(odo) + 1
-    keys = np.repeat(np.arange(len(routes)), sizes) * width + passed
-    # Per-row arrays are reused or dropped early to keep peak memory low.
-    leg *= width
-    leg += steps
-    base = np.searchsorted(keys, leg, side="right") - 1
-    del leg
-
-    t = (odo[steps] - cum[base]) / (cum[base + 1] - cum[base])
-    del steps
-    a, b = nodes[base], nodes[base + 1]
-    del base
-    xs = np.asarray(g.node_x)
-    ys = np.asarray(g.node_y)
-    ax, ay = xs[a], ys[a]
-    return ticks, ax + (xs[b] - ax) * t, ay + (ys[b] - ay) * t
+    if live.all():
+        return None
+    if not live.any():
+        return live
+    start, near = near
+    own = places[live]
+    counts = start[own + 1] - start[own]
+    n = int(counts.sum())
+    at = near[np.repeat(start[own] - (np.cumsum(counts) - counts), counts) + np.arange(n)]
+    width = int(end.max()) + 1  # a place's key range: no tick reaches it
+    at *= width
+    key = at + np.repeat(first[live], counts)
+    order = np.argsort(key)
+    key = key[order]
+    at += np.repeat(end[live], counts)
+    reach = np.maximum.accumulate(at[order])
+    others = ~live
+    base = places[others] * width
+    j = np.searchsorted(key, base + end[others]) - 1
+    keep = live.copy()
+    keep[others] = reach[np.maximum(j, 0)] > base + first[others]
+    keep[others] &= j >= 0
+    return keep
 
 
 @dataclass(eq=False)
@@ -524,28 +602,57 @@ class Timetable:
         parked = np.maximum(stays[:, 2], t0) < np.minimum(stays[:, 3], t1)
         return np.concatenate((drives[on, 0], stays[parked, 0]))
 
-    def radio_rows(self, g: RoadGraph, t0: int, t1: int) -> np.ndarray:
+    def radio_rows(self, g: RoadGraph, t0: int, t1: int, live: np.ndarray | None = None,
+                   comm_range: float | None = None) -> np.ndarray:
         """The radio rows of ticks t0 to t1 - 1, as (tick, vehicle, x, y).
 
         One row per driving vehicle per tick, from its departure tick up
         to the tick before its arrival, and one per stay per tick at its
-        node.  Raises ValueError unless
+        node, drives first, each in tick order.  Raises ValueError unless
         ``start <= t0 <= t1 <= end``: the timetable knows no other ticks.
+
+        Given a per-vehicle bool mask ``live`` and ``comm_range``, only the
+        rows that can meet a live vehicle's are placed.  A drive is cut into
+        the route segments it is on (:func:`leg_segments`), and its place on
+        each is the segment's edge; a stay's is its node.  Every live
+        vehicle's rows are placed, and a vehicle that is not live gets the
+        rows of a segment or stay only if a live one is on a place near it
+        (:meth:`vancast.roadnet.RoadGraph.near_places`) at some tick in
+        common.  Two rows within comm_range lie on near places, so every
+        row within comm_range of a live row at its tick is placed, and a
+        contact search with ``live`` finds the same contacts in these rows
+        as in all of them.
         """
         self._within(t0, t1)
         vids, dep, arrive = self.drives.T
-        on = (dep < t1) & (arrive > t0)
+        on = np.flatnonzero((dep < t1) & (arrive > t0))
         dep = dep[on]
-        lo, hi = np.maximum(dep, t0), np.minimum(arrive[on], t1)
-        drives = hi - lo
-        n_drive = int(drives.sum())
-        stay_vids, nodes, first, last = self.stays.T
-        first, last = np.maximum(first, t0), np.minimum(last, t1)
-        counts = np.maximum(last - first, 0)
+        leg, *segments = leg_segments([self.routes[i] for i in on.tolist()], dep,
+                                      np.maximum(dep, t0), np.minimum(arrive[on], t1), self.odo)
+        # Per segment: departure, vehicle, first and end tick, nodes, cum_length.
+        segments = [dep[leg], vids[on][leg], *segments]
+        stay_vids, nodes, first, end = self.stays.T
+        first, end = np.maximum(first, t0), np.minimum(end, t1)
+        on = end > first
+        stays = [stay_vids[on], nodes[on], first[on], end[on]]
+        if live is not None:
+            places = np.concatenate((g.edges_between(*segments[4:6]), g.n_edges + stays[1]))
+            keep = _meets_live(g.near_places(comm_range), places,
+                               np.concatenate((segments[2], stays[2])) - t0,
+                               np.concatenate((segments[3], stays[3])) - t0,
+                               live[np.concatenate((segments[1], stays[0]))])
+            if keep is not None:
+                segments = [a[keep[:len(leg)]] for a in segments]
+                stays = [a[keep[len(leg):]] for a in stays]
+        dep, drive_vids, *segments = segments
+        ticks, x, y = place_segments(g, dep, self.odo, *segments)
+        n_drive = len(ticks)
+        stay_vids, nodes, first, end = stays
+        counts = end - first
         rows = np.empty((n_drive + int(counts.sum()), 4))
-        rows[:n_drive, 0], rows[:n_drive, 2], rows[:n_drive, 3] = trace_legs(
-            g, [self.routes[i] for i in np.flatnonzero(on).tolist()], dep, lo, hi, self.odo)
-        rows[:n_drive, 1] = np.repeat(vids[on], drives)
+        rows[:n_drive, 0], rows[:n_drive, 2], rows[:n_drive, 3] = ticks, x, y
+        del ticks, x, y
+        rows[:n_drive, 1] = np.repeat(drive_vids, segments[1] - segments[0])
         at = np.repeat(nodes, counts)
         rows[n_drive:, 0] = np.repeat(first - (np.cumsum(counts) - counts), counts) + np.arange(
             len(at))

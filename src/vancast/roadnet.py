@@ -22,7 +22,7 @@ import math
 import sys
 from array import array
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, product
 
 import numpy as np
 
@@ -89,6 +89,8 @@ class RoadGraph:
         self._main_parts: dict[int, tuple[int, ...]] = {}
         self._exits: dict[tuple[int, int], int] = {}
         self._within: dict[tuple[int, float], tuple[int, ...]] = {}
+        self._pairs: tuple[np.ndarray, np.ndarray] | None = None  # edges_between's lookup
+        self._near: dict[float, tuple[np.ndarray, np.ndarray]] = {}  # near_places' tables
         # One int object per node id, shared by every cached tuple, so a
         # tuple costs a pointer per node rather than an int each.
         self._node_ids = list(range(n))
@@ -173,6 +175,73 @@ class RoadGraph:
             near = tuple(compress(self._node_ids, [0 < d <= max_dist for d in self.field(src)]))
             self._within[(src, max_dist)] = near
         return near
+
+    def edges_between(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """For each pair of nodes a[i], b[i] joined by an edge, either way,
+        the id of one such edge (any: parallel edges share their nodes)."""
+        if self._pairs is None:
+            ends = np.array([(e.a, e.b) for e in self.edges], dtype=np.int64)
+            keys = ends.min(axis=1) * self.n_nodes + ends.max(axis=1)
+            order = np.argsort(keys, kind="stable")
+            self._pairs = keys[order], order
+        keys, ids = self._pairs
+        return ids[np.searchsorted(keys, np.minimum(a, b) * self.n_nodes + np.maximum(a, b))]
+
+    def near_places(self, comm_range: float) -> tuple[np.ndarray, np.ndarray]:
+        """The places near each place, as CSR arrays ``(start, near)``:
+        place p's are ``near[start[p]:start[p + 1]]``, sorted, p among them.
+
+        Places are the edges, then the nodes (place ``n_edges + v`` is node
+        v).  A place's box is the bounding box of its nodes' coordinates,
+        and two places are near when their boxes lie within comm_range plus
+        a rounding slack of 1e-9 times comm_range plus the largest
+        coordinate's magnitude.  A point between an edge's nodes lies in
+        its box, so two points on places that are not near lie further
+        than comm_range apart, even once interpolated and measured in
+        floats.  Built once per comm_range, in memory linear in the near
+        pairs: each box is filed under the square cell of its lower corner,
+        cells 1.25 times the widest box or the reach, so the corner of a
+        near box is at most two cells off in each axis, and each of those
+        cells is searched.  Raises ValueError naming comm_range if the cells
+        cannot be keyed in int64.
+        """
+        table = self._near.get(comm_range)
+        if table is not None:
+            return table
+        ends = np.array([(e.a, e.b) for e in self.edges]
+                        + [(v, v) for v in range(self.n_nodes)], dtype=np.int64)
+        xs, ys = np.asarray(self.node_x)[ends], np.asarray(self.node_y)[ends]
+        x0, x1, y0, y1 = xs.min(axis=1), xs.max(axis=1), ys.min(axis=1), ys.max(axis=1)
+        reach = comm_range + 1e-9 * (comm_range + max(np.abs(xs).max(), np.abs(ys).max()))
+        size = 1.25 * max(reach, (x1 - x0).max(), (y1 - y0).max())
+        cx, cy = np.floor(x0 / size), np.floor(y0 / size)
+        cx -= cx.min() - 2  # two empty cells a side: +-2 stays in a column
+        cy -= cy.min() - 2
+        nx, ny = int(cx.max()) + 3, int(cy.max()) + 3
+        if nx * ny >= 2**62:
+            raise ValueError(f"the road graph spans too many comm_range = {comm_range} m "
+                             f"cells to index")
+        key = cx.astype(np.int64) * ny + cy.astype(np.int64)
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        n_places = len(key)
+        found = []
+        # One column of five cells at a time, for a block of boxes: the
+        # candidate pairs in hand stay few.
+        for dx, at in product(range(-2, 3), range(0, n_places, 512)):
+            part = key[at:at + 512]
+            lo = np.searchsorted(key, part + dx * ny - 2, side="left")
+            n = np.searchsorted(key, part + dx * ny + 2, side="right") - lo
+            p = order[np.repeat(np.arange(at, at + len(part)), n)]
+            q = order[np.repeat(lo - (np.cumsum(n) - n), n) + np.arange(len(p))]
+            gap_x = np.maximum(np.maximum(x0[q] - x1[p], x0[p] - x1[q]), 0.0)
+            gap_y = np.maximum(np.maximum(y0[q] - y1[p], y0[p] - y1[q]), 0.0)
+            near = np.hypot(gap_x, gap_y) <= reach
+            found.append(p[near] * n_places + q[near])
+        pairs = np.sort(np.concatenate(found))
+        start = np.searchsorted(pairs, np.arange(n_places + 1) * n_places)
+        table = self._near[comm_range] = (start, pairs % n_places)
+        return table
 
 
 @dataclass(frozen=True)

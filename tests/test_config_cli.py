@@ -650,6 +650,16 @@ def test_cli_codec_selftest_refuses_no_trials(trials, capsys):
     assert "PASS" not in captured.out
 
 
+def test_cli_codec_selftest_refuses_a_negative_seed_by_name(monkeypatch, capsys):
+    import vancast.fountain as fountain
+
+    monkeypatch.setattr(fountain, "encode", lambda *a, **k: pytest.fail("encoded"))
+    assert main(["codec-selftest", "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert "--seed must be >= 0, got -1" in captured.err
+    assert captured.out == ""
+
+
 def test_cli_gen_graph_roundtrips(tmp_path):
     from vancast.roadnet import load_road_graph
 

@@ -672,3 +672,78 @@ def test_lay_out_day_keeps_stays_only_for_parked_radios():
         assert off.stays.shape == (0, 4) and len(on.stays)
         assert off.drives.tolist() == on.drives.tolist()
         assert off.routes == on.routes and off.rest == on.rest
+
+
+def live_rows_and_contacts(g, day, t0, t1, comm_range, live):
+    """The rows of ticks t0 to t1 - 1 placed for a live mask, checked to
+    be all rows' live ones plus some others, and the live-end contacts
+    among them, checked to be those among all rows."""
+    from vancast.engine import detect_contacts
+
+    every = day.radio_rows(g, t0, t1)
+    rows = day.radio_rows(g, t0, t1, live, comm_range)
+    placed = {(t, v): (x, y) for t, v, x, y in every.tolist()}
+    assert all(placed[t, v] == (x, y) for t, v, x, y in rows.tolist())
+    is_live = live[every[:, 1].astype(np.int64)]
+    assert np.array_equal(rows[live[rows[:, 1].astype(np.int64)]], every[is_live])
+    contacts = detect_contacts(rows, comm_range, live)
+    assert np.array_equal(contacts, detect_contacts(every, comm_range, live))
+    return rows, contacts.tolist()
+
+
+def ticks_of(rows, vid):
+    return rows[rows[:, 1] == vid, 0].astype(np.int64).tolist()
+
+
+def test_a_full_drive_is_placed_only_where_it_passes_a_live_vehicle():
+    """Vehicle 1, full, drives nodes 0 to 4 of a line of 100 m blocks at
+    10 m/s past vehicle 0, live and parked at node 2, with a 60 m radio:
+    its rows are placed on the two blocks that meet node 2 (ticks 11-30),
+    not on the two that lie 100 m off, and it meets vehicle 0 from 140 m
+    to 260 m (ticks 14-26), mid-span."""
+    g = make_grid(1, 5, 100.0)
+    day = lay_out_day(Timetable((2, 0)), [TripSchedule(0, ()), TripSchedule(
+        1, (Trip(0.0, shortest_path(g, 0, 4)),))], 0, 40, 1.0, 10.0, True)
+    assert day.drives.tolist() == [[1, 0, 40]] and day.stays.tolist() == [[0, 2, 0, 40]]
+    rows, contacts = live_rows_and_contacts(g, day, 0, 40, 60.0, np.array([True, False]))
+    assert ticks_of(rows, 1) == list(range(11, 31))
+    assert contacts == [[t, 0, 1] for t in range(14, 27)]
+
+
+def test_vehicles_meet_at_a_node_from_different_edges():
+    """A star of 100 m roads at 50 m/s: vehicle 0 (live) drives 1-0-3 and
+    vehicle 1 (full) drives 2-0-4, both at node 0 on tick 2, each at the
+    end of its first edge, where vehicle 2 (full) is parked; with a 1 m
+    radio they meet only there.  Vehicle 1's stay at node 4 after its
+    arrival is near no live place, so it is not placed."""
+    from vancast.roadnet import Edge, RoadGraph
+
+    g = RoadGraph([0.0, 100.0, 0.0, -100.0, 0.0], [0.0, 0.0, 100.0, 0.0, -100.0],
+                  [Edge(0, 1, 0, 100.0), Edge(1, 2, 0, 100.0), Edge(2, 0, 3, 100.0),
+                   Edge(3, 0, 4, 100.0)])
+    day = lay_out_day(Timetable((1, 2, 0)), [
+        TripSchedule(0, (Trip(0.0, shortest_path(g, 1, 3)),)),
+        TripSchedule(1, (Trip(0.0, shortest_path(g, 2, 4)),)),
+        TripSchedule(2, ())], 0, 6, 1.0, 50.0, True)
+    assert day.drives.tolist() == [[0, 0, 4], [1, 0, 4]]
+    rows, contacts = live_rows_and_contacts(g, day, 0, 6, 1.0, np.array([True, False, False]))
+    assert contacts == [[2, 0, 1], [2, 0, 2]]
+    assert ticks_of(rows, 1) == [0, 1, 2, 3]
+
+
+def test_roads_exactly_comm_range_apart_are_near():
+    """Three parallel 100 m roads, the second exactly 50 m from the first
+    and the third 50.5 m from the second, driven side by side at 10 m/s
+    with a 50 m radio: vehicle 1 (full) stays 50 m from vehicle 0 (live)
+    every tick, a contact, and vehicle 2 (full) is placed at no tick."""
+    from vancast.roadnet import Edge, RoadGraph
+
+    g = RoadGraph([0.0, 100.0] * 3, [0.0, 0.0, 50.0, 50.0, 100.5, 100.5],
+                  [Edge(0, 0, 1, 100.0), Edge(1, 2, 3, 100.0), Edge(2, 4, 5, 100.0)])
+    day = lay_out_day(Timetable((0, 2, 4)), [
+        TripSchedule(v, (Trip(0.0, shortest_path(g, 2 * v, 2 * v + 1)),)) for v in range(3)],
+        0, 12, 1.0, 10.0, False)
+    rows, contacts = live_rows_and_contacts(g, day, 0, 12, 50.0,
+                                            np.array([True, False, False]))
+    assert ticks_of(rows, 1) == list(range(10)) and ticks_of(rows, 2) == []
+    assert contacts == [[t, 0, 1] for t in range(10)]

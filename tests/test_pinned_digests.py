@@ -75,3 +75,25 @@ def test_final_state_digest_with_asymmetric_budgets_is_pinned(tmp_path):
         h.update(repr(store.completed_at).encode())
     h.update(repr(state.rng.bit_generator.state).encode())
     assert h.hexdigest() == "bef89f2f7827665a6bb80c587afad1037572ed3b04b57e031d1efbddf060745e"
+
+
+def test_dense_parked_run_whose_stores_fill_mid_span_is_pinned(tmp_path):
+    """200 vehicles of 27 trips a day at 7 m/s, half on main roads, parked
+    ones on the radio, for half an hour: every store fills, most in the
+    middle of a span, so a span's later contacts often join two full
+    stores (15,764 of them), and parked vehicles fill too.  The digest
+    adds every final store's mask and stamp and the generator's state."""
+    cfg = ExperimentConfig(n_vehicles=200, seed_rate=0.05, mean_trips=27.0, speed=7.0,
+                           routing_policy="shortest", main_road_fraction=0.5,
+                           parked_exchange=True, sim_duration=1_800.0, master_seed=5)
+    state = run(cfg)
+    assert state.completed_count == 200
+    path = tmp_path / "run.csv"
+    write_metrics_csv(state.metrics, cfg.n_vehicles, str(path))
+    h = hashlib.sha256(path.read_bytes())
+    assert h.hexdigest() == "ff6fc47a5203f5814035811ac5087c27ea23c169922c0c7f5c3efa8a7829b21a"
+    for store in state.stores:
+        h.update(np.packbits(store.mask).tobytes())
+        h.update(repr(store.completed_at).encode())
+    h.update(repr(state.rng.bit_generator.state).encode())
+    assert h.hexdigest() == "eb87e988569793d9ae1a574842f6300951062054da9b7528b754dcf7782b6234"

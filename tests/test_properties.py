@@ -7,8 +7,9 @@ agrees with the multiplication table, the solve recovers the symbols from
 every fed row or reports their exact rank, and the incremental decoder
 agrees with a from-scratch rank and hands decode the chunks that rebuild
 the file, contact detection under a live mask finds exactly the
-unmasked contacts that have a live end, and exchange sends, keeps and
-draws exactly what its frozen reference does."""
+unmasked contacts that have a live end, so do the radio rows placed
+only near live vehicles, and exchange sends, keeps and draws exactly
+what its frozen reference does."""
 
 import math
 import os
@@ -29,9 +30,10 @@ from test_fountain import oracle_rank
 from test_mobility import reference_assign_trips
 from vancast.fountain import (GF_MUL, DecoderState, RankDeficientError, _solve, decode,
                               encode, gf_matmul, rank)
-from vancast.mobility import DAY_LEN, Trip, assign_trips, deferred_router
+from vancast.mobility import (DAY_LEN, Timetable, Trip, TripSchedule, assign_trips,
+                              deferred_router, lay_out_day)
 from vancast.roadnet import (Edge, RoadGraph, Route, _walk_route, load_road_graph,
-                             main_road_route, save_road_graph)
+                             main_road_route, save_road_graph, shortest_path)
 
 positive = st.floats(min_value=0.0, exclude_min=True, allow_nan=False, allow_infinity=False)
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -435,6 +437,88 @@ def test_live_mask_keeps_exactly_the_contacts_with_a_live_end(case):
         assert np.array_equal(got, every)
     elif kind == "collide":
         assert len(got) == 0  # the far rows' own contacts have no live end
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 12), st.sampled_from([0.5, 3.0, 40.0]), st.data())
+def test_near_places_are_the_places_whose_boxes_lie_within_comm_range(n, r, data):
+    """Against every pair: boxes within comm_range are near, and near boxes
+    lie within comm_range plus the slack."""
+    coord = st.floats(-20.0, 20.0) | st.integers(-5, 5).map(float)
+    xs, ys = data.draw(st.lists(coord, min_size=n, max_size=n)), data.draw(
+        st.lists(coord, min_size=n, max_size=n))
+    ends = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                              .filter(lambda e: e[0] != e[1]), min_size=1, max_size=20))
+    g = RoadGraph(xs, ys, [Edge(i, a, b, 1.0) for i, (a, b) in enumerate(ends)])
+    start, near = g.near_places(r)
+    boxes = [(a, b) for a, b in ends] + [(v, v) for v in range(n)]
+    for p, (a, b) in enumerate(boxes):
+        mine = near[start[p]:start[p + 1]].tolist()
+        assert mine == sorted(set(mine)) and p in mine
+        for q, (c, d) in enumerate(boxes):
+            gx = max(min(xs[c], xs[d]) - max(xs[a], xs[b]), min(xs[a], xs[b]) - max(xs[c], xs[d]),
+                     0.0)
+            gy = max(min(ys[c], ys[d]) - max(ys[a], ys[b]), min(ys[a], ys[b]) - max(ys[c], ys[d]),
+                     0.0)
+            if math.hypot(gx, gy) <= r:
+                assert q in mine
+            elif q in mine:
+                assert math.hypot(gx, gy) <= r + 1e-9 * (r + 20.0)
+
+
+@st.composite
+def live_timetables(draw):
+    """A connected road graph of a few nodes, a timetable of drives and
+    (sometimes) stays on it, a span of its ticks, a comm_range and a live
+    mask.  Nodes sit on a lattice of comm_range steps, so roads lie
+    exactly comm_range apart, or anywhere within a few comm_range;
+    declared lengths differ from the nodes' distances; nodes are shared
+    by several edges, and edges may run in parallel."""
+    r = draw(st.sampled_from([1.0, 7.5, 100.0]))
+    n = draw(st.integers(2, 9))
+    if draw(st.booleans()):
+        coord = st.integers(-3, 3).map(lambda k: k * r)
+    else:
+        coord = st.floats(-4 * r, 4 * r)
+    xs = [draw(coord) for _ in range(n)]
+    ys = [draw(coord) for _ in range(n)]
+    ends = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]  # a spanning tree
+    ends += [(a, b) for a, b in draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                                        st.integers(0, n - 1)), max_size=n))
+             if a != b]
+    g = RoadGraph(xs, ys, [Edge(i, a, b, draw(st.floats(0.05 * r, 6 * r)))
+                           for i, (a, b) in enumerate(ends)])
+    n_vehicles = draw(st.integers(1, 8))
+    homes = [draw(st.integers(0, n - 1)) for _ in range(n_vehicles)]
+    schedules = []
+    for vid, at in enumerate(homes):
+        trips = []
+        for depart in sorted(draw(st.lists(st.integers(0, 40), max_size=3))):
+            dst = draw(st.integers(0, n - 1))
+            trips.append(Trip(float(depart), shortest_path(g, at, dst)))
+            at = dst
+        schedules.append(TripSchedule(vid, tuple(trips)))
+    end = draw(st.integers(1, 80))
+    speed = draw(st.sampled_from([0.3, 1.0, 2.5])) * r
+    day = lay_out_day(Timetable(tuple(homes)), schedules, 0, end, 1.0, speed, draw(st.booleans()))
+    t0 = draw(st.integers(0, end))
+    t1 = draw(st.integers(t0, end))
+    live = np.array(draw(st.lists(st.booleans(), min_size=n_vehicles, max_size=n_vehicles)),
+                    dtype=bool)
+    return g, day, t0, t1, r, live
+
+
+@settings(max_examples=300, deadline=None)
+@given(live_timetables())
+def test_rows_placed_near_live_vehicles_hold_every_live_contact(case):
+    g, day, t0, t1, r, live = case
+    every = day.radio_rows(g, t0, t1)
+    rows = day.radio_rows(g, t0, t1, live, r)
+    assert np.array_equal(detect_contacts(rows, r, live), detect_contacts(every, r, live))
+    placed = {(t, v): (x, y) for t, v, x, y in every.tolist()}
+    assert all(placed[t, v] == (x, y) for t, v, x, y in rows.tolist())
+    assert np.array_equal(rows[live[rows[:, 1].astype(np.int64)]],
+                          every[live[every[:, 1].astype(np.int64)]])
 
 
 @st.composite
