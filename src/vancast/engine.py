@@ -16,26 +16,28 @@ draw, however the days are split.  Once every store is full no later tick can ch
 store, a stamp or a sample, so ``run`` stops at the end of the window it
 is in and routes nothing after it.
 
-``step(state, n)`` simulates n ticks in one pass: it reads the span's
-radio rows off the timetable, finds the span's radio contacts in one
-cell-sorted search, and then runs the chunk exchange, in order, only at
-ticks that have contacts.  Only contacts that can move a chunk are
-searched for: those with a live end, a vehicle whose store was not full
-at the span's first tick.  So the timetable places every live vehicle's
-rows but a full vehicle's only on the route segments and stays where a
-live vehicle is near it at some tick in common, and the search keeps
-the rows within a cell of a live row.  Only ``share_bandwidth`` places
-every row and searches every contact, as it divides a link by the
-degree of each end.  A span with no live vehicle on the air reads no
-rows at all.  Either way, a row with no other row within a cell at its
-tick is dropped once the rows are sorted, before the search.  At seed 7
-the benchmark's seed_rate_cell, arterial_rush and payload_decode place
-34%, 38% and 94% of their spans' rows and search 70%, 98% and 31% of
-the rows they sort.  Stores fill mid-span, so the exchange runs over a
-span's contacts in blocks, and drops, before each, those whose two
-stores are both full by then (the three iterate 94%, 29% and 100% of
-their contacts).  This gives the same results, draw for draw, as
-moving, detecting and exchanging one tick at a time.
+``step(state, n)`` simulates n ticks in one pass: it finds the span's
+radio contacts in one join and one check, and then runs the chunk
+exchange, in order, only at ticks that have contacts.  Only contacts
+that can move a chunk are looked for: those with a live end, a vehicle
+whose store was not full at the span's first tick.  The timetable
+(:meth:`vancast.mobility.Timetable.radio_pairs`) cuts the span's drives
+into the route segments they are on, joins each live vehicle's segments
+and stays with the other vehicles' segments and stays on near places at
+ticks in common, places the joined ones only from their first tick in
+common with a partner to their last, and hands :func:`detect_contacts`
+the pairs of rows to check.  Under
+``share_bandwidth`` every segment and stay is joined, as a link is
+divided by the degree of each end, and that degree counts contacts
+between two full stores too.  A span with no live vehicle on the air
+places no rows at all.  At seed 7 the benchmark's seed_rate_cell,
+arterial_rush and payload_decode place 12%, 31% and 12% of their spans'
+rows.  Stores fill mid-span, so the exchange runs over a span's
+contacts in blocks and drops, before each, those whose two stores are
+both full by then, and from the rest of the block again whenever a
+store fills (the three iterate 55%, 10% and 100% of their contacts).
+This gives the same results, draw for draw, as moving, detecting and
+exchanging one tick at a time.
 A vehicle's completion is recorded once, as its store's ``completed_at``
 stamp.  ``run`` sizes each span by its radio rows, not by its ticks:
 a span ends at the last tick that keeps it within ``SPAN_ROWS`` rows
@@ -64,11 +66,13 @@ from vancast.roadnet import (RoadGraph, check_road_sums, float_text, generate_ma
                              load_road_graph)
 
 # Most radio rows run() hands to one step() call, as Timetable.span_end
-# counts them (Timetable.rows_before).  A call has a fixed cost (the
-# timetable's row query, route flattening, about a hundred numpy calls in
+# counts them (Timetable.rows_before), though the join places only those
+# with a partner.  A call has a fixed cost (the route flattening and over a
+# hundred numpy calls in Timetable.radio_pairs, some thirty in
 # detect_contacts, a pass over every store), so sparse ticks share long
-# spans; its per-row arrays must stay in cache, so dense ticks get short
-# ones.  A span still holds at least one tick, however many rows it has.
+# spans; its per-row and per-pair arrays must stay in cache, so dense
+# ticks get short ones.  A span still holds at least one tick, however
+# many rows it has.
 SPAN_ROWS = 16_000
 
 # Trips that one layout window holds, in expectation, from day 1 on: a
@@ -80,9 +84,10 @@ SPAN_ROWS = 16_000
 WINDOW_TRIPS = 2_048
 
 # Contacts step() hands its exchange loop at a time: at each block's start
-# it drops those whose two stores are both full by then, which is the
-# loop's own skip done in bulk, so most pairs that filled earlier in the
-# span cost no pass of the loop.
+# it drops those whose two stores are both full by then, in bulk, and
+# after each exchange that fills a store it drops them from the rest of
+# the block, so no pass of the loop meets two full stores.  A store fills
+# once, so that is at most one re-filter per vehicle a run.
 EXCHANGE_BLOCK = 256
 
 
@@ -127,78 +132,41 @@ def radio_cells(x: np.ndarray, y: np.ndarray, comm_range: float, n_ticks: int, s
     return cx, cy, nx, ny
 
 
-def _near_live(key: np.ndarray, is_live: np.ndarray, ny: int) -> np.ndarray:
-    """The indices of the keys whose cell is a live key's cell or one of
-    the 8 around it (the next key is the cell above, ny keys on the next
-    column), and perhaps a few more.
-
-    Live keys are marked in a bitmap of a power of two entries, at least
-    8 a key, indexed by ``key & (size - 1)``; the marks are dilated by +-1
-    and by +-ny modulo the size, then read with every key.  Sums agree
-    modulo the size, so no neighbor is missed; two keys that collide only
-    keep an extra index.  Both dilations run even when ny is 1 (or -1)
-    modulo the size: a diagonal neighbor is then 2 marks away.
-    """
-    size = 1 << (8 * len(key) - 1).bit_length()
-    bits = np.zeros(size, dtype=bool)
-    bits[key[is_live] & (size - 1)] = True
-    for s in (1, ny % size):
-        if not s:  # ny is 0 modulo the size: +-ny marks nothing new
-            continue
-        grown = bits.copy()  # bits | bits rolled by s | bits rolled by -s
-        grown[s:] |= bits[:-s]
-        grown[:s] |= bits[-s:]
-        grown[:-s] |= bits[s:]
-        grown[-s:] |= bits[:s]
-        bits = grown
-    return np.flatnonzero(bits[key & (size - 1)])
-
-
 def detect_contacts(rows: np.ndarray, comm_range: float,
-                    live: np.ndarray | None = None) -> np.ndarray:
+                    pairs: np.ndarray | None = None) -> np.ndarray:
     """Every radio contact among rows of (tick, vehicle, x, y), a float
     array of shape (n, 4) with at most one row per vehicle and tick, or,
-    given a per-vehicle bool mask ``live``, only those with a live end.
+    given ``pairs``, among just those pairs of rows.
 
     Returns an int array of (tick, a, b) rows, one for each pair a < b at
     the same tick within Euclidean distance comm_range (inclusive),
-    sorted.  Rows are binned into comm_range-sized cells per tick and
-    sorted by cell key, in which a cell's upper neighbor is the next key
-    and its right-hand column starts ny keys on.  The 8 cells around a
-    cell lie within ny + 1 keys of it, so a row whose neighbors in key
-    order are both further off has no partner and is dropped.  Each row
-    left then pairs with two runs of consecutive keys: its own cell's
-    later rows plus the cell above (run A), and the three cells of the
-    next column (run B).  That visits each pair of adjacent cells once.
-    The cost is one sort of the rows plus searches, pair expansion and
-    gathers over the rows left, near-linear in rows at typical
-    densities; on a sparse fleet most rows are alone (the benchmark's
-    payload_decode keeps 31% of the rows it sorts, seed_rate_cell 70%,
-    the dense arterial_rush 98%).  Membership is exactly
-    ``math.hypot(dx, dy) <= comm_range``.  Cells that :func:`radio_cells`
-    cannot key raise its ValueError, which names comm_range.
+    sorted.  ``pairs`` is an int array of shape (2, m) whose columns are
+    pairs of rows at a common tick, each (tick, vehicle pair) once, as
+    :meth:`vancast.mobility.Timetable.radio_pairs` gives them; exactly
+    those are checked.  Membership is exactly ``math.hypot(dx, dy) <=
+    comm_range`` (:func:`_contacts_among`).
 
-    With ``live``, the same search runs only on the rows that
-    :func:`_near_live` keeps: a row of a live vehicle, or one within a cell
-    of it at the same tick, which holds every contact with a live end.
-    The result is then the unmasked result less the pairs of two vehicles
-    that are not live.  ``live`` must be a 1-D bool array indexed by every
-    vehicle id in rows, or a ValueError names it.
+    Without pairs, a cell search finds them.  Rows are binned into
+    comm_range-sized cells per tick and sorted by cell key, in which a
+    cell's upper neighbor is the next key and its right-hand column starts
+    ny keys on.  The 8 cells around a cell lie within ny + 1 keys of it,
+    so a row whose neighbors in key order are both further off has no
+    partner and is dropped.  Each row left then pairs with two runs of
+    consecutive keys: its own cell's later rows plus the cell above (run
+    A), and the three cells of the next column (run B).  That visits each
+    pair of adjacent cells once, at the cost of one sort of the rows plus
+    searches, pair expansion and gathers over the rows left.  Cells that
+    :func:`radio_cells` cannot key raise its ValueError, which names
+    comm_range.  The engine itself always passes pairs; the cell search
+    serves callers with bare rows and is the reference the join is
+    tested against.
     """
     if comm_range <= 0:
         raise ValueError(f"comm_range must be positive, got {comm_range}")
     rows = np.asarray(rows, dtype=float).reshape(-1, 4)
-    vid = rows[:, 1].astype(np.int64)
-    if live is not None:
-        live = np.asarray(live)
-        if live.ndim != 1 or live.dtype != bool:
-            raise ValueError(f"live must be a 1-D bool array, got {live.dtype} of shape "
-                             f"{live.shape}")
-        if len(vid) and not (0 <= vid.min() and vid.max() < len(live)):
-            raise ValueError(f"live covers vehicles 0 to {len(live) - 1}, but rows hold "
-                             f"vehicles {vid.min()} to {vid.max()}")
-        row_live = live[vid]
-    if not len(rows) or (live is not None and not row_live.any()):
+    if pairs is not None:
+        return _contacts_among(rows, comm_range, [pairs])
+    if not len(rows):
         return np.zeros((0, 3), dtype=np.int64)
     t_min = int(rows[:, 0].min())
     n_ticks = int(rows[:, 0].max()) - t_min + 1
@@ -210,12 +178,7 @@ def detect_contacts(rows: np.ndarray, comm_range: float,
     # A span has tens of thousands of rows, so per-row temporaries are
     # dropped as soon as they are used: they set the run's peak memory.
     del cx, cy
-    if live is None:
-        order = np.argsort(key, kind="stable")
-    else:
-        keep = _near_live(key, row_live, ny)
-        order = keep[np.argsort(key[keep], kind="stable")]
-        del keep
+    order = np.argsort(key, kind="stable")
     key = key[order]
     # The 8 cells around a row's cell lie within ny + 1 keys of its own,
     # so a row whose neighbors in key order are both further off is alone.
@@ -224,49 +187,79 @@ def detect_contacts(rows: np.ndarray, comm_range: float,
     paired[1:] = close
     paired[:-1] |= close
     del close
-    if not paired.any():
-        return np.zeros((0, 3), dtype=np.int64)
-    order, key = order[paired], key[paired]
-    del paired
-    x, y, vid = rows[:, 2][order], rows[:, 3][order], vid[order]
-    if live is not None:
-        row_live = row_live[order]
-    del order
-    row = np.arange(len(key))
+    return _contacts_among(rows[order[paired]], comm_range, _cell_runs(key[paired], ny))
 
-    # Runs A and B: a row's candidates hold keys key + first to key + last
-    # (in run A, only the rows after it).
-    found_i, found_j = [], []
+
+def _cell_runs(key: np.ndarray, ny: int):
+    """The candidate pairs (i, j) of rows with these sorted cell keys, one
+    run at a time: each row's candidates hold keys key + first to key +
+    last (in run A, only the rows after it)."""
+    row = np.arange(len(key))
     for first, last in ((0, 1), (ny - 1, ny + 1)):
         lo = row + 1 if first == 0 else np.searchsorted(key, key + first, side="left")
         n = np.searchsorted(key, key + last, side="right") - lo
         i = np.repeat(row, n)
-        j = np.repeat(lo - (np.cumsum(n) - n), n) + np.arange(len(i))
-        del lo, n
-        d = np.hypot(x[i] - x[j], y[i] - y[j])
-        near = d <= comm_range
-        # np.hypot and math.hypot may differ in the last bit: decide the
-        # pairs at the boundary with math.hypot.
-        for k in np.flatnonzero(np.abs(d - comm_range) <= 1e-9 * comm_range).tolist():
-            near[k] = math.hypot(x[i[k]] - x[j[k]], y[i[k]] - y[j[k]]) <= comm_range
-        if live is not None:
-            near &= row_live[i] | row_live[j]
-        found_i.append(i[near])
-        found_j.append(j[near])
+        yield i, np.repeat(lo - (np.cumsum(n) - n), n) + np.arange(len(i))
+
+
+def _contacts_among(rows: np.ndarray, comm_range: float, candidates) -> np.ndarray:
+    """The narrow phase of :func:`detect_contacts`: of each block (i, j) of
+    candidate pairs of rows, those within comm_range, as (tick, a, b) rows
+    sorted by (tick, a, b).  Pairs are checked as many at a time as there
+    are rows, so the check's temporaries stay within the rows' size."""
+    x, y = rows[:, 2], rows[:, 3]
+    size = max(len(rows), 1)
+    found_i, found_j = [], []
+    for block_i, block_j in candidates:
+        for at in range(0, len(block_i), size):
+            i, j = block_i[at:at + size], block_j[at:at + size]
+            d = x[i]
+            d -= x[j]
+            dy = y[i]
+            dy -= y[j]
+            np.hypot(d, dy, out=d)
+            del dy
+            near = d <= comm_range
+            # np.hypot and math.hypot may differ in the last bit: decide the
+            # pairs at the boundary with math.hypot.
+            d -= comm_range
+            np.abs(d, out=d)
+            for k in np.flatnonzero(d <= 1e-9 * comm_range).tolist():
+                near[k] = math.hypot(x[i[k]] - x[j[k]], y[i[k]] - y[j[k]]) <= comm_range
+            del d
+            found_i.append(i[near])
+            found_j.append(j[near])
+        del block_i, block_j
+    if not sum(map(len, found_i)):
+        return np.zeros((0, 3), dtype=np.int64)
     i, j = np.concatenate(found_i), np.concatenate(found_j)
-    t = key[i] // (nx * ny)
-    a = np.minimum(vid[i], vid[j])
-    b = np.maximum(vid[i], vid[j])
+    del found_i, found_j
+    # A span's pairs can outnumber its rows many times over: per-pair
+    # arrays are built in place and dropped as soon as they are used.
+    tick, vid = rows[:, 0].astype(np.int64), rows[:, 1].astype(np.int64)
+    found = np.empty((len(i), 3), dtype=np.int64)
+    found[:, 0] = tick[i]
+    a, b = vid[i], vid[j]
+    del i, j
+    np.minimum(a, b, out=found[:, 1])
+    np.maximum(a, b, out=found[:, 2])
+    del a, b
     # Sort by (t, a, b) on one int64 key of offsets when it provably fits
-    # (t < n_ticks, a and b offsets < nv); ids spread wider than that
-    # are sorted column by column.
-    v0 = int(vid.min())
-    nv = int(vid.max()) - v0 + 1
+    # (t and a and b offsets within the rows' ranges); ids spread wider
+    # than that are sorted column by column.
+    t_min, v0 = int(tick.min()), int(vid.min())
+    n_ticks, nv = int(tick.max()) - t_min + 1, int(vid.max()) - v0 + 1
     if n_ticks * nv * nv < 2**63:
-        order = np.argsort((t * nv + (a - v0)) * nv + (b - v0))
+        key = found[:, 0] - t_min
+        key *= nv
+        key += found[:, 1] - v0
+        key *= nv
+        key += found[:, 2] - v0
+        order = np.argsort(key)
+        del key
     else:
-        order = np.lexsort((b, a, t))
-    return np.stack((t + t_min, a, b), axis=1)[order]
+        order = np.lexsort((found[:, 2], found[:, 1], found[:, 0]))
+    return found[order]
 
 
 def exchange(
@@ -570,24 +563,24 @@ def step(state: SimState, n_ticks: int = 1) -> None:
     departure tick but already takes part in contacts; an arrival departs
     again on the next tick at the earliest.
 
-    Motion never depends on chunks, so the span's radio rows are read off
-    the window's timetable (:meth:`vancast.mobility.Timetable.radio_rows`),
-    contacts come from one :func:`detect_contacts` call, and
-    :func:`exchange` then runs in (tick, a, b) order, with the same floats
-    and draws as n_ticks single steps.  A contact whose two stores both
-    held every chunk at the span's first tick can move nothing and draws
-    nothing, so only the rows that can meet a live vehicle, a store not
-    full then, are placed, and only contacts with a live end detected
-    (``live``).  Under ``share_bandwidth`` every row is placed and every
-    contact detected, since a link's share divides by the degree of each
-    end, and that degree counts contacts between two full stores too;
-    those contacts are then dropped.  Either way, if no live vehicle is
-    on the air in the span (:meth:`vancast.mobility.Timetable.radio_vehicles`),
-    its rows are not even read.  A contact whose two stores are both full
-    by the time it is reached is skipped, and is dropped in bulk if they
-    were full when its block of ``EXCHANGE_BLOCK`` contacts began.  Nor
-    is :func:`exchange` called for two empty stores, though their link
-    budget still accrues.  A pair's link budget carries over only to the
+    Motion never depends on chunks, so the span's rows and the pairs of
+    them to check are read off the window's timetable
+    (:meth:`vancast.mobility.Timetable.radio_pairs`), contacts come from
+    one :func:`detect_contacts` call, and :func:`exchange` then runs in
+    (tick, a, b) order, with the same floats and draws as n_ticks single
+    steps.  A contact whose two stores both held every chunk at the
+    span's first tick can move nothing and draws nothing, so only pairs
+    with a live end, a store not full then, are joined (``live``).  Under
+    ``share_bandwidth`` every pair is joined and every contact detected,
+    since a link's share divides by the degree of each end, and that
+    degree counts contacts between two full stores too; those contacts
+    are then dropped.  Either way, if no live vehicle is on the air in the
+    span (:meth:`vancast.mobility.Timetable.radio_vehicles`), no row is
+    placed.  A contact whose two stores are both full by the time it is
+    reached is skipped: dropped in bulk if they were full when its block
+    of ``EXCHANGE_BLOCK`` contacts began, else from the rest of the block
+    when the second of them fills.  Nor is :func:`exchange` called for
+    two empty stores, though their link budget still accrues.  A pair's link budget carries over only to the
     next tick.  The timetable refuses a
     span past its end, ``state.day.end``, before the clock moves; ``run``
     lays out the next window or day when a span reaches it.
@@ -599,11 +592,11 @@ def step(state: SimState, n_ticks: int = 1) -> None:
     live = np.array([s.count for s in stores]) != cfg.n_chunks
     if not live[day.radio_vehicles(t0, t1)].any():
         contacts = np.zeros((0, 3), dtype=np.int64)
-    elif cfg.share_bandwidth:  # a shared link's degrees count every contact, full pairs too
-        contacts = detect_contacts(day.radio_rows(state.graph, t0, t1), cfg.comm_range)
-    else:
-        contacts = detect_contacts(day.radio_rows(state.graph, t0, t1, live, cfg.comm_range),
-                                   cfg.comm_range, live)
+    else:  # a shared link's degrees count every contact, full pairs too
+        rows, pairs = day.radio_pairs(state.graph, t0, t1,
+                                      None if cfg.share_bandwidth else live, cfg.comm_range)
+        contacts = detect_contacts(rows, cfg.comm_range, pairs)
+        del rows, pairs
     state.tick = t1
 
     gain = cfg.chunks_per_step()
@@ -618,38 +611,47 @@ def step(state: SimState, n_ticks: int = 1) -> None:
 
     n_chunks, threshold, dt, rng = cfg.n_chunks, cfg.decode_threshold, cfg.dt, state.rng
     now, new_accum = t0 - 1, state.accum  # the last tick and its pairs' budgets
-    full = ~live  # updated as stores fill
+    full = ~live  # updated as stores fill, and the same as a list
+    full_list = full.tolist()
     for lo in range(0, len(contacts), EXCHANGE_BLOCK):
         block = contacts[lo:lo + EXCHANGE_BLOCK]
         open_ = ~(full[block[:, 1]] & full[block[:, 2]])
-        block_gains = (itertools.repeat((gain, gain)) if gains is None else
-                       gains[lo:lo + EXCHANGE_BLOCK][open_].tolist())
-        for (t, va, vb), (g_a, g_b) in zip(block[open_].tolist(), block_gains):
-            if t != now:
-                accum = new_accum if t == now + 1 else {}
-                new_accum, now = {}, t
-            sa, sb = stores[va], stores[vb]
-            if sa.count == sb.count == n_chunks:
-                continue
-            if acc := accum.get((va, vb)):
-                acc[0] += g_a
-                acc[1] += g_b
-            else:
-                acc = [g_a, g_b]  # 0.0 + g is g: gains are positive
-            n_ab, n_ba = int(acc[0]), int(acc[1])
-            acc[0], acc[1] = acc[0] - n_ab, acc[1] - n_ba
-            new_accum[(va, vb)] = acc
-            if (n_ab or n_ba) and (sa.count or sb.count):
-                sent_ab, sent_ba = exchange(sa, sb, n_ab, n_ba, rng)
-                # Only receivers: a hand-built state may hold an unstamped store at the threshold.
-                if len(sent_ab):
-                    if sb.completed_at is None and sb.count >= threshold:
-                        sb.completed_at = (t + 1) * dt
-                    full[vb] = sb.count == n_chunks
-                if len(sent_ba):
-                    if sa.completed_at is None and sa.count >= threshold:
-                        sa.completed_at = (t + 1) * dt
-                    full[va] = sa.count == n_chunks
+        todo = zip(block[open_].tolist(), itertools.repeat((gain, gain)) if gains is None else
+                   gains[lo:lo + EXCHANGE_BLOCK][open_].tolist())
+        while todo is not None:
+            rest, todo = todo, None
+            for (t, va, vb), (g_a, g_b) in rest:
+                if t != now:
+                    accum = new_accum if t == now + 1 else {}
+                    new_accum, now = {}, t
+                sa, sb = stores[va], stores[vb]
+                if acc := accum.get((va, vb)):
+                    acc[0] += g_a
+                    acc[1] += g_b
+                else:
+                    acc = [g_a, g_b]  # 0.0 + g is g: gains are positive
+                n_ab, n_ba = int(acc[0]), int(acc[1])
+                acc[0], acc[1] = acc[0] - n_ab, acc[1] - n_ba
+                new_accum[(va, vb)] = acc
+                if (n_ab or n_ba) and (sa.count or sb.count):
+                    sent_ab, sent_ba = exchange(sa, sb, n_ab, n_ba, rng)
+                    # Only receivers: a hand-built state may hold an unstamped store at the
+                    # threshold.
+                    filled = False
+                    if len(sent_ab):
+                        if sb.completed_at is None and sb.count >= threshold:
+                            sb.completed_at = (t + 1) * dt
+                        if sb.count == n_chunks:
+                            full[vb] = full_list[vb] = filled = True
+                    if len(sent_ba):
+                        if sa.completed_at is None and sa.count >= threshold:
+                            sa.completed_at = (t + 1) * dt
+                        if sa.count == n_chunks:
+                            full[va] = full_list[va] = filled = True
+                    if filled:  # drop the rest of the block's contacts of two full stores
+                        todo = iter([c for c in rest
+                                     if not (full_list[c[0][1]] and full_list[c[0][2]])])
+                        break
     state.accum = new_accum if now == t1 - 1 else {}
 
 

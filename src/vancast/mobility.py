@@ -20,14 +20,18 @@ it routes a deferred trip (:func:`deferred_router`) only when it lays
 the trip out, to the route an eager draw gives.  It states the rules
 for departures, drives carried over from the previous window, and trips
 left pending at the timetable's end.  The timetable answers the
-engine's three questions about motion: the radio rows of a span of ticks
-(:meth:`Timetable.radio_rows`: drives cut into the route segments they
-are on by :func:`leg_segments`, placed by :func:`place_segments` at
-:func:`odometer` distances, and, given a live mask, only where they can
-meet a live vehicle), the vehicles those rows belong to
-(:meth:`Timetable.radio_vehicles`, without placing any), and where a
-span of at most so many rows ends (:meth:`Timetable.span_end`), read off
-the sorted first and end ticks of its drives and stays.
+engine's three questions about motion: which radio rows of a span of
+ticks may be in a contact with a live end, and which pairs of them to
+check (:meth:`Timetable.radio_pairs`: drives cut into the route segments
+they are on by :func:`leg_segments`, each segment or stay an interval of
+ticks at an edge or node, the live ones joined by :func:`_join` with the
+others on near places at ticks in common, and only the joined intervals
+placed, by :func:`place_segments` at :func:`odometer` distances), the
+vehicles on the air in a span (:meth:`Timetable.radio_vehicles`, without
+placing any), and where a span of at most so many rows ends
+(:meth:`Timetable.span_end`), read off the sorted first and end ticks of
+its drives and stays.  :meth:`Timetable.radio_rows` places every row of
+a span, as the reference the join is tested against.
 
 :func:`advance` and :func:`position_of`, which move and place one
 :class:`VehicleState` for one step, are the per-tick reference that
@@ -504,42 +508,53 @@ def trace_legs(
     return place_segments(g, departs[leg], odo, *segments)
 
 
-def _meets_live(near: tuple[np.ndarray, np.ndarray], places: np.ndarray, first: np.ndarray,
-                end: np.ndarray, live: np.ndarray) -> np.ndarray | None:
-    """Which of the non-empty intervals of ticks ``first[i]`` to ``end[i] - 1``
-    (from 0) at place ``places[i]`` are live, or overlap in time a live one on a
-    near place (``near``, :meth:`vancast.roadnet.RoadGraph.near_places`);
-    None if that is all of them.
+def _join(near: tuple[np.ndarray, np.ndarray], places: np.ndarray, first: np.ndarray,
+          end: np.ndarray, live: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (i, j) of the non-empty intervals of ticks ``first[i]`` to
+    ``end[i] - 1`` (from 0) at place ``places[i]`` that overlap in time on near
+    places (``near``, :meth:`vancast.roadnet.RoadGraph.near_places`) and
+    have a live end (``live``, a bool per interval), each unordered pair
+    once: i is live, and j is not live or comes after i.
 
-    Each live interval is copied to every place near its own, and the
-    copies are sorted by place and first tick, with a running maximum of
-    their end ticks.  An interval that is not live overlaps a copy on its
-    place iff the last copy there that starts before its end has a
-    running maximum past its first tick: one search for each.
+    The intervals are sorted by place and first tick.  A live interval
+    searches, on each place near its own, the intervals that start before
+    it ends but not so early that even the place's longest interval would
+    end by its first tick; those that do end by then are dropped.  Live
+    intervals are expanded against their candidates a block at a time,
+    each block holding at most as many candidates as the intervals have
+    ticks (or one search's), so the candidates in hand stay within the
+    size of the rows they stand for.
     """
-    if live.all():
-        return None
-    if not live.any():
-        return live
     start, near = near
-    own = places[live]
-    counts = start[own + 1] - start[own]
-    n = int(counts.sum())
-    at = near[np.repeat(start[own] - (np.cumsum(counts) - counts), counts) + np.arange(n)]
+    size = int((end - first).sum())
     width = int(end.max()) + 1  # a place's key range: no tick reaches it
-    at *= width
-    key = at + np.repeat(first[live], counts)
+    key = places * width + first
     order = np.argsort(key)
     key = key[order]
-    at += np.repeat(end[live], counts)
-    reach = np.maximum.accumulate(at[order])
-    others = ~live
-    base = places[others] * width
-    j = np.searchsorted(key, base + end[others]) - 1
-    keep = live.copy()
-    keep[others] = reach[np.maximum(j, 0)] > base + first[others]
-    keep[others] &= j >= 0
-    return keep
+    longest = np.zeros(len(start) - 1, dtype=np.int64)
+    np.maximum.at(longest, places, end - first)
+    own = np.flatnonzero(live)
+    counts = start[places[own] + 1] - start[places[own]]
+    src = np.repeat(own, counts)  # one search per live interval and place near its own
+    q = near[np.repeat(start[places[own]] - (np.cumsum(counts) - counts), counts)
+             + np.arange(len(src))]
+    lo = np.searchsorted(key, q * width + np.maximum(first[src] - longest[q] + 1, 0))
+    counts = np.searchsorted(key, q * width + end[src]) - lo
+    del q
+    cum = np.cumsum(counts)
+    found_i, found_j = [], []
+    a = 0
+    while a < len(src):
+        b = max(a + 1, int(np.searchsorted(cum, (cum[a - 1] if a else 0) + size, side="right")))
+        k = counts[a:b]
+        i = np.repeat(src[a:b], k)
+        j = order[np.repeat(lo[a:b] - (np.cumsum(k) - k), k) + np.arange(len(i))]
+        keep = end[j] > first[i]
+        keep &= ~live[j] | (i < j)
+        found_i.append(i[keep])
+        found_j.append(j[keep])
+        a = b
+    return np.concatenate(found_i), np.concatenate(found_j)
 
 
 @dataclass(eq=False)
@@ -602,48 +617,27 @@ class Timetable:
         parked = np.maximum(stays[:, 2], t0) < np.minimum(stays[:, 3], t1)
         return np.concatenate((drives[on, 0], stays[parked, 0]))
 
-    def radio_rows(self, g: RoadGraph, t0: int, t1: int, live: np.ndarray | None = None,
-                   comm_range: float | None = None) -> np.ndarray:
-        """The radio rows of ticks t0 to t1 - 1, as (tick, vehicle, x, y).
-
-        One row per driving vehicle per tick, from its departure tick up
-        to the tick before its arrival, and one per stay per tick at its
-        node, drives first, each in tick order.  Raises ValueError unless
-        ``start <= t0 <= t1 <= end``: the timetable knows no other ticks.
-
-        Given a per-vehicle bool mask ``live`` and ``comm_range``, only the
-        rows that can meet a live vehicle's are placed.  A drive is cut into
-        the route segments it is on (:func:`leg_segments`), and its place on
-        each is the segment's edge; a stay's is its node.  Every live
-        vehicle's rows are placed, and a vehicle that is not live gets the
-        rows of a segment or stay only if a live one is on a place near it
-        (:meth:`vancast.roadnet.RoadGraph.near_places`) at some tick in
-        common.  Two rows within comm_range lie on near places, so every
-        row within comm_range of a live row at its tick is placed, and a
-        contact search with ``live`` finds the same contacts in these rows
-        as in all of them.
-        """
+    def _intervals(self, t0: int, t1: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """The drive segments and stays on the air in ticks t0 to t1 - 1,
+        clipped to them: per segment its drive's departure, the vehicle, the
+        first and end tick, the two nodes and their ``cum_length``
+        (:func:`leg_segments`); per stay the vehicle, node, first and end tick."""
         self._within(t0, t1)
         vids, dep, arrive = self.drives.T
         on = np.flatnonzero((dep < t1) & (arrive > t0))
         dep = dep[on]
         leg, *segments = leg_segments([self.routes[i] for i in on.tolist()], dep,
                                       np.maximum(dep, t0), np.minimum(arrive[on], t1), self.odo)
-        # Per segment: departure, vehicle, first and end tick, nodes, cum_length.
         segments = [dep[leg], vids[on][leg], *segments]
         stay_vids, nodes, first, end = self.stays.T
         first, end = np.maximum(first, t0), np.minimum(end, t1)
         on = end > first
-        stays = [stay_vids[on], nodes[on], first[on], end[on]]
-        if live is not None:
-            places = np.concatenate((g.edges_between(*segments[4:6]), g.n_edges + stays[1]))
-            keep = _meets_live(g.near_places(comm_range), places,
-                               np.concatenate((segments[2], stays[2])) - t0,
-                               np.concatenate((segments[3], stays[3])) - t0,
-                               live[np.concatenate((segments[1], stays[0]))])
-            if keep is not None:
-                segments = [a[keep[:len(leg)]] for a in segments]
-                stays = [a[keep[len(leg):]] for a in stays]
+        return segments, [stay_vids[on], nodes[on], first[on], end[on]]
+
+    def _place(self, g: RoadGraph, segments: list[np.ndarray], stays: list[np.ndarray]
+               ) -> np.ndarray:
+        """The radio rows of these segments and stays (see :meth:`_intervals`),
+        segments first, each interval's ticks in order."""
         dep, drive_vids, *segments = segments
         ticks, x, y = place_segments(g, dep, self.odo, *segments)
         n_drive = len(ticks)
@@ -660,6 +654,93 @@ class Timetable:
         rows[n_drive:, 2] = np.asarray(g.node_x)[at]
         rows[n_drive:, 3] = np.asarray(g.node_y)[at]
         return rows
+
+    def radio_rows(self, g: RoadGraph, t0: int, t1: int) -> np.ndarray:
+        """The radio rows of ticks t0 to t1 - 1, as (tick, vehicle, x, y).
+
+        One row per driving vehicle per tick, from its departure tick up
+        to the tick before its arrival, and one per stay per tick at its
+        node, drives first, each in tick order.  A drive is cut into the
+        route segments it is on (:func:`leg_segments`) and placed a segment
+        at a time (:func:`place_segments`).  Raises ValueError unless
+        ``start <= t0 <= t1 <= end``: the timetable knows no other ticks.
+        The engine places rows with :meth:`radio_pairs`; these are the
+        reference it is tested against.
+        """
+        return self._place(g, *self._intervals(t0, t1))
+
+    def radio_pairs(self, g: RoadGraph, t0: int, t1: int, live: np.ndarray | None,
+                    comm_range: float) -> tuple[np.ndarray, np.ndarray]:
+        """The radio rows of ticks t0 to t1 - 1 that may be in a contact with a
+        live end, and the pairs of rows to check, for
+        :func:`vancast.engine.detect_contacts`.
+
+        The span's drives are cut into the route segments they are on
+        (:func:`leg_segments`), and each segment or stay is an interval of
+        ticks at a place: the segment's edge
+        (:meth:`vancast.roadnet.RoadGraph.edges_between`) or the stay's node.
+        Every interval of a vehicle live in the per-vehicle bool mask
+        ``live`` (every interval, with ``live=None``) is joined with every
+        interval of another vehicle that lies on a near place
+        (:meth:`vancast.roadnet.RoadGraph.near_places`) and overlaps it in
+        time, each unordered pair once (:func:`_join`).  Two points within
+        comm_range lie on near places, so the pairs hold every contact with
+        a live end.  An interval in some pair is placed over the ticks from
+        its first overlap with a partner to its last, with
+        :meth:`radio_rows`' floats; the others are not placed at all.
+
+        Returns the rows, as :meth:`radio_rows` gives them, and an int array
+        of shape (2, m): the two rows of each joined pair at each tick they
+        have in common, each (tick, vehicle pair) once.  Raises
+        :meth:`radio_rows`' ValueError for the same ticks, and a ValueError
+        naming ``live`` unless it is a 1-D bool array indexed by every
+        vehicle of the timetable's span.
+        """
+        segments, stays = self._intervals(t0, t1)
+        vid = np.concatenate((segments[1], stays[0]))
+        if live is None:
+            is_live = np.ones(len(vid), dtype=bool)
+        else:
+            live = np.asarray(live)
+            if live.ndim != 1 or live.dtype != bool:
+                raise ValueError(f"live must be a 1-D bool array, got {live.dtype} of shape "
+                                 f"{live.shape}")
+            if len(vid) and not (0 <= vid.min() and vid.max() < len(live)):
+                raise ValueError(f"live covers vehicles 0 to {len(live) - 1}, but the span "
+                                 f"holds vehicles {vid.min()} to {vid.max()}")
+            is_live = live[vid]
+        if not is_live.any():
+            return np.zeros((0, 4)), np.zeros((2, 0), dtype=np.int64)
+        n_seg = len(segments[0])
+        first = np.concatenate((segments[2], stays[2])) - t0
+        end = np.concatenate((segments[3], stays[3])) - t0
+        i, j = _join(g.near_places(comm_range),
+                     np.concatenate((g.edges_between(*segments[4:6]), g.n_edges + stays[1])),
+                     first, end, is_live)
+        lo, hi = np.maximum(first[i], first[j]), np.minimum(end[i], end[j])
+        # Each interval is placed from its first tick in common with a partner to its last.
+        ends = np.concatenate((i, j))
+        first_used = np.full(len(first), t1 - t0)
+        np.minimum.at(first_used, ends, np.concatenate((lo, lo)))
+        end_used = np.zeros(len(first), dtype=np.int64)
+        np.maximum.at(end_used, ends, np.concatenate((hi, hi)))
+        del ends
+        counts = np.maximum(end_used - first_used, 0)
+        row_at = np.cumsum(counts) - counts - first_used  # an interval's row at tick t0 + t
+        kept = counts > 0
+        segments[2:4] = first_used[:n_seg] + t0, end_used[:n_seg] + t0
+        stays[2:4] = first_used[n_seg:] + t0, end_used[n_seg:] + t0
+        rows = self._place(g, [a[kept[:n_seg]] for a in segments],
+                           [a[kept[n_seg:]] for a in stays])
+        counts = hi - lo
+        lo -= np.cumsum(counts) - counts  # so that row_at + lo + the pair-tick's index is its row
+        step = np.arange(int(counts.sum()))
+        pairs = np.empty((2, len(step)), dtype=np.int64)
+        pairs[0] = np.repeat(row_at[i] + lo, counts)
+        pairs[0] += step
+        pairs[1] = np.repeat(row_at[j] + lo, counts)
+        pairs[1] += step
+        return rows, pairs
 
     def span_end(self, t0: int, budget: int) -> int:
         """The last tick t, up to ``end``, such that ticks t0 to t - 1 yield

@@ -200,62 +200,87 @@ def test_contacts_refuse_a_non_finite_position(bad):
         detect_contacts(rows_at({0: (0.0, 0.0), 1: (10.0, 0.0), 2: (bad, 5.0)}), 100.0)
 
 
+def joined(points, stays, live, comm_range):
+    """The contacts the engine's join finds among parked vehicles (see
+    :meth:`vancast.mobility.Timetable.radio_pairs`): stays of (vehicle,
+    node, first tick, end tick) at nodes placed at points, live mask live."""
+    from vancast.mobility import Timetable
+    from vancast.roadnet import Edge, RoadGraph
+
+    g = RoadGraph([x for x, _ in points], [y for _, y in points], [Edge(0, 0, 1, 1.0)])
+    stays = np.array(stays, dtype=np.int64).reshape(-1, 4)
+    day = Timetable(tuple(range(len(stays))), stays=stays, start=int(stays[:, 2].min()),
+                    end=int(stays[:, 3].max()))
+    rows, row_pairs = day.radio_pairs(g, day.start, day.end, live, comm_range)
+    return detect_contacts(rows, comm_range, row_pairs)
+
+
 def test_contacts_with_a_live_mask_keep_the_pairs_with_a_live_end():
     # a chain 40 m apart at 50 m range: 0-1, 1-2, 2-3 and 3-4 are in contact
-    rows = rows_at({v: (40.0 * v, 0.0) for v in range(5)})
+    points = [(40.0 * v, 0.0) for v in range(5)]
+    stays = [(v, v, 0, 1) for v in range(5)]
     live = np.array([False, False, False, True, False])
-    assert pairs(detect_contacts(rows, 50.0, live)) == [(2, 3), (3, 4)]
-    assert detect_contacts(rows, 50.0, np.zeros(5, dtype=bool)).shape == (0, 3)
-    assert np.array_equal(detect_contacts(rows, 50.0, np.ones(7, dtype=bool)),
-                          detect_contacts(rows, 50.0))
+    assert pairs(joined(points, stays, live, 50.0)) == [(2, 3), (3, 4)]
+    assert joined(points, stays, np.zeros(5, dtype=bool), 50.0).shape == (0, 3)
+    every = detect_contacts(rows_at(dict(enumerate(points))), 50.0)
+    assert pairs(every) == [(0, 1), (1, 2), (2, 3), (3, 4)]
+    assert np.array_equal(joined(points, stays, np.ones(7, dtype=bool), 50.0), every)
+    assert np.array_equal(joined(points, stays, None, 50.0), every)
 
 
 @pytest.mark.parametrize("far_y", [3090.0, 2890.0])
 def test_contacts_with_a_live_mask_keep_a_diagonal_pair_on_a_tall_grid(far_y):
-    # 3 rows mark a 32-entry bitmap; the far row makes the grid ny = 33 or 31
-    # cells tall, 1 or -1 modulo 32, so the diagonal neighbor's key is 2 off
-    rows = rows_at({0: (90.0, 90.0), 1: (110.0, 110.0), 2: (0.0, far_y)})
+    # the far row makes the cell search's grid ny = 33 or 31 cells tall, so
+    # the diagonal neighbor's key is ny + 1 on
+    points = [(90.0, 90.0), (110.0, 110.0), (0.0, far_y)]
+    assert pairs(detect_contacts(rows_at(dict(enumerate(points))), 100.0)) == [(0, 1)]
     live = np.array([True, False, False])
-    assert pairs(detect_contacts(rows, 100.0, live)) == [(0, 1)]
-    assert pairs(detect_contacts(rows, 100.0, ~live)) == [(0, 1)]
+    stays = [(v, v, 0, 1) for v in range(3)]
+    assert pairs(joined(points, stays, live, 100.0)) == [(0, 1)]
+    assert pairs(joined(points, stays, ~live, 100.0)) == [(0, 1)]
 
 
 @pytest.mark.parametrize("live", [None, np.array([True, False]), np.array([False, True])])
 def test_contacts_keep_two_rows_alone_in_diagonal_cells(live):
     # cells (0, 0) and (1, 1) of a 4-cell-tall box: keys exactly ny + 1 apart
     rows = rows_at({0: (90.0, 90.0), 1: (110.0, 110.0)}, tick=3)
-    assert detect_contacts(rows, 100.0, live).tolist() == [[3, 0, 1]]
+    assert detect_contacts(rows, 100.0).tolist() == [[3, 0, 1]]
+    stays = [(0, 0, 3, 4), (1, 1, 3, 4)]
+    assert joined([(90.0, 90.0), (110.0, 110.0)], stays, live, 100.0).tolist() == [[3, 0, 1]]
 
 
 @pytest.mark.parametrize("live", [None, np.ones(4, dtype=bool)])
 def test_contacts_of_rows_all_alone_are_empty(live):
-    # no row has another within a cell at its tick: each is pruned before the search
+    # no row has another within a cell at its tick: the cell search prunes
+    # each before it searches, and the join pairs none
     rows = np.array([(0, 0, 0.0, 0.0), (0, 1, 250.0, 250.0), (1, 2, 0.0, 250.0),
                      (2, 3, 0.0, 0.0)])
-    contacts = detect_contacts(rows, 100.0, live)
-    assert contacts.shape == (0, 3)
-    assert contacts.dtype == np.int64
+    stays = [(0, 0, 0, 1), (1, 1, 0, 1), (2, 2, 1, 2), (3, 0, 2, 3)]
+    for contacts in (detect_contacts(rows, 100.0),
+                     joined([(0.0, 0.0), (250.0, 250.0), (0.0, 250.0)], stays, live, 100.0)):
+        assert contacts.shape == (0, 3)
+        assert contacts.dtype == np.int64
 
 
 @pytest.mark.parametrize("bad", [np.ones(3, dtype=np.int64), np.ones(3),
                                  np.ones((3, 1), dtype=bool), np.bool_(True)])
 def test_contacts_refuse_a_live_mask_that_is_not_1d_bool(bad):
     with pytest.raises(ValueError, match="live"):
-        detect_contacts(rows_at({0: (0.0, 0.0), 1: (10.0, 0.0)}), 100.0, bad)
+        joined([(0.0, 0.0), (10.0, 0.0)], [(0, 0, 0, 1), (1, 1, 0, 1)], bad, 100.0)
 
 
 def test_contacts_refuse_a_live_mask_short_of_a_vehicle_id():
     # numpy would raise an IndexError for vehicle 2
     with pytest.raises(ValueError, match="live"):
-        detect_contacts(rows_at({0: (0.0, 0.0), 2: (10.0, 0.0)}), 100.0,
-                        np.ones(2, dtype=bool))
+        joined([(0.0, 0.0), (10.0, 0.0)], [(0, 0, 0, 1), (2, 1, 0, 1)],
+               np.ones(2, dtype=bool), 100.0)
 
 
 def test_contacts_refuse_a_negative_vehicle_id_under_a_live_mask():
     # numpy would read vehicle -1 off the mask's last entry
     with pytest.raises(ValueError, match="live"):
-        detect_contacts(rows_at({-1: (0.0, 0.0), 0: (10.0, 0.0)}), 100.0,
-                        np.array([False, True]))
+        joined([(0.0, 0.0), (10.0, 0.0)], [(-1, 0, 0, 1), (0, 1, 0, 1)],
+               np.array([False, True]), 100.0)
 
 
 # --- chunk stores and exchange --------------------------------------------------
@@ -597,12 +622,12 @@ def test_dedicated_bandwidth_serves_each_link_fully():
 def test_only_shared_bandwidth_detects_contacts_without_a_live_mask(monkeypatch,
                                                                     share_bandwidth):
     """A shared link divides by each end's degree, which counts contacts
-    between full stores too, so that search takes no mask."""
-    import vancast.engine as engine
+    between full stores too, so that join takes no mask."""
+    from vancast.mobility import Timetable
 
-    masks, real = [], engine.detect_contacts
-    monkeypatch.setattr(engine, "detect_contacts", lambda rows, comm_range, live=None:
-                        masks.append(live) or real(rows, comm_range, live))
+    masks, real = [], Timetable.radio_pairs
+    monkeypatch.setattr(Timetable, "radio_pairs", lambda day, g, t0, t1, live, comm_range:
+                        masks.append(live) or real(day, g, t0, t1, live, comm_range))
     seed_between_two_listeners(share_bandwidth)
     if share_bandwidth:
         assert masks == [None]
@@ -737,9 +762,9 @@ def test_a_span_with_no_live_radio_reads_no_rows_and_exchanges_nothing(monkeypat
     state.stores[1].mask[:] = False
     state.stores[1].count, state.stores[1].completed_at = 0, None
     state.accum = {(0, 1): [0.5, 0.5]}
-    calls, real_rows, real_exchange = [], Timetable.radio_rows, engine.exchange
-    monkeypatch.setattr(Timetable, "radio_rows", lambda *a: calls.append("rows") or
-                        real_rows(*a))
+    calls, real_pairs, real_exchange = [], Timetable.radio_pairs, engine.exchange
+    monkeypatch.setattr(Timetable, "radio_pairs", lambda *a: calls.append("pairs") or
+                        real_pairs(*a))
     monkeypatch.setattr(engine, "exchange", lambda *a: calls.append("exchange") or
                         real_exchange(*a))
     engine.step(state, 7)
@@ -747,7 +772,33 @@ def test_a_span_with_no_live_radio_reads_no_rows_and_exchanges_nothing(monkeypat
     state.stores[0].mask[0] = False
     state.stores[0].count -= 1
     engine.step(state, 3)
-    assert calls == ["rows"] and state.tick == 10
+    assert calls == ["pairs"] and state.tick == 10
+
+
+# tracemalloc's peak over the span below before the join, with the cell
+# search over every row, measured with numpy 2.4.6 on CPython 3.11.
+CELL_SEARCH_PEAK = 20_937_113
+
+
+def test_a_crowded_parked_span_peaks_no_higher_than_the_cell_search():
+    """300 vehicles parked on the 16 nodes of a 4x4 grid, about 19 a node
+    and every pair at a node in contact: one 64-tick span joins about
+    175,000 pairs of rows, and its traced peak memory stays within 5% of
+    the cell search's (``CELL_SEARCH_PEAK``)."""
+    import tracemalloc
+
+    from vancast.engine import step
+
+    state = init_sim(ExperimentConfig(rows=4, cols=4, main_cols=[], n_vehicles=300,
+                                      mean_trips=0.0, parked_exchange=True, seed_rate=0.01,
+                                      master_seed=3))
+    tracemalloc.start()
+    try:
+        step(state, 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.05 * CELL_SEARCH_PEAK
 
 
 def test_step_past_the_timetable_end_raises():

@@ -675,19 +675,23 @@ def test_lay_out_day_keeps_stays_only_for_parked_radios():
 
 
 def live_rows_and_contacts(g, day, t0, t1, comm_range, live):
-    """The rows of ticks t0 to t1 - 1 placed for a live mask, checked to
-    be all rows' live ones plus some others, and the live-end contacts
-    among them, checked to be those among all rows."""
+    """The rows that radio_pairs places for ticks t0 to t1 - 1 and a live
+    mask, checked to be radio_rows' own rows, of vehicles in some pair of
+    two rows at one tick, and the contacts among its pairs, checked to be
+    those with a live end among all rows (every contact, for live=None)."""
     from vancast.engine import detect_contacts
 
     every = day.radio_rows(g, t0, t1)
-    rows = day.radio_rows(g, t0, t1, live, comm_range)
+    rows, pairs = day.radio_pairs(g, t0, t1, live, comm_range)
     placed = {(t, v): (x, y) for t, v, x, y in every.tolist()}
     assert all(placed[t, v] == (x, y) for t, v, x, y in rows.tolist())
-    is_live = live[every[:, 1].astype(np.int64)]
-    assert np.array_equal(rows[live[rows[:, 1].astype(np.int64)]], every[is_live])
-    contacts = detect_contacts(rows, comm_range, live)
-    assert np.array_equal(contacts, detect_contacts(every, comm_range, live))
+    assert np.array_equal(np.unique(rows[:, 1]), np.unique(rows[pairs, 1]))
+    assert (rows[pairs[0], 0] == rows[pairs[1], 0]).all()
+    contacts = detect_contacts(rows, comm_range, pairs)
+    want = detect_contacts(every, comm_range)
+    if live is not None:
+        want = want[live[want[:, 1]] | live[want[:, 2]]]
+    assert np.array_equal(contacts, want)
     return rows, contacts.tolist()
 
 
@@ -699,14 +703,15 @@ def test_a_full_drive_is_placed_only_where_it_passes_a_live_vehicle():
     """Vehicle 1, full, drives nodes 0 to 4 of a line of 100 m blocks at
     10 m/s past vehicle 0, live and parked at node 2, with a 60 m radio:
     its rows are placed on the two blocks that meet node 2 (ticks 11-30),
-    not on the two that lie 100 m off, and it meets vehicle 0 from 140 m
-    to 260 m (ticks 14-26), mid-span."""
+    not on the two that lie 100 m off, and so are vehicle 0's, which has
+    no other partner; it meets vehicle 0 from 140 m to 260 m (ticks
+    14-26), mid-span."""
     g = make_grid(1, 5, 100.0)
     day = lay_out_day(Timetable((2, 0)), [TripSchedule(0, ()), TripSchedule(
         1, (Trip(0.0, shortest_path(g, 0, 4)),))], 0, 40, 1.0, 10.0, True)
     assert day.drives.tolist() == [[1, 0, 40]] and day.stays.tolist() == [[0, 2, 0, 40]]
     rows, contacts = live_rows_and_contacts(g, day, 0, 40, 60.0, np.array([True, False]))
-    assert ticks_of(rows, 1) == list(range(11, 31))
+    assert ticks_of(rows, 1) == ticks_of(rows, 0) == list(range(11, 31))
     assert contacts == [[t, 0, 1] for t in range(14, 27)]
 
 
@@ -747,3 +752,55 @@ def test_roads_exactly_comm_range_apart_are_near():
                                             np.array([True, False, False]))
     assert ticks_of(rows, 1) == list(range(10)) and ticks_of(rows, 2) == []
     assert contacts == [[t, 0, 1] for t in range(10)]
+
+
+def test_far_ends_of_collinear_edges_are_joined_but_not_in_contact():
+    """Two live vehicles set off at once from the two ends of a line of
+    two 200 m blocks, towards each other at 10 m/s, with a 100 m radio:
+    their first blocks share node 1, so the join pairs them at every tick
+    of ticks 0-5, but they are 400 m to 300 m apart, never in contact."""
+    g = make_grid(1, 3, 200.0)
+    day = lay_out_day(Timetable((0, 2)), [
+        TripSchedule(0, (Trip(0.0, shortest_path(g, 0, 2)),)),
+        TripSchedule(1, (Trip(0.0, shortest_path(g, 2, 0)),))], 0, 6, 1.0, 10.0, False)
+    rows, contacts = live_rows_and_contacts(g, day, 0, 6, 100.0, np.array([True, True]))
+    assert len(rows) == 12 and contacts == []
+
+
+def test_a_drive_meets_a_vehicle_parked_at_its_edges_node():
+    """Vehicle 1, full, drives nodes 0 to 2 of a line of 200 m blocks at
+    10 m/s past vehicle 0, live and parked at node 1, with a 100 m radio:
+    both of its blocks meet node 1, so every tick of its drive is joined
+    with vehicle 0's stay, and they are in contact from 100 m to 300 m
+    (ticks 10-30).  Its stay at node 2, 200 m off, is joined with none."""
+    g = make_grid(1, 3, 200.0)
+    day = lay_out_day(Timetable((1, 0)), [TripSchedule(0, ()), TripSchedule(
+        1, (Trip(0.0, shortest_path(g, 0, 2)),))], 0, 45, 1.0, 10.0, True)
+    assert day.drives.tolist() == [[1, 0, 40]]
+    rows, contacts = live_rows_and_contacts(g, day, 0, 45, 100.0, np.array([True, False]))
+    assert ticks_of(rows, 1) == ticks_of(rows, 0) == list(range(40))
+    assert contacts == [[t, 0, 1] for t in range(10, 31)]
+
+
+@pytest.mark.parametrize("live", [None, np.array([True, True])])
+def test_two_live_vehicles_are_joined_once(live):
+    """Two live vehicles parked at one node: each tick holds one pair of
+    rows and one contact, not one from each end."""
+    g = make_grid(1, 2, 100.0)
+    day = lay_out_day(Timetable((1, 1)), [TripSchedule(0, ()), TripSchedule(1, ())], 0, 5,
+                      1.0, 10.0, True)
+    rows, contacts = live_rows_and_contacts(g, day, 0, 5, 50.0, live)
+    assert day.radio_pairs(g, 0, 5, live, 50.0)[1].shape == (2, 5)
+    assert contacts == [[t, 0, 1] for t in range(5)]
+
+
+@pytest.mark.parametrize("live", [None, np.array([True])])
+def test_consecutive_segments_of_one_vehicle_are_never_joined(live):
+    """One vehicle drives a line of four 100 m blocks at 10 m/s, with a
+    100 m radio: its segments lie on near places, one after another, but
+    no two of them share a tick, so nothing is joined or placed."""
+    g = make_grid(1, 5, 100.0)
+    day = lay_out_day(Timetable((0,)), [TripSchedule(0, (Trip(0.0, shortest_path(g, 0, 4)),))],
+                      0, 45, 1.0, 10.0, True)
+    rows, pairs = day.radio_pairs(g, 0, 45, live, 100.0)
+    assert rows.shape == (0, 4) and pairs.shape == (2, 0)

@@ -6,10 +6,10 @@ same routes, as a per-trip loop of numpy draws does, the GF(256) matrix product
 agrees with the multiplication table, the solve recovers the symbols from
 every fed row or reports their exact rank, and the incremental decoder
 agrees with a from-scratch rank and hands decode the chunks that rebuild
-the file, contact detection under a live mask finds exactly the
-unmasked contacts that have a live end, so do the radio rows placed
-only near live vehicles, and exchange sends, keeps and draws exactly
-what its frozen reference does."""
+the file, the join of route segments and stays on near places finds
+exactly the contacts with a live end that the cell search finds among
+every radio row, placing only rows that have a partner, and exchange
+sends, keeps and draws exactly what its frozen reference does."""
 
 import math
 import os
@@ -364,81 +364,6 @@ def test_decoder_state_hands_decode_the_chunks_that_raised_the_rank(case):
         assert err.value.rank == state.rank
 
 
-@st.composite
-def masked_radio_rows(draw, layouts=("spread", "one_cell", "lattice", "collide", "tall")):
-    """Radio rows (tick, vehicle, x, y), at most one per vehicle and tick,
-    a comm_range and a live mask over the vehicles.  Layouts: spread over a
-    few cells; many rows in one cell; a lattice of comm_range steps, so
-    pairs lie exactly comm_range apart; one live row whose cell key
-    collides in the filter's bitmap with far rows in contact among
-    themselves (all rows in one row of cells, so a cell's key is 3 times
-    its column, and far columns a multiple of the bitmap's size off); and
-    "tall": rows around the corner of four cells, all in range, over one
-    or two ticks, plus one far row, not live, that makes the grid's ny
-    equal to 1 or -1 modulo the bitmap's size, so a diagonal neighbor's
-    key is 2 marks off."""
-    r = draw(st.sampled_from([0.3, 1.0, 7.5, 100.0]))
-    layout = draw(st.sampled_from(layouts))
-    if layout == "tall":
-        n_vehicles, n_ticks = draw(st.integers(2, 4)), draw(st.integers(1, 2))
-        point = st.tuples(st.floats(0.65 * r, 1.35 * r), st.floats(0.65 * r, 1.35 * r))
-        rows = [(t, v, *draw(point)) for v in range(n_vehicles)
-                for t in sorted(draw(st.sets(st.integers(0, n_ticks - 1), min_size=1)))]
-        size = 1 << (8 * (len(rows) + 1) - 1).bit_length()  # with the far row
-        y0 = int(min(np.floor(y / r) for *_, y in rows))
-        ny = draw(st.integers(1, 3)) * size + draw(st.sampled_from([1, size - 1]))
-        rows.append((0, n_vehicles, 0.0, (ny - 3 + y0 + 0.5) * r))  # ny = far - y0 + 3
-        live = np.array(draw(st.lists(st.booleans(), min_size=n_vehicles,
-                                      max_size=n_vehicles)) + [False])
-        return np.array(rows), r, live, "tall"
-    if layout == "collide":
-        k = draw(st.integers(1, 8))
-        size = 1 << (8 * (k + 1) - 1).bit_length()  # the bitmap of k + 1 rows
-        rows = [(0, 0, 0.5 * r, 0.5 * r)]
-        for v in range(1, k + 1):
-            column = draw(st.integers(1, 3)) * size + draw(st.integers(0, 1))
-            rows.append((0, v, (column + draw(st.floats(0.0, 0.9))) * r,
-                         draw(st.floats(0.0, 0.9)) * r))
-        live = np.arange(k + 1) == 0
-        return np.array(rows), r, live, "collide"
-    n_vehicles, n_ticks = draw(st.integers(1, 30)), draw(st.integers(1, 12))
-    if layout == "spread":
-        point = st.tuples(st.floats(-6 * r, 6 * r), st.floats(-6 * r, 6 * r))
-    elif layout == "one_cell":
-        point = st.tuples(st.floats(0.0, r, exclude_max=True),
-                          st.floats(0.0, r, exclude_max=True))
-    else:
-        point = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).map(
-            lambda p: (p[0] * r, p[1] * r))
-    rows = [(t, v, *draw(point)) for v in range(n_vehicles)
-            for t in sorted(draw(st.sets(st.integers(0, n_ticks - 1))))]
-    rows = draw(st.permutations(rows))
-    mask = draw(st.sampled_from(["none live", "all live", "some live"]))
-    extra = draw(st.integers(0, 3))  # the mask may cover vehicles with no rows
-    if mask == "some live":
-        live = np.array(draw(st.lists(st.booleans(), min_size=n_vehicles + extra,
-                                      max_size=n_vehicles + extra)), dtype=bool)
-    else:
-        live = np.full(n_vehicles + extra, mask == "all live")
-    return np.array(rows, dtype=float).reshape(-1, 4), r, live, mask
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.one_of(masked_radio_rows(), masked_radio_rows(["tall"])))  # tall, more often
-def test_live_mask_keeps_exactly_the_contacts_with_a_live_end(case):
-    rows, r, live, kind = case
-    every = detect_contacts(rows, r)
-    got = detect_contacts(rows, r, live)
-    assert np.array_equal(got, every[live[every[:, 1]] | live[every[:, 2]]])
-    assert got.shape[1] == 3 and got.dtype == np.int64
-    if kind == "none live":
-        assert len(got) == 0
-    elif kind == "all live":
-        assert np.array_equal(got, every)
-    elif kind == "collide":
-        assert len(got) == 0  # the far rows' own contacts have no live end
-
-
 @settings(max_examples=300, deadline=None)
 @given(st.integers(2, 12), st.sampled_from([0.5, 3.0, 40.0]), st.data())
 def test_near_places_are_the_places_whose_boxes_lie_within_comm_range(n, r, data):
@@ -470,10 +395,11 @@ def test_near_places_are_the_places_whose_boxes_lie_within_comm_range(n, r, data
 def live_timetables(draw):
     """A connected road graph of a few nodes, a timetable of drives and
     (sometimes) stays on it, a span of its ticks, a comm_range and a live
-    mask.  Nodes sit on a lattice of comm_range steps, so roads lie
-    exactly comm_range apart, or anywhere within a few comm_range;
-    declared lengths differ from the nodes' distances; nodes are shared
-    by several edges, and edges may run in parallel."""
+    mask: None, no vehicle, every vehicle or any.  Nodes sit on a lattice
+    of comm_range steps, so roads lie exactly comm_range apart, or
+    anywhere within a few comm_range; declared lengths differ from the
+    nodes' distances; nodes are shared by several edges, and edges may
+    run in parallel."""
     r = draw(st.sampled_from([1.0, 7.5, 100.0]))
     n = draw(st.integers(2, 9))
     if draw(st.booleans()):
@@ -503,22 +429,56 @@ def live_timetables(draw):
     day = lay_out_day(Timetable(tuple(homes)), schedules, 0, end, 1.0, speed, draw(st.booleans()))
     t0 = draw(st.integers(0, end))
     t1 = draw(st.integers(t0, end))
-    live = np.array(draw(st.lists(st.booleans(), min_size=n_vehicles, max_size=n_vehicles)),
-                    dtype=bool)
+    mask = draw(st.sampled_from(["none", "no vehicle", "every vehicle", "any"]))
+    if mask == "none":
+        live = None
+    elif mask == "any":
+        live = np.array(draw(st.lists(st.booleans(), min_size=n_vehicles, max_size=n_vehicles)),
+                        dtype=bool)
+    else:
+        live = np.full(n_vehicles, mask == "every vehicle")
     return g, day, t0, t1, r, live
+
+
+def live_end(contacts, live):
+    """The contacts with a live end; every contact, for live=None."""
+    return contacts if live is None else contacts[live[contacts[:, 1]] | live[contacts[:, 2]]]
+
+
+@settings(max_examples=300, deadline=None)
+@given(live_timetables())
+def test_live_mask_keeps_exactly_the_contacts_with_a_live_end(case):
+    """The join's contacts are the cell search's over every row of the
+    span, less those of two vehicles that are not live."""
+    g, day, t0, t1, r, live = case
+    rows, pairs = day.radio_pairs(g, t0, t1, live, r)
+    got = detect_contacts(rows, r, pairs)
+    assert got.shape[1] == 3 and got.dtype == np.int64
+    assert np.array_equal(got, live_end(detect_contacts(day.radio_rows(g, t0, t1), r), live))
 
 
 @settings(max_examples=300, deadline=None)
 @given(live_timetables())
 def test_rows_placed_near_live_vehicles_hold_every_live_contact(case):
+    """The join places radio_rows' own rows, only of vehicles in some pair,
+    and pairs two vehicles at one tick, one of them live, each (tick,
+    vehicle pair) once, which holds every contact with a live end."""
     g, day, t0, t1, r, live = case
     every = day.radio_rows(g, t0, t1)
-    rows = day.radio_rows(g, t0, t1, live, r)
-    assert np.array_equal(detect_contacts(rows, r, live), detect_contacts(every, r, live))
+    rows, pairs = day.radio_pairs(g, t0, t1, live, r)
     placed = {(t, v): (x, y) for t, v, x, y in every.tolist()}
+    assert len({(t, v) for t, v, _, _ in rows.tolist()}) == len(rows)
     assert all(placed[t, v] == (x, y) for t, v, x, y in rows.tolist())
-    assert np.array_equal(rows[live[rows[:, 1].astype(np.int64)]],
-                          every[live[every[:, 1].astype(np.int64)]])
+    tick, vid = rows[:, 0].astype(np.int64), rows[:, 1].astype(np.int64)
+    assert np.array_equal(np.unique(vid), np.unique(vid[pairs]))
+    assert (tick[pairs[0]] == tick[pairs[1]]).all()
+    a, b = np.minimum(vid[pairs[0]], vid[pairs[1]]), np.maximum(vid[pairs[0]], vid[pairs[1]])
+    assert (a < b).all()
+    if live is not None:
+        assert (live[a] | live[b]).all()
+    joined = set(zip(tick[pairs[0]].tolist(), a.tolist(), b.tolist()))
+    assert len(joined) == pairs.shape[1]
+    assert {tuple(c) for c in live_end(detect_contacts(every, r), live).tolist()} <= joined
 
 
 @st.composite
