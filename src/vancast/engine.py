@@ -30,14 +30,12 @@ the pairs of rows to check.  Under
 ``share_bandwidth`` every segment and stay is joined, as a link is
 divided by the degree of each end, and that degree counts contacts
 between two full stores too.  A span with no live vehicle on the air
-places no rows at all.  At seed 7 the benchmark's seed_rate_cell,
-arterial_rush and payload_decode place 12%, 31% and 12% of their spans'
-rows.  Stores fill mid-span, so the exchange runs over a span's
-contacts in blocks and drops, before each, those whose two stores are
-both full by then, and from the rest of the block again whenever a
-store fills (the three iterate 55%, 10% and 100% of their contacts).
-This gives the same results, draw for draw, as moving, detecting and
-exchanging one tick at a time.
+places no rows at all.  Stores fill mid-span, so the exchange runs over
+a span's contacts in blocks: it drops, at each block's start, those
+whose two stores are both full by then, and skips a contact of the
+block whose two stores have both filled since, with one test of two
+flags.  This gives the same results, draw for draw, as moving,
+detecting and exchanging one tick at a time.
 A vehicle's completion is recorded once, as its store's ``completed_at``
 stamp.  ``run`` sizes each span by its radio rows, not by its ticks:
 a span ends at the last tick that keeps it within ``SPAN_ROWS`` rows
@@ -84,10 +82,10 @@ SPAN_ROWS = 16_000
 WINDOW_TRIPS = 2_048
 
 # Contacts step() hands its exchange loop at a time: at each block's start
-# it drops those whose two stores are both full by then, in bulk, and
-# after each exchange that fills a store it drops them from the rest of
-# the block, so no pass of the loop meets two full stores.  A store fills
-# once, so that is at most one re-filter per vehicle a run.
+# it drops those whose two stores are both full by then, in bulk, and the
+# loop skips a contact of the block whose two stores have both filled
+# since.  A store fills once, so the skipped contacts are few beside the
+# dropped ones, while a block's numpy calls are paid once per block.
 EXCHANGE_BLOCK = 256
 
 
@@ -149,17 +147,15 @@ def detect_contacts(rows: np.ndarray, comm_range: float,
     Without pairs, a cell search finds them.  Rows are binned into
     comm_range-sized cells per tick and sorted by cell key, in which a
     cell's upper neighbor is the next key and its right-hand column starts
-    ny keys on.  The 8 cells around a cell lie within ny + 1 keys of it,
-    so a row whose neighbors in key order are both further off has no
-    partner and is dropped.  Each row left then pairs with two runs of
-    consecutive keys: its own cell's later rows plus the cell above (run
-    A), and the three cells of the next column (run B).  That visits each
-    pair of adjacent cells once, at the cost of one sort of the rows plus
-    searches, pair expansion and gathers over the rows left.  Cells that
-    :func:`radio_cells` cannot key raise its ValueError, which names
-    comm_range.  The engine itself always passes pairs; the cell search
-    serves callers with bare rows and is the reference the join is
-    tested against.
+    ny keys on.  Each row pairs with two runs of consecutive keys: its own
+    cell's later rows plus the cell above (run A), and the three cells of
+    the next column (run B).  That visits each pair of adjacent cells
+    once, at the cost of one sort of the rows plus searches and pair
+    expansion.  Cells that :func:`radio_cells` cannot key raise its
+    ValueError, which names comm_range.  The cell search is not on the
+    engine's path, which always passes pairs: it serves the tests, the
+    acceptance suite and callers of the public API with bare rows, and is
+    the reference the join is tested against.
     """
     if comm_range <= 0:
         raise ValueError(f"comm_range must be positive, got {comm_range}")
@@ -175,19 +171,8 @@ def detect_contacts(rows: np.ndarray, comm_range: float,
     cx, cy, nx, ny = radio_cells(rows[:, 2], rows[:, 3], comm_range, n_ticks)
     key = ((rows[:, 0].astype(np.int64) - t_min) * nx + cx.astype(np.int64)) * ny \
         + cy.astype(np.int64)
-    # A span has tens of thousands of rows, so per-row temporaries are
-    # dropped as soon as they are used: they set the run's peak memory.
-    del cx, cy
     order = np.argsort(key, kind="stable")
-    key = key[order]
-    # The 8 cells around a row's cell lie within ny + 1 keys of its own,
-    # so a row whose neighbors in key order are both further off is alone.
-    close = np.diff(key) <= ny + 1
-    paired = np.zeros(len(key), dtype=bool)
-    paired[1:] = close
-    paired[:-1] |= close
-    del close
-    return _contacts_among(rows[order[paired]], comm_range, _cell_runs(key[paired], ny))
+    return _contacts_among(rows[order], comm_range, _cell_runs(key[order], ny))
 
 
 def _cell_runs(key: np.ndarray, ny: int):
@@ -577,13 +562,14 @@ def step(state: SimState, n_ticks: int = 1) -> None:
     are then dropped.  Either way, if no live vehicle is on the air in the
     span (:meth:`vancast.mobility.Timetable.radio_vehicles`), no row is
     placed.  A contact whose two stores are both full by the time it is
-    reached is skipped: dropped in bulk if they were full when its block
-    of ``EXCHANGE_BLOCK`` contacts began, else from the rest of the block
-    when the second of them fills.  Nor is :func:`exchange` called for
-    two empty stores, though their link budget still accrues.  A pair's link budget carries over only to the
-    next tick.  The timetable refuses a
-    span past its end, ``state.day.end``, before the clock moves; ``run``
-    lays out the next window or day when a span reaches it.
+    reached is skipped, its link budget left as it was: dropped in bulk
+    if they were full when its block of ``EXCHANGE_BLOCK`` contacts
+    began, else passed over by the loop's first test.  Nor is
+    :func:`exchange` called for two empty stores, though their link
+    budget still accrues.  A pair's link budget carries over only to the
+    next tick.  The timetable refuses a span past its end,
+    ``state.day.end``, before the clock moves; ``run`` lays out the next
+    window or day when a span reaches it.
     """
     if n_ticks < 1:
         raise ValueError(f"n_ticks must be >= 1, got {n_ticks}")
@@ -616,42 +602,37 @@ def step(state: SimState, n_ticks: int = 1) -> None:
     for lo in range(0, len(contacts), EXCHANGE_BLOCK):
         block = contacts[lo:lo + EXCHANGE_BLOCK]
         open_ = ~(full[block[:, 1]] & full[block[:, 2]])
-        todo = zip(block[open_].tolist(), itertools.repeat((gain, gain)) if gains is None else
-                   gains[lo:lo + EXCHANGE_BLOCK][open_].tolist())
-        while todo is not None:
-            rest, todo = todo, None
-            for (t, va, vb), (g_a, g_b) in rest:
-                if t != now:
-                    accum = new_accum if t == now + 1 else {}
-                    new_accum, now = {}, t
-                sa, sb = stores[va], stores[vb]
-                if acc := accum.get((va, vb)):
-                    acc[0] += g_a
-                    acc[1] += g_b
-                else:
-                    acc = [g_a, g_b]  # 0.0 + g is g: gains are positive
-                n_ab, n_ba = int(acc[0]), int(acc[1])
-                acc[0], acc[1] = acc[0] - n_ab, acc[1] - n_ba
-                new_accum[(va, vb)] = acc
-                if (n_ab or n_ba) and (sa.count or sb.count):
-                    sent_ab, sent_ba = exchange(sa, sb, n_ab, n_ba, rng)
-                    # Only receivers: a hand-built state may hold an unstamped store at the
-                    # threshold.
-                    filled = False
-                    if len(sent_ab):
-                        if sb.completed_at is None and sb.count >= threshold:
-                            sb.completed_at = (t + 1) * dt
-                        if sb.count == n_chunks:
-                            full[vb] = full_list[vb] = filled = True
-                    if len(sent_ba):
-                        if sa.completed_at is None and sa.count >= threshold:
-                            sa.completed_at = (t + 1) * dt
-                        if sa.count == n_chunks:
-                            full[va] = full_list[va] = filled = True
-                    if filled:  # drop the rest of the block's contacts of two full stores
-                        todo = iter([c for c in rest
-                                     if not (full_list[c[0][1]] and full_list[c[0][2]])])
-                        break
+        block_gains = (itertools.repeat((gain, gain)) if gains is None else
+                       gains[lo:lo + EXCHANGE_BLOCK][open_].tolist())
+        for (t, va, vb), (g_a, g_b) in zip(block[open_].tolist(), block_gains):
+            if full_list[va] and full_list[vb]:  # both filled since the block began
+                continue
+            if t != now:
+                accum = new_accum if t == now + 1 else {}
+                new_accum, now = {}, t
+            sa, sb = stores[va], stores[vb]
+            if acc := accum.get((va, vb)):
+                acc[0] += g_a
+                acc[1] += g_b
+            else:
+                acc = [g_a, g_b]  # 0.0 + g is g: gains are positive
+            n_ab, n_ba = int(acc[0]), int(acc[1])
+            acc[0], acc[1] = acc[0] - n_ab, acc[1] - n_ba
+            new_accum[(va, vb)] = acc
+            if (n_ab or n_ba) and (sa.count or sb.count):
+                sent_ab, sent_ba = exchange(sa, sb, n_ab, n_ba, rng)
+                # Only receivers: a hand-built state may hold an unstamped store at the
+                # threshold.
+                if len(sent_ab):
+                    if sb.completed_at is None and sb.count >= threshold:
+                        sb.completed_at = (t + 1) * dt
+                    if sb.count == n_chunks:
+                        full[vb] = full_list[vb] = True
+                if len(sent_ba):
+                    if sa.completed_at is None and sa.count >= threshold:
+                        sa.completed_at = (t + 1) * dt
+                    if sa.count == n_chunks:
+                        full[va] = full_list[va] = True
     state.accum = new_accum if now == t1 - 1 else {}
 
 

@@ -35,8 +35,9 @@ a span, as the reference the join is tested against.
 
 :func:`advance` and :func:`position_of`, which move and place one
 :class:`VehicleState` for one step, are the per-tick reference that
-:func:`departure_tick`, :func:`odometer` and :func:`trace_legs` match
-float for float; the engine itself never calls them.
+:func:`departure_tick`, :func:`odometer`, :func:`leg_segments` and
+:func:`place_segments` match float for float; the engine itself never
+calls them.
 """
 
 from __future__ import annotations
@@ -83,17 +84,19 @@ class Trip:
 
 
 class DeferredTrip(NamedTuple):
-    """A drawn trip not routed yet.  Under the random policy ``draws``
-    packs where the trip's edge factors lie in the stream: the generator's
-    128-bit PCG64 state before its vehicle's read of raw words, and above
-    it the offset of the trip's first factor word in that read
-    (:func:`assign_trips`).  Other policies draw nothing and hold None."""
+    """A drawn trip not routed yet.  Under the random policy ``block`` and
+    ``offset`` say where the trip's edge factors lie in the stream: the
+    generator's 128-bit PCG64 state before its vehicle's read of raw
+    words, and the offset of the trip's first factor word in that read
+    (:func:`assign_trips`).  Other policies draw nothing: their ``block``
+    is None."""
 
     depart_time: float
     src: int
     dst: int
     policy: str
-    draws: int | None
+    block: int | None
+    offset: int = 0
 
 
 @dataclass(frozen=True)
@@ -138,9 +141,6 @@ class VehicleState:
     next_trip: int = 0  # index into the schedule's trip tuple
 
 
-# A saved draw position packs PCG64's 128-bit state below a word offset.
-_STATE_BITS = 128
-_STATE_MASK = (1 << _STATE_BITS) - 1
 _HALF = (1 << 32) - 1
 # numpy's uniform draw from [1, MAX_FACTOR): 1 + (MAX_FACTOR - 1) * (w >> 11) * 2**-53
 # for a 64-bit word w.  Scaling by a power of two is exact, so folding it into
@@ -242,7 +242,7 @@ def assign_trips(
             n_routed = bisect.bisect_right(departs, until)
             n_kept = max(n_routed, bisect.bisect_right(departs, drop_after))
             per_trip = n_edges if trip_policy == "random" else 0
-            block = 0  # the state before the read, if a deferred trip resumes from it
+            block = None  # the state before the read, if a deferred trip resumes from it
             if per_trip and n_kept > n_routed:
                 block = bits.state["state"]["state"]
             n_words = n_trips * per_trip + max(0, n_trips - has_half + 1) // 2
@@ -281,7 +281,7 @@ def assign_trips(
                                 g, origin, dst, _factors(words[at:at + per_trip]))))
                         elif i < n_kept:
                             deferred.append(DeferredTrip(depart_time, origin, dst, trip_policy,
-                                                         block | at << _STATE_BITS))
+                                                         block, at))
                         at += per_trip
                     elif i < n_routed:
                         trips.append(Trip(depart_time,
@@ -317,11 +317,11 @@ def deferred_router(g: RoadGraph, rng: np.random.Generator) -> Callable[[Deferre
     state["state"]["inc"] = rng.bit_generator.state["state"]["inc"]
 
     def route(trip: DeferredTrip) -> Route:
-        if trip.draws is None:
+        if trip.block is None:
             return _route_for_policy(g, trip.src, trip.dst, trip.policy)
-        state["state"]["state"] = trip.draws & _STATE_MASK
+        state["state"]["state"] = trip.block
         bits.state = state
-        bits.advance(trip.draws >> _STATE_BITS)
+        bits.advance(trip.offset)
         return random_route(g, trip.src, trip.dst, scratch)
 
     return route
@@ -491,21 +491,6 @@ def place_segments(
     y *= np.repeat(ys[b] - ay, counts)
     y += np.repeat(ay, counts)
     return ticks, x, y
-
-
-def trace_legs(
-    g: RoadGraph,
-    routes: list[Route],
-    departs: np.ndarray,
-    lo: np.ndarray,
-    hi: np.ndarray,
-    odo: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Ticks and planar positions of many drives, one row per tick: leg i
-    drives ``routes[i]`` from tick ``departs[i]`` over ticks ``lo[i]`` to
-    ``hi[i] - 1`` (see :func:`leg_segments` and :func:`place_segments`)."""
-    leg, *segments = leg_segments(routes, departs, lo, hi, odo)
-    return place_segments(g, departs[leg], odo, *segments)
 
 
 def _join(near: tuple[np.ndarray, np.ndarray], places: np.ndarray, first: np.ndarray,

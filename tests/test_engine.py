@@ -251,8 +251,8 @@ def test_contacts_keep_two_rows_alone_in_diagonal_cells(live):
 
 @pytest.mark.parametrize("live", [None, np.ones(4, dtype=bool)])
 def test_contacts_of_rows_all_alone_are_empty(live):
-    # no row has another within a cell at its tick: the cell search prunes
-    # each before it searches, and the join pairs none
+    # no row has another within a cell at its tick: the cell search's runs
+    # hold no candidate, and the join pairs none
     rows = np.array([(0, 0, 0.0, 0.0), (0, 1, 250.0, 250.0), (1, 2, 0.0, 250.0),
                      (2, 3, 0.0, 0.0)])
     stays = [(0, 0, 0, 1), (1, 1, 0, 1), (2, 2, 1, 2), (3, 0, 2, 3)]
@@ -1116,6 +1116,39 @@ def test_run_results_do_not_depend_on_the_window(monkeypatch, tmp_path):
     assert windows[0]["windows"] > windows[1]["windows"] > windows[2]["windows"] == 0
     for seen in windows[:2]:
         assert seen["carried"] and seen["pushed"] and seen["dropped"] and seen["stays"]
+
+
+def test_run_results_do_not_depend_on_the_exchange_block(monkeypatch, tmp_path):
+    """The dense parked run of tests/test_pinned_digests.py, its contacts
+    handed to the exchange loop 1, 7, 256 (the default) and a billion at
+    a time: the same samples, stores, counts, stamps and draws, and the
+    same link budgets carried over after every span.  In blocks of one,
+    all 15,764 contacts of two full stores are dropped in bulk; in one
+    block a span, all of them are passed over by the loop's own test."""
+    import vancast.engine as engine
+
+    cfg = ExperimentConfig(n_vehicles=200, seed_rate=0.05, mean_trips=27.0, speed=7.0,
+                           routing_policy="shortest", main_road_fraction=0.5,
+                           parked_exchange=True, sim_duration=1_800.0, master_seed=5)
+    real_step = engine.step
+    results = []
+    for block in (1, 7, engine.EXCHANGE_BLOCK, 10**9):
+        budgets = []
+
+        def step(state, n_ticks=1):
+            real_step(state, n_ticks)
+            budgets.append((state.tick, sorted(state.accum.items())))
+
+        with monkeypatch.context() as m:
+            m.setattr(engine, "EXCHANGE_BLOCK", block)
+            m.setattr(engine, "step", step)
+            state = run(cfg)
+        path = tmp_path / f"{block}.csv"
+        write_metrics_csv(state.metrics, cfg.n_vehicles, str(path))
+        results.append((path.read_bytes(), outcome(state), state.accum, budgets))
+    assert results[0] == results[1] == results[2] == results[3]
+    assert results[0][1][1] == cfg.n_vehicles  # every store fills
+    assert sum(len(carried) for _, carried in results[0][3]) > 500  # 749 carried over
 
 
 def test_a_settled_run_stops_with_the_results_of_the_full_run(monkeypatch, tmp_path):

@@ -19,9 +19,10 @@ from vancast.mobility import (
     deferred_router,
     departure_tick,
     lay_out_day,
+    leg_segments,
     odometer,
+    place_segments,
     position_of,
-    trace_legs,
 )
 from vancast.roadnet import (
     MAX_FACTOR,
@@ -236,8 +237,8 @@ def test_a_deferred_trip_gets_the_route_an_eager_draw_gives():
                 trip.route.nodes, trip.route.edge_ids, trip.route.cum_length)
             assert (d.depart_time, d.src, d.dst) == (trip.depart_time, got.src, got.dst)
             policies.add(d.policy)
-            if d.draws is not None:
-                offsets.add(d.draws >> 128)
+            if d.block is not None:
+                offsets.add(d.offset)
     assert policies == {"random", "main_road"}
     # offset 0: the first pick took the half a draw before it kept, so the
     # read starts with the factors; later trips sit further into the block
@@ -531,8 +532,9 @@ def test_trace_legs_match_advance_and_position_of():
             lo.append(a)
             hi.append(b)
             expect += rows[a - dep:b - dep]
-        ticks, xs, ys = trace_legs(g, routes, np.array(departs), np.array(lo),
-                                   np.array(hi), odo)
+        departs = np.array(departs)
+        leg, *segments = leg_segments(routes, departs, np.array(lo), np.array(hi), odo)
+        ticks, xs, ys = place_segments(g, departs[leg], odo, *segments)
         assert list(zip(ticks.tolist(), xs.tolist(), ys.tolist())) == expect
 
 

@@ -2,8 +2,10 @@
 
 The digests were recorded with the one-tick-at-a-time engine, before
 steps were simulated in spans, except ``off_grid_end``'s, recorded
-before ``run`` built its samples in one pass, and the final-state
-digest, recorded before ``exchange`` skipped its empty directions; any
+before ``run`` built its samples in one pass, the first final-state
+digest, recorded before ``exchange`` skipped its empty directions, and
+the arterial_rush digests, recorded with the segment join before the
+exchange loop's re-filter of full stores was dropped; any
 change to them is a change in the simulated results and must be
 documented as one.
 """
@@ -97,3 +99,24 @@ def test_dense_parked_run_whose_stores_fill_mid_span_is_pinned(tmp_path):
         h.update(repr(store.completed_at).encode())
     h.update(repr(state.rng.bit_generator.state).encode())
     assert h.hexdigest() == "eb87e988569793d9ae1a574842f6300951062054da9b7528b754dcf7782b6234"
+
+
+def test_arterial_rush_run_is_pinned(tmp_path):
+    """The benchmark's arterial_rush workload in full, at its cell seed for
+    seed 7: 1,500 vehicles of 27 trips a day at 7 m/s, half on main roads,
+    for 4 h, the densest traffic of the three workloads.  The digest adds
+    every final store's mask and stamp and the generator's state."""
+    cfg = ExperimentConfig(n_vehicles=1_500, seed_rate=0.05, mean_trips=27.0, speed=7.0,
+                           sim_duration=4 * 3600.0, routing_policy="shortest",
+                           main_road_fraction=0.5, master_seed=8491706950866345203)
+    state = run(cfg)
+    assert state.completed_count == 1_479
+    path = tmp_path / "run.csv"
+    write_metrics_csv(state.metrics, cfg.n_vehicles, str(path))
+    h = hashlib.sha256(path.read_bytes())
+    assert h.hexdigest() == "e28eec61d7e9b6e933215df042ea89f392275df2f83059a9efa0f747fbbd0c2b"
+    for store in state.stores:
+        h.update(np.packbits(store.mask).tobytes())
+        h.update(repr(store.completed_at).encode())
+    h.update(repr(state.rng.bit_generator.state).encode())
+    assert h.hexdigest() == "2fde769c482ab18c55e6051638d6ed0644593353f2e059f4eed7eacc1a3b7c60"
