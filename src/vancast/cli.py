@@ -177,9 +177,10 @@ def _codec_selftest(trials: int, seed: int) -> int:
 
 def _cmd_run(args) -> int:
     cfg = _load_cfg(args)
-    state = run(cfg)
+    prepare_sim(cfg)  # the set-up's refusals come before --out is made
     out = args.out or cfg.out_dir
-    os.makedirs(out, exist_ok=True)
+    os.makedirs(out, exist_ok=True)  # and an unusable --out fails before the run
+    state = run(cfg)
     csv_path = os.path.join(out, "run.csv")
     write_metrics_csv(state.metrics, cfg.n_vehicles, csv_path)
     n = cfg.n_vehicles

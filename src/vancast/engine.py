@@ -26,8 +26,8 @@ into the route segments they are on, joins each live vehicle's segments
 and stays with the other vehicles' segments and stays on near places at
 ticks in common, places the joined ones only from their first tick in
 common with a partner to their last, and hands :func:`detect_contacts`
-the pairs of rows to check.  Under
-``share_bandwidth`` every segment and stay is joined, as a link is
+the pairs of rows to check: the join is the engine's one contact search.
+Under ``share_bandwidth`` every segment and stay is joined, as a link is
 divided by the degree of each end, and that degree counts contacts
 between two full stores too.  A span with no live vehicle on the air
 places no rows at all.  Stores fill mid-span, so the exchange runs over
@@ -108,113 +108,45 @@ class ChunkStore:
         return np.flatnonzero(self.mask).tolist()
 
 
-def radio_cells(x: np.ndarray, y: np.ndarray, comm_range: float, n_ticks: int, spare: int = 1):
-    """Cells of comm_range at positions x, y, the least shifted to ``spare``,
-    and the columns and rows (nx, ny) of their box, ``spare`` empty cells a
-    side.  Raises ValueError naming comm_range, before a cell becomes int64,
-    for a box edge not finite or 2**52 cells or more from the origin (cells
-    must be exact floats), or for ticks times cells of 2**62 or more (keys
-    over n_ticks ticks must not wrap)."""
-    with np.errstate(over="ignore"):  # an infinite cell fails the bound below
-        cx, cy = np.floor(x / comm_range), np.floor(y / comm_range)
-    x0, x1, y0, y1 = ends = [cx.min(), cx.max(), cy.min(), cy.max()]
-    if not (np.abs(ends) <= 2**52 - spare).all():  # false for NaN too
-        raise ValueError(f"radio positions must be finite and under 2**52 cells of "
-                         f"comm_range = {comm_range} m from the origin")
-    nx, ny = int(x1 - x0) + 2 * spare + 1, int(y1 - y0) + 2 * spare + 1
-    if n_ticks * nx * ny >= 2**62:
-        raise ValueError(f"positions span too many comm_range = {comm_range} m cells over "
-                         f"{n_ticks} ticks to index")
-    cx -= x0 - spare
-    cy -= y0 - spare
-    return cx, cy, nx, ny
+def detect_contacts(rows: np.ndarray, comm_range: float, pairs: np.ndarray) -> np.ndarray:
+    """The radio contacts among the given pairs of rows of (tick, vehicle,
+    x, y), a float array of shape (n, 4) with at most one row per vehicle
+    and tick.
 
-
-def detect_contacts(rows: np.ndarray, comm_range: float,
-                    pairs: np.ndarray | None = None) -> np.ndarray:
-    """Every radio contact among rows of (tick, vehicle, x, y), a float
-    array of shape (n, 4) with at most one row per vehicle and tick, or,
-    given ``pairs``, among just those pairs of rows.
-
-    Returns an int array of (tick, a, b) rows, one for each pair a < b at
-    the same tick within Euclidean distance comm_range (inclusive),
-    sorted.  ``pairs`` is an int array of shape (2, m) whose columns are
-    pairs of rows at a common tick, each (tick, vehicle pair) once, as
+    ``pairs`` is an int array of shape (2, m) whose columns are pairs of
+    rows at a common tick, each (tick, vehicle pair) once, as
     :meth:`vancast.mobility.Timetable.radio_pairs` gives them; exactly
-    those are checked.  Membership is exactly ``math.hypot(dx, dy) <=
-    comm_range`` (:func:`_contacts_among`).
-
-    Without pairs, a cell search finds them.  Rows are binned into
-    comm_range-sized cells per tick and sorted by cell key, in which a
-    cell's upper neighbor is the next key and its right-hand column starts
-    ny keys on.  Each row pairs with two runs of consecutive keys: its own
-    cell's later rows plus the cell above (run A), and the three cells of
-    the next column (run B).  That visits each pair of adjacent cells
-    once, at the cost of one sort of the rows plus searches and pair
-    expansion.  Cells that :func:`radio_cells` cannot key raise its
-    ValueError, which names comm_range.  The cell search is not on the
-    engine's path, which always passes pairs: it serves the tests, the
-    acceptance suite and callers of the public API with bare rows, and is
-    the reference the join is tested against.
+    those are checked.  Returns an int array of (tick, a, b) rows, one for
+    each pair a < b within Euclidean distance comm_range (inclusive),
+    sorted.  Membership is exactly ``math.hypot(dx, dy) <= comm_range``.
+    Pairs are checked as many at a time as there are rows, so the check's
+    temporaries stay within the rows' size.
     """
     if comm_range <= 0:
         raise ValueError(f"comm_range must be positive, got {comm_range}")
     rows = np.asarray(rows, dtype=float).reshape(-1, 4)
-    if pairs is not None:
-        return _contacts_among(rows, comm_range, [pairs])
-    if not len(rows):
-        return np.zeros((0, 3), dtype=np.int64)
-    t_min = int(rows[:, 0].min())
-    n_ticks = int(rows[:, 0].max()) - t_min + 1
-    # Cells shifted to start at 1, with an empty cell past the last in
-    # each axis: y +- 1 never leaves a column and x + 1 never a tick.
-    cx, cy, nx, ny = radio_cells(rows[:, 2], rows[:, 3], comm_range, n_ticks)
-    key = ((rows[:, 0].astype(np.int64) - t_min) * nx + cx.astype(np.int64)) * ny \
-        + cy.astype(np.int64)
-    order = np.argsort(key, kind="stable")
-    return _contacts_among(rows[order], comm_range, _cell_runs(key[order], ny))
-
-
-def _cell_runs(key: np.ndarray, ny: int):
-    """The candidate pairs (i, j) of rows with these sorted cell keys, one
-    run at a time: each row's candidates hold keys key + first to key +
-    last (in run A, only the rows after it)."""
-    row = np.arange(len(key))
-    for first, last in ((0, 1), (ny - 1, ny + 1)):
-        lo = row + 1 if first == 0 else np.searchsorted(key, key + first, side="left")
-        n = np.searchsorted(key, key + last, side="right") - lo
-        i = np.repeat(row, n)
-        yield i, np.repeat(lo - (np.cumsum(n) - n), n) + np.arange(len(i))
-
-
-def _contacts_among(rows: np.ndarray, comm_range: float, candidates) -> np.ndarray:
-    """The narrow phase of :func:`detect_contacts`: of each block (i, j) of
-    candidate pairs of rows, those within comm_range, as (tick, a, b) rows
-    sorted by (tick, a, b).  Pairs are checked as many at a time as there
-    are rows, so the check's temporaries stay within the rows' size."""
     x, y = rows[:, 2], rows[:, 3]
     size = max(len(rows), 1)
+    pair_i, pair_j = pairs
     found_i, found_j = [], []
-    for block_i, block_j in candidates:
-        for at in range(0, len(block_i), size):
-            i, j = block_i[at:at + size], block_j[at:at + size]
-            d = x[i]
-            d -= x[j]
-            dy = y[i]
-            dy -= y[j]
-            np.hypot(d, dy, out=d)
-            del dy
-            near = d <= comm_range
-            # np.hypot and math.hypot may differ in the last bit: decide the
-            # pairs at the boundary with math.hypot.
-            d -= comm_range
-            np.abs(d, out=d)
-            for k in np.flatnonzero(d <= 1e-9 * comm_range).tolist():
-                near[k] = math.hypot(x[i[k]] - x[j[k]], y[i[k]] - y[j[k]]) <= comm_range
-            del d
-            found_i.append(i[near])
-            found_j.append(j[near])
-        del block_i, block_j
+    for at in range(0, len(pair_i), size):
+        i, j = pair_i[at:at + size], pair_j[at:at + size]
+        d = x[i]
+        d -= x[j]
+        dy = y[i]
+        dy -= y[j]
+        np.hypot(d, dy, out=d)
+        del dy
+        near = d <= comm_range
+        # np.hypot and math.hypot may differ in the last bit: decide the
+        # pairs at the boundary with math.hypot.
+        d -= comm_range
+        np.abs(d, out=d)
+        for k in np.flatnonzero(d <= 1e-9 * comm_range).tolist():
+            near[k] = math.hypot(x[i[k]] - x[j[k]], y[i[k]] - y[j[k]]) <= comm_range
+        del d
+        found_i.append(i[near])
+        found_j.append(j[near])
     if not sum(map(len, found_i)):
         return np.zeros((0, 3), dtype=np.int64)
     i, j = np.concatenate(found_i), np.concatenate(found_j)
@@ -507,14 +439,27 @@ def prepare_sim(cfg: ExperimentConfig) -> SimState:
     destination within max_trip_dist.  No later origin can lack one: the
     graph is undirected, so the last trip's origin is within reach.
     Raises ValueError, also before any trip is drawn, if trips would route
-    over main roads on a graph that has none, or, before any draw, if
-    :func:`radio_cells` refuses the nodes' cells, plus one for rounding,
-    over a span of up to a day.
+    over main roads on a graph that has none, or, before any draw, naming
+    comm_range, if the nodes' cells of comm_range could not be keyed
+    exactly in int64 over a span of up to a day, two spare cells a side:
+    a cell not finite or more than 2**52 - 2 from the origin, or ticks
+    times cells of 2**62 or more.  This checks input from outside the
+    program: a graph-file node 1e300 m out is refused here, before
+    :meth:`vancast.roadnet.RoadGraph.near_places` computes with it.
     """
     cfg.validate()
     g = build_graph(cfg)
-    radio_cells(np.asarray(g.node_x), np.asarray(g.node_y), cfg.comm_range, min(
-        cfg.steps(DAY_LEN, "one day"), cfg.steps(cfg.sim_duration, "sim_duration")), spare=2)
+    with np.errstate(over="ignore"):  # an infinite cell fails the bound below
+        cells = np.floor(np.array([g.node_x, g.node_y]) / cfg.comm_range)
+    lo, hi = cells.min(axis=1), cells.max(axis=1)
+    if not (np.abs([lo, hi]) <= 2**52 - 2).all():  # false for NaN too
+        raise ValueError(f"radio positions must be finite and under 2**52 cells of "
+                         f"comm_range = {cfg.comm_range} m from the origin")
+    n_ticks = min(cfg.steps(DAY_LEN, "one day"), cfg.steps(cfg.sim_duration, "sim_duration"))
+    nx, ny = (int(span) + 5 for span in hi - lo)  # the box's cells, two spare a side
+    if n_ticks * nx * ny >= 2**62:
+        raise ValueError(f"positions span too many comm_range = {cfg.comm_range} m cells over "
+                         f"{n_ticks} ticks to index")
     rng = np.random.default_rng(cfg.master_seed)
     n = cfg.n_vehicles
 

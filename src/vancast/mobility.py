@@ -649,8 +649,9 @@ class Timetable:
         route segments it is on (:func:`leg_segments`) and placed a segment
         at a time (:func:`place_segments`).  Raises ValueError unless
         ``start <= t0 <= t1 <= end``: the timetable knows no other ticks.
-        The engine places rows with :meth:`radio_pairs`; these are the
-        reference it is tested against.
+        The engine places rows with :meth:`radio_pairs`; these, every pair
+        of them at a common tick checked, are the reference it is tested
+        against.
         """
         return self._place(g, *self._intervals(t0, t1))
 

@@ -39,8 +39,8 @@ from vancast.fountain import (
     encode,
     rank,
 )
-from vancast.mobility import assign_trips
-from vancast.roadnet import generate_manhattan_grid
+from vancast.mobility import Timetable, assign_trips
+from vancast.roadnet import Edge, RoadGraph, generate_manhattan_grid
 
 EXPERIMENT_SEED = 7
 
@@ -144,15 +144,19 @@ def test_contact_detection_equals_brute_force():
         n = int(rng.integers(2, 501))
         span = float(rng.uniform(100.0, 2_500.0))
         pts = rng.uniform(0.0, span, size=(n, 2))
-        rows = np.column_stack((np.zeros(n), np.arange(n), pts))  # tick, vehicle, x, y
+        # vehicle v parked at node v, at point v, for tick 0: the engine's join
+        g = RoadGraph(pts[:, 0].tolist(), pts[:, 1].tolist(), [Edge(0, 0, 1, 1.0)])
+        day = Timetable(tuple(range(n)), stays=np.array([(v, v, 0, 1) for v in range(n)]),
+                        start=0, end=1)
+        rows, pairs = day.radio_pairs(g, 0, 1, None, 100.0)
         expect = []
         for i in range(n):
             for j in range(i + 1, n):
                 if math.hypot(pts[i, 0] - pts[j, 0], pts[i, 1] - pts[j, 1]) <= 100.0:
                     expect.append((i, j))
-        assert [(a, b) for _, a, b in detect_contacts(rows, 100.0).tolist()] == expect
+        assert [(a, b) for _, a, b in detect_contacts(rows, 100.0, pairs).tolist()] == expect
         checked += len(expect)
-    print(f"contacts: 100 instances, {checked} pairs, spatial hash == brute force: PASS")
+    print(f"contacts: 100 instances, {checked} pairs, join == brute force: PASS")
 
 
 # --- 3. sweep determinism -------------------------------------------------------
@@ -359,13 +363,14 @@ def test_invariant_suites():
 
     # Contact symmetry: membership depends only on distance, pairs come
     # out ordered; 10^4 random two-vehicle placements.
+    one_pair = np.array([[0], [1]])
     for _ in range(10_000):
         comm = float(rng.uniform(1.0, 300.0))
         p = (float(rng.uniform(-500, 500)), float(rng.uniform(-500, 500)))
         q = (float(rng.uniform(-500, 500)), float(rng.uniform(-500, 500)))
         d = math.hypot(p[0] - q[0], p[1] - q[1])
-        forward = detect_contacts(np.array([(0, 1, *p), (0, 2, *q)]), comm).tolist()
-        swapped = detect_contacts(np.array([(0, 2, *p), (0, 1, *q)]), comm).tolist()
+        forward = detect_contacts(np.array([(0, 1, *p), (0, 2, *q)]), comm, one_pair).tolist()
+        swapped = detect_contacts(np.array([(0, 2, *p), (0, 1, *q)]), comm, one_pair).tolist()
         assert (len(forward) == 1) == (d <= comm)
         assert len(forward) == len(swapped)
         if forward:

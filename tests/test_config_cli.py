@@ -551,6 +551,52 @@ def test_cli_run_refuses_a_graph_file_whose_road_sums_overflow(tmp_path, capsys)
     assert not (tmp_path / "o").exists()
 
 
+def test_cli_run_refuses_a_graph_file_node_past_exact_cells(tmp_path, capsys):
+    # 1e300 m out is 1e298 cells of 100 m: refused by name before anything is drawn
+    path = tmp_path / "far.txt"
+    path.write_text("nodes 3 edges 2\nnode 0 0 0\nnode 1 100 0\nnode 2 1e300 0\n"
+                    "edge 0 0 1 100 0\nedge 1 1 2 1e300 0\n")
+    code = main(["run", "--set", f"graph_file={path}", "--set", "n_vehicles=2",
+                 "--set", "sim_duration=600", "--out", str(tmp_path / "o"), "--quiet"])
+    assert code == 2
+    assert ("radio positions must be finite and under 2**52 cells of comm_range = 100.0 m"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("side, sim_duration, code", [(1e9, 86_400, 2), (1e9, 3_600, 0),
+                                                     (6e8, 172_800, 0)])
+def test_cli_run_bounds_a_graph_file_by_ticks_times_cells(tmp_path, capsys, side, sim_duration,
+                                                          code):
+    # a 1e9 m square is 1e14 cells of 100 m: over a day of 1 s ticks that is
+    # 2**62 keys or more, over 3600 ticks not.  The bound takes the shorter of
+    # a day and the run: a 6e8 m square fits a day, so it runs for two.
+    path = tmp_path / "wide.txt"
+    path.write_text(f"nodes 3 edges 2\nnode 0 0 0\nnode 1 {side} 0\nnode 2 {side} {side}\n"
+                    f"edge 0 0 1 {side} 0\nedge 1 1 2 {side} 0\n")
+    assert main(["run", "--set", f"graph_file={path}", "--set", "n_vehicles=2",
+                 "--set", "max_trip_dist=1e10", "--set", "seed_rate=0.5",
+                 "--set", f"sim_duration={sim_duration}", "--out", str(tmp_path / "o"),
+                 "--quiet"]) == code
+    err = capsys.readouterr().err
+    assert ("positions span too many comm_range = 100.0 m cells over 86400 ticks" in err
+            ) == (code == 2)
+    assert (tmp_path / "o").exists() == (code == 0)
+
+
+def test_cli_run_makes_its_out_dir_before_it_simulates(tmp_path, capsys, monkeypatch):
+    import vancast.cli as cli
+
+    def never(cfg):
+        raise AssertionError("run called before --out was made")
+
+    monkeypatch.setattr(cli, "run", never)
+    (tmp_path / "file").write_text("")
+    code = main(["run", *tiny_args(), "--out", str(tmp_path / "file" / "o"), "--quiet"])
+    assert code == 2
+    assert "Not a directory" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", [["run"], ["sweep", "--param", "seed_rate",
                                                  "--values", "0.5"]])
 def test_cli_refuses_a_negative_seed_before_running(tmp_path, capsys, command):

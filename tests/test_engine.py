@@ -1,10 +1,10 @@
 """Simulation engine tests: contacts, exchange, provisioning, full runs."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest
+from reference import all_contacts, same_tick_pairs
 
 from vancast.config import ExperimentConfig
 from vancast.engine import (
@@ -55,7 +55,7 @@ def test_contacts_match_brute_force_on_random_instances():
             int(vid): (float(x), float(y))
             for vid, (x, y) in enumerate(rng.uniform(-span, span, size=(n, 2)))
         }
-        contacts = detect_contacts(rows_at(positions), comm)
+        contacts = all_contacts(rows_at(positions), comm)
         assert pairs(contacts) == brute_force_pairs(positions, comm)
 
 
@@ -73,20 +73,25 @@ def test_contacts_of_many_ticks_match_brute_force_per_tick():
         rng.shuffle(rows)
         expect = [(t, a, b) for t, p in per_tick.items()
                   for a, b in brute_force_pairs(p, comm)]
-        assert detect_contacts(rows, comm).tolist() == [list(c) for c in expect]
+        assert all_contacts(rows, comm).tolist() == [list(c) for c in expect]
 
 
 def assert_contacts_per_tick(per_tick, comm):
-    """detect_contacts over all ticks' rows equals brute force tick by tick."""
+    """detect_contacts over every pair of rows at a tick, and the join over
+    one stay per row at a node at its point, equal brute force tick by tick."""
     rows = np.concatenate([rows_at(p, t) for t, p in per_tick.items()])
     expect = [[t, a, b] for t, p in sorted(per_tick.items())
               for a, b in brute_force_pairs(p, comm)]
-    assert detect_contacts(rows, comm).tolist() == expect
+    assert all_contacts(rows, comm).tolist() == expect
+    points = sorted({p for at in per_tick.values() for p in at.values()})
+    node = {p: k for k, p in enumerate(points)}
+    stays = [(v, node[p], t, t + 1) for t, at in per_tick.items() for v, p in at.items()]
+    assert joined(points, stays, None, comm).tolist() == expect
 
 
 def test_contacts_at_cell_edges_match_brute_force_per_tick():
-    """Points on an exact comm_range lattice, where cell membership and the
-    range boundary are both decided exactly, around a crowded cell and
+    """Points on an exact comm_range lattice, where the range boundary and
+    the near places' cells are decided exactly, around a crowded cell and
     along the top row and rightmost column of the occupied box."""
     comm = 10.0
     x0, y0 = -30.0, -20.0
@@ -115,8 +120,8 @@ def test_contacts_at_cell_edges_match_brute_force_per_tick():
     assert_contacts_per_tick(per_tick, comm)
     # The same crowd on consecutive ticks: nothing leaks between ticks.
     assert_contacts_per_tick({t: per_tick[6] for t in (10, 11, 12)}, comm)
-    # Boxes one cell high and one cell wide, where a stencil that wraps a
-    # column or a tick finds rows in range.
+    # Boxes one cell high and one cell wide, where a cell stencil that wraps
+    # a column finds places in range.
     for line in (corners[::6], corners[:6]):
         assert_contacts_per_tick({t: ids(line, 1) for t in (7, 8)}, comm)
 
@@ -137,7 +142,7 @@ def test_contacts_with_large_vehicle_ids_match_brute_force_per_tick(vids):
 
 def test_contacts_sorted_and_ordered_pairs():
     positions = {9: (0.0, 0.0), 2: (10.0, 0.0), 5: (5.0, 5.0)}
-    contacts = pairs(detect_contacts(rows_at(positions), 50.0))
+    contacts = pairs(all_contacts(rows_at(positions), 50.0))
     assert contacts == [(2, 5), (2, 9), (5, 9)]
     for a, b in contacts:
         assert a < b
@@ -145,7 +150,7 @@ def test_contacts_sorted_and_ordered_pairs():
 
 def test_contact_boundary_is_inclusive():
     positions = {0: (0.0, 0.0), 1: (100.0, 0.0), 2: (200.1, 0.0)}
-    contacts = detect_contacts(rows_at(positions), 100.0)
+    contacts = all_contacts(rows_at(positions), 100.0)
     assert pairs(contacts) == [(0, 1)]
 
 
@@ -159,7 +164,7 @@ def test_contact_boundary_agrees_with_math_hypot():
         p = (float(rng.uniform(-500, 500)), float(rng.uniform(-500, 500)))
         q = (p[0] + comm * math.cos(angle), p[1] + comm * math.sin(angle))
         expect = math.hypot(p[0] - q[0], p[1] - q[1]) <= comm
-        assert len(detect_contacts(rows_at({0: p, 1: q}), comm)) == int(expect)
+        assert len(all_contacts(rows_at({0: p, 1: q}), comm)) == int(expect)
 
 
 def test_contacts_insertion_order_invariance():
@@ -169,35 +174,29 @@ def test_contacts_insertion_order_invariance():
     shuffled_keys = list(pts)
     rng.shuffle(shuffled_keys)
     reordered = {k: pts[k] for k in shuffled_keys}
-    assert np.array_equal(detect_contacts(rows_at(pts), 120.0),
-                          detect_contacts(rows_at(reordered), 120.0))
+    assert np.array_equal(all_contacts(rows_at(pts), 120.0),
+                          all_contacts(rows_at(reordered), 120.0))
 
 
 def test_contacts_empty_and_validation():
-    assert detect_contacts(rows_at({}), 100.0).shape == (0, 3)
+    assert all_contacts(rows_at({}), 100.0).shape == (0, 3)
     with pytest.raises(ValueError):
-        detect_contacts(rows_at({0: (0.0, 0.0)}), 0.0)
+        all_contacts(rows_at({0: (0.0, 0.0)}), 0.0)
 
 
-def test_contacts_refuse_cells_past_exact_int64_keys():
-    # 200 m is 2e22 cells of 1e-20 m: an int64 cast would wrap them
-    with pytest.raises(ValueError, match="comm_range"):
-        detect_contacts(rows_at({0: (0.0, 0.0), 1: (200.0, 0.0)}), 1e-20)
-    # 200 m over 1e-320 m overflows to an infinite cell: refused, not warned
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(ValueError, match="comm_range"):
-            detect_contacts(rows_at({0: (0.0, 0.0), 1: (200.0, 0.0)}), 1e-320)
-    # exact cells, but over 2**32 ticks a box of more than 2**62 keys
-    rows = np.array([(0, 0, 0.0, 0.0), (2**32, 1, 2.0**15, 2.0**15)])
-    with pytest.raises(ValueError, match="comm_range"):
-        detect_contacts(rows, 1.0)
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf])
-def test_contacts_refuse_a_non_finite_position(bad):
-    with pytest.raises(ValueError, match="comm_range"):
-        detect_contacts(rows_at({0: (0.0, 0.0), 1: (10.0, 0.0), 2: (bad, 5.0)}), 100.0)
+def test_same_tick_pairs_is_every_pair_of_rows_at_a_tick():
+    rng = np.random.default_rng(64)
+    for n in [0, 1, 2, *rng.integers(3, 60, size=30).tolist()]:
+        rows = np.column_stack((rng.integers(0, 6, size=n), rng.permutation(n),
+                                rng.uniform(-500, 500, size=(n, 2))))
+        expect = []
+        for i in range(n):
+            for j in range(i + 1, n):
+                if rows[i, 0] == rows[j, 0]:
+                    expect.append((rows[i, 0], i, j))
+        got = same_tick_pairs(rows)
+        assert got.dtype == np.int64 and got.shape == (2, len(expect))
+        assert [(rows[i, 0], i, j) for i, j in got.T.tolist()] == sorted(expect)
 
 
 def joined(points, stays, live, comm_range):
@@ -222,7 +221,7 @@ def test_contacts_with_a_live_mask_keep_the_pairs_with_a_live_end():
     live = np.array([False, False, False, True, False])
     assert pairs(joined(points, stays, live, 50.0)) == [(2, 3), (3, 4)]
     assert joined(points, stays, np.zeros(5, dtype=bool), 50.0).shape == (0, 3)
-    every = detect_contacts(rows_at(dict(enumerate(points))), 50.0)
+    every = all_contacts(rows_at(dict(enumerate(points))), 50.0)
     assert pairs(every) == [(0, 1), (1, 2), (2, 3), (3, 4)]
     assert np.array_equal(joined(points, stays, np.ones(7, dtype=bool), 50.0), every)
     assert np.array_equal(joined(points, stays, None, 50.0), every)
@@ -230,10 +229,10 @@ def test_contacts_with_a_live_mask_keep_the_pairs_with_a_live_end():
 
 @pytest.mark.parametrize("far_y", [3090.0, 2890.0])
 def test_contacts_with_a_live_mask_keep_a_diagonal_pair_on_a_tall_grid(far_y):
-    # the far row makes the cell search's grid ny = 33 or 31 cells tall, so
-    # the diagonal neighbor's key is ny + 1 on
+    # the far row makes the box 33 or 31 comm_range cells tall: a cell
+    # stencil keyed by column must still reach the diagonal neighbor
     points = [(90.0, 90.0), (110.0, 110.0), (0.0, far_y)]
-    assert pairs(detect_contacts(rows_at(dict(enumerate(points))), 100.0)) == [(0, 1)]
+    assert pairs(all_contacts(rows_at(dict(enumerate(points))), 100.0)) == [(0, 1)]
     live = np.array([True, False, False])
     stays = [(v, v, 0, 1) for v in range(3)]
     assert pairs(joined(points, stays, live, 100.0)) == [(0, 1)]
@@ -242,21 +241,21 @@ def test_contacts_with_a_live_mask_keep_a_diagonal_pair_on_a_tall_grid(far_y):
 
 @pytest.mark.parametrize("live", [None, np.array([True, False]), np.array([False, True])])
 def test_contacts_keep_two_rows_alone_in_diagonal_cells(live):
-    # cells (0, 0) and (1, 1) of a 4-cell-tall box: keys exactly ny + 1 apart
+    # in diagonal comm_range cells (0, 0) and (1, 1), alone in their columns
     rows = rows_at({0: (90.0, 90.0), 1: (110.0, 110.0)}, tick=3)
-    assert detect_contacts(rows, 100.0).tolist() == [[3, 0, 1]]
+    assert all_contacts(rows, 100.0).tolist() == [[3, 0, 1]]
     stays = [(0, 0, 3, 4), (1, 1, 3, 4)]
     assert joined([(90.0, 90.0), (110.0, 110.0)], stays, live, 100.0).tolist() == [[3, 0, 1]]
 
 
 @pytest.mark.parametrize("live", [None, np.ones(4, dtype=bool)])
 def test_contacts_of_rows_all_alone_are_empty(live):
-    # no row has another within a cell at its tick: the cell search's runs
-    # hold no candidate, and the join pairs none
+    # no row has another within range at its tick: none is in contact, and
+    # the join pairs none
     rows = np.array([(0, 0, 0.0, 0.0), (0, 1, 250.0, 250.0), (1, 2, 0.0, 250.0),
                      (2, 3, 0.0, 0.0)])
     stays = [(0, 0, 0, 1), (1, 1, 0, 1), (2, 2, 1, 2), (3, 0, 2, 3)]
-    for contacts in (detect_contacts(rows, 100.0),
+    for contacts in (all_contacts(rows, 100.0),
                      joined([(0.0, 0.0), (250.0, 250.0), (0.0, 250.0)], stays, live, 100.0)):
         assert contacts.shape == (0, 3)
         assert contacts.dtype == np.int64
@@ -1512,10 +1511,8 @@ def outcome(state):
 def spy_on_contacts(monkeypatch, seen):
     """Append each engine.step span's radio rows and all their contacts,
     full stores or not, to seen, as (rows, contacts)."""
-    from vancast.engine import detect_contacts
-
     spy_on_steps(monkeypatch, lambda state, n_ticks, rows: seen.append(
-        (rows, detect_contacts(rows, state.cfg.comm_range))))
+        (rows, all_contacts(rows, state.cfg.comm_range))))
 
 
 def radio(seen):

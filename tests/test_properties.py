@@ -7,8 +7,8 @@ agrees with the multiplication table, the solve recovers the symbols from
 every fed row or reports their exact rank, and the incremental decoder
 agrees with a from-scratch rank and hands decode the chunks that rebuild
 the file, the join of route segments and stays on near places finds
-exactly the contacts with a live end that the cell search finds among
-every radio row, placing only rows that have a partner, and exchange
+exactly the contacts with a live end found among every pair of radio
+rows at a tick, placing only rows that have a partner, and exchange
 sends, keeps and draws exactly what its frozen reference does."""
 
 import math
@@ -25,6 +25,7 @@ from hypothesis.extra.numpy import arrays
 
 from vancast.config import ROUTING_POLICIES, ExperimentConfig, config_lines, parse_config
 from vancast.engine import ChunkStore, detect_contacts, exchange
+from reference import all_contacts
 from test_engine import reference_exchange
 from test_fountain import oracle_rank
 from test_mobility import reference_assign_trips
@@ -448,13 +449,13 @@ def live_end(contacts, live):
 @settings(max_examples=300, deadline=None)
 @given(live_timetables())
 def test_live_mask_keeps_exactly_the_contacts_with_a_live_end(case):
-    """The join's contacts are the cell search's over every row of the
-    span, less those of two vehicles that are not live."""
+    """The join's contacts are those among every pair of rows at a tick of
+    the span, less those of two vehicles that are not live."""
     g, day, t0, t1, r, live = case
     rows, pairs = day.radio_pairs(g, t0, t1, live, r)
     got = detect_contacts(rows, r, pairs)
     assert got.shape[1] == 3 and got.dtype == np.int64
-    assert np.array_equal(got, live_end(detect_contacts(day.radio_rows(g, t0, t1), r), live))
+    assert np.array_equal(got, live_end(all_contacts(day.radio_rows(g, t0, t1), r), live))
 
 
 @settings(max_examples=300, deadline=None)
@@ -478,7 +479,7 @@ def test_rows_placed_near_live_vehicles_hold_every_live_contact(case):
         assert (live[a] | live[b]).all()
     joined = set(zip(tick[pairs[0]].tolist(), a.tolist(), b.tolist()))
     assert len(joined) == pairs.shape[1]
-    assert {tuple(c) for c in live_end(detect_contacts(every, r), live).tolist()} <= joined
+    assert {tuple(c) for c in live_end(all_contacts(every, r), live).tolist()} <= joined
 
 
 @st.composite
