@@ -12,40 +12,33 @@ where its route's draws lie (its vehicle's generator state before the
 vehicle's one read of raw words, and the word offset in that read) and
 is routed from there, to the route it would have had, and one due after
 the run is never routed.  So the random stream is the same, draw for
-draw, however the days are split.  Once every store is full no later tick can change a
-store, a stamp or a sample, so ``run`` stops at the end of the window it
-is in and routes nothing after it.
+draw, however the days are split.  Once every store is full no later
+tick can change a store, a stamp or a sample, so ``run`` stops at the
+end of the window it is in and routes nothing after it.
 
-``step(state, n)`` simulates n ticks in one pass: it finds the span's
-radio contacts in one join and one check, and then runs the chunk
-exchange, in order, only at ticks that have contacts.  Only contacts
-that can move a chunk are looked for: those with a live end, a vehicle
-whose store was not full at the span's first tick.  The timetable
-(:meth:`vancast.mobility.Timetable.radio_pairs`) cuts the span's drives
-into the route segments they are on, joins each live vehicle's segments
-and stays with the other vehicles' segments and stays on near places at
-ticks in common, places the joined ones only from their first tick in
-common with a partner to their last, and hands :func:`detect_contacts`
-the pairs of rows to check: the join is the engine's one contact search.
-Under ``share_bandwidth`` every segment and stay is joined, as a link is
-divided by the degree of each end, and that degree counts contacts
-between two full stores too.  A span with no live vehicle on the air
-places no rows at all.  Stores fill mid-span, so the exchange runs over
-a span's contacts in blocks: it drops, at each block's start, those
-whose two stores are both full by then, and skips a contact of the
-block whose two stores have both filled since, with one test of two
-flags.  This gives the same results, draw for draw, as moving,
-detecting and exchanging one tick at a time.
+``step(state, n)`` simulates n ticks in one pass: one
+:meth:`vancast.mobility.Timetable.radio_pairs` call (the join, the
+engine's one contact search) gives the span's radio rows that may be in
+a contact with a live end, a vehicle whose store was not full at the
+span's first tick, and the pairs of them to check; one
+:func:`detect_contacts` call checks them; and the chunk exchange then
+runs, in order, only at ticks that have contacts.  Stores fill
+mid-span, so the exchange runs over a span's contacts in blocks: it
+drops, at each block's start, those whose two stores are both full by
+then, and skips a contact of the block whose two stores have both
+filled since, with one test of two flags.  This gives the same results,
+draw for draw, as moving, detecting and exchanging one tick at a time.
 A vehicle's completion is recorded once, as its store's ``completed_at``
 stamp.  ``run`` sizes each span by its radio rows, not by its ticks:
 a span ends at the last tick that keeps it within ``SPAN_ROWS`` rows
 (at least one tick, never past the timetable's end), counted exactly
 off the timetable.  That pays a step's fixed cost once for many sparse
-ticks while keeping a dense span's per-row arrays in cache.  ``run``
-lays out the next window or day when the timetable is used up, unless
-the run has settled, and builds the completion samples once, from the
-stamps.  All randomness flows through one generator, so a (config,
-seed) pair reproduces a run bit for bit.
+ticks while keeping a dense span's per-row arrays in cache.  When the
+timetable is used up, ``run`` lays out the next window
+(:func:`_next_window`, which also lays out day 0 for :func:`init_sim`),
+unless the run has settled, and builds the completion samples once,
+from the stamps.  All randomness flows through one generator, so a
+(config, seed) pair reproduces a run bit for bit.
 """
 
 from __future__ import annotations
@@ -64,10 +57,9 @@ from vancast.roadnet import (RoadGraph, check_road_sums, float_text, generate_ma
                              load_road_graph)
 
 # Most radio rows run() hands to one step() call, as Timetable.span_end
-# counts them (Timetable.rows_before), though the join places only those
-# with a partner.  A call has a fixed cost (the route flattening and over a
-# hundred numpy calls in Timetable.radio_pairs, some thirty in
-# detect_contacts, a pass over every store), so sparse ticks share long
+# counts them (Timetable.rows_before); Timetable.radio_pairs places only
+# some of them.  A call has a fixed cost (the numpy calls of radio_pairs
+# and detect_contacts, a pass over every store), so sparse ticks share long
 # spans; its per-row and per-pair arrays must stay in cache, so dense
 # ticks get short ones.  A span still holds at least one tick, however
 # many rows it has.
@@ -120,17 +112,30 @@ def detect_contacts(rows: np.ndarray, comm_range: float, pairs: np.ndarray) -> n
     each pair a < b within Euclidean distance comm_range (inclusive),
     sorted.  Membership is exactly ``math.hypot(dx, dy) <= comm_range``.
     Pairs are checked as many at a time as there are rows, so the check's
-    temporaries stay within the rows' size.
+    temporaries stay within the rows' size.  Raises ValueError, naming
+    ``pairs``, unless it is an int array of shape (2, m) of row indices
+    that pairs no row with itself and no two rows at different ticks.
     """
     if comm_range <= 0:
         raise ValueError(f"comm_range must be positive, got {comm_range}")
     rows = np.asarray(rows, dtype=float).reshape(-1, 4)
-    x, y = rows[:, 2], rows[:, 3]
+    pairs = np.asarray(pairs)
+    if pairs.ndim != 2 or len(pairs) != 2 or pairs.dtype.kind not in "iu":
+        raise ValueError(f"pairs must be an int array of shape (2, m), got {pairs.dtype} of "
+                         f"shape {pairs.shape}")
+    if pairs.size and not (0 <= pairs.min() and pairs.max() < len(rows)):
+        raise ValueError(f"pairs must index rows 0 to {len(rows) - 1}, got {pairs.min()} "
+                         f"to {pairs.max()}")
+    t, x, y = rows[:, 0], rows[:, 2], rows[:, 3]
     size = max(len(rows), 1)
     pair_i, pair_j = pairs
     found_i, found_j = [], []
     for at in range(0, len(pair_i), size):
         i, j = pair_i[at:at + size], pair_j[at:at + size]
+        if (i == j).any():
+            raise ValueError(f"pairs holds row {i[i == j][0]} paired with itself")
+        if (t[i] != t[j]).any():
+            raise ValueError("pairs holds a pair of rows at different ticks")
         d = x[i]
         d -= x[j]
         dy = y[i]
@@ -367,66 +372,53 @@ def _window_end(cfg: ExperimentConfig, start: int) -> int:
     return day_end if ticks >= day_end - start else start + max(1, math.ceil(ticks))
 
 
-def _lay_out(state: SimState, schedules: list | None, end: int, route=None) -> None:
-    """Lay out ticks ``state.tick`` to end - 1 after ``state.day`` (see
-    :func:`vancast.mobility.lay_out_day`, whose odometer stops at the run's end)."""
-    cfg = state.cfg
-    state.day = lay_out_day(state.day, schedules, state.tick, end, cfg.dt, cfg.speed,
-                            cfg.parked_exchange, cfg.steps(cfg.sim_duration, "sim_duration"),
-                            route)
+def _next_window(state: SimState) -> None:
+    """Lay out the window that starts at ``state.tick``, after ``state.day``.
 
-
-def _new_day(state: SimState):
-    """Draw the day's trips, then lay out its first window.
-
-    The day's first tick is ``state.tick``.  Day 0's window is the whole
-    day (or the run, if shorter), so its routing is set-up work; a later
-    day's first window holds about ``WINDOW_TRIPS`` of its trips
-    (:func:`_window_end`).  Every vehicle starts the day where the old
-    timetable leaves it (``state.day.rest``): its parked node, or the
-    destination of a drive still on the road, which carries over into the
-    new timetable.  Trips the old timetable left pending are dropped.  Day
-    0 starts with every vehicle parked at home.
-
-    Every trip of the day is drawn, but only those due by the window's
-    end (:func:`vancast.mobility.due_by`) are routed.  Later ones due by
-    the day's end are deferred, for :func:`_next_window` to route, and the
-    rest, which could only depart after the run, are dropped.  The draws
-    stay the same.
+    At a day's first tick the day's trips are drawn: every vehicle starts
+    the day where the old timetable leaves it (``state.day.rest``), its
+    parked node or the destination of a drive still on the road, which
+    carries over into the new timetable, and trips the old timetable left
+    pending are dropped.  Day 0 starts with every vehicle parked at home,
+    and its window is the whole day (or the run, if shorter), so its
+    routing is set-up work; a later window holds about ``WINDOW_TRIPS``
+    trips (:func:`_window_end`).  Every trip of the day is drawn, but only
+    those due by the window's end (:func:`vancast.mobility.due_by`) are
+    routed; later ones due by the day's end are deferred, and the rest,
+    which could only depart after the run, are dropped.  A later window
+    of the day lays out the trips the last one left pending, deferred ones
+    routed as they are laid out (:func:`vancast.mobility.deferred_router`),
+    with no draw of ``state.rng``.  The draws stay the same however the
+    day is split (see :func:`vancast.mobility.lay_out_day`, whose odometer
+    stops at the run's end).
     """
     cfg, start = state.cfg, state.tick
     per_day = cfg.steps(DAY_LEN, "one day")
-    day_end = min(start + per_day, cfg.steps(cfg.sim_duration, "sim_duration"))
+    n_steps = cfg.steps(cfg.sim_duration, "sim_duration")
     end = _window_end(cfg, start)
-    schedules = assign_trips(
-        state.graph,
-        state.day.rest,
-        cfg.mean_trips,
-        cfg.max_trip_dist,
-        state.rng,
-        day_start=(start // per_day) * DAY_LEN,
-        policy=cfg.routing_policy,
-        main_road_fraction=cfg.main_road_fraction,
-        until=due_by(end, cfg.dt),
-        drop_after=due_by(day_end, cfg.dt),
-    )
-    _lay_out(state, schedules, end)
-
-
-def _next_window(state: SimState):
-    """Lay out the day's next window, which starts at ``state.tick``: the
-    trips the last window left pending, deferred ones routed as they are
-    laid out (:func:`vancast.mobility.deferred_router`), none drawn afresh
-    and no draw of ``state.rng`` made."""
-    _lay_out(state, None, _window_end(state.cfg, state.tick),
-             deferred_router(state.graph, state.rng))
+    schedules = None  # a later window lays out the pending trips
+    if start % per_day == 0:
+        schedules = assign_trips(
+            state.graph,
+            state.day.rest,
+            cfg.mean_trips,
+            cfg.max_trip_dist,
+            state.rng,
+            day_start=(start // per_day) * DAY_LEN,
+            policy=cfg.routing_policy,
+            main_road_fraction=cfg.main_road_fraction,
+            until=due_by(end, cfg.dt),
+            drop_after=due_by(min(start + per_day, n_steps), cfg.dt),
+        )
+    state.day = lay_out_day(state.day, schedules, start, end, cfg.dt, cfg.speed,
+                            cfg.parked_exchange, n_steps, deferred_router(state.graph, state.rng))
 
 
 def init_sim(cfg: ExperimentConfig) -> SimState:
     """Build the initial simulation state for a configuration, day 0 laid out:
     :func:`prepare_sim`'s state, then day 0's trips."""
     state = prepare_sim(cfg)
-    _new_day(state)
+    _next_window(state)
     return state
 
 
@@ -494,40 +486,34 @@ def step(state: SimState, n_ticks: int = 1) -> None:
     again on the next tick at the earliest.
 
     Motion never depends on chunks, so the span's rows and the pairs of
-    them to check are read off the window's timetable
-    (:meth:`vancast.mobility.Timetable.radio_pairs`), contacts come from
-    one :func:`detect_contacts` call, and :func:`exchange` then runs in
-    (tick, a, b) order, with the same floats and draws as n_ticks single
-    steps.  A contact whose two stores both held every chunk at the
-    span's first tick can move nothing and draws nothing, so only pairs
-    with a live end, a store not full then, are joined (``live``).  Under
-    ``share_bandwidth`` every pair is joined and every contact detected,
-    since a link's share divides by the degree of each end, and that
-    degree counts contacts between two full stores too; those contacts
-    are then dropped.  Either way, if no live vehicle is on the air in the
-    span (:meth:`vancast.mobility.Timetable.radio_vehicles`), no row is
-    placed.  A contact whose two stores are both full by the time it is
-    reached is skipped, its link budget left as it was: dropped in bulk
-    if they were full when its block of ``EXCHANGE_BLOCK`` contacts
-    began, else passed over by the loop's first test.  Nor is
-    :func:`exchange` called for two empty stores, though their link
-    budget still accrues.  A pair's link budget carries over only to the
-    next tick.  The timetable refuses a span past its end,
-    ``state.day.end``, before the clock moves; ``run`` lays out the next
-    window or day when a span reaches it.
+    them to check come from one call to the window's timetable
+    (:meth:`vancast.mobility.Timetable.radio_pairs`), contacts from one
+    :func:`detect_contacts` call, and :func:`exchange` then runs in (tick,
+    a, b) order, with the same floats and draws as n_ticks single steps.
+    A contact whose two stores both held every chunk at the span's first
+    tick can move nothing and draws nothing, so the join is given the
+    mask of stores not full then (``live``).  Under ``share_bandwidth``
+    it joins every interval (``every``), since a link's share divides by
+    the degree of each end, and that degree counts contacts between two
+    full stores too; those contacts are then dropped.  A contact whose
+    two stores are both full by the time it is reached is skipped, its
+    link budget left as it was: dropped in bulk if they were full when
+    its block of ``EXCHANGE_BLOCK`` contacts began, else passed over by
+    the loop's first test.  Nor is :func:`exchange` called for two empty
+    stores, though their link budget still accrues.  A pair's link budget
+    carries over only to the next tick.  The timetable refuses a span
+    past its end, ``state.day.end``, before the clock moves; ``run`` lays
+    out the next window when a span reaches it.
     """
     if n_ticks < 1:
         raise ValueError(f"n_ticks must be >= 1, got {n_ticks}")
-    cfg, day, stores = state.cfg, state.day, state.stores
+    cfg, stores = state.cfg, state.stores
     t0, t1 = state.tick, state.tick + n_ticks
     live = np.array([s.count for s in stores]) != cfg.n_chunks
-    if not live[day.radio_vehicles(t0, t1)].any():
-        contacts = np.zeros((0, 3), dtype=np.int64)
-    else:  # a shared link's degrees count every contact, full pairs too
-        rows, pairs = day.radio_pairs(state.graph, t0, t1,
-                                      None if cfg.share_bandwidth else live, cfg.comm_range)
-        contacts = detect_contacts(rows, cfg.comm_range, pairs)
-        del rows, pairs
+    rows, pairs = state.day.radio_pairs(state.graph, t0, t1, live, cfg.comm_range,
+                                        cfg.share_bandwidth)
+    contacts = detect_contacts(rows, cfg.comm_range, pairs)
+    del rows, pairs
     state.tick = t1
 
     gain = cfg.chunks_per_step()
@@ -591,14 +577,14 @@ def run(cfg: ExperimentConfig) -> SimState:
     takes at least one tick and never runs past the timetable's end.
     The split does not change the results.  When a span reaches the end
     before the run's end, the run stops if it has settled
-    (:attr:`SimState.settled`).  Otherwise the day's next window is laid
-    out (:func:`_next_window`), or, at midnight, the next day's trips are
-    drawn afresh and its first window laid out (:func:`_new_day`):
-    vehicles keep their location across windows and days, and drives on
-    the road carry on into the new timetable.  Neither the window split
-    nor the stop changes the results.  The RNG order is that of single
-    steps: a day's trips at its first tick, then exchange draws in (tick,
-    a, b) order; a deferred trip's route is drawn from a scratch copy.
+    (:attr:`SimState.settled`).  Otherwise the next window is laid out
+    (:func:`_next_window`, which draws the next day's trips afresh at
+    midnight): vehicles keep their location across windows and days, and
+    drives on the road carry on into the new timetable.  Neither the
+    window split nor the stop changes the results.  The RNG order is that
+    of single steps: a day's trips at its first tick, then exchange draws
+    in (tick, a, b) order; a deferred trip's route is drawn from a scratch
+    copy.
 
     A run that settles returns early: ``tick`` is the end of the last
     window laid out (``day``, whose ``end`` it is), and ``rng`` has made
@@ -613,12 +599,11 @@ def run(cfg: ExperimentConfig) -> SimState:
     state = init_sim(cfg)
     n_steps = cfg.steps(cfg.sim_duration, "sim_duration")
     per_sample = cfg.steps(cfg.sample_interval, "sample_interval")
-    per_day = cfg.steps(DAY_LEN, "one day")
     while state.tick < n_steps:
         if state.tick == state.day.end:
             if state.settled:
                 break
-            (_next_window if state.tick % per_day else _new_day)(state)
+            _next_window(state)
         step(state, state.day.span_end(state.tick, SPAN_ROWS) - state.tick)
     stamps = sorted(s.completed_at for s in state.stores if s.completed_at is not None)
     state.metrics.samples = [(t * cfg.dt, bisect.bisect_right(stamps, t * cfg.dt))

@@ -20,18 +20,11 @@ it routes a deferred trip (:func:`deferred_router`) only when it lays
 the trip out, to the route an eager draw gives.  It states the rules
 for departures, drives carried over from the previous window, and trips
 left pending at the timetable's end.  The timetable answers the
-engine's three questions about motion: which radio rows of a span of
+engine's two questions about motion: which radio rows of a span of
 ticks may be in a contact with a live end, and which pairs of them to
-check (:meth:`Timetable.radio_pairs`: drives cut into the route segments
-they are on by :func:`leg_segments`, each segment or stay an interval of
-ticks at an edge or node, the live ones joined by :func:`_join` with the
-others on near places at ticks in common, and only the joined intervals
-placed, by :func:`place_segments` at :func:`odometer` distances), the
-vehicles on the air in a span (:meth:`Timetable.radio_vehicles`, without
-placing any), and where a span of at most so many rows ends
-(:meth:`Timetable.span_end`), read off the sorted first and end ticks of
-its drives and stays.  :meth:`Timetable.radio_rows` places every row of
-a span, as the reference the join is tested against.
+check (:meth:`Timetable.radio_pairs`, the join), and where a span of at
+most so many rows ends (:meth:`Timetable.span_end`), read off the sorted
+first and end ticks of its drives and stays.
 
 :func:`advance` and :func:`position_of`, which move and place one
 :class:`VehicleState` for one step, are the per-tick reference that
@@ -60,7 +53,6 @@ from vancast.roadnet import (
     _factor_route,
     float_text,
     main_road_route,
-    random_route,
     shortest_path,
 )
 
@@ -308,11 +300,11 @@ def _route_for_policy(g: RoadGraph, src: int, dst: int, policy: str) -> Route:
 def deferred_router(g: RoadGraph, rng: np.random.Generator) -> Callable[[DeferredTrip], Route]:
     """A function that routes the deferred trips ``rng`` drew.  It reads
     rng for its increment but never draws from it: a random-policy trip's
-    factors come from one scratch generator set to the trip's block state
-    and advanced by its word offset, so the trip gets the route it would
-    have got had it been routed when it was drawn."""
+    factors are raw words of one scratch PCG64 set to the trip's block state
+    and advanced by its word offset, turned into factors and routed as
+    :func:`assign_trips` does, so the trip gets the route it would have got
+    had it been routed when it was drawn."""
     bits = np.random.PCG64(0)
-    scratch = np.random.Generator(bits)
     state = bits.state
     state["state"]["inc"] = rng.bit_generator.state["state"]["inc"]
 
@@ -322,7 +314,7 @@ def deferred_router(g: RoadGraph, rng: np.random.Generator) -> Callable[[Deferre
         state["state"]["state"] = trip.block
         bits.state = state
         bits.advance(trip.offset)
-        return random_route(g, trip.src, trip.dst, scratch)
+        return _factor_route(g, trip.src, trip.dst, _factors(bits.random_raw(g.n_edges)))
 
     return route
 
@@ -592,36 +584,9 @@ class Timetable:
             raise ValueError(f"ticks {t0} to {t1 - 1} lie outside the timetable, which runs "
                              f"from tick {self.start} to its end at tick {self.end}")
 
-    def radio_vehicles(self, t0: int, t1: int) -> np.ndarray:
-        """The vehicles with a radio row in ticks t0 to t1 - 1 (see
-        :meth:`radio_rows`), one entry per drive or stay, so a vehicle may
-        repeat.  Raises :meth:`radio_rows`' ValueError for the same ticks."""
-        self._within(t0, t1)
-        drives, stays = self.drives, self.stays
-        on = np.maximum(drives[:, 1], t0) < np.minimum(drives[:, 2], t1)
-        parked = np.maximum(stays[:, 2], t0) < np.minimum(stays[:, 3], t1)
-        return np.concatenate((drives[on, 0], stays[parked, 0]))
-
-    def _intervals(self, t0: int, t1: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """The drive segments and stays on the air in ticks t0 to t1 - 1,
-        clipped to them: per segment its drive's departure, the vehicle, the
-        first and end tick, the two nodes and their ``cum_length``
-        (:func:`leg_segments`); per stay the vehicle, node, first and end tick."""
-        self._within(t0, t1)
-        vids, dep, arrive = self.drives.T
-        on = np.flatnonzero((dep < t1) & (arrive > t0))
-        dep = dep[on]
-        leg, *segments = leg_segments([self.routes[i] for i in on.tolist()], dep,
-                                      np.maximum(dep, t0), np.minimum(arrive[on], t1), self.odo)
-        segments = [dep[leg], vids[on][leg], *segments]
-        stay_vids, nodes, first, end = self.stays.T
-        first, end = np.maximum(first, t0), np.minimum(end, t1)
-        on = end > first
-        return segments, [stay_vids[on], nodes[on], first[on], end[on]]
-
     def _place(self, g: RoadGraph, segments: list[np.ndarray], stays: list[np.ndarray]
                ) -> np.ndarray:
-        """The radio rows of these segments and stays (see :meth:`_intervals`),
+        """The radio rows of these segments and stays (see :meth:`radio_pairs`),
         segments first, each interval's ticks in order."""
         dep, drive_vids, *segments = segments
         ticks, x, y = place_segments(g, dep, self.odo, *segments)
@@ -640,66 +605,64 @@ class Timetable:
         rows[n_drive:, 3] = np.asarray(g.node_y)[at]
         return rows
 
-    def radio_rows(self, g: RoadGraph, t0: int, t1: int) -> np.ndarray:
-        """The radio rows of ticks t0 to t1 - 1, as (tick, vehicle, x, y).
-
-        One row per driving vehicle per tick, from its departure tick up
-        to the tick before its arrival, and one per stay per tick at its
-        node, drives first, each in tick order.  A drive is cut into the
-        route segments it is on (:func:`leg_segments`) and placed a segment
-        at a time (:func:`place_segments`).  Raises ValueError unless
-        ``start <= t0 <= t1 <= end``: the timetable knows no other ticks.
-        The engine places rows with :meth:`radio_pairs`; these, every pair
-        of them at a common tick checked, are the reference it is tested
-        against.
-        """
-        return self._place(g, *self._intervals(t0, t1))
-
-    def radio_pairs(self, g: RoadGraph, t0: int, t1: int, live: np.ndarray | None,
-                    comm_range: float) -> tuple[np.ndarray, np.ndarray]:
+    def radio_pairs(self, g: RoadGraph, t0: int, t1: int, live: np.ndarray, comm_range: float,
+                    every: bool = False) -> tuple[np.ndarray, np.ndarray]:
         """The radio rows of ticks t0 to t1 - 1 that may be in a contact with a
         live end, and the pairs of rows to check, for
-        :func:`vancast.engine.detect_contacts`.
+        :func:`vancast.engine.detect_contacts`: the engine's one contact search.
 
-        The span's drives are cut into the route segments they are on
-        (:func:`leg_segments`), and each segment or stay is an interval of
-        ticks at a place: the segment's edge
-        (:meth:`vancast.roadnet.RoadGraph.edges_between`) or the stay's node.
-        Every interval of a vehicle live in the per-vehicle bool mask
-        ``live`` (every interval, with ``live=None``) is joined with every
-        interval of another vehicle that lies on a near place
-        (:meth:`vancast.roadnet.RoadGraph.near_places`) and overlaps it in
-        time, each unordered pair once (:func:`_join`).  Two points within
-        comm_range lie on near places, so the pairs hold every contact with
-        a live end.  An interval in some pair is placed over the ticks from
-        its first overlap with a partner to its last, with
-        :meth:`radio_rows`' floats; the others are not placed at all.
+        Each drive yields one radio row a tick, from its departure tick up to
+        the tick before its arrival, and each stay one a tick at its node.  If
+        no vehicle live in the per-vehicle bool mask ``live`` has a row in
+        the span, nothing is placed or joined.  Otherwise the span's drives
+        are cut into the route segments they are on (:func:`leg_segments`),
+        and each segment or stay is an interval of ticks at a place: the
+        segment's edge (:meth:`vancast.roadnet.RoadGraph.edges_between`) or
+        the stay's node.  Every interval of a live vehicle (every interval,
+        with ``every``: a shared link's degrees count contacts between two
+        full stores too) is joined with every interval of another vehicle
+        that lies on a near place (:meth:`vancast.roadnet.RoadGraph.near_places`)
+        and overlaps it in time, each unordered pair once (:func:`_join`).
+        Two points within comm_range lie on near places, so the pairs hold
+        every contact with a live end.  An interval in some pair is placed,
+        by :func:`place_segments` at :func:`odometer` distances, over the
+        ticks from its first overlap with a partner to its last; the others
+        are not placed at all.
 
-        Returns the rows, as :meth:`radio_rows` gives them, and an int array
-        of shape (2, m): the two rows of each joined pair at each tick they
-        have in common, each (tick, vehicle pair) once.  Raises
-        :meth:`radio_rows`' ValueError for the same ticks, and a ValueError
+        Returns the rows, as (tick, vehicle, x, y), segments first, each
+        interval's ticks in order, and an int array of shape (2, m): the two
+        rows of each joined pair at each tick they have in common, each
+        (tick, vehicle pair) once.  Raises ValueError unless ``start <= t0 <=
+        t1 <= end`` (the timetable knows no other ticks), and a ValueError
         naming ``live`` unless it is a 1-D bool array indexed by every
         vehicle of the timetable's span.
         """
-        segments, stays = self._intervals(t0, t1)
-        vid = np.concatenate((segments[1], stays[0]))
-        if live is None:
-            is_live = np.ones(len(vid), dtype=bool)
-        else:
-            live = np.asarray(live)
-            if live.ndim != 1 or live.dtype != bool:
-                raise ValueError(f"live must be a 1-D bool array, got {live.dtype} of shape "
-                                 f"{live.shape}")
-            if len(vid) and not (0 <= vid.min() and vid.max() < len(live)):
-                raise ValueError(f"live covers vehicles 0 to {len(live) - 1}, but the span "
-                                 f"holds vehicles {vid.min()} to {vid.max()}")
-            is_live = live[vid]
-        if not is_live.any():
+        self._within(t0, t1)
+        live = np.asarray(live)
+        if live.ndim != 1 or live.dtype != bool:
+            raise ValueError(f"live must be a 1-D bool array, got {live.dtype} of shape "
+                             f"{live.shape}")
+        vids, dep, arrive = self.drives.T
+        on = np.flatnonzero(np.maximum(dep, t0) < np.minimum(arrive, t1))
+        stay_vids, nodes, first, end = self.stays.T
+        first, end = np.maximum(first, t0), np.minimum(end, t1)
+        parked = end > first
+        vid = np.concatenate((vids[on], stay_vids[parked]))
+        if len(vid) and not (0 <= vid.min() and vid.max() < len(live)):
+            raise ValueError(f"live covers vehicles 0 to {len(live) - 1}, but the span "
+                             f"holds vehicles {vid.min()} to {vid.max()}")
+        if not live[vid].any():
             return np.zeros((0, 4)), np.zeros((2, 0), dtype=np.int64)
-        n_seg = len(segments[0])
+        dep = dep[on]
+        leg, *segments = leg_segments([self.routes[i] for i in on.tolist()], dep,
+                                      np.maximum(dep, t0), np.minimum(arrive[on], t1), self.odo)
+        segments = [dep[leg], vids[on][leg], *segments]
+        stays = [stay_vids[parked], nodes[parked], first[parked], end[parked]]
+        n_seg = len(leg)
         first = np.concatenate((segments[2], stays[2])) - t0
         end = np.concatenate((segments[3], stays[3])) - t0
+        is_live = (np.ones(len(first), dtype=bool) if every else
+                   live[np.concatenate((segments[1], stays[0]))])
         i, j = _join(g.near_places(comm_range),
                      np.concatenate((g.edges_between(*segments[4:6]), g.n_edges + stays[1])),
                      first, end, is_live)

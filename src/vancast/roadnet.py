@@ -326,11 +326,13 @@ def random_route(
     The draws are one ``rng.uniform`` call of one value per edge, none
     when src == dst.  ``max_factor=1`` degenerates to
     :func:`shortest_path` exactly.  The reported route lengths always
-    use the true edge lengths.
+    use the true edge lengths.  Raises ValueError naming max_factor,
+    before any draw, unless it lies in [1, MAX_FACTOR]: the road sums
+    :func:`check_road_sums` bounds are weighed by MAX_FACTOR at most.
     """
     _check_endpoints(g, src, dst)
-    if max_factor < 1.0:
-        raise ValueError(f"max_factor must be >= 1, got {max_factor}")
+    if not 1.0 <= max_factor <= MAX_FACTOR:
+        raise ValueError(f"max_factor must lie in [1, {MAX_FACTOR:g}], got {max_factor}")
     if src == dst:
         return Route((src,), (), (0.0,))
     return _factor_route(g, src, dst, rng.uniform(1.0, max_factor, size=g.n_edges))

@@ -148,7 +148,7 @@ def test_contact_detection_equals_brute_force():
         g = RoadGraph(pts[:, 0].tolist(), pts[:, 1].tolist(), [Edge(0, 0, 1, 1.0)])
         day = Timetable(tuple(range(n)), stays=np.array([(v, v, 0, 1) for v in range(n)]),
                         start=0, end=1)
-        rows, pairs = day.radio_pairs(g, 0, 1, None, 100.0)
+        rows, pairs = day.radio_pairs(g, 0, 1, np.ones(n, dtype=bool), 100.0)
         expect = []
         for i in range(n):
             for j in range(i + 1, n):

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from reference import all_contacts, same_tick_pairs
+from reference import all_contacts, radio_rows, same_tick_pairs
 
 from vancast.config import ExperimentConfig
 from vancast.engine import (
@@ -78,15 +78,20 @@ def test_contacts_of_many_ticks_match_brute_force_per_tick():
 
 def assert_contacts_per_tick(per_tick, comm):
     """detect_contacts over every pair of rows at a tick, and the join over
-    one stay per row at a node at its point, equal brute force tick by tick."""
+    one stay per row at a node at its point, equal brute force tick by tick.
+    The join's live mask is indexed by vehicle, so it sees the vehicles
+    renumbered in id order, which keeps the contacts' order."""
     rows = np.concatenate([rows_at(p, t) for t, p in per_tick.items()])
     expect = [[t, a, b] for t, p in sorted(per_tick.items())
               for a, b in brute_force_pairs(p, comm)]
     assert all_contacts(rows, comm).tolist() == expect
     points = sorted({p for at in per_tick.values() for p in at.values()})
     node = {p: k for k, p in enumerate(points)}
-    stays = [(v, node[p], t, t + 1) for t, at in per_tick.items() for v, p in at.items()]
-    assert joined(points, stays, None, comm).tolist() == expect
+    vids = sorted({v for at in per_tick.values() for v in at})
+    number = {v: k for k, v in enumerate(vids)}
+    stays = [(number[v], node[p], t, t + 1) for t, at in per_tick.items() for v, p in at.items()]
+    assert [[t, vids[a], vids[b]] for t, a, b in
+            joined(points, stays, None, comm).tolist()] == expect
 
 
 def test_contacts_at_cell_edges_match_brute_force_per_tick():
@@ -184,6 +189,24 @@ def test_contacts_empty_and_validation():
         all_contacts(rows_at({0: (0.0, 0.0)}), 0.0)
 
 
+@pytest.mark.parametrize("bad, why", [
+    ([[-3], [-2]], r"must index rows 0 to 2, got -3 to -2"),  # would wrap to rows 0 and 1
+    ([[0], [3]], r"must index rows 0 to 2, got 0 to 3"),
+    ([[0], [0]], r"holds row 0 paired with itself"),  # would be vehicle 0 with itself
+    ([[0, 1], [1, 2]], r"holds a pair of rows at different ticks"),
+    ([0, 1], r"must be an int array of shape \(2, m\)"),
+    ([[0], [1], [2]], r"must be an int array of shape \(2, m\)"),
+    (np.array([[0.0], [1.0]]), r"must be an int array of shape \(2, m\)"),
+    (np.array([[False], [True]]), r"must be an int array of shape \(2, m\)"),
+])
+def test_contacts_refuse_pairs_that_are_not_two_rows_at_a_tick(bad, why):
+    # rows 0 and 1 are in contact at tick 0; row 2 is at tick 1
+    rows = np.array([(0, 0, 0.0, 0.0), (0, 1, 10.0, 0.0), (1, 2, 0.0, 0.0)])
+    assert detect_contacts(rows, 50.0, np.array([[0], [1]])).tolist() == [[0, 0, 1]]
+    with pytest.raises(ValueError, match="pairs " + why):
+        detect_contacts(rows, 50.0, np.asarray(bad))
+
+
 def test_same_tick_pairs_is_every_pair_of_rows_at_a_tick():
     rng = np.random.default_rng(64)
     for n in [0, 1, 2, *rng.integers(3, 60, size=30).tolist()]:
@@ -199,18 +222,22 @@ def test_same_tick_pairs_is_every_pair_of_rows_at_a_tick():
         assert [(rows[i, 0], i, j) for i, j in got.T.tolist()] == sorted(expect)
 
 
-def joined(points, stays, live, comm_range):
+def joined(points, stays, live, comm_range, every=False):
     """The contacts the engine's join finds among parked vehicles (see
     :meth:`vancast.mobility.Timetable.radio_pairs`): stays of (vehicle,
-    node, first tick, end tick) at nodes placed at points, live mask live."""
+    node, first tick, end tick) at nodes placed at points, live mask live,
+    every interval joined with every.  live=None stands for the shared
+    link's join: every vehicle live and every interval joined."""
     from vancast.mobility import Timetable
     from vancast.roadnet import Edge, RoadGraph
 
     g = RoadGraph([x for x, _ in points], [y for _, y in points], [Edge(0, 0, 1, 1.0)])
     stays = np.array(stays, dtype=np.int64).reshape(-1, 4)
+    if live is None:
+        live, every = np.ones(int(stays[:, 0].max()) + 1, dtype=bool), True
     day = Timetable(tuple(range(len(stays))), stays=stays, start=int(stays[:, 2].min()),
                     end=int(stays[:, 3].max()))
-    rows, row_pairs = day.radio_pairs(g, day.start, day.end, live, comm_range)
+    rows, row_pairs = day.radio_pairs(g, day.start, day.end, live, comm_range, every)
     return detect_contacts(rows, comm_range, row_pairs)
 
 
@@ -224,7 +251,9 @@ def test_contacts_with_a_live_mask_keep_the_pairs_with_a_live_end():
     every = all_contacts(rows_at(dict(enumerate(points))), 50.0)
     assert pairs(every) == [(0, 1), (1, 2), (2, 3), (3, 4)]
     assert np.array_equal(joined(points, stays, np.ones(7, dtype=bool), 50.0), every)
-    assert np.array_equal(joined(points, stays, None, 50.0), every)
+    # every interval joined: every contact, while a vehicle on the air is live
+    assert np.array_equal(joined(points, stays, live, 50.0, every=True), every)
+    assert joined(points, stays, np.zeros(5, dtype=bool), 50.0, every=True).shape == (0, 3)
 
 
 @pytest.mark.parametrize("far_y", [3090.0, 2890.0])
@@ -621,17 +650,17 @@ def test_dedicated_bandwidth_serves_each_link_fully():
 def test_only_shared_bandwidth_detects_contacts_without_a_live_mask(monkeypatch,
                                                                     share_bandwidth):
     """A shared link divides by each end's degree, which counts contacts
-    between full stores too, so that join takes no mask."""
+    between full stores too, so that join does not filter its intervals by
+    the live mask (``every``); it still takes the mask, which skips a span
+    with no live vehicle on the air."""
     from vancast.mobility import Timetable
 
-    masks, real = [], Timetable.radio_pairs
-    monkeypatch.setattr(Timetable, "radio_pairs", lambda day, g, t0, t1, live, comm_range:
-                        masks.append(live) or real(day, g, t0, t1, live, comm_range))
+    calls, real = [], Timetable.radio_pairs
+    monkeypatch.setattr(Timetable, "radio_pairs", lambda day, g, t0, t1, live, comm_range, every:
+                        calls.append((live.tolist(), every))
+                        or real(day, g, t0, t1, live, comm_range, every))
     seed_between_two_listeners(share_bandwidth)
-    if share_bandwidth:
-        assert masks == [None]
-    else:  # vehicle 1, the seed, is full
-        assert [m.tolist() for m in masks] == [[True, False, True]]
+    assert calls == [([True, False, True], share_bandwidth)]  # vehicle 1, the seed, is full
 
 
 def spy_on_steps(monkeypatch, record):
@@ -643,8 +672,8 @@ def spy_on_steps(monkeypatch, record):
     real = engine.step
 
     def step(state, n_ticks=1):
-        record(state, n_ticks, state.day.radio_rows(state.graph, state.tick,
-                                                    state.tick + n_ticks))
+        record(state, n_ticks, radio_rows(state.day, state.graph, state.tick,
+                                          state.tick + n_ticks))
         return real(state, n_ticks)
 
     monkeypatch.setattr(engine, "step", step)
@@ -744,12 +773,13 @@ def test_a_span_with_no_live_radio_reads_no_rows_and_exchanges_nothing(monkeypat
                                                                       share_bandwidth):
     """Vehicle 0 drives with every chunk, and vehicle 1, which has none,
     is parked off the radio: no store on the air can gain a chunk, so the
-    span reads no radio rows and calls no exchange, and the link budget
-    carried from the tick before it is dropped, as after any span with
-    no live contact.  Once vehicle 0 lacks a chunk, the next span reads
-    its rows."""
+    span flattens no route, places no radio row and calls no exchange,
+    under a shared link too, and the link budget carried from the tick
+    before it is dropped, as after any span with no live contact.  Once
+    vehicle 0 lacks a chunk, the next span flattens its route."""
     import vancast.engine as engine
-    from vancast.mobility import Timetable, Trip
+    import vancast.mobility as mobility
+    from vancast.mobility import Trip
     from vancast.roadnet import generate_manhattan_grid, shortest_path
 
     g = generate_manhattan_grid(1, 3, 50.0, [])
@@ -761,29 +791,34 @@ def test_a_span_with_no_live_radio_reads_no_rows_and_exchanges_nothing(monkeypat
     state.stores[1].mask[:] = False
     state.stores[1].count, state.stores[1].completed_at = 0, None
     state.accum = {(0, 1): [0.5, 0.5]}
-    calls, real_pairs, real_exchange = [], Timetable.radio_pairs, engine.exchange
-    monkeypatch.setattr(Timetable, "radio_pairs", lambda *a: calls.append("pairs") or
-                        real_pairs(*a))
-    monkeypatch.setattr(engine, "exchange", lambda *a: calls.append("exchange") or
-                        real_exchange(*a))
+    calls = []
+    for owner, name in ((mobility, "leg_segments"), (mobility, "place_segments"),
+                        (engine, "exchange")):
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, name=name, real=real:
+                            calls.append(name) or real(*a))
     engine.step(state, 7)
     assert calls == [] and state.tick == 7 and state.accum == {}
     state.stores[0].mask[0] = False
     state.stores[0].count -= 1
     engine.step(state, 3)
-    assert calls == ["pairs"] and state.tick == 10
+    # vehicle 0 alone on the air: its route is flattened, but no row is paired
+    assert calls == ["leg_segments", "place_segments"] and state.tick == 10
 
 
-# tracemalloc's peak over the span below before the join, with the cell
-# search over every row, measured with numpy 2.4.6 on CPython 3.11.
-CELL_SEARCH_PEAK = 20_937_113
-
-
-def test_a_crowded_parked_span_peaks_no_higher_than_the_cell_search():
+def test_a_crowded_parked_span_peaks_within_five_times_its_rows_and_pairs():
     """300 vehicles parked on the 16 nodes of a 4x4 grid, about 19 a node
     and every pair at a node in contact: one 64-tick span joins about
-    175,000 pairs of rows, and its traced peak memory stays within 5% of
-    the cell search's (``CELL_SEARCH_PEAK``)."""
+    175,000 pairs of rows, and its traced peak memory stays within five
+    times the bytes of the rows and pairs that the join hands on.
+
+    detect_contacts holds at most seven int64 (56 bytes) per contact it
+    finds at one time, 3.5 times a pair's two int64 indices: the (tick,
+    a, b) row with either the two row indices and the two vehicle ids,
+    or the sort's order and the sorted copy.  Every pair here is a
+    contact, so the span holds about the rows plus 4.5 times the pairs;
+    five times both leaves room for the rest (stores, the near-place
+    table, the exchange's link budgets)."""
     import tracemalloc
 
     from vancast.engine import step
@@ -791,13 +826,17 @@ def test_a_crowded_parked_span_peaks_no_higher_than_the_cell_search():
     state = init_sim(ExperimentConfig(rows=4, cols=4, main_cols=[], n_vehicles=300,
                                       mean_trips=0.0, parked_exchange=True, seed_rate=0.01,
                                       master_seed=3))
+    cfg = state.cfg
+    live = np.array([s.count for s in state.stores]) != cfg.n_chunks
     tracemalloc.start()
     try:
         step(state, 64)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.05 * CELL_SEARCH_PEAK
+    rows, pairs = state.day.radio_pairs(state.graph, 0, 64, live, cfg.comm_range)
+    assert len(detect_contacts(rows, cfg.comm_range, pairs)) == pairs.shape[1] > 170_000
+    assert peak <= 5 * (rows.nbytes + pairs.nbytes)
 
 
 def test_step_past_the_timetable_end_raises():
@@ -890,7 +929,7 @@ def test_a_trip_due_after_the_last_step_is_drawn_but_not_routed(monkeypatch):
                         lambda g, src, dst: routed.append(src) or real(g, src, dst))
     days = days_drawn(monkeypatch)
     state.rng = HandDrawnTrips([[until], [late]])
-    engine._new_day(state)
+    engine._next_window(state)
     (schedules,) = days
     assert routed == [schedules[0].trips[0].route.src]
     assert [len(s.trips) for s in schedules] == [1, 0]
@@ -988,19 +1027,19 @@ def test_day_rolls_over_exactly_at_one_day_of_fractional_steps(monkeypatch):
     import vancast.engine as engine
     from vancast.mobility import DAY_LEN
 
-    day_starts = []
-    real = engine._new_day
+    windows = []
+    real = engine._next_window
 
     def spy(state):
-        day_starts.append(state.clock)
+        windows.append(state.clock)
         real(state)
 
-    monkeypatch.setattr(engine, "_new_day", spy)
+    monkeypatch.setattr(engine, "_next_window", spy)
     # no seed, so no store fills: the run does not settle on day 0
     cfg = two_parked_vehicles_config(dt=0.1, sim_duration=DAY_LEN + 600.0, seed_rate=0.0)
     state = run(cfg)
     assert state.tick // cfg.steps(DAY_LEN, "one day") == 1
-    assert day_starts == [0.0, 86_400.0]
+    assert windows == [0.0, 86_400.0]  # two vehicles' trips: one window a day
 
 
 def test_span_end_counts_rows_off_the_timetable():
@@ -1032,6 +1071,7 @@ def test_span_end_counts_rows_off_the_timetable():
 
 def test_run_results_do_not_depend_on_the_span_split(monkeypatch, tmp_path):
     import vancast.engine as engine
+    from vancast.mobility import DAY_LEN
 
     # a link slow enough that the run does not settle, so every span runs
     cfg = small_traffic_config(n_vehicles=30, mean_trips=60.0, speed=0.5, dt=20.0,
@@ -1039,15 +1079,16 @@ def test_run_results_do_not_depend_on_the_span_split(monkeypatch, tmp_path):
                                parked_exchange=True, share_bandwidth=True, master_seed=0,
                                transfer_rate=100.0)
     n_steps = cfg.steps(cfg.sim_duration, "sim_duration")
+    per_day = cfg.steps(DAY_LEN, "one day")
     on_road_at_midnight = []
-    real_new_day = engine._new_day
+    real_next_window = engine._next_window
 
-    def new_day(state):
-        if state.tick:
+    def next_window(state):
+        if state.tick and state.tick % per_day == 0:
             on_road_at_midnight.append(int((state.day.drives[:, 2] > state.tick).sum()))
-        real_new_day(state)
+        real_next_window(state)
 
-    monkeypatch.setattr(engine, "_new_day", new_day)
+    monkeypatch.setattr(engine, "_next_window", next_window)
     results, calls = [], []
     for budget in (engine.SPAN_ROWS, 1, 10**12):
         with monkeypatch.context() as m:
@@ -1078,21 +1119,20 @@ def test_run_results_do_not_depend_on_the_window(monkeypatch, tmp_path):
     cfg = small_traffic_config(n_vehicles=30, mean_trips=200.0, speed=0.5, dt=20.0,
                                sim_duration=DAY_LEN + 40_000.0, parked_exchange=True,
                                transfer_rate=40.0, master_seed=3)
+    per_day = cfg.steps(DAY_LEN, "one day")
     results, windows = [], []
     for window_trips in (1, engine.WINDOW_TRIPS, 10**9):
         seen = {"windows": 0, "carried": 0, "pushed": 0, "dropped": 0, "stays": 0}
-        real_new_day, real_next_window = engine._new_day, engine._next_window
+        real_next_window = engine._next_window
 
         def pending(day):
             return [queue for queue in day.pending if queue]
 
-        def new_day(state):
-            if state.tick:
-                seen["dropped"] += len(pending(state.day))
-            real_new_day(state)
-
         def next_window(state):
             day = state.day
+            if state.tick % per_day == 0:  # a new day: trips left pending are dropped
+                seen["dropped"] += len(pending(day))
+                return real_next_window(state)
             seen["windows"] += 1
             seen["carried"] += int((day.drives[:, 2] > state.tick).sum())
             seen["stays"] += len(day.stays)
@@ -1102,7 +1142,6 @@ def test_run_results_do_not_depend_on_the_window(monkeypatch, tmp_path):
 
         with monkeypatch.context() as m:
             m.setattr(engine, "WINDOW_TRIPS", window_trips)
-            m.setattr(engine, "_new_day", new_day)
             m.setattr(engine, "_next_window", next_window)
             state = run(cfg)
         assert state.tick == cfg.steps(cfg.sim_duration, "sim_duration")
@@ -1529,7 +1568,7 @@ def drive_in_spans(monkeypatch, state, n_steps, span_len, seen):
     spy_on_contacts(monkeypatch, seen)
     while state.tick < n_steps:
         if state.tick == state.day.end:
-            engine._new_day(state)
+            engine._next_window(state)
         engine.step(state, min(span_len, state.day.end - state.tick))
     monkeypatch.undo()
 
@@ -1577,7 +1616,7 @@ def test_span_pass_matches_per_tick_reference(monkeypatch, case):
     while single.tick < n_steps:
         if single.tick == single.day.end:
             on_road_at_midnight = len(ref["enroute"])
-            engine._new_day(single)
+            engine._next_window(single)
             reference_new_day(ref, *drawn[-1])
         tick = single.tick
         positions, contacts = reference_step(single, ref)

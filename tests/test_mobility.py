@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from reference import radio_rows
 
 from vancast.mobility import (
     DAY_LEN,
@@ -567,7 +568,7 @@ def test_lay_out_day_carries_a_drive_over_and_leaves_prev_as_it_was():
     assert day.drives.tolist() == [[0, 0, 10], [0, 11, 16], [1, 8, 13]]
     assert day.stays.tolist() == [[0, 2, 10, 11], [0, 1, 16, 20], [1, 0, 13, 20]]
     # each vehicle drives or stays on the radio every tick: two rows a tick
-    rows = day.radio_rows(g, 8, 20)
+    rows = radio_rows(day, g, 8, 20)
     assert np.bincount(rows[:, 0].astype(np.int64) - 8).tolist() == [2] * 12
     assert day.span_end(8, 5) == 10 and day.span_end(9, 10**9) == 20
 
@@ -578,22 +579,23 @@ def test_timetable_refuses_ticks_outside_it():
     day = Timetable((1,), np.array([[0, 2, 5]]), [shortest_path(g, 0, 1)],
                     odo=odometer(10.0, 4), start=0, end=10)
     assert day.span_end(0, 2) == 4 and day.span_end(9, 2) == 10
-    assert day.radio_rows(g, 0, 10)[:, 0].tolist() == [2, 3, 4]
+    assert radio_rows(day, g, 0, 10)[:, 0].tolist() == [2, 3, 4]
     for t0 in (-1, 10):
         with pytest.raises(ValueError, match="timetable"):
             day.span_end(t0, 2)
     with pytest.raises(ValueError, match="timetable"):
         Timetable((0,)).span_end(0, 5)
+    live = np.ones(1, dtype=bool)
     with pytest.raises(ValueError, match="timetable"):
-        day.radio_rows(g, 8, 12)
+        day.radio_pairs(g, 8, 12, live, 30.0)
     # ticks 8-19 follow a day whose drive carries over: ticks 3-7 are not theirs
     later = lay_out_day(Timetable((0,)), [TripSchedule(0, (Trip(0.0, shortest_path(g, 0, 1)),))],
                         0, 8, 1.0, 1.0, False)
     later = lay_out_day(later, [TripSchedule(0, ())], 8, 20, 1.0, 1.0, False)
     assert later.drives.tolist() == [[0, 0, 30]]
     with pytest.raises(ValueError, match="timetable"):
-        later.radio_rows(g, 3, 8)
-    assert later.radio_rows(g, 8, 8).shape == (0, 4)
+        later.radio_pairs(g, 3, 8, live, 30.0)
+    assert later.radio_pairs(g, 8, 8, live, 30.0)[0].shape == (0, 4)
 
 
 def test_a_horizon_caps_the_odometer_and_changes_no_row_before_it():
@@ -618,7 +620,7 @@ def test_a_horizon_caps_the_odometer_and_changes_no_row_before_it():
     # vehicle 0's trip due at 5 s waits for the arrival, past both windows
     assert capped_next.pending == full_next.pending == [schedules[0].trips[1:], ()]
     for a, b in ((full, capped), (full_next, capped_next)):
-        assert np.array_equal(a.radio_rows(g, a.start, a.end), b.radio_rows(g, b.start, b.end))
+        assert np.array_equal(radio_rows(a, g, a.start, a.end), radio_rows(b, g, b.start, b.end))
         assert a.stays.tolist() == b.stays.tolist()
 
 
@@ -642,7 +644,7 @@ def two_days(parked):
 def test_rows_are_the_prefix_sum_of_radio_rows_a_tick(parked):
     g, days = two_days(parked)
     for day in days:
-        ticks = day.radio_rows(g, day.start, day.end)[:, 0].astype(np.int64) - day.start
+        ticks = radio_rows(day, g, day.start, day.end)[:, 0].astype(np.int64) - day.start
         rows = [day.rows_before(t) for t in range(day.start, day.end + 1)]
         assert rows[0] == 0
         assert np.diff(rows).tolist() == np.bincount(ticks, minlength=day.end - day.start
@@ -680,20 +682,25 @@ def live_rows_and_contacts(g, day, t0, t1, comm_range, live):
     """The rows that radio_pairs places for ticks t0 to t1 - 1 and a live
     mask, checked to be radio_rows' own rows, of vehicles in some pair of
     two rows at one tick, and the contacts among its pairs, checked to be
-    those with a live end among all rows (every contact, for live=None)."""
+    those with a live end among all rows.  live=None stands for the shared
+    link's join, which finds every contact: every vehicle live and every
+    interval joined."""
     from reference import all_contacts
 
     from vancast.engine import detect_contacts
 
-    every = day.radio_rows(g, t0, t1)
-    rows, pairs = day.radio_pairs(g, t0, t1, live, comm_range)
-    placed = {(t, v): (x, y) for t, v, x, y in every.tolist()}
-    assert all(placed[t, v] == (x, y) for t, v, x, y in rows.tolist())
+    every = live is None
+    if every:
+        live = np.ones(len(day.rest), dtype=bool)
+    placed = radio_rows(day, g, t0, t1)
+    rows, pairs = day.radio_pairs(g, t0, t1, live, comm_range, every)
+    at = {(t, v): (x, y) for t, v, x, y in placed.tolist()}
+    assert all(at[t, v] == (x, y) for t, v, x, y in rows.tolist())
     assert np.array_equal(np.unique(rows[:, 1]), np.unique(rows[pairs, 1]))
     assert (rows[pairs[0], 0] == rows[pairs[1], 0]).all()
     contacts = detect_contacts(rows, comm_range, pairs)
-    want = all_contacts(every, comm_range)
-    if live is not None:
+    want = all_contacts(placed, comm_range)
+    if not every:
         want = want[live[want[:, 1]] | live[want[:, 2]]]
     assert np.array_equal(contacts, want)
     return rows, contacts.tolist()
@@ -794,7 +801,7 @@ def test_two_live_vehicles_are_joined_once(live):
     day = lay_out_day(Timetable((1, 1)), [TripSchedule(0, ()), TripSchedule(1, ())], 0, 5,
                       1.0, 10.0, True)
     rows, contacts = live_rows_and_contacts(g, day, 0, 5, 50.0, live)
-    assert day.radio_pairs(g, 0, 5, live, 50.0)[1].shape == (2, 5)
+    assert day.radio_pairs(g, 0, 5, np.ones(2, dtype=bool), 50.0, live is None)[1].shape == (2, 5)
     assert contacts == [[t, 0, 1] for t in range(5)]
 
 
@@ -802,9 +809,10 @@ def test_two_live_vehicles_are_joined_once(live):
 def test_consecutive_segments_of_one_vehicle_are_never_joined(live):
     """One vehicle drives a line of four 100 m blocks at 10 m/s, with a
     100 m radio: its segments lie on near places, one after another, but
-    no two of them share a tick, so nothing is joined or placed."""
+    no two of them share a tick, so nothing is joined or placed, under
+    the shared link's join (live=None: every interval joined) too."""
     g = make_grid(1, 5, 100.0)
     day = lay_out_day(Timetable((0,)), [TripSchedule(0, (Trip(0.0, shortest_path(g, 0, 4)),))],
                       0, 45, 1.0, 10.0, True)
-    rows, pairs = day.radio_pairs(g, 0, 45, live, 100.0)
+    rows, pairs = day.radio_pairs(g, 0, 45, np.array([True]), 100.0, live is None)
     assert rows.shape == (0, 4) and pairs.shape == (2, 0)

@@ -25,7 +25,7 @@ from hypothesis.extra.numpy import arrays
 
 from vancast.config import ROUTING_POLICIES, ExperimentConfig, config_lines, parse_config
 from vancast.engine import ChunkStore, detect_contacts, exchange
-from reference import all_contacts
+from reference import all_contacts, radio_rows
 from test_engine import reference_exchange
 from test_fountain import oracle_rank
 from test_mobility import reference_assign_trips
@@ -395,8 +395,9 @@ def test_near_places_are_the_places_whose_boxes_lie_within_comm_range(n, r, data
 @st.composite
 def live_timetables(draw):
     """A connected road graph of a few nodes, a timetable of drives and
-    (sometimes) stays on it, a span of its ticks, a comm_range and a live
-    mask: None, no vehicle, every vehicle or any.  Nodes sit on a lattice
+    (sometimes) stays on it, a span of its ticks, a comm_range, a live
+    mask (no vehicle, every vehicle or any) and whether every interval is
+    joined.  Nodes sit on a lattice
     of comm_range steps, so roads lie exactly comm_range apart, or
     anywhere within a few comm_range; declared lengths differ from the
     nodes' distances; nodes are shared by several edges, and edges may
@@ -430,20 +431,21 @@ def live_timetables(draw):
     day = lay_out_day(Timetable(tuple(homes)), schedules, 0, end, 1.0, speed, draw(st.booleans()))
     t0 = draw(st.integers(0, end))
     t1 = draw(st.integers(t0, end))
-    mask = draw(st.sampled_from(["none", "no vehicle", "every vehicle", "any"]))
-    if mask == "none":
-        live = None
-    elif mask == "any":
+    mask = draw(st.sampled_from(["no vehicle", "every vehicle", "any"]))
+    if mask == "any":
         live = np.array(draw(st.lists(st.booleans(), min_size=n_vehicles, max_size=n_vehicles)),
                         dtype=bool)
     else:
         live = np.full(n_vehicles, mask == "every vehicle")
-    return g, day, t0, t1, r, live
+    return g, day, t0, t1, r, live, draw(st.booleans())
 
 
-def live_end(contacts, live):
-    """The contacts with a live end; every contact, for live=None."""
-    return contacts if live is None else contacts[live[contacts[:, 1]] | live[contacts[:, 2]]]
+def live_end(contacts, live, every, rows):
+    """The contacts with a live end; with every, all of them if a vehicle
+    with one of the span's rows is live, else none."""
+    if every:
+        return contacts if live[rows[:, 1].astype(np.int64)].any() else contacts[:0]
+    return contacts[live[contacts[:, 1]] | live[contacts[:, 2]]]
 
 
 @settings(max_examples=300, deadline=None)
@@ -451,35 +453,38 @@ def live_end(contacts, live):
 def test_live_mask_keeps_exactly_the_contacts_with_a_live_end(case):
     """The join's contacts are those among every pair of rows at a tick of
     the span, less those of two vehicles that are not live."""
-    g, day, t0, t1, r, live = case
-    rows, pairs = day.radio_pairs(g, t0, t1, live, r)
+    g, day, t0, t1, r, live, every = case
+    rows, pairs = day.radio_pairs(g, t0, t1, live, r, every)
     got = detect_contacts(rows, r, pairs)
     assert got.shape[1] == 3 and got.dtype == np.int64
-    assert np.array_equal(got, live_end(all_contacts(day.radio_rows(g, t0, t1), r), live))
+    placed = radio_rows(day, g, t0, t1)
+    assert np.array_equal(got, live_end(all_contacts(placed, r), live, every, placed))
 
 
 @settings(max_examples=300, deadline=None)
 @given(live_timetables())
 def test_rows_placed_near_live_vehicles_hold_every_live_contact(case):
-    """The join places radio_rows' own rows, only of vehicles in some pair,
-    and pairs two vehicles at one tick, one of them live, each (tick,
-    vehicle pair) once, which holds every contact with a live end."""
-    g, day, t0, t1, r, live = case
-    every = day.radio_rows(g, t0, t1)
-    rows, pairs = day.radio_pairs(g, t0, t1, live, r)
-    placed = {(t, v): (x, y) for t, v, x, y in every.tolist()}
+    """The join places the reference's rows (``radio_rows``), only of
+    vehicles in some pair, and pairs two vehicles at one tick, one of them
+    live unless every interval is joined, each (tick, vehicle pair) once,
+    which holds every contact with a live end."""
+    g, day, t0, t1, r, live, every = case
+    placed = radio_rows(day, g, t0, t1)
+    rows, pairs = day.radio_pairs(g, t0, t1, live, r, every)
+    at = {(t, v): (x, y) for t, v, x, y in placed.tolist()}
     assert len({(t, v) for t, v, _, _ in rows.tolist()}) == len(rows)
-    assert all(placed[t, v] == (x, y) for t, v, x, y in rows.tolist())
+    assert all(at[t, v] == (x, y) for t, v, x, y in rows.tolist())
     tick, vid = rows[:, 0].astype(np.int64), rows[:, 1].astype(np.int64)
     assert np.array_equal(np.unique(vid), np.unique(vid[pairs]))
     assert (tick[pairs[0]] == tick[pairs[1]]).all()
     a, b = np.minimum(vid[pairs[0]], vid[pairs[1]]), np.maximum(vid[pairs[0]], vid[pairs[1]])
     assert (a < b).all()
-    if live is not None:
+    if not every:
         assert (live[a] | live[b]).all()
     joined = set(zip(tick[pairs[0]].tolist(), a.tolist(), b.tolist()))
     assert len(joined) == pairs.shape[1]
-    assert {tuple(c) for c in live_end(all_contacts(every, r), live).tolist()} <= joined
+    assert {tuple(c) for c in live_end(all_contacts(placed, r), live, every, placed).tolist()
+            } <= joined
 
 
 @st.composite

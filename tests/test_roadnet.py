@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from vancast.roadnet import (
+    MAX_FACTOR,
     Edge,
     RoadGraph,
     Route,
@@ -368,6 +369,20 @@ def test_random_route_rejects_bad_factor():
     g = generate_manhattan_grid(3, 3, 100.0)
     with pytest.raises(ValueError):
         random_route(g, 0, 8, np.random.default_rng(0), max_factor=0.5)
+
+
+def test_random_route_refuses_a_factor_past_max_factor_before_any_draw():
+    # Factors past MAX_FACTOR would escape check_road_sums' bound: at 1e306
+    # the weights overflow, and at 1e307 a connected grid has "no path".
+    g = generate_manhattan_grid(3, 3, 200.0)
+    assert random_route(g, 0, 8, np.random.default_rng(0), max_factor=MAX_FACTOR).dst == 8
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    for bad in (np.nextafter(MAX_FACTOR, np.inf), 1e306, 1e307, math.inf, math.nan):
+        with pytest.raises(ValueError, match="max_factor"):
+            random_route(g, 0, 8, rng, max_factor=bad)
+        assert rng.bit_generator.state == before
+    assert random_route(g, 0, 8, rng, max_factor=1.0) == shortest_path(g, 0, 8)
 
 
 # --- main-road routing ---------------------------------------------------------
