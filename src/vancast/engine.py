@@ -26,8 +26,12 @@ runs, in order, only at ticks that have contacts.  Stores fill
 mid-span, so the exchange runs over a span's contacts in blocks: it
 drops, at each block's start, those whose two stores are both full by
 then, and skips a contact of the block whose two stores have both
-filled since, with one test of two flags.  This gives the same results,
-draw for draw, as moving, detecting and exchanging one tick at a time.
+filled since, with one test of two flags.  A span's small picks (fewer
+than ``SMALL_PICK`` chunks) take numpy's draws by hand, from one reader
+(:class:`_Draws`) of bulk reads of the generator's words, which gives
+back what it did not draw at the span's end.  This gives the same
+results, draw for draw, as moving, detecting and exchanging one tick at
+a time.
 A vehicle's completion is recorded once, as its store's ``completed_at``
 stamp.  ``run`` sizes each span by its radio rows, not by its ticks:
 a span ends at the last tick that keeps it within ``SPAN_ROWS`` rows
@@ -46,6 +50,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,6 +84,12 @@ WINDOW_TRIPS = 2_048
 # since.  A store fills once, so the skipped contacts are few beside the
 # dropped ones, while a block's numpy calls are paid once per block.
 EXCHANGE_BLOCK = 256
+
+# Chunks a pick must stay below to make its draws by hand (_pick), from the
+# span's bulk read of the generator's words (_Draws): 2k - 1 values and a
+# list of k picks.  Larger picks call Generator.choice, whose cost hardly
+# grows with k.
+SMALL_PICK = 10
 
 
 class ChunkStore:
@@ -114,9 +125,10 @@ def detect_contacts(rows: np.ndarray, comm_range: float, pairs: np.ndarray) -> n
     Pairs are checked as many at a time as there are rows, so the check's
     temporaries stay within the rows' size.  Raises ValueError, naming
     ``pairs``, unless it is an int array of shape (2, m) of row indices
-    that pairs no row with itself and no two rows at different ticks.
+    that pairs no row with itself and no two rows at different ticks, and,
+    naming ``comm_range``, unless that is above 0 (NaN is not).
     """
-    if comm_range <= 0:
+    if not comm_range > 0:
         raise ValueError(f"comm_range must be positive, got {comm_range}")
     rows = np.asarray(rows, dtype=float).reshape(-1, 4)
     pairs = np.asarray(pairs)
@@ -199,32 +211,54 @@ def exchange(
     gets only a's chunks), so nothing received is re-offered back.
     Returns the ids sent a -> b and b -> a, each a sorted int array.  A
     direction finds its surplus with one comparison and one ``nonzero``
-    and, if the surplus exceeds its budget, draws: a 1- or 2-chunk pick
-    takes 1 or 3 ``rng.integers`` draws, the same draws ``rng.choice``
-    makes (:func:`_pick`), and a larger pick calls ``rng.choice``.  With
-    no budget, an empty giver or a full receiver it makes no pass at all.
+    and, if the surplus exceeds its budget, draws: a pick of fewer than
+    ``SMALL_PICK`` chunks makes the draws ``rng.choice`` makes, by hand
+    from a :class:`_Draws` reader of rng's words (:func:`_pick`), and a
+    larger pick calls ``rng.choice``.  ``rng`` is a Generator, wrapped in
+    a reader for the call, or the reader of :func:`step`'s span.  With no
+    budget, an empty giver or a full receiver it makes no pass at all.
+    Raises, before any draw, TypeError naming a budget that is not an
+    integer and ValueError naming one below 0.
     """
-    if budget_ab < 0 or budget_ba < 0:
-        raise ValueError("budgets must be >= 0")
+    if not (type(budget_ab) is type(budget_ba) is int and budget_ab >= 0 and budget_ba >= 0):
+        budget_ab, budget_ba = _budget("budget_ab", budget_ab), _budget("budget_ba", budget_ba)
     if store_a.n_chunks != store_b.n_chunks:
         raise ValueError("stores disagree on the chunk universe")
-    sent_ab = _send(store_a, store_b, budget_ab, rng)
-    return sent_ab, _send(store_b, store_a, budget_ba, rng)
+    if isinstance(rng, _Draws):
+        sent_ab = _send(store_a, store_b, budget_ab, rng)
+        return sent_ab, _send(store_b, store_a, budget_ba, rng)
+    draws = _Draws(rng)
+    try:
+        sent_ab = _send(store_a, store_b, budget_ab, draws)
+        return sent_ab, _send(store_b, store_a, budget_ba, draws)
+    finally:
+        draws.close()
+
+
+def _budget(name: str, budget) -> int:
+    """budget as an int, refused by name unless it is a whole number >= 0."""
+    try:
+        budget = operator.index(budget)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {budget!r}") from None
+    if budget < 0:
+        raise ValueError(f"{name} must be >= 0, got {budget}")
+    return budget
 
 
 _NOTHING = np.zeros(0, dtype=np.intp)  # what a direction that makes no pass sends
 
 
-def _send(giver: ChunkStore, receiver: ChunkStore, budget: int, rng: np.random.Generator):
+def _send(giver: ChunkStore, receiver: ChunkStore, budget: int, draws: _Draws):
     """One direction of :func:`exchange`, sent and added to receiver."""
     if not budget or not giver.count or receiver.count == receiver.n_chunks:
         return _NOTHING
     ids = (giver.mask > receiver.mask).nonzero()[0]  # giver & ~receiver
     if len(ids) > budget:
-        if budget <= 2:
-            ids = _pick(ids, budget, rng)
+        if budget < SMALL_PICK:
+            ids = _pick(ids, budget, draws)
         else:
-            ids = rng.choice(ids, size=budget, replace=False)
+            ids = draws.choice(ids, size=budget, replace=False)
             ids.sort()
     if len(ids):
         receiver.mask[ids] = True
@@ -232,29 +266,157 @@ def _send(giver: ChunkStore, receiver: ChunkStore, budget: int, rng: np.random.G
     return ids
 
 
-def _pick(ids, k: int, rng: np.random.Generator):
-    """k = 1 or 2 of ids (k < len(ids)), sorted: the picks of ``rng.choice(ids,
-    size=k, replace=False)``, made with the same draws, so rng ends in the
-    same state (pinned by ``tests/test_engine.py::test_pick_makes_the_draws_of_choice``).
+_LOW = 0xFFFF_FFFF  # the low 32 bits of a Lemire product
+_WIDE = 2**32 - 1  # surpluses from here on draw with numpy's own calls, as numpy's draws change
+
+
+def _pick(ids, k: int, draws: _Draws):
+    """k of ids (0 < k < len(ids), k < ``SMALL_PICK``), sorted: the picks of
+    ``rng.choice(ids, size=k, replace=False)`` for the reader's generator,
+    made with the same draws, so it ends in the same state (pinned by
+    ``tests/test_engine.py::test_pick_makes_the_draws_of_choice``).
 
     ``choice`` runs Floyd's algorithm (Bentley and Floyd, CACM 1987) for so
     few picks: one bounded integer on [0, j] for each j from n - k to
-    n - 1, where a value already picked gives way to j, then one draw to
-    shuffle the picks, whose order the sort drops.  By hand that is 1 draw
-    for one chunk and 3 for two, far cheaper than a ``choice`` call; from
-    three chunks on, the 2k - 1 scalar draws and Floyd's set of picks cost
-    more than ``choice`` does.
+    n - 1, where a value already picked gives way to j, then k - 1 draws on
+    [0, i], i from k - 1 down to 1, to shuffle the picks, whose order the
+    sort drops.  Each is a Lemire draw of one 32-bit value, so a pick takes
+    2k - 1 values, here straight from the reader's buffer: no numpy call,
+    and for 1 or 2 chunks no set of picks.  A value whose product could be
+    rejected (about one in 2**32 / n), a buffer short of values and a
+    surplus of 2**32 - 1 or more, where numpy's draws change, leave the
+    fast path for :meth:`_Draws.pick`.
     """
-    n = len(ids)
-    if k == 1:
-        i = rng.integers(n)
-        return ids[i:i + 1]
-    i, j = rng.integers(n - 1), rng.integers(n)
-    rng.integers(2)  # choice's shuffle of the pair
-    if j == i:
-        j = n - 1
-    lo, hi = (i, j) if i < j else (j, i)
-    return ids[lo:hi + 1:hi - lo]  # ids[lo] and ids[hi], one view
+    n, at, values = len(ids), draws.at, draws.values
+    end = at + 2 * k - 1
+    if end <= len(values) and n < _WIDE:
+        if k == 1:
+            m = values[at] * n
+            if m & _LOW >= n:
+                draws.at = end
+                i = m >> 32
+                return ids[i:i + 1]
+        elif k == 2:
+            mi, mj, mo = values[at] * (n - 1), values[at + 1] * n, values[at + 2] * 2
+            if mi & _LOW >= n - 1 and mj & _LOW >= n and mo & _LOW >= 2:
+                draws.at = end
+                i, j = mi >> 32, mj >> 32
+                if j == i:
+                    j = n - 1
+                lo, hi = (i, j) if i < j else (j, i)
+                return ids[lo:hi + 1:hi - lo]  # ids[lo] and ids[hi], one view
+        else:
+            picks = []
+            for value, bound in zip(values[at:at + k], range(n - k + 1, n + 1)):
+                m = value * bound
+                if m & _LOW < bound:
+                    break
+                m >>= 32
+                picks.append(bound - 1 if m in picks else m)
+            else:
+                for value, bound in zip(values[at + k:end], range(k, 1, -1)):
+                    if value * bound & _LOW < bound:
+                        break
+                else:
+                    draws.at = end
+                    picks.sort()
+                    return ids[picks]
+    return draws.pick(ids, k)
+
+
+class _Draws:
+    """numpy's bounded draws of a PCG64 Generator, served from bulk reads of
+    its words; it stands in for the Generator in :func:`exchange`.
+
+    Closed, it holds nothing, and ``choice`` is the Generator's own.  The
+    first draw opens it: it reads the generator's kept 32-bit half, if it
+    has one, and then raw words (``random_raw``, twice as many as it has
+    read so far, at least ``FIRST_READ``), split into 32-bit values low
+    half first, as numpy's ``next_uint32`` splits them.  A bounded draw on
+    [0, bound) takes the next value by Lemire's rule with numpy's
+    rejection test (Lemire, ACM TOMACS 2019).  While it is open the
+    generator stands past the words read, so ``choice`` closes it first.
+    :meth:`close` gives back the words not drawn (``advance``) and writes
+    back the kept half, and the stale one numpy leaves when none is kept:
+    the generator then stands exactly where numpy's own draws would have
+    left it.  Whoever opens a reader closes it, in a ``finally``.
+    """
+
+    FIRST_READ = 64  # words
+
+    __slots__ = ("rng", "choice", "values", "at", "_read", "_lead", "_stale")
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng = rng
+        self.choice = rng.choice
+        self.values: list[int] = []  # 32-bit values: the kept half, then the words read
+        self.at = 0  # values drawn
+        self._read = 0  # words read; 0 while closed
+        self._lead = 0  # 1 if values[0] is the kept half
+        self._stale = 0  # the generator's last half (uinteger) when opened
+
+    def _fill(self) -> None:
+        """Open, if closed, and read more words."""
+        bits = self.rng.bit_generator
+        if not self._read:
+            state = bits.state
+            self._lead, self._stale = state["has_uint32"], state["uinteger"]
+            self.values = [self._stale] if self._lead else []
+            self.at = 0
+            self.choice = self._closing_choice
+        words = max(self._read, self.FIRST_READ)
+        self.values += bits.random_raw(words).view(np.uint32).tolist()
+        self._read += words
+
+    def close(self) -> None:
+        """Put the generator where numpy's own draws would have left it."""
+        if not self._read:
+            return
+        bits = self.rng.bit_generator
+        drawn = self.at - self._lead  # values drawn from words read (-1: not even the kept half)
+        used = (drawn + 1) // 2  # words they took
+        bits.advance(used - self._read)
+        state = bits.state
+        state["has_uint32"] = drawn % 2  # a word's high half, or the kept half, is kept
+        state["uinteger"] = self.values[self._lead + 2 * used - 1] if used else self._stale
+        bits.state = state
+        self.values, self.at, self._read = [], 0, 0
+        self.choice = self.rng.choice
+
+    def _closing_choice(self, *args, **kwargs):
+        """``rng.choice``, after closing."""
+        self.close()
+        return self.rng.choice(*args, **kwargs)
+
+    def below(self, bound: int) -> int:
+        """One ``rng.integers(bound)`` draw, 2 <= bound < ``_WIDE``."""
+        threshold = 2**32 % bound  # numpy's: a lower product's low half is rejected
+        while True:
+            if self.at == len(self.values):
+                self._fill()
+            m = self.values[self.at] * bound
+            self.at += 1
+            if m & _LOW >= threshold:
+                return m >> 32
+
+    def pick(self, ids, k: int):
+        """:func:`_pick`'s picks, draw by draw: through :meth:`below`, which
+        reads more words as it needs them and redraws a rejected value; or,
+        for a surplus of ``_WIDE`` or more, by ``rng.choice`` itself."""
+        n = len(ids)
+        if n >= _WIDE:
+            self.close()
+            picks = self.rng.choice(n, size=k, replace=False)
+            picks.sort()
+            return ids[picks]
+        picks = []
+        for j in range(n - k, n):
+            m = self.below(j + 1)
+            picks.append(j if m in picks else m)
+        for i in range(k - 1, 0, -1):
+            self.below(i + 1)
+        picks.sort()
+        return ids[picks]
 
 
 def provision_seeds(
@@ -501,7 +663,13 @@ def step(state: SimState, n_ticks: int = 1) -> None:
     its block of ``EXCHANGE_BLOCK`` contacts began, else passed over by
     the loop's first test.  Nor is :func:`exchange` called for two empty
     stores, though their link budget still accrues.  A pair's link budget
-    carries over only to the next tick.  The timetable refuses a span
+    carries over only to the next tick.  Every :func:`exchange` call of
+    the span gets the span's one :class:`_Draws` reader of ``state.rng``:
+    its picks of fewer than ``SMALL_PICK`` chunks take their draws from
+    the reader's bulk reads of the generator's words, opened at the first
+    such pick, and a larger pick closes it and calls ``choice``; it is
+    closed at the span's end, exception or not, with the generator where
+    numpy's own draws would have left it.  The timetable refuses a span
     past its end, ``state.day.end``, before the clock moves; ``run`` lays
     out the next window when a span reaches it.
     """
@@ -526,44 +694,48 @@ def step(state: SimState, n_ticks: int = 1) -> None:
         contacts = contacts[either]
         gains = (gain / degree[where].reshape(2, -1))[:, either].T
 
-    n_chunks, threshold, dt, rng = cfg.n_chunks, cfg.decode_threshold, cfg.dt, state.rng
+    n_chunks, threshold, dt = cfg.n_chunks, cfg.decode_threshold, cfg.dt
     now, new_accum = t0 - 1, state.accum  # the last tick and its pairs' budgets
     full = ~live  # updated as stores fill, and the same as a list
     full_list = full.tolist()
-    for lo in range(0, len(contacts), EXCHANGE_BLOCK):
-        block = contacts[lo:lo + EXCHANGE_BLOCK]
-        open_ = ~(full[block[:, 1]] & full[block[:, 2]])
-        block_gains = (itertools.repeat((gain, gain)) if gains is None else
-                       gains[lo:lo + EXCHANGE_BLOCK][open_].tolist())
-        for (t, va, vb), (g_a, g_b) in zip(block[open_].tolist(), block_gains):
-            if full_list[va] and full_list[vb]:  # both filled since the block began
-                continue
-            if t != now:
-                accum = new_accum if t == now + 1 else {}
-                new_accum, now = {}, t
-            sa, sb = stores[va], stores[vb]
-            if acc := accum.get((va, vb)):
-                acc[0] += g_a
-                acc[1] += g_b
-            else:
-                acc = [g_a, g_b]  # 0.0 + g is g: gains are positive
-            n_ab, n_ba = int(acc[0]), int(acc[1])
-            acc[0], acc[1] = acc[0] - n_ab, acc[1] - n_ba
-            new_accum[(va, vb)] = acc
-            if (n_ab or n_ba) and (sa.count or sb.count):
-                sent_ab, sent_ba = exchange(sa, sb, n_ab, n_ba, rng)
-                # Only receivers: a hand-built state may hold an unstamped store at the
-                # threshold.
-                if len(sent_ab):
-                    if sb.completed_at is None and sb.count >= threshold:
-                        sb.completed_at = (t + 1) * dt
-                    if sb.count == n_chunks:
-                        full[vb] = full_list[vb] = True
-                if len(sent_ba):
-                    if sa.completed_at is None and sa.count >= threshold:
-                        sa.completed_at = (t + 1) * dt
-                    if sa.count == n_chunks:
-                        full[va] = full_list[va] = True
+    draws = _Draws(state.rng)  # the span's small picks draw from it
+    try:
+        for lo in range(0, len(contacts), EXCHANGE_BLOCK):
+            block = contacts[lo:lo + EXCHANGE_BLOCK]
+            open_ = ~(full[block[:, 1]] & full[block[:, 2]])
+            block_gains = (itertools.repeat((gain, gain)) if gains is None else
+                           gains[lo:lo + EXCHANGE_BLOCK][open_].tolist())
+            for (t, va, vb), (g_a, g_b) in zip(block[open_].tolist(), block_gains):
+                if full_list[va] and full_list[vb]:  # both filled since the block began
+                    continue
+                if t != now:
+                    accum = new_accum if t == now + 1 else {}
+                    new_accum, now = {}, t
+                sa, sb = stores[va], stores[vb]
+                if acc := accum.get((va, vb)):
+                    acc[0] += g_a
+                    acc[1] += g_b
+                else:
+                    acc = [g_a, g_b]  # 0.0 + g is g: gains are positive
+                n_ab, n_ba = int(acc[0]), int(acc[1])
+                acc[0], acc[1] = acc[0] - n_ab, acc[1] - n_ba
+                new_accum[(va, vb)] = acc
+                if (n_ab or n_ba) and (sa.count or sb.count):
+                    sent_ab, sent_ba = exchange(sa, sb, n_ab, n_ba, draws)
+                    # Only receivers: a hand-built state may hold an unstamped store at the
+                    # threshold.
+                    if len(sent_ab):
+                        if sb.completed_at is None and sb.count >= threshold:
+                            sb.completed_at = (t + 1) * dt
+                        if sb.count == n_chunks:
+                            full[vb] = full_list[vb] = True
+                    if len(sent_ba):
+                        if sa.completed_at is None and sa.count >= threshold:
+                            sa.completed_at = (t + 1) * dt
+                        if sa.count == n_chunks:
+                            full[va] = full_list[va] = True
+    finally:
+        draws.close()
     state.accum = new_accum if now == t1 - 1 else {}
 
 

@@ -1,5 +1,6 @@
 """Test-side oracles: the simplest candidate pairs for contact detection,
-and every radio row of a span, placed without the join."""
+every radio row of a span, placed without the join, and a chunk exchange
+whose every pick is the generator's own ``choice``."""
 
 import numpy as np
 
@@ -42,3 +43,23 @@ def radio_rows(day, g, t0, t1):
     stays = [(t, v, g.node_x[node], g.node_y[node]) for v, node, f, e in day.stays.tolist()
              for t in range(max(f, t0), min(e, t1))]
     return np.concatenate((drives, np.array(stays, dtype=float).reshape(-1, 4)))
+
+
+class PassThrough:
+    """A stand-in for ``vancast.engine._Draws`` that reads nothing ahead: it
+    holds no values, so every small pick leaves ``_pick``'s fast path for
+    ``pick``, which is ``rng.choice`` itself, as is every large pick."""
+
+    values, at = (), 0
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.choice = rng.choice
+
+    def pick(self, ids, k):
+        picks = self.choice(ids, size=k, replace=False)
+        picks.sort()
+        return picks
+
+    def close(self):
+        pass

@@ -4,12 +4,14 @@ import math
 
 import numpy as np
 import pytest
-from reference import all_contacts, radio_rows, same_tick_pairs
+from reference import PassThrough, all_contacts, radio_rows, same_tick_pairs
 
 from vancast.config import ExperimentConfig
 from vancast.engine import (
+    SMALL_PICK,
     ChunkStore,
     Metrics,
+    _Draws,
     _pick,
     detect_contacts,
     exchange,
@@ -187,6 +189,14 @@ def test_contacts_empty_and_validation():
     assert all_contacts(rows_at({}), 100.0).shape == (0, 3)
     with pytest.raises(ValueError):
         all_contacts(rows_at({0: (0.0, 0.0)}), 0.0)
+
+
+@pytest.mark.parametrize("comm_range", [0.0, -1.0, float("nan")])
+def test_contacts_refuse_a_range_that_is_not_positive(comm_range):
+    """NaN used to pass the check and find no contact at all."""
+    rows = np.array([(0, 0, 0.0, 0.0), (0, 1, 10.0, 0.0)])
+    with pytest.raises(ValueError, match="comm_range must be positive"):
+        detect_contacts(rows, comm_range, np.array([[0], [1]]))
 
 
 @pytest.mark.parametrize("bad, why", [
@@ -419,20 +429,136 @@ def test_exchange_zero_budget_and_errors():
         exchange(a, ChunkStore(6), 1, 1, rng)
 
 
+class Positions:
+    """The positions 0 to n - 1, indexed like an int array but never held, so
+    n can pass 2**32."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def __len__(self):
+        return self.n
+
+    def __getitem__(self, at):
+        return range(self.n)[at] if isinstance(at, slice) else np.asarray(at)
+
+
 # n: k + 1, the least surplus that draws; small surpluses; either side of
-# choice's tail-shuffle cutoff (n > 10,000, and only for k > n // 50); and
-# either side of 2**32, where bounded draws go from 32- to 64-bit words
-# (n = 2**32 takes a raw 32-bit word).
-@pytest.mark.parametrize("n", [None, 3, 50, 99, 100, 10_000, 10_001,
-                               2**32 - 1, 2**32, 2**32 + 1, 2**40])
-@pytest.mark.parametrize("k", [1, 2])
+# choice's tail-shuffle cutoff (n > 10,000, and only for k > n // 50); a
+# bound that numpy's Lemire draw rejects about half the time (2**31 + 1);
+# and either side of 2**32 - 1, from where the reader leaves the draws to
+# numpy, and of 2**32, where they go from 32- to 64-bit words (n = 2**32
+# takes a raw 32-bit word).
+@pytest.mark.parametrize("k, n", [
+    (k, n) for k in range(1, SMALL_PICK)
+    for n in [None, 3, 50, 99, 100, 10_000, 10_001, 2**31 + 1, 2**32 - 2, 2**32 - 1, 2**32,
+              2**32 + 1, 2**40]
+    if n is None or k < n])
 def test_pick_makes_the_draws_of_choice(k, n):
     n = n or k + 1
     for seed in range(200):
         rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = _pick(range(n), k, rng)  # a range slices like ids, at any n
+        if seed % 2:  # a 32-bit draw: the generator keeps the word's other half
+            assert rng.integers(3) == ref.integers(3)
+        draws = _Draws(rng)
+        got = _pick(Positions(n), k, draws)
+        draws.close()
         assert list(got) == np.sort(ref.choice(n, k, replace=False)).tolist()
         assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("kept", [False, True])
+def test_reader_draws_what_the_generator_draws(kept):
+    """Bounded draws, small picks and large picks in a random order, on
+    surpluses from 2 to past 2**40, with rejections: every value and the
+    final state are the generator's own."""
+    plan = np.random.default_rng(99)
+    for seed in range(40):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        if kept:
+            assert rng.integers(7) == ref.integers(7)
+        draws = _Draws(rng)
+        for _ in range(int(plan.integers(1, 300))):
+            n = int(plan.choice([2, 3, 9, 400, 2**31 + 1, 2**32 - 2, 2**32 - 1, 2**32, 2**40]))
+            what = plan.integers(4)
+            if what == 0 and n < 2**32 - 1:
+                assert draws.below(n) == ref.integers(n)
+            elif what == 3 and n <= 400:  # a large pick, n - 1 >= SMALL_PICK of them
+                if n > SMALL_PICK:
+                    got = draws.choice(np.arange(n), size=n - 1, replace=False)
+                    assert got.tolist() == ref.choice(np.arange(n), n - 1, replace=False).tolist()
+            else:
+                k = int(plan.integers(1, min(n, SMALL_PICK)))
+                got = _pick(Positions(n), k, draws)
+                assert list(got) == np.sort(ref.choice(n, k, replace=False)).tolist()
+        draws.close()
+        assert rng.bit_generator.state == ref.bit_generator.state
+        # closed, the reader leaves the generator as numpy's calls would
+        assert rng.integers(2**32, dtype=np.uint64) == ref.integers(2**32, dtype=np.uint64)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_an_exception_mid_span_leaves_the_generator_in_sync(monkeypatch):
+    """The span's reader gives back the words it read ahead even when the
+    exchange loop raises: the generator stands where the draws made so far,
+    by the generator itself, leave it."""
+    import vancast.engine as engine
+    from vancast.engine import step
+
+    real, ends = engine.exchange, []
+    for reader in (_Draws, PassThrough):
+        monkeypatch.setattr(engine, "_Draws", reader)
+        state = init_sim(small_traffic_config(transfer_rate=20_000.0, seed_rate=0.3,
+                                              parked_exchange=True))
+        calls = []
+
+        def failing(*args):
+            sent = real(*args)
+            calls.append(args[4])
+            if len(calls) == 400:
+                if reader is _Draws:  # values read and not yet drawn
+                    assert 0 < args[4].at < len(args[4].values)
+                raise RuntimeError("mid-span")
+            return sent
+
+        monkeypatch.setattr(engine, "exchange", failing)
+        with pytest.raises(RuntimeError, match="mid-span"):
+            step(state, state.day.end)
+        assert len({id(draws) for draws in calls}) == 1  # one reader for the span
+        assert calls[-1].at == 0  # closed since
+        ends.append((state.rng.bit_generator.state, [s.mask.tolist() for s in state.stores]))
+    assert ends[0] == ends[1]
+
+
+@pytest.mark.parametrize("budget", [0.5, 1.5, float("nan"), 3.5, "2"])
+def test_exchange_refuses_a_budget_that_is_not_an_integer(budget):
+    """A fractional budget used to send whole chunks (0.5 and 1.5 sent 2,
+    NaN sent all 10) or fail inside numpy (3.5)."""
+    for budgets, name in (((budget, 0), "budget_ab"), ((0, budget), "budget_ba")):
+        rng = np.random.default_rng(6)
+        a, b = holding(10, range(10)), ChunkStore(10)
+        state = rng.bit_generator.state
+        with pytest.raises(TypeError, match=f"{name} must be an integer"):
+            exchange(a, b, *budgets, rng)
+        assert b.count == 0 and rng.bit_generator.state == state
+
+
+def test_exchange_refuses_a_negative_budget_by_name():
+    rng = np.random.default_rng(6)
+    a, b = holding(10, range(10)), ChunkStore(10)
+    with pytest.raises(ValueError, match="budget_ba must be >= 0, got -1"):
+        exchange(a, b, 1, np.int64(-1), rng)
+    assert b.count == 0
+
+
+@pytest.mark.parametrize("budget", [np.int64(3), np.uint8(3), np.intp(3), True])
+def test_exchange_takes_numpy_integer_budgets(budget):
+    rng, ref = np.random.default_rng(6), np.random.default_rng(6)
+    a, b = holding(10, range(10)), ChunkStore(10)
+    sent_ab, sent_ba = exchange(a, b, budget, 0, rng)
+    want = np.sort(ref.choice(np.arange(10), int(budget), replace=False))
+    assert sent_ab.tolist() == want.tolist() and sent_ba.tolist() == []
+    assert b.count == int(budget) and rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_exchange_conservation_property():

@@ -120,3 +120,36 @@ def test_arterial_rush_run_is_pinned(tmp_path):
         h.update(repr(store.completed_at).encode())
     h.update(repr(state.rng.bit_generator.state).encode())
     assert h.hexdigest() == "2fde769c482ab18c55e6051638d6ed0644593353f2e059f4eed7eacc1a3b7c60"
+
+
+@pytest.mark.parametrize("overrides", [
+    CASES["parked_exchange"][0],  # 2 kb/s: one chunk at a time
+    CASES["share_bandwidth"][0],  # picks of 6 and 9 chunks among larger ones
+    dict(master_seed=15, share_bandwidth=True, transfer_rate=5_000.0),  # the digest above
+    dict(master_seed=15, share_bandwidth=True, transfer_rate=60_000.0),  # picks of 1 to 6
+    dict(master_seed=15, share_bandwidth=True, transfer_rate=100_000.0),  # of 3 to 10
+], ids=["parked_exchange", "share_bandwidth", "asymmetric", "shared_60k", "shared_100k"])
+def test_the_span_reader_changes_no_draw(monkeypatch, overrides):
+    """engine._Draws serves a span's small picks from bulk reads of the
+    generator's words.  Swapped for a pass-through whose every pick is the
+    generator's own ``choice``, a run ends with the same stores, stamps and
+    generator state."""
+    import vancast.engine as engine
+    from reference import PassThrough
+
+    cfg = ExperimentConfig(**{**BASE, **overrides})
+    opened = []
+
+    class Counted(engine._Draws):
+        def _fill(self):
+            opened.append(self.at)
+            super()._fill()
+
+    ends = []
+    for reader in (Counted, PassThrough):
+        monkeypatch.setattr(engine, "_Draws", reader)
+        state = run(cfg)
+        ends.append(([(s.mask.tolist(), s.completed_at) for s in state.stores],
+                     state.rng.bit_generator.state))
+    assert opened  # the reader served picks
+    assert ends[0] == ends[1]
