@@ -87,8 +87,8 @@ EXCHANGE_BLOCK = 256
 
 # Chunks a pick must stay below to make its draws by hand (_pick), from the
 # span's bulk read of the generator's words (_Draws): 2k - 1 values and a
-# list of k picks.  Larger picks call Generator.choice, whose cost hardly
-# grows with k.
+# list of k picks, about 0.7k us against Generator.choice's flat 7 us, so
+# the two cross near 10 chunks.  Larger picks call Generator.choice.
 SMALL_PICK = 10
 
 
@@ -218,7 +218,8 @@ def exchange(
     a reader for the call, or the reader of :func:`step`'s span.  With no
     budget, an empty giver or a full receiver it makes no pass at all.
     Raises, before any draw, TypeError naming a budget that is not an
-    integer and ValueError naming one below 0.
+    integer, ValueError naming one below 0 and ValueError naming an rng
+    whose bit generator is not PCG64, whose words the reader reads.
     """
     if not (type(budget_ab) is type(budget_ba) is int and budget_ab >= 0 and budget_ba >= 0):
         budget_ab, budget_ba = _budget("budget_ab", budget_ab), _budget("budget_ba", budget_ba)
@@ -281,22 +282,22 @@ def _pick(ids, k: int, draws: _Draws):
     n - 1, where a value already picked gives way to j, then k - 1 draws on
     [0, i], i from k - 1 down to 1, to shuffle the picks, whose order the
     sort drops.  Each is a Lemire draw of one 32-bit value, so a pick takes
-    2k - 1 values, here straight from the reader's buffer: no numpy call,
-    and for 1 or 2 chunks no set of picks.  A value whose product could be
-    rejected (about one in 2**32 / n), a buffer short of values and a
-    surplus of 2**32 - 1 or more, where numpy's draws change, leave the
-    fast path for :meth:`_Draws.pick`.
+    2k - 1 values.  A pick of 1 or 2 chunks, the slow link's, takes them
+    straight from the reader's buffer, with no call and no set of picks;
+    a larger pick, a value whose product could be rejected (about one in
+    2**32 / n), a buffer short of values and a surplus of 2**32 - 1 or
+    more, where numpy's draws change, go to :meth:`_Draws.pick`.
     """
     n, at, values = len(ids), draws.at, draws.values
     end = at + 2 * k - 1
-    if end <= len(values) and n < _WIDE:
+    if k <= 2 and end <= len(values) and n < _WIDE:
         if k == 1:
             m = values[at] * n
             if m & _LOW >= n:
                 draws.at = end
                 i = m >> 32
                 return ids[i:i + 1]
-        elif k == 2:
+        else:
             mi, mj, mo = values[at] * (n - 1), values[at + 1] * n, values[at + 2] * 2
             if mi & _LOW >= n - 1 and mj & _LOW >= n and mo & _LOW >= 2:
                 draws.at = end
@@ -305,22 +306,6 @@ def _pick(ids, k: int, draws: _Draws):
                     j = n - 1
                 lo, hi = (i, j) if i < j else (j, i)
                 return ids[lo:hi + 1:hi - lo]  # ids[lo] and ids[hi], one view
-        else:
-            picks = []
-            for value, bound in zip(values[at:at + k], range(n - k + 1, n + 1)):
-                m = value * bound
-                if m & _LOW < bound:
-                    break
-                m >>= 32
-                picks.append(bound - 1 if m in picks else m)
-            else:
-                for value, bound in zip(values[at + k:end], range(k, 1, -1)):
-                    if value * bound & _LOW < bound:
-                        break
-                else:
-                    draws.at = end
-                    picks.sort()
-                    return ids[picks]
     return draws.pick(ids, k)
 
 
@@ -330,57 +315,69 @@ class _Draws:
 
     Closed, it holds nothing, and ``choice`` is the Generator's own.  The
     first draw opens it: it reads the generator's kept 32-bit half, if it
-    has one, and then raw words (``random_raw``, twice as many as it has
-    read so far, at least ``FIRST_READ``), split into 32-bit values low
-    half first, as numpy's ``next_uint32`` splits them.  A bounded draw on
-    [0, bound) takes the next value by Lemire's rule with numpy's
-    rejection test (Lemire, ACM TOMACS 2019).  While it is open the
-    generator stands past the words read, so ``choice`` closes it first.
-    :meth:`close` gives back the words not drawn (``advance``) and writes
-    back the kept half, and the stale one numpy leaves when none is kept:
-    the generator then stands exactly where numpy's own draws would have
-    left it.  Whoever opens a reader closes it, in a ``finally``.
+    has one, and then raw words (``random_raw``), ``READ`` at a time,
+    split into 32-bit values low half first, as numpy's ``next_uint32``
+    splits them; a read keeps, of the values before it, only the last one
+    drawn.  A bounded draw on [0, bound) takes the next value by Lemire's
+    rule with numpy's rejection test (Lemire, ACM TOMACS 2019).  While it
+    is open the generator stands past the words read, so ``choice`` closes
+    it first.  :meth:`close` gives back the words not drawn (``advance``)
+    and writes back the kept half, and the stale one numpy leaves when
+    none is kept: the generator then stands exactly where numpy's own
+    draws would have left it.  Whoever opens a reader closes it, in a
+    ``finally``.  Any other bit generator splits, advances and keeps its
+    words otherwise, so the reader refuses it by name.
     """
 
-    FIRST_READ = 64  # words
+    READ = 64  # words
 
-    __slots__ = ("rng", "choice", "values", "at", "_read", "_lead", "_stale")
+    __slots__ = ("rng", "choice", "values", "at", "_base", "_read", "_lead", "_stale")
 
     def __init__(self, rng: np.random.Generator):
+        if not isinstance(rng.bit_generator, np.random.PCG64):
+            raise ValueError(f"exchange draws from PCG64's raw words, got a "
+                             f"{type(rng.bit_generator).__name__} generator")
         self.rng = rng
         self.choice = rng.choice
-        self.values: list[int] = []  # 32-bit values: the kept half, then the words read
-        self.at = 0  # values drawn
+        self.values: list[int] = []  # 32-bit values: the last one drawn, then those not drawn
+        self.at = 0  # index of the next value
+        self._base = 0  # values drawn before values[0]
         self._read = 0  # words read; 0 while closed
-        self._lead = 0  # 1 if values[0] is the kept half
+        self._lead = 0  # 1 if the first value was the kept half
         self._stale = 0  # the generator's last half (uinteger) when opened
 
     def _fill(self) -> None:
-        """Open, if closed, and read more words."""
+        """Open, if closed, and read more words; called once every value is drawn."""
         bits = self.rng.bit_generator
         if not self._read:
             state = bits.state
             self._lead, self._stale = state["has_uint32"], state["uinteger"]
             self.values = [self._stale] if self._lead else []
-            self.at = 0
+            self.at = self._base = 0
             self.choice = self._closing_choice
-        words = max(self._read, self.FIRST_READ)
-        self.values += bits.random_raw(words).view(np.uint32).tolist()
-        self._read += words
+        else:  # keep the last value drawn, which close may write back
+            self._base += self.at - 1
+            del self.values[:self.at - 1]
+            self.at = 1
+        self.values += bits.random_raw(self.READ).view(np.uint32).tolist()
+        self._read += self.READ
 
     def close(self) -> None:
         """Put the generator where numpy's own draws would have left it."""
         if not self._read:
             return
         bits = self.rng.bit_generator
-        drawn = self.at - self._lead  # values drawn from words read (-1: not even the kept half)
+        # values drawn from the words read (-1: not even the kept half)
+        drawn = self._base + self.at - self._lead
         used = (drawn + 1) // 2  # words they took
         bits.advance(used - self._read)
         state = bits.state
         state["has_uint32"] = drawn % 2  # a word's high half, or the kept half, is kept
-        state["uinteger"] = self.values[self._lead + 2 * used - 1] if used else self._stale
+        # the last half of the words used: the last value drawn, or the next
+        last = self._lead + 2 * used - 1 - self._base
+        state["uinteger"] = self.values[last] if used else self._stale
         bits.state = state
-        self.values, self.at, self._read = [], 0, 0
+        self.values, self.at, self._base, self._read = [], 0, 0, 0
         self.choice = self.rng.choice
 
     def _closing_choice(self, *args, **kwargs):

@@ -498,6 +498,21 @@ def test_reader_draws_what_the_generator_draws(kept):
         assert rng.bit_generator.state == ref.bit_generator.state
 
 
+def test_the_reader_holds_one_read_of_values_at_most():
+    """A span of 9,000 small picks, never closed: the reader drops the
+    values it has drawn as it reads on, so it holds one read's values and
+    the last one drawn (or the kept half), and still draws what the
+    generator draws."""
+    rng, ref = np.random.default_rng(8), np.random.default_rng(8)
+    draws = _Draws(rng)
+    for k in list(range(1, SMALL_PICK)) * 1_000:
+        got = _pick(np.arange(400), k, draws)
+        assert got.tolist() == np.sort(ref.choice(400, k, replace=False)).tolist()
+        assert len(draws.values) <= 2 * _Draws.READ + 1
+    draws.close()
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
 def test_an_exception_mid_span_leaves_the_generator_in_sync(monkeypatch):
     """The span's reader gives back the words it read ahead even when the
     exchange loop raises: the generator stands where the draws made so far,
@@ -559,6 +574,20 @@ def test_exchange_takes_numpy_integer_budgets(budget):
     want = np.sort(ref.choice(np.arange(10), int(budget), replace=False))
     assert sent_ab.tolist() == want.tolist() and sent_ba.tolist() == []
     assert b.count == int(budget) and rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("bits", [np.random.MT19937, np.random.Philox, np.random.SFC64])
+def test_exchange_refuses_a_generator_that_is_not_pcg64(bits):
+    """The reader splits, advances and writes back PCG64's words: another
+    bit generator would give other picks and end elsewhere, or fail once
+    the stores had changed, so it is refused before any draw."""
+    rng, ref = np.random.Generator(bits(6)), np.random.Generator(bits(6))
+    a, b = holding(10, range(10)), ChunkStore(10)
+    with pytest.raises(ValueError, match=f"PCG64's raw words, got a {bits.__name__} generator"):
+        exchange(a, b, 1, 1, rng)
+    assert a.count == 10 and b.count == 0 and not b.mask.any()
+    # no draw made: the generator goes on as its untouched twin
+    assert rng.integers(2**62, size=8).tolist() == ref.integers(2**62, size=8).tolist()
 
 
 def test_exchange_conservation_property():
@@ -932,26 +961,16 @@ def test_a_span_with_no_live_radio_reads_no_rows_and_exchanges_nothing(monkeypat
     assert calls == ["leg_segments", "place_segments"] and state.tick == 10
 
 
-def test_a_crowded_parked_span_peaks_within_five_times_its_rows_and_pairs():
-    """300 vehicles parked on the 16 nodes of a 4x4 grid, about 19 a node
-    and every pair at a node in contact: one 64-tick span joins about
-    175,000 pairs of rows, and its traced peak memory stays within five
-    times the bytes of the rows and pairs that the join hands on.
-
-    detect_contacts holds at most seven int64 (56 bytes) per contact it
-    finds at one time, 3.5 times a pair's two int64 indices: the (tick,
-    a, b) row with either the two row indices and the two vehicle ids,
-    or the sort's order and the sorted copy.  Every pair here is a
-    contact, so the span holds about the rows plus 4.5 times the pairs;
-    five times both leaves room for the rest (stores, the near-place
-    table, the exchange's link budgets)."""
+def crowded_span_peak(**overrides):
+    """300 vehicles parked on the 16 nodes of a 4x4 grid, one 64-tick span
+    stepped under tracemalloc: its traced peak, rows and pairs."""
     import tracemalloc
 
     from vancast.engine import step
 
     state = init_sim(ExperimentConfig(rows=4, cols=4, main_cols=[], n_vehicles=300,
                                       mean_trips=0.0, parked_exchange=True, seed_rate=0.01,
-                                      master_seed=3))
+                                      master_seed=3, **overrides))
     cfg = state.cfg
     live = np.array([s.count for s in state.stores]) != cfg.n_chunks
     tracemalloc.start()
@@ -962,6 +981,43 @@ def test_a_crowded_parked_span_peaks_within_five_times_its_rows_and_pairs():
         tracemalloc.stop()
     rows, pairs = state.day.radio_pairs(state.graph, 0, 64, live, cfg.comm_range)
     assert len(detect_contacts(rows, cfg.comm_range, pairs)) == pairs.shape[1] > 170_000
+    return peak, rows, pairs
+
+
+def test_a_crowded_parked_span_peaks_within_five_times_its_rows_and_pairs():
+    """About 19 vehicles a node and every pair at a node in contact: one
+    64-tick span joins about 175,000 pairs of rows, and its traced peak
+    memory stays within five times the bytes of the rows and pairs that
+    the join hands on.
+
+    detect_contacts holds at most seven int64 (56 bytes) per contact it
+    finds at one time, 3.5 times a pair's two int64 indices: the (tick,
+    a, b) row with either the two row indices and the two vehicle ids,
+    or the sort's order and the sorted copy.  Every pair here is a
+    contact, so the span holds about the rows plus 4.5 times the pairs;
+    five times both leaves room for the rest (stores, the near-place
+    table, the exchange's link budgets)."""
+    peak, rows, pairs = crowded_span_peak()
+    assert peak <= 5 * (rows.nbytes + pairs.nbytes)
+
+
+def test_a_crowded_slow_link_span_peaks_within_five_times_its_rows_and_pairs(monkeypatch):
+    """The span above at 20 kb/s, 1 or 2 chunks a contact a tick: its many
+    small picks draw from the span's reader, which reads more words again
+    and again and holds no more than one read of them, so the bound holds
+    there too."""
+    import vancast.engine as engine
+
+    reads = []
+
+    class Counted(engine._Draws):
+        def _fill(self):
+            reads.append(self._read)
+            super()._fill()
+
+    monkeypatch.setattr(engine, "_Draws", Counted)
+    peak, rows, pairs = crowded_span_peak(transfer_rate=20_000.0)
+    assert reads.count(0) == 1 and len(reads) > 100  # opened once, read again and again
     assert peak <= 5 * (rows.nbytes + pairs.nbytes)
 
 
