@@ -5,10 +5,11 @@ vehicular network.  A small fraction of vehicles receives a full copy
 of a file over the cellular downlink; everyone else collects coded
 chunks opportunistically from passing traffic until they can decode.
 
-The package splits into five layers:
+The package splits into five layers, and a reader of the random stream:
 
 * :mod:`vancast.roadnet`  - road graphs, generators, routing
 * :mod:`vancast.mobility` - trip schedules and each day's timetable of motion
+* :mod:`vancast.draws`    - numpy's PCG64 draws, made from bulk reads of its words
 * :mod:`vancast.fountain` - random linear fountain codec over GF(256)
 * :mod:`vancast.engine`   - contact detection, chunk exchange, sim loop
 * :mod:`vancast.cli`      - command line front end and parameter sweeps

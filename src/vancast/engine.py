@@ -8,13 +8,12 @@ a :class:`vancast.mobility.Timetable`, which then answers every question
 about motion.  Day 0 is one window, laid out in :func:`init_sim`; a
 later day's windows hold about ``WINDOW_TRIPS`` trips each.  A trip is
 routed when its window is laid out: one due in a later window keeps
-where its route's draws lie (its vehicle's generator state before the
-vehicle's one read of raw words, and the word offset in that read) and
-is routed from there, to the route it would have had, and one due after
-the run is never routed.  So the random stream is the same, draw for
-draw, however the days are split.  Once every store is full no later
-tick can change a store, a stamp or a sample, so ``run`` stops at the
-end of the window it is in and routes nothing after it.
+where its route's draws lie in the stream and is routed from there, to
+the route it would have had, and one due after the run is never routed.
+So the random stream is the same, draw for draw, however the days are
+split.  Once every store is full no later tick can change a store, a
+stamp or a sample, so ``run`` stops at the end of the window it is in
+and routes nothing after it.
 
 ``step(state, n)`` simulates n ticks in one pass: one
 :meth:`vancast.mobility.Timetable.radio_pairs` call (the join, the
@@ -27,11 +26,10 @@ mid-span, so the exchange runs over a span's contacts in blocks: it
 drops, at each block's start, those whose two stores are both full by
 then, and skips a contact of the block whose two stores have both
 filled since, with one test of two flags.  A span's small picks (fewer
-than ``SMALL_PICK`` chunks) take numpy's draws by hand, from one reader
-(:class:`_Draws`) of bulk reads of the generator's words, which gives
-back what it did not draw at the span's end.  This gives the same
-results, draw for draw, as moving, detecting and exchanging one tick at
-a time.
+than ``SMALL_PICK`` chunks) make numpy's draws by hand, from one
+:class:`vancast.draws.Reader` of the generator, closed at the span's
+end.  This gives the same results, draw for draw, as moving, detecting
+and exchanging one tick at a time.
 A vehicle's completion is recorded once, as its store's ``completed_at``
 stamp.  ``run`` sizes each span by its radio rows, not by its ticks:
 a span ends at the last tick that keeps it within ``SPAN_ROWS`` rows
@@ -56,6 +54,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from vancast.config import ExperimentConfig
+from vancast.draws import LOW, WIDE, Reader
 from vancast.mobility import (DAY_LEN, ScheduleError, Timetable, assign_trips, deferred_router,
                               due_by, lay_out_day)
 from vancast.roadnet import (RoadGraph, check_road_sums, float_text, generate_manhattan_grid,
@@ -86,9 +85,9 @@ WINDOW_TRIPS = 2_048
 EXCHANGE_BLOCK = 256
 
 # Chunks a pick must stay below to make its draws by hand (_pick), from the
-# span's bulk read of the generator's words (_Draws): 2k - 1 values and a
-# list of k picks, about 0.7k us against Generator.choice's flat 7 us, so
-# the two cross near 10 chunks.  Larger picks call Generator.choice.
+# span's reader of the generator's words: 2k - 1 draws and a list of k
+# picks, about 0.7k us against Generator.choice's flat 7 us, so the two
+# cross near 10 chunks.  Larger picks call Generator.choice.
 SMALL_PICK = 10
 
 
@@ -213,36 +212,38 @@ def exchange(
     direction finds its surplus with one comparison and one ``nonzero``
     and, if the surplus exceeds its budget, draws: a pick of fewer than
     ``SMALL_PICK`` chunks makes the draws ``rng.choice`` makes, by hand
-    from a :class:`_Draws` reader of rng's words (:func:`_pick`), and a
-    larger pick calls ``rng.choice``.  ``rng`` is a Generator, wrapped in
-    a reader for the call, or the reader of :func:`step`'s span.  With no
-    budget, an empty giver or a full receiver it makes no pass at all.
-    Raises, before any draw, TypeError naming a budget that is not an
-    integer, ValueError naming one below 0 and ValueError naming an rng
-    whose bit generator is not PCG64, whose words the reader reads.
+    (:func:`_pick`), and a larger pick calls ``rng.choice``.  ``rng`` is a
+    Generator, wrapped in a :class:`vancast.draws.Reader` for the call, or
+    the reader of :func:`step`'s span.  With no budget, an empty giver or
+    a full receiver it makes no pass at all.  Raises, before any draw,
+    TypeError naming a budget that is not an integer, ValueError naming
+    one below 0 and ValueError naming an rng whose bit generator is not
+    PCG64, as the reader does.
     """
     if not (type(budget_ab) is type(budget_ba) is int and budget_ab >= 0 and budget_ba >= 0):
         budget_ab, budget_ba = _budget("budget_ab", budget_ab), _budget("budget_ba", budget_ba)
     if store_a.n_chunks != store_b.n_chunks:
         raise ValueError("stores disagree on the chunk universe")
-    if isinstance(rng, _Draws):
-        sent_ab = _send(store_a, store_b, budget_ab, rng)
-        return sent_ab, _send(store_b, store_a, budget_ba, rng)
-    draws = _Draws(rng)
+    draws = rng if isinstance(rng, Reader) else Reader(rng)
     try:
         sent_ab = _send(store_a, store_b, budget_ab, draws)
         return sent_ab, _send(store_b, store_a, budget_ba, draws)
     finally:
-        draws.close()
+        if draws is not rng:
+            draws.close()
+
+
+def _integer(name: str, value) -> int:
+    """value as an int, refused by name unless it is a whole number."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _budget(name: str, budget) -> int:
     """budget as an int, refused by name unless it is a whole number >= 0."""
-    try:
-        budget = operator.index(budget)
-    except TypeError:
-        raise TypeError(f"{name} must be an integer, got {budget!r}") from None
-    if budget < 0:
+    if (budget := _integer(name, budget)) < 0:
         raise ValueError(f"{name} must be >= 0, got {budget}")
     return budget
 
@@ -250,7 +251,7 @@ def _budget(name: str, budget) -> int:
 _NOTHING = np.zeros(0, dtype=np.intp)  # what a direction that makes no pass sends
 
 
-def _send(giver: ChunkStore, receiver: ChunkStore, budget: int, draws: _Draws):
+def _send(giver: ChunkStore, receiver: ChunkStore, budget: int, draws: Reader):
     """One direction of :func:`exchange`, sent and added to receiver."""
     if not budget or not giver.count or receiver.count == receiver.n_chunks:
         return _NOTHING
@@ -267,153 +268,59 @@ def _send(giver: ChunkStore, receiver: ChunkStore, budget: int, draws: _Draws):
     return ids
 
 
-_LOW = 0xFFFF_FFFF  # the low 32 bits of a Lemire product
-_WIDE = 2**32 - 1  # surpluses from here on draw with numpy's own calls, as numpy's draws change
+def _pick(ids, k: int, draws: Reader):
+    """k of ids (0 < k < len(ids), k < ``SMALL_PICK``), sorted, with the
+    draws of ``rng.choice(ids, size=k, replace=False)`` for the reader's
+    generator (pinned by ``test_pick_makes_the_draws_of_choice``).
 
-
-def _pick(ids, k: int, draws: _Draws):
-    """k of ids (0 < k < len(ids), k < ``SMALL_PICK``), sorted: the picks of
-    ``rng.choice(ids, size=k, replace=False)`` for the reader's generator,
-    made with the same draws, so it ends in the same state (pinned by
-    ``tests/test_engine.py::test_pick_makes_the_draws_of_choice``).
-
-    ``choice`` runs Floyd's algorithm (Bentley and Floyd, CACM 1987) for so
-    few picks: one bounded integer on [0, j] for each j from n - k to
-    n - 1, where a value already picked gives way to j, then k - 1 draws on
-    [0, i], i from k - 1 down to 1, to shuffle the picks, whose order the
-    sort drops.  Each is a Lemire draw of one 32-bit value, so a pick takes
-    2k - 1 values.  A pick of 1 or 2 chunks, the slow link's, takes them
-    straight from the reader's buffer, with no call and no set of picks;
-    a larger pick, a value whose product could be rejected (about one in
-    2**32 / n), a buffer short of values and a surplus of 2**32 - 1 or
-    more, where numpy's draws change, go to :meth:`_Draws.pick`.
+    ``choice`` runs Floyd's algorithm (Bentley and Floyd, CACM 1987): a
+    draw on [0, j] for each j from n - k to n - 1, a value already picked
+    giving way to j, then k - 1 draws on [0, i], i from k - 1 down to 1,
+    which shuffle the picks.  A pick of 1 or 2 chunks, the slow link's,
+    reads its halves straight from the reader's words while none of its
+    products could be rejected, which never holds from a surplus of 2**32
+    on; from a surplus of ``WIDE``, ``choice`` picks.
     """
-    n, at, values = len(ids), draws.at, draws.values
-    end = at + 2 * k - 1
-    if k <= 2 and end <= len(values) and n < _WIDE:
-        if k == 1:
-            m = values[at] * n
-            if m & _LOW >= n:
-                draws.at = end
-                i = m >> 32
-                return ids[i:i + 1]
-        else:
-            mi, mj, mo = values[at] * (n - 1), values[at + 1] * n, values[at + 2] * 2
-            if mi & _LOW >= n - 1 and mj & _LOW >= n and mo & _LOW >= 2:
-                draws.at = end
-                i, j = mi >> 32, mj >> 32
-                if j == i:
-                    j = n - 1
-                lo, hi = (i, j) if i < j else (j, i)
-                return ids[lo:hi + 1:hi - lo]  # ids[lo] and ids[hi], one view
-    return draws.pick(ids, k)
-
-
-class _Draws:
-    """numpy's bounded draws of a PCG64 Generator, served from bulk reads of
-    its words; it stands in for the Generator in :func:`exchange`.
-
-    Closed, it holds nothing, and ``choice`` is the Generator's own.  The
-    first draw opens it: it reads the generator's kept 32-bit half, if it
-    has one, and then raw words (``random_raw``), ``READ`` at a time,
-    split into 32-bit values low half first, as numpy's ``next_uint32``
-    splits them; a read keeps, of the values before it, only the last one
-    drawn.  A bounded draw on [0, bound) takes the next value by Lemire's
-    rule with numpy's rejection test (Lemire, ACM TOMACS 2019).  While it
-    is open the generator stands past the words read, so ``choice`` closes
-    it first.  :meth:`close` gives back the words not drawn (``advance``)
-    and writes back the kept half, and the stale one numpy leaves when
-    none is kept: the generator then stands exactly where numpy's own
-    draws would have left it.  Whoever opens a reader closes it, in a
-    ``finally``.  Any other bit generator splits, advances and keeps its
-    words otherwise, so the reader refuses it by name.
-    """
-
-    READ = 64  # words
-
-    __slots__ = ("rng", "choice", "values", "at", "_base", "_read", "_lead", "_stale")
-
-    def __init__(self, rng: np.random.Generator):
-        if not isinstance(rng.bit_generator, np.random.PCG64):
-            raise ValueError(f"exchange draws from PCG64's raw words, got a "
-                             f"{type(rng.bit_generator).__name__} generator")
-        self.rng = rng
-        self.choice = rng.choice
-        self.values: list[int] = []  # 32-bit values: the last one drawn, then those not drawn
-        self.at = 0  # index of the next value
-        self._base = 0  # values drawn before values[0]
-        self._read = 0  # words read; 0 while closed
-        self._lead = 0  # 1 if the first value was the kept half
-        self._stale = 0  # the generator's last half (uinteger) when opened
-
-    def _fill(self) -> None:
-        """Open, if closed, and read more words; called once every value is drawn."""
-        bits = self.rng.bit_generator
-        if not self._read:
-            state = bits.state
-            self._lead, self._stale = state["has_uint32"], state["uinteger"]
-            self.values = [self._stale] if self._lead else []
-            self.at = self._base = 0
-            self.choice = self._closing_choice
-        else:  # keep the last value drawn, which close may write back
-            self._base += self.at - 1
-            del self.values[:self.at - 1]
-            self.at = 1
-        self.values += bits.random_raw(self.READ).view(np.uint32).tolist()
-        self._read += self.READ
-
-    def close(self) -> None:
-        """Put the generator where numpy's own draws would have left it."""
-        if not self._read:
-            return
-        bits = self.rng.bit_generator
-        # values drawn from the words read (-1: not even the kept half)
-        drawn = self._base + self.at - self._lead
-        used = (drawn + 1) // 2  # words they took
-        bits.advance(used - self._read)
-        state = bits.state
-        state["has_uint32"] = drawn % 2  # a word's high half, or the kept half, is kept
-        # the last half of the words used: the last value drawn, or the next
-        last = self._lead + 2 * used - 1 - self._base
-        state["uinteger"] = self.values[last] if used else self._stale
-        bits.state = state
-        self.values, self.at, self._base, self._read = [], 0, 0, 0
-        self.choice = self.rng.choice
-
-    def _closing_choice(self, *args, **kwargs):
-        """``rng.choice``, after closing."""
-        self.close()
-        return self.rng.choice(*args, **kwargs)
-
-    def below(self, bound: int) -> int:
-        """One ``rng.integers(bound)`` draw, 2 <= bound < ``_WIDE``."""
-        threshold = 2**32 % bound  # numpy's: a lower product's low half is rejected
-        while True:
-            if self.at == len(self.values):
-                self._fill()
-            m = self.values[self.at] * bound
-            self.at += 1
-            if m & _LOW >= threshold:
-                return m >> 32
-
-    def pick(self, ids, k: int):
-        """:func:`_pick`'s picks, draw by draw: through :meth:`below`, which
-        reads more words as it needs them and redraws a rejected value; or,
-        for a surplus of ``_WIDE`` or more, by ``rng.choice`` itself."""
-        n = len(ids)
-        if n >= _WIDE:
-            self.close()
-            picks = self.rng.choice(n, size=k, replace=False)
-            picks.sort()
-            return ids[picks]
-        picks = []
-        for j in range(n - k, n):
-            m = self.below(j + 1)
-            picks.append(j if m in picks else m)
-        for i in range(k - 1, 0, -1):
-            self.below(i + 1)
+    n = len(ids)
+    at, words, has_half = draws.at, draws.words, draws.has_half
+    if k == 1 and (has_half or at < len(words)):
+        word = draws.half if has_half else words[at]  # the kept half, or a word's low half
+        m = (word & LOW) * n
+        if m & LOW >= n:
+            if has_half:
+                draws.has_half = 0
+            else:
+                draws.at, draws.has_half, draws.half = at + 1, 1, word >> 32
+            i = m >> 32
+            return ids[i:i + 1]
+    elif k == 2 and at + 2 - has_half <= len(words):
+        # draws on [0, n - 1), [0, n) and [0, 2), which never redraws
+        word = words[at]
+        if has_half:  # the kept half, then the word's two halves
+            mi, mj = draws.half * (n - 1), (word & LOW) * n
+        else:  # the word's two halves, then the next one's low half, keeping its high half
+            last = words[at + 1]
+            mi, mj = (word & LOW) * (n - 1), (word >> 32) * n
+        if mi & LOW >= n - 1 and mj & LOW >= n:
+            draws.at, draws.has_half = at + 2 - has_half, 1 - has_half
+            draws.half = (word if has_half else last) >> 32  # kept, or left stale
+            i, j = mi >> 32, mj >> 32
+            if j == i:
+                j = n - 1
+            lo, hi = (i, j) if i < j else (j, i)
+            return ids[lo:hi + 1:hi - lo]  # ids[lo] and ids[hi], one view
+    if n >= WIDE:
+        picks = draws.choice(n, size=k, replace=False)
         picks.sort()
         return ids[picks]
+    picks = []
+    for j in range(n - k, n):
+        m = draws.below(j + 1)
+        picks.append(j if m in picks else m)
+    for i in range(k - 1, 0, -1):
+        draws.below(i + 1)
+    picks.sort()
+    return ids[picks]
 
 
 def provision_seeds(
@@ -661,16 +568,14 @@ def step(state: SimState, n_ticks: int = 1) -> None:
     the loop's first test.  Nor is :func:`exchange` called for two empty
     stores, though their link budget still accrues.  A pair's link budget
     carries over only to the next tick.  Every :func:`exchange` call of
-    the span gets the span's one :class:`_Draws` reader of ``state.rng``:
-    its picks of fewer than ``SMALL_PICK`` chunks take their draws from
-    the reader's bulk reads of the generator's words, opened at the first
-    such pick, and a larger pick closes it and calls ``choice``; it is
-    closed at the span's end, exception or not, with the generator where
-    numpy's own draws would have left it.  The timetable refuses a span
-    past its end, ``state.day.end``, before the clock moves; ``run`` lays
-    out the next window when a span reaches it.
+    the span gets the span's one :class:`vancast.draws.Reader` of
+    ``state.rng``, closed at the span's end, exception or not.  The
+    timetable refuses a span past its end, ``state.day.end``, before the
+    clock moves; ``run`` lays out the next window when a span reaches it.
+    An n_ticks that is not a whole number (TypeError) or below 1
+    (ValueError) is refused by name, before anything moves.
     """
-    if n_ticks < 1:
+    if (n_ticks := _integer("n_ticks", n_ticks)) < 1:
         raise ValueError(f"n_ticks must be >= 1, got {n_ticks}")
     cfg, stores = state.cfg, state.stores
     t0, t1 = state.tick, state.tick + n_ticks
@@ -695,7 +600,7 @@ def step(state: SimState, n_ticks: int = 1) -> None:
     now, new_accum = t0 - 1, state.accum  # the last tick and its pairs' budgets
     full = ~live  # updated as stores fill, and the same as a list
     full_list = full.tolist()
-    draws = _Draws(state.rng)  # the span's small picks draw from it
+    draws = Reader(state.rng)  # the span's small picks draw from it
     try:
         for lo in range(0, len(contacts), EXCHANGE_BLOCK):
             block = contacts[lo:lo + EXCHANGE_BLOCK]

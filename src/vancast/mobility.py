@@ -13,8 +13,8 @@ trips are drawn.  :func:`assign_trips` draws a whole day at its first
 tick but routes only the trips due by a given time; each later one is
 kept as a :class:`DeferredTrip`, with where its route's draws lie in the
 stream.  Its draws are those of a per-trip loop of numpy calls, but a
-vehicle's destination picks and route factors come from one read of raw
-PCG64 words.  :func:`lay_out_day` lays out a window of ticks, a
+vehicle's destination picks and route factors come from one read of a
+:class:`vancast.draws.Reader`.  :func:`lay_out_day` lays out a window of ticks, a
 whole day or part of one, as a :class:`Timetable` of drives and stays;
 it routes a deferred trip (:func:`deferred_router`) only when it lays
 the trip out, to the route an eager draw gives.  It states the rules
@@ -46,6 +46,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from vancast.draws import Reader, replayer, uniform
 from vancast.roadnet import (
     MAX_FACTOR,
     RoadGraph,
@@ -78,10 +79,10 @@ class Trip:
 class DeferredTrip(NamedTuple):
     """A drawn trip not routed yet.  Under the random policy ``block`` and
     ``offset`` say where the trip's edge factors lie in the stream: the
-    generator's 128-bit PCG64 state before its vehicle's read of raw
-    words, and the offset of the trip's first factor word in that read
-    (:func:`assign_trips`).  Other policies draw nothing: their ``block``
-    is None."""
+    generator's 128-bit PCG64 state before its vehicle's read of words
+    (:meth:`vancast.draws.Reader.mark`), and the words drawn from there
+    before the trip's first factor (:func:`assign_trips`).  Other
+    policies draw nothing: their ``block`` is None."""
 
     depart_time: float
     src: int
@@ -133,22 +134,6 @@ class VehicleState:
     next_trip: int = 0  # index into the schedule's trip tuple
 
 
-_HALF = (1 << 32) - 1
-# numpy's uniform draw from [1, MAX_FACTOR): 1 + (MAX_FACTOR - 1) * (w >> 11) * 2**-53
-# for a 64-bit word w.  Scaling by a power of two is exact, so folding it into
-# the scale rounds the same.
-_FACTOR_SCALE = (MAX_FACTOR - 1.0) * 2.0**-53
-
-
-def _factors(words: np.ndarray) -> np.ndarray:
-    """The values ``rng.uniform(1.0, MAX_FACTOR, size=len(words))`` makes
-    from these raw PCG64 words (numpy's ``next_double`` is a word's top 53
-    bits times 2**-53)."""
-    factors = (words >> 11) * _FACTOR_SCALE
-    factors += 1.0
-    return factors
-
-
 def assign_trips(
     g: RoadGraph,
     start_nodes: Sequence[int],
@@ -188,18 +173,12 @@ def assign_trips(
     ``rng.integers(len(candidates))`` for the destination (no draw for a
     single candidate) and, under the random policy,
     ``rng.uniform(1.0, MAX_FACTOR, size=g.n_edges)`` for the route
-    (:func:`vancast.roadnet.random_route`).  The per-trip draws of a
-    vehicle are made from one read of raw 64-bit words, in stream order.
-    A pick is numpy's Lemire draw (Lemire, ACM TOMACS 2019) on a 32-bit
-    half: the low half of a fresh word, whose high half is kept for the
-    next pick, or that kept half; a factor is one fresh word.  The kept
-    half is tracked here and written back to rng at the end.  The read is
-    sized for every pick drawing once; a rejected draw tops it up, and
-    words a single-candidate pick left unread are given back.
+    (:func:`vancast.roadnet.random_route`), made from one read of a
+    :class:`vancast.draws.Reader` of rng per vehicle.
 
     Raises ValueError, before any draw, for a start node outside the
     graph, a generator that is not PCG64 (as ``np.random.default_rng``
-    makes) or a NaN until or drop_after.
+    makes, and the reader needs) or a NaN until or drop_after.
     """
     if not len(start_nodes):
         raise ValueError("need at least one vehicle, got no start_nodes")
@@ -217,13 +196,7 @@ def assign_trips(
         raise ValueError(f"unknown routing policy {policy!r}")
     if math.isnan(until) or math.isnan(drop_after):
         raise ValueError(f"until and drop_after must not be NaN, got {until} and {drop_after}")
-    bits = rng.bit_generator
-    if not isinstance(bits, np.random.PCG64):
-        raise ValueError(f"assign_trips draws from PCG64's raw words, got a "
-                         f"{type(bits).__name__} generator")
-    n_edges = g.n_edges
-    state = bits.state
-    has_half, half = state["has_uint32"], state["uinteger"]  # the kept 32-bit half
+    reader = Reader(rng)
     schedules = []
     try:
         for vid, origin in enumerate(start_nodes):
@@ -233,62 +206,31 @@ def assign_trips(
             trip_policy = "main_road" if on_main else policy
             n_routed = bisect.bisect_right(departs, until)
             n_kept = max(n_routed, bisect.bisect_right(departs, drop_after))
-            per_trip = n_edges if trip_policy == "random" else 0
-            block = None  # the state before the read, if a deferred trip resumes from it
-            if per_trip and n_kept > n_routed:
-                block = bits.state["state"]["state"]
-            n_words = n_trips * per_trip + max(0, n_trips - has_half + 1) // 2
-            words, at = bits.random_raw(n_words), 0  # the read, and its next word
+            per_trip = g.n_edges if trip_policy == "random" else 0
+            block = reader.mark() if per_trip and n_kept > n_routed else None  # for deferred
+            reader.read(n_trips * per_trip, halves=n_trips)
             trips, deferred = [], []
-            try:
-                for i, depart_time in enumerate(departs):
-                    candidates = g.nodes_within(origin, max_trip_dist)
-                    if not candidates:
-                        raise ScheduleError(f"no destination within "
-                                            f"{float_text(max_trip_dist)} m of node {origin}")
-                    n = len(candidates)
-                    if n > 1:  # rng.integers(n): a 32-bit Lemire draw
-                        floor = (1 << 32) % n
-                        while True:
-                            if has_half:
-                                has_half, draw = 0, half
-                            else:
-                                if at == len(words):
-                                    words = np.concatenate((words, bits.random_raw(1)))
-                                word = int(words[at])
-                                at += 1
-                                has_half, draw, half = 1, word & _HALF, word >> 32
-                            draw *= n
-                            if draw & _HALF >= floor:
-                                break
-                        dst = candidates[draw >> 32]
-                    else:
-                        dst = candidates[0]
-                    if per_trip:
-                        if at + per_trip > len(words):
-                            words = np.concatenate(
-                                (words, bits.random_raw(at + per_trip - len(words))))
-                        if i < n_routed:
-                            trips.append(Trip(depart_time, _factor_route(
-                                g, origin, dst, _factors(words[at:at + per_trip]))))
-                        elif i < n_kept:
-                            deferred.append(DeferredTrip(depart_time, origin, dst, trip_policy,
-                                                         block, at))
-                        at += per_trip
-                    elif i < n_routed:
-                        trips.append(Trip(depart_time,
-                                          _route_for_policy(g, origin, dst, trip_policy)))
-                    elif i < n_kept:
-                        deferred.append(DeferredTrip(depart_time, origin, dst, trip_policy, None))
-                    origin = dst
-            finally:
-                if at < len(words):  # unread: single-candidate picks, or after a refusal
-                    bits.advance(at - len(words))
+            for i, depart_time in enumerate(departs):
+                candidates = g.nodes_within(origin, max_trip_dist)
+                if not candidates:
+                    raise ScheduleError(f"no destination within "
+                                        f"{float_text(max_trip_dist)} m of node {origin}")
+                dst = candidates[reader.below(len(candidates)) if len(candidates) > 1 else 0]
+                if i < n_routed:
+                    route = (_factor_route(g, origin, dst,
+                                           uniform(reader.take(per_trip), 1.0, MAX_FACTOR))
+                             if per_trip else _route_for_policy(g, origin, dst, trip_policy))
+                    trips.append(Trip(depart_time, route))
+                elif i < n_kept:
+                    deferred.append(DeferredTrip(depart_time, origin, dst, trip_policy, block,
+                                                 reader.drawn() if per_trip else 0))
+                if per_trip and i >= n_routed:
+                    reader.take(per_trip)  # the factors a later trip's route draws
+                origin = dst
+            reader.give_back()  # words single-candidate picks left, before the next poisson
             schedules.append(TripSchedule(vid, tuple(trips), tuple(deferred)))
     finally:
-        state = bits.state
-        state["has_uint32"], state["uinteger"] = has_half, half
-        bits.state = state
+        reader.close()
     return schedules
 
 
@@ -298,23 +240,18 @@ def _route_for_policy(g: RoadGraph, src: int, dst: int, policy: str) -> Route:
 
 
 def deferred_router(g: RoadGraph, rng: np.random.Generator) -> Callable[[DeferredTrip], Route]:
-    """A function that routes the deferred trips ``rng`` drew.  It reads
-    rng for its increment but never draws from it: a random-policy trip's
-    factors are raw words of one scratch PCG64 set to the trip's block state
-    and advanced by its word offset, turned into factors and routed as
-    :func:`assign_trips` does, so the trip gets the route it would have got
-    had it been routed when it was drawn."""
-    bits = np.random.PCG64(0)
-    state = bits.state
-    state["state"]["inc"] = rng.bit_generator.state["state"]["inc"]
+    """A function that routes the deferred trips ``rng`` drew, never
+    drawing from rng: a random-policy trip's factors are the words its
+    block and offset name, read again (:func:`vancast.draws.replayer`),
+    and routed as :func:`assign_trips` does, so the trip gets the route it
+    would have got had it been routed when it was drawn."""
+    words = replayer(rng)
 
     def route(trip: DeferredTrip) -> Route:
         if trip.block is None:
             return _route_for_policy(g, trip.src, trip.dst, trip.policy)
-        state["state"]["state"] = trip.block
-        bits.state = state
-        bits.advance(trip.offset)
-        return _factor_route(g, trip.src, trip.dst, _factors(bits.random_raw(g.n_edges)))
+        return _factor_route(g, trip.src, trip.dst,
+                             uniform(words(trip.block, trip.offset, g.n_edges), 1.0, MAX_FACTOR))
 
     return route
 

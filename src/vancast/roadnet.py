@@ -202,9 +202,11 @@ class RoadGraph:
         pairs: each box is filed under the square cell of its lower corner,
         cells 1.25 times the widest box or the reach, so the corner of a
         near box is at most two cells off in each axis, and each of those
-        cells is searched.  Raises ValueError naming comm_range if the cells
-        cannot be keyed in int64.
+        cells is searched.  Raises ValueError naming comm_range unless it is
+        above 0 (NaN is not), or if the cells cannot be keyed in int64.
         """
+        if not comm_range > 0:
+            raise ValueError(f"comm_range must be positive, got {comm_range}")
         table = self._near.get(comm_range)
         if table is not None:
             return table

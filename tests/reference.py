@@ -46,20 +46,21 @@ def radio_rows(day, g, t0, t1):
 
 
 class PassThrough:
-    """A stand-in for ``vancast.engine._Draws`` that reads nothing ahead: it
-    holds no values, so every small pick leaves ``_pick``'s fast path for
-    ``pick``, which is ``rng.choice`` itself, as is every large pick."""
-
-    values, at = (), 0
+    """A stand-in for ``vancast.draws.Reader`` that reads nothing ahead: its
+    ``choice`` is the generator's own, and with ``vancast.engine._pick``
+    swapped for :func:`choice_pick`, so is every small pick."""
 
     def __init__(self, rng):
         self.rng = rng
         self.choice = rng.choice
 
-    def pick(self, ids, k):
-        picks = self.choice(ids, size=k, replace=False)
-        picks.sort()
-        return picks
-
     def close(self):
         pass
+
+
+def choice_pick(ids, k, draws):
+    """The k of ids that ``vancast.engine._pick`` picks, by the generator's
+    own ``choice``, sorted."""
+    picks = draws.choice(ids, size=k, replace=False)
+    picks.sort()
+    return picks

@@ -4,14 +4,14 @@ import math
 
 import numpy as np
 import pytest
-from reference import PassThrough, all_contacts, radio_rows, same_tick_pairs
+from reference import PassThrough, all_contacts, choice_pick, radio_rows, same_tick_pairs
 
 from vancast.config import ExperimentConfig
+from vancast.draws import READ, Reader
 from vancast.engine import (
     SMALL_PICK,
     ChunkStore,
     Metrics,
-    _Draws,
     _pick,
     detect_contacts,
     exchange,
@@ -456,11 +456,16 @@ class Positions:
     if n is None or k < n])
 def test_pick_makes_the_draws_of_choice(k, n):
     n = n or k + 1
-    for seed in range(200):
+    for seed in range(400):
         rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        if seed % 2:  # a 32-bit draw: the generator keeps the word's other half
+        draws = Reader(rng)
+        # a 32-bit draw before the pick: the generator keeps the word's other
+        # half (1), or the open reader does (2), or has drawn it too (3)
+        start = seed % 4
+        if start == 1:
             assert rng.integers(3) == ref.integers(3)
-        draws = _Draws(rng)
+        for _ in range(start - 1):
+            assert draws.below(3) == ref.integers(3)
         got = _pick(Positions(n), k, draws)
         draws.close()
         assert list(got) == np.sort(ref.choice(n, k, replace=False)).tolist()
@@ -477,7 +482,7 @@ def test_reader_draws_what_the_generator_draws(kept):
         rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
         if kept:
             assert rng.integers(7) == ref.integers(7)
-        draws = _Draws(rng)
+        draws = Reader(rng)
         for _ in range(int(plan.integers(1, 300))):
             n = int(plan.choice([2, 3, 9, 400, 2**31 + 1, 2**32 - 2, 2**32 - 1, 2**32, 2**40]))
             what = plan.integers(4)
@@ -500,15 +505,14 @@ def test_reader_draws_what_the_generator_draws(kept):
 
 def test_the_reader_holds_one_read_of_values_at_most():
     """A span of 9,000 small picks, never closed: the reader drops the
-    values it has drawn as it reads on, so it holds one read's values and
-    the last one drawn (or the kept half), and still draws what the
-    generator draws."""
+    words it has drawn as it reads on, so it holds one read's words at
+    most, and still draws what the generator draws."""
     rng, ref = np.random.default_rng(8), np.random.default_rng(8)
-    draws = _Draws(rng)
+    draws = Reader(rng)
     for k in list(range(1, SMALL_PICK)) * 1_000:
         got = _pick(np.arange(400), k, draws)
         assert got.tolist() == np.sort(ref.choice(400, k, replace=False)).tolist()
-        assert len(draws.values) <= 2 * _Draws.READ + 1
+        assert len(draws.words) <= READ
     draws.close()
     assert rng.bit_generator.state == ref.bit_generator.state
 
@@ -521,8 +525,10 @@ def test_an_exception_mid_span_leaves_the_generator_in_sync(monkeypatch):
     from vancast.engine import step
 
     real, ends = engine.exchange, []
-    for reader in (_Draws, PassThrough):
-        monkeypatch.setattr(engine, "_Draws", reader)
+    for reader in (Reader, PassThrough):
+        monkeypatch.setattr(engine, "Reader", reader)
+        if reader is PassThrough:
+            monkeypatch.setattr(engine, "_pick", choice_pick)
         state = init_sim(small_traffic_config(transfer_rate=20_000.0, seed_rate=0.3,
                                               parked_exchange=True))
         calls = []
@@ -531,8 +537,8 @@ def test_an_exception_mid_span_leaves_the_generator_in_sync(monkeypatch):
             sent = real(*args)
             calls.append(args[4])
             if len(calls) == 400:
-                if reader is _Draws:  # values read and not yet drawn
-                    assert 0 < args[4].at < len(args[4].values)
+                if reader is Reader:  # words read and not yet drawn
+                    assert 0 < args[4].at < len(args[4].words)
                 raise RuntimeError("mid-span")
             return sent
 
@@ -540,7 +546,8 @@ def test_an_exception_mid_span_leaves_the_generator_in_sync(monkeypatch):
         with pytest.raises(RuntimeError, match="mid-span"):
             step(state, state.day.end)
         assert len({id(draws) for draws in calls}) == 1  # one reader for the span
-        assert calls[-1].at == 0  # closed since
+        if reader is Reader:
+            assert calls[-1].half is None and not calls[-1].words  # closed since
         ends.append((state.rng.bit_generator.state, [s.mask.tolist() for s in state.stores]))
     assert ends[0] == ends[1]
 
@@ -574,20 +581,6 @@ def test_exchange_takes_numpy_integer_budgets(budget):
     want = np.sort(ref.choice(np.arange(10), int(budget), replace=False))
     assert sent_ab.tolist() == want.tolist() and sent_ba.tolist() == []
     assert b.count == int(budget) and rng.bit_generator.state == ref.bit_generator.state
-
-
-@pytest.mark.parametrize("bits", [np.random.MT19937, np.random.Philox, np.random.SFC64])
-def test_exchange_refuses_a_generator_that_is_not_pcg64(bits):
-    """The reader splits, advances and writes back PCG64's words: another
-    bit generator would give other picks and end elsewhere, or fail once
-    the stores had changed, so it is refused before any draw."""
-    rng, ref = np.random.Generator(bits(6)), np.random.Generator(bits(6))
-    a, b = holding(10, range(10)), ChunkStore(10)
-    with pytest.raises(ValueError, match=f"PCG64's raw words, got a {bits.__name__} generator"):
-        exchange(a, b, 1, 1, rng)
-    assert a.count == 10 and b.count == 0 and not b.mask.any()
-    # no draw made: the generator goes on as its untouched twin
-    assert rng.integers(2**62, size=8).tolist() == ref.integers(2**62, size=8).tolist()
 
 
 def test_exchange_conservation_property():
@@ -1008,17 +1001,37 @@ def test_a_crowded_slow_link_span_peaks_within_five_times_its_rows_and_pairs(mon
     there too."""
     import vancast.engine as engine
 
-    reads = []
+    opened, drawn = [], []
 
-    class Counted(engine._Draws):
-        def _fill(self):
-            reads.append(self._read)
-            super()._fill()
+    class Counted(Reader):
+        def _open(self):
+            opened.append(1)
+            super()._open()
 
-    monkeypatch.setattr(engine, "_Draws", Counted)
+        def close(self):
+            if self.half is not None:
+                drawn.append(self.drawn())
+            super().close()
+
+    monkeypatch.setattr(engine, "Reader", Counted)
     peak, rows, pairs = crowded_span_peak(transfer_rate=20_000.0)
-    assert reads.count(0) == 1 and len(reads) > 100  # opened once, read again and again
+    assert len(opened) == len(drawn) == 1 and drawn[0] > 100 * READ  # read again and again
     assert peak <= 5 * (rows.nbytes + pairs.nbytes)
+
+
+@pytest.mark.parametrize("n_ticks", [1.5, 2.0, "3"])
+def test_step_refuses_a_tick_count_that_is_not_a_whole_number(n_ticks):
+    """1.5 used to leave the clock at tick 1.5, or fail deep in numpy on a
+    larger fleet; it is refused by name before anything moves."""
+    from vancast.engine import step
+
+    state = init_sim(ExperimentConfig(n_vehicles=30, sim_duration=3600.0))
+    day, rng_state = state.day, state.rng.bit_generator.state
+    with pytest.raises(TypeError, match="n_ticks must be an integer"):
+        step(state, n_ticks)
+    assert state.tick == 0 and state.day is day and state.rng.bit_generator.state == rng_state
+    step(state, np.int64(3))
+    assert type(state.tick) is int and state.tick == 3
 
 
 def test_step_past_the_timetable_end_raises():

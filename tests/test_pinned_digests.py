@@ -130,24 +130,26 @@ def test_arterial_rush_run_is_pinned(tmp_path):
     dict(master_seed=15, share_bandwidth=True, transfer_rate=100_000.0),  # of 3 to 10
 ], ids=["parked_exchange", "share_bandwidth", "asymmetric", "shared_60k", "shared_100k"])
 def test_the_span_reader_changes_no_draw(monkeypatch, overrides):
-    """engine._Draws serves a span's small picks from bulk reads of the
+    """engine.Reader serves a span's small picks from bulk reads of the
     generator's words.  Swapped for a pass-through whose every pick is the
     generator's own ``choice``, a run ends with the same stores, stamps and
     generator state."""
     import vancast.engine as engine
-    from reference import PassThrough
+    from reference import PassThrough, choice_pick
 
     cfg = ExperimentConfig(**{**BASE, **overrides})
     opened = []
 
-    class Counted(engine._Draws):
-        def _fill(self):
+    class Counted(engine.Reader):
+        def _open(self):
             opened.append(self.at)
-            super()._fill()
+            super()._open()
 
     ends = []
     for reader in (Counted, PassThrough):
-        monkeypatch.setattr(engine, "_Draws", reader)
+        monkeypatch.setattr(engine, "Reader", reader)
+        if reader is PassThrough:
+            monkeypatch.setattr(engine, "_pick", choice_pick)
         state = run(cfg)
         ends.append(([(s.mask.tolist(), s.completed_at) for s in state.stores],
                      state.rng.bit_generator.state))

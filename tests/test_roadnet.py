@@ -632,3 +632,15 @@ def test_route_shape_validation():
         Route((0, 1), (), (0.0, 1.0))
     with pytest.raises(ValueError):
         Route((0, 1), (0,), (0.0,))
+
+
+@pytest.mark.parametrize("comm_range", [-5.0, 0.0, float("nan")])
+def test_near_places_refuse_a_range_that_is_not_positive(comm_range):
+    """-5 used to give no near pairs, not even a place with itself, and NaN
+    failed in an int cast that named nothing; neither is cached."""
+    g = generate_manhattan_grid(4, 4, 100.0)
+    with pytest.raises(ValueError, match="comm_range must be positive"):
+        g.near_places(comm_range)
+    assert not g._near
+    start, near = g.near_places(50.0)
+    assert all(p in near[start[p]:start[p + 1]] for p in range(len(start) - 1))
